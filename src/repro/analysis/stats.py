@@ -83,6 +83,11 @@ def nearest_rank(ordered: Sequence[float], q: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
+def percentile(values: Sequence[float], q: float) -> float:
+    """:func:`nearest_rank` of unsorted ``values`` (``q`` in [0, 1])."""
+    return nearest_rank(sorted(values), q)
+
+
 def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 

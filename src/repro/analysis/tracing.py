@@ -447,11 +447,6 @@ class Tracer:
         return [self.records[trace_id].as_dict()
                 for trace_id in sorted(self.records)]
 
-    def sent_record_sync(self, remote_host: int) -> int:
-        """(Re)sync clocks with ``remote_host``; returns the estimate."""
-        return self.clocksync.sync(self.ctx.nic.host_id, remote_host,
-                                   now_ns=self.ctx.sim.now)
-
 
 # ------------------------------------------------------------- run artifact
 def merged_trace_records(tracers: Iterable[Tracer]) -> List[Dict[str, Any]]:

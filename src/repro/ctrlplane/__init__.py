@@ -5,8 +5,7 @@ X-RDMA's data path is cheap; what dominates elastic workloads is the
 CM handshake (the Swift observation).  This package pools and caches the
 expensive control-plane objects so channel churn pays warm-cache prices:
 
-* :class:`QpCache` — RESET-state QP pool (moved here from
-  ``repro.xrdma.qpcache``; that module remains as a compatibility shim).
+* :class:`QpCache` — RESET-state QP pool (``repro.xrdma`` re-exports it).
 * :class:`MrRegCache` — registration cache in front of ``verbs.reg_mr``:
   deregistration becomes lazy, re-registration of a same-sized region
   becomes free, and batched registration amortizes the per-call base

@@ -33,8 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from repro.analysis.stats import nearest_rank
 from repro.fleet.spec import RunUnit, format_params
 
-__all__ = ["aggregate_records", "percentile", "metric_stats",
-           "aggregate_tables"]
+__all__ = ["aggregate_records", "metric_stats", "aggregate_tables"]
 
 #: attempt-record fields that never enter the aggregate (host-timing or
 #: bookkeeping the invariance guarantee must not depend on; ``traces``
@@ -44,24 +43,14 @@ __all__ = ["aggregate_records", "percentile", "metric_stats",
 _EXCLUDED_FIELDS = ("wall_s", "worker", "final", "traces", "windows")
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of ``values`` (q in [0, 1]).
-
-    Sorts, then delegates to :func:`repro.analysis.stats.nearest_rank` —
-    the one shared implementation (xr_trace and the serving window
-    engine use the same one).
-    """
-    return nearest_rank(sorted(values), q)
-
-
 def metric_stats(values: Sequence[float]) -> Dict[str, float]:
     """Deterministic summary of one metric across seeds."""
     ordered = sorted(values)
     return {
         "n": len(ordered),
         "mean": sum(ordered) / len(ordered),
-        "p50": percentile(ordered, 0.50),
-        "p90": percentile(ordered, 0.90),
+        "p50": nearest_rank(ordered, 0.50),
+        "p90": nearest_rank(ordered, 0.90),
         "min": ordered[0],
         "max": ordered[-1],
     }

@@ -19,16 +19,14 @@ The ``protocol-ablation`` spec set grids them; the aggregate is the
 
 from __future__ import annotations
 
-from statistics import mean
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.fleet.runner import RunContext
-from repro.fleet.scenarios import scenario
+from repro.fleet.scenarios import (_closed_loop_rpc, _congested_incast,
+                                   scenario)
 from repro.serving import (BULK_CLASS, RPC_CLASS, ServingHarness, SloTarget,
                            TenantSpec, TrafficClass)
-from repro.sim import MILLIS, SECONDS
-from repro.sim.params import congested_params
-from repro.tools.xr_perf import XrPerf
+from repro.sim import MILLIS
 from repro.xrdma import XrdmaConfig
 
 __all__ = ["protocol_config", "protocol_pingpong", "protocol_incast",
@@ -57,35 +55,11 @@ def protocol_pingpong(ctx: RunContext) -> Dict[str, Any]:
     params: rendezvous_variant, size; optional small_msg_size,
     fragment_bytes, inflight_depth, iterations.
     """
-    params = ctx.params
-    size = int(params.get("size", 2048))
-    iterations = int(params.get("iterations", 16))
-    config = protocol_config(params)
-    cluster = ctx.build_cluster(2)
-    client = cluster.xrdma_context(0, config=config)
-    server = cluster.xrdma_context(1, config=protocol_config(params))
-    accepted = server.listen(8720)
-    latencies: List[int] = []
-
-    def run():
-        channel = yield from client.connect(1, 8720)
-        server_channel = yield accepted.get()
-        server_channel.on_request = \
-            lambda msg: server.send_response(msg, 64)
-        for index in range(iterations):
-            t0 = cluster.sim.now
-            request = client.send_request(channel, size)
-            yield request.response
-            if index >= 3:                      # drop warmup iterations
-                latencies.append(cluster.sim.now - t0)
-        return channel, server_channel
-
-    proc = cluster.sim.spawn(run())
-    channel, server_channel = cluster.sim.run_until_event(
-        proc, limit=60 * SECONDS)
+    rtt_us, eager, channel, server_channel = _closed_loop_rpc(
+        ctx, protocol_config(ctx.params), 8720)
     return {
-        "rtt_us": round(mean(latencies) / 1000, 3),
-        "eager": size <= config.small_msg_size,
+        "rtt_us": round(rtt_us, 3),
+        "eager": eager,
         "rendezvous_reads": server_channel.stats["rendezvous_reads"],
         "rendezvous_writes": channel.stats["rendezvous_writes"],
     }
@@ -99,24 +73,9 @@ def protocol_incast(ctx: RunContext) -> Dict[str, Any]:
     small_msg_size, n_sources, streams_per_source, size, messages.
     """
     params = ctx.params
-    n_sources = int(params.get("n_sources", 4))
-    streams = int(params.get("streams_per_source", 4))
-    sources = [src for src in range(n_sources) for _ in range(streams)]
-    cluster = ctx.build_cluster(n_sources + 1, params=congested_params())
-    ctx.monitor(cluster)
-    perf = XrPerf(cluster)
-    result = perf.run_incast(sources, n_sources,
+    return _congested_incast(ctx, protocol_config(params),
                              size=int(params.get("size", 256 * 1024)),
-                             messages_per_source=int(
-                                 params.get("messages", 8)),
-                             config=protocol_config(params))
-    return {
-        "goodput_gbps": result.goodput_gbps,
-        "messages": result.messages,
-        "cnps_sent": result.crucial.get("cnps_sent", 0),
-        "pause_frames": result.crucial.get("pause_frames", 0),
-        "retransmissions": result.crucial.get("retransmissions", 0),
-    }
+                             messages=int(params.get("messages", 8)))
 
 
 @scenario("protocol-serving")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from statistics import mean
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import fabric_footprint
 from repro.fleet.runner import RunContext, ScenarioFn
@@ -48,52 +48,28 @@ def scenario(name: str) -> Callable[[ScenarioFn], ScenarioFn]:
     return register
 
 
-# ------------------------------------------------------------- ablations
-@scenario("fragment-incast")
-def fragment_incast(ctx: RunContext) -> Dict[str, Any]:
-    """Incast goodput at one fragment size (ablation, Sec. V-C).
+# -------------------------------------------------------- shared bodies
+def _closed_loop_rpc(ctx: RunContext, config: XrdmaConfig,
+                     port: int) -> Tuple[float, bool, Any, Any]:
+    """One client, one server, ``config`` on both ends: sequential RPC
+    round trips, the first three dropped as warmup.
 
-    params: fragment_bytes; optional n_sources, streams_per_source,
-    size, messages.
+    params: optional size, iterations.  Returns ``(rtt_us, eager,
+    channel, server_channel)``: the unrounded mean, whether the size
+    went eager, and the two ends' channels for callers that report
+    protocol counters.
     """
-    params = ctx.params
-    n_sources = int(params.get("n_sources", 4))
-    streams = int(params.get("streams_per_source", 4))
-    sources = [src for src in range(n_sources) for _ in range(streams)]
-    cluster = ctx.build_cluster(n_sources + 1, params=congested_params())
-    ctx.monitor(cluster)
-    perf = XrPerf(cluster)
-    config = XrdmaConfig(fragment_bytes=int(params["fragment_bytes"]))
-    result = perf.run_incast(sources, n_sources,
-                             size=int(params.get("size", 256 * 1024)),
-                             messages_per_source=int(
-                                 params.get("messages", 8)),
-                             config=config)
-    return {
-        "goodput_gbps": result.goodput_gbps,
-        "messages": result.messages,
-        "cnps_sent": result.crucial.get("cnps_sent", 0),
-        "retransmissions": result.crucial.get("retransmissions", 0),
-    }
-
-
-@scenario("rpc-latency")
-def rpc_latency(ctx: RunContext) -> Dict[str, Any]:
-    """Closed-loop RPC latency at one small-message threshold
-    (ablation, Sec. IV-C).  params: small_msg_size; optional size,
-    iterations."""
     params = ctx.params
     size = int(params.get("size", 2048))
     iterations = int(params.get("iterations", 16))
-    config = XrdmaConfig(small_msg_size=int(params["small_msg_size"]))
     cluster = ctx.build_cluster(2)
     client = cluster.xrdma_context(0, config=config)
     server = cluster.xrdma_context(1, config=config)
-    accepted = server.listen(8650)
+    accepted = server.listen(port)
     latencies: List[int] = []
 
     def run():
-        channel = yield from client.connect(1, 8650)
+        channel = yield from client.connect(1, port)
         server_channel = yield accepted.get()
         server_channel.on_request = \
             lambda msg: server.send_response(msg, 64)
@@ -103,14 +79,70 @@ def rpc_latency(ctx: RunContext) -> Dict[str, Any]:
             yield request.response
             if index >= 3:                      # drop warmup iterations
                 latencies.append(cluster.sim.now - t0)
+        return channel, server_channel
 
     proc = cluster.sim.spawn(run())
-    cluster.sim.run_until_event(proc, limit=60 * SECONDS)
-    threshold = int(params["small_msg_size"])
+    channel, server_channel = cluster.sim.run_until_event(
+        proc, limit=60 * SECONDS)
+    return (mean(latencies) / 1000, size <= config.small_msg_size,
+            channel, server_channel)
+
+
+def _congested_incast(ctx: RunContext, config: XrdmaConfig, size: int,
+                      messages: int, n_sources: int = 4,
+                      counters: Sequence[str] = (
+                          "cnps_sent", "pause_frames", "retransmissions"),
+                      ) -> Dict[str, Any]:
+    """Many-to-one incast on shallow buffers (``congested_params``) with
+    the Monitor attached; returns goodput and the crucial-index
+    ``counters`` the caller's table reports.
+
+    params: optional n_sources, streams_per_source.
+    """
+    params = ctx.params
+    n_sources = int(params.get("n_sources", n_sources))
+    streams = int(params.get("streams_per_source", 4))
+    sources = [src for src in range(n_sources) for _ in range(streams)]
+    cluster = ctx.build_cluster(n_sources + 1, params=congested_params())
+    ctx.monitor(cluster)
+    result = XrPerf(cluster).run_incast(sources, n_sources, size=size,
+                                        messages_per_source=messages,
+                                        config=config)
+    metrics = {"goodput_gbps": result.goodput_gbps,
+               "messages": result.messages}
+    for counter in counters:
+        metrics[counter] = result.crucial.get(counter, 0)
+    return metrics
+
+
+# ------------------------------------------------------------- ablations
+@scenario("fragment-incast")
+def fragment_incast(ctx: RunContext) -> Dict[str, Any]:
+    """Incast goodput at one fragment size (ablation, Sec. V-C).
+
+    params: fragment_bytes; optional n_sources, streams_per_source,
+    size, messages.
+    """
+    params = ctx.params
+    return _congested_incast(
+        ctx, XrdmaConfig(fragment_bytes=int(params["fragment_bytes"])),
+        size=int(params.get("size", 256 * 1024)),
+        messages=int(params.get("messages", 8)),
+        counters=("cnps_sent", "retransmissions"))
+
+
+@scenario("rpc-latency")
+def rpc_latency(ctx: RunContext) -> Dict[str, Any]:
+    """Closed-loop RPC latency at one small-message threshold
+    (ablation, Sec. IV-C).  params: small_msg_size; optional size,
+    iterations."""
+    threshold = int(ctx.params["small_msg_size"])
+    rtt_us, eager, _, _ = _closed_loop_rpc(
+        ctx, XrdmaConfig(small_msg_size=threshold), 8650)
     return {
-        "rtt_us": mean(latencies) / 1000,
+        "rtt_us": rtt_us,
         "recv_ring_bytes_per_channel": (threshold + 64) * 36,
-        "eager": size <= threshold,
+        "eager": eager,
     }
 
 
@@ -367,22 +399,8 @@ def fig10_incast(ctx: RunContext) -> Dict[str, Any]:
         raise ValueError(f"unknown fig10 workload {label!r}; "
                          f"choose from {', '.join(FIG10_WORKLOADS)}")
     flow_control, size, messages = FIG10_WORKLOADS[label]
-    n_sources = int(params.get("n_sources", 8))
-    streams = int(params.get("streams_per_source", 4))
-    sources = [src for src in range(n_sources) for _ in range(streams)]
-    cluster = ctx.build_cluster(n_sources + 1, params=congested_params())
-    ctx.monitor(cluster)
-    perf = XrPerf(cluster)
-    config = XrdmaConfig(flow_control=flow_control)
-    result = perf.run_incast(sources, n_sources, size=size,
-                             messages_per_source=messages, config=config)
-    return {
-        "goodput_gbps": result.goodput_gbps,
-        "messages": result.messages,
-        "cnps_sent": result.crucial.get("cnps_sent", 0),
-        "pause_frames": result.crucial.get("pause_frames", 0),
-        "retransmissions": result.crucial.get("retransmissions", 0),
-    }
+    return _congested_incast(ctx, XrdmaConfig(flow_control=flow_control),
+                             size=size, messages=messages, n_sources=8)
 
 
 # ------------------------------------------------------------------ smoke

@@ -25,11 +25,11 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, IO, List, Optional, Sequence
+from typing import Any, Dict, IO, Iterator, List, Optional, Sequence, Union
 
 from repro.fleet.spec import ExperimentSpec, RunUnit
 
-__all__ = ["ResultStore", "canonical_json"]
+__all__ = ["ResultStore", "canonical_json", "read_jsonl"]
 
 PLAN_NAME = "plan.json"
 RUNS_NAME = "runs.jsonl"
@@ -43,6 +43,24 @@ def canonical_json(payload: Any) -> str:
     """Canonical bytes for jobs-invariant artifacts."""
     return json.dumps(payload, sort_keys=True, indent=2,
                       separators=(",", ": "), ensure_ascii=False) + "\n"
+
+
+def read_jsonl(path: Union[str, Path]) -> Iterator[Any]:
+    """Yield each parsed line of a JSONL file, in order.
+
+    The one reader behind every artifact the store appends to: blank
+    lines are skipped, and a torn tail line (a killed sweep's last
+    partial write) ends the iteration — everything before it is good.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield json.loads(line)
+            except json.JSONDecodeError:
+                return
 
 
 class ResultStore:
@@ -148,21 +166,10 @@ class ResultStore:
         return plan
 
     def load_records(self) -> List[Dict[str, Any]]:
-        """Every attempt record, in append order; tolerates a torn tail
-        line (a killed sweep's last partial write)."""
+        """Every attempt record, in append order (torn-tail tolerant)."""
         if not self.runs_path.exists():
             return []
-        records: List[Dict[str, Any]] = []
-        with open(self.runs_path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    break       # torn tail — everything before it is good
-        return records
+        return list(read_jsonl(self.runs_path))
 
     def terminal_records(self) -> Dict[str, Dict[str, Any]]:
         """run_id -> its final record (the one with ``final: true``)."""
@@ -174,31 +181,6 @@ class ResultStore:
 
     def load_traces(self) -> List[Dict[str, Any]]:
         """Every exported trace line, in append order (torn-tail tolerant)."""
-        return self._load_jsonl(self.traces_path)
-
-    def load_windows(self) -> List[Dict[str, Any]]:
-        """Every per-window SLO row, in append order (torn-tail tolerant)."""
-        return self._load_jsonl(self.windows_path)
-
-    @staticmethod
-    def _load_jsonl(path: Path) -> List[Dict[str, Any]]:
-        if not path.exists():
+        if not self.traces_path.exists():
             return []
-        entries: List[Dict[str, Any]] = []
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entries.append(json.loads(line))
-                except json.JSONDecodeError:
-                    break
-        return entries
-
-    def load_aggregate(self) -> Dict[str, Any]:
-        with open(self.aggregate_path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{self.aggregate_path}: not an aggregate")
-        return payload
+        return list(read_jsonl(self.traces_path))

@@ -53,8 +53,3 @@ class Segment:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"segment size must be >= 0, got {self.size}")
-
-    @property
-    def is_control(self) -> bool:
-        """Control segments bypass DCQCN rate limiting at the NIC."""
-        return self.kind is not SegmentKind.DATA

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Tuple)
 
-from repro.fleet.aggregate import percentile
+from repro.analysis.stats import percentile
 from repro.serving.arrivals import make_arrivals
 from repro.serving.windows import SloTarget, WindowedRecorder
 from repro.sim.process import ProcessGenerator

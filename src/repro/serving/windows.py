@@ -12,7 +12,7 @@ follows the queueing-middleware methodology the roadmap names:
 * the first ``warmup_windows`` and last ``cooldown_windows`` windows are
   excluded from verdicts ("stable windows");
 * per-window percentiles are nearest-rank over the window's raw latency
-  values via :func:`repro.fleet.aggregate.percentile` — the *same*
+  values via :func:`repro.analysis.stats.percentile` — the *same*
   routine the fleet aggregate uses, so a window p99 and an aggregate p99
   are the same statistic;
 * an :class:`SloTarget` turns stable windows into a verdict: the
@@ -31,7 +31,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.fleet.aggregate import percentile
+from repro.analysis.stats import percentile
 from repro.sim.timeunits import SECONDS
 
 __all__ = ["SloTarget", "WindowedRecorder"]

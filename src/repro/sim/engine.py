@@ -10,7 +10,7 @@ process bootstraps; roughly a third of all traffic — bypass the heap into
 a FIFO *now-queue*.  This is safe because such entries are appended in
 increasing sequence order at non-decreasing times, so the deque is always
 sorted by the same ``(time, priority, sequence)`` key as the heap; the
-fire loops pop whichever of heap-top/deque-head is smaller (plain tuple
+fire loop pops whichever of heap-top/deque-head is smaller (plain tuple
 comparison — both stores hold identical 4-tuples).  The total order is
 therefore *exactly* the one a single heap would produce — the
 digest-equivalence suite pins this — while a wake costs an append+popleft
@@ -55,22 +55,28 @@ def _host_clock() -> float:
 
 
 class _GuardState:
-    """Budget shared by guarded fire loops (see :meth:`Simulator.set_guards`).
+    """A runaway-run budget (see :meth:`Simulator.set_guards`).
 
-    ``charge()`` is called once per loop iteration *before* the next event
-    is popped, so a raise leaves every pending event in place.  The wall
-    clock is only sampled every 256 events — a guarded run pays one integer
-    test per event and a clock read per quarter-kilobatch.
+    ``charge()`` is called once per fire-loop iteration *before* the next
+    event is popped, so a raise leaves every pending event in place.  The
+    wall clock is only sampled every 256 events — a guarded run pays one
+    integer test per event and a clock read per quarter-kilobatch.
+
+    A one-shot budget wraps the persistent one as ``outer`` and charges it
+    after itself: every event fired is billed to both, and the persistent
+    budget is never billed for an event the one-shot budget refused.
     """
 
-    __slots__ = ("remaining", "deadline", "_tick")
+    __slots__ = ("remaining", "deadline", "outer", "_tick")
 
     def __init__(self, max_events: Optional[int],
-                 wall_timeout_s: Optional[float]) -> None:
+                 wall_timeout_s: Optional[float],
+                 outer: Optional["_GuardState"] = None) -> None:
         self.remaining: Optional[int] = max_events
         self.deadline: Optional[float] = (
             None if wall_timeout_s is None
             else _host_clock() + wall_timeout_s)
+        self.outer = outer
         self._tick = 0
 
     def charge(self) -> None:
@@ -87,6 +93,8 @@ class _GuardState:
                 raise GuardExceeded(
                     "guard: wall-clock deadline exceeded "
                     "(runaway simulation?)")
+        if self.outer is not None:
+            self.outer.charge()
 
 
 class TieAudit:
@@ -170,8 +178,8 @@ class Simulator:
     # ``_sequence``/``_now``/``_heap``/``_nowq`` are the most-read
     # attributes in the program (every schedule and every fire touches
     # them); slots keep them out of a dict lookup.
-    __slots__ = ("_now", "_heap", "_nowq", "_sequence", "_active_process",
-                 "tie_audit", "_guards")
+    __slots__ = ("_now", "_heap", "_nowq", "_sequence", "tie_audit",
+                 "_guards")
 
     def __init__(self, debug_ties: bool = False) -> None:
         self._now: int = 0
@@ -180,7 +188,6 @@ class Simulator:
         #: order by construction (see module docstring)
         self._nowq: Deque[Tuple[int, int, int, Event]] = deque()
         self._sequence: int = 0
-        self._active_process: Optional[Process] = None
         self.tie_audit: Optional[TieAudit] = TieAudit() if debug_ties \
             else None
         self._guards: Optional[_GuardState] = None
@@ -190,12 +197,12 @@ class Simulator:
         """Arm persistent runaway-run guards; ``set_guards()`` disarms.
 
         The budgets span *all* subsequent :meth:`run` /
-        :meth:`run_until_event` calls on this simulator: ``max_events``
-        bounds the total number of events fired, ``wall_timeout_s``
-        starts a host wall-clock countdown now.  Exceeding either raises
-        :class:`GuardExceeded` with every pending event still queued.
-        Unguarded simulators pay nothing — the fire loops pick the
-        guard-free fast path once per call.
+        :meth:`run_until_event` / :meth:`step` calls on this simulator:
+        ``max_events`` bounds the total number of events fired,
+        ``wall_timeout_s`` starts a host wall-clock countdown now.
+        Exceeding either raises :class:`GuardExceeded` with every pending
+        event still queued.  An unguarded simulator pays one ``is not
+        None`` test per event.
         """
         if max_events is None and wall_timeout_s is None:
             self._guards = None
@@ -217,11 +224,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulated time in nanoseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # ------------------------------------------------------------- factories
     def event(self, name: str = "") -> Event:
@@ -271,82 +273,60 @@ class Simulator:
             heapq.heappush(self._heap,
                            (self._now + delay, priority, self._sequence, event))
 
-    def peek(self) -> Optional[int]:
-        """Time of the next pending event, or None if none are pending."""
-        heap, nowq = self._heap, self._nowq
-        if nowq and (not heap or nowq[0] < heap[0]):
-            return nowq[0][0]
-        return heap[0][0] if heap else None
+    def _drive(self, target: Optional[Event], bound: Optional[int],
+               max_events: Optional[int],
+               wall_timeout_s: Optional[float]) -> bool:
+        """The one pop-and-fire loop behind :meth:`step`, :meth:`run` and
+        :meth:`run_until_event`.
 
-    def step(self) -> None:
-        """Fire the single next event."""
-        heap, nowq = self._heap, self._nowq
-        if nowq and (not heap or nowq[0] < heap[0]):
-            when, priority, seq, event = nowq.popleft()
-        elif heap:
-            when, priority, seq, event = heapq.heappop(heap)
-        else:
-            raise SimulationError("step() on an empty event heap")
-        if self.tie_audit is not None:
-            self.tie_audit.observe(when, priority, seq, event)
-        self._now = when
-        had_observers = bool(event.callbacks)
-        event._fire()
-        if not event._ok and not had_observers and not event.defused:
-            raise SimulationError(
-                f"unhandled failure in {event.name!r}: {event.value!r}"
-            ) from event.value
+        Fires events in ``(time, priority, sequence)`` order until
+        ``target`` itself has been fired (``None``: never) — only then is
+        the result True — nothing is pending, or the next event lies
+        beyond simulated time ``bound``; that event stays queued and the
+        clock is left for the caller to settle.  The target stop is by
+        identity, not by ``target.callbacks is None``: a recycled
+        :class:`Timeout` re-armed inside its own callback has a fresh
+        callback list by the time control returns here.
 
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None,
-            wall_timeout_s: Optional[float] = None) -> int:
-        """Run until the heap drains or simulated time reaches ``until``.
+        ``max_events`` / ``wall_timeout_s`` arm a one-shot budget for this
+        call, charged *together with* any persistent :meth:`set_guards`
+        budget.  The charge comes before the pop, so a
+        :class:`GuardExceeded` leaves every pending event in place (and the
+        one event a ``bound`` stop puts back has been charged).
 
-        Returns the simulated time at which the run stopped.
-
-        ``max_events`` / ``wall_timeout_s`` arm one-shot runaway guards
-        for this call only (see :meth:`set_guards` for persistent ones);
-        tripping either raises :class:`GuardExceeded` with all pending
-        events intact.
-
-        The loop body is :meth:`step` inlined by hand: this is the hottest
-        loop in the project and the method call, the re-checked empty-heap
-        guard, and the repeated attribute loads are measurable.  Any change
-        here must be mirrored in :meth:`step`/:meth:`run_until_event` and
-        the ``_guarded`` variants, and keep TieAudit digests byte-identical.
+        Everything the loop touches is hoisted into locals: this is the
+        hottest loop in the project, and the method call, the attribute
+        loads and (when off, as in every production run) the whole audit
+        branch are measurable.  The auditor must be enabled before running
+        (documented on :meth:`enable_tie_audit`), so one load outside the
+        loop is equivalent.
         """
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
         guards = self._guards
         if max_events is not None or wall_timeout_s is not None:
-            guards = _GuardState(max_events, wall_timeout_s)
-        if guards is not None:
-            return self._run_guarded(until, guards)
+            guards = _GuardState(max_events, wall_timeout_s, outer=guards)
         heap = self._heap
         nowq = self._nowq
         heappop = heapq.heappop
-        # Hoisted: the auditor must be enabled before running (documented on
-        # enable_tie_audit), so one load outside the loop is equivalent —
-        # and when it is off (every production run) the whole audit branch
-        # drops out of the loop body.
         audit = self.tie_audit
-        heappush = heapq.heappush
-        bound = float("inf") if until is None else until
+        # One comparison per heap pop instead of two: an unset bound
+        # becomes an unreachable one.
+        latest = float("inf") if bound is None else bound
         while heap or nowq:
+            if guards is not None:
+                guards.charge()
             if nowq and (not heap or nowq[0] < heap[0]):
-                # Now-queue entries can never trip the ``until`` bound:
-                # they were appended at a past-or-present instant and
-                # ``_now`` never exceeds ``until`` inside this loop.
+                # Now-queue entries can never trip the bound: they were
+                # appended at a past-or-present instant and ``_now`` never
+                # exceeds the bound inside this loop.
                 when, priority, seq, event = nowq.popleft()
             else:
                 when, priority, seq, event = heappop(heap)
-                if when > bound:
+                if when > latest:
                     # Pops are time-monotone, so checking after the pop is
                     # equivalent to peeking first — and skips a heap[0][0]
                     # index chain on every iteration.  Restore the event.
-                    heappush(heap, (when, priority, seq, event))
-                    self._now = until
-                    return self._now
+                    heapq.heappush(heap, (when, priority, seq, event))
+                    return False
             if audit is not None:
                 audit.observe(when, priority, seq, event)
             self._now = when
@@ -364,50 +344,37 @@ class Simulator:
                 raise SimulationError(
                     f"unhandled failure in {event.name!r}: {event.value!r}"
                 ) from event.value
-        if until is not None:
-            self._now = until
-        return self._now
+            if event is target:
+                return True
+        return False
 
-    def _run_guarded(self, until: Optional[int],
-                     guards: _GuardState) -> int:
-        """:meth:`run` with a per-iteration guard charge.
+    def step(self) -> None:
+        """Fire the single next event."""
+        heap, nowq = self._heap, self._nowq
+        if nowq and (not heap or nowq[0] < heap[0]):
+            head = nowq[0]
+        elif heap:
+            head = heap[0]
+        else:
+            raise SimulationError("step() on an empty event heap")
+        # The head is what the loop pops first, and it stops right after.
+        self._drive(head[3], None, None, None)
 
-        A separate loop (rather than a branch in :meth:`run`) so the
-        unguarded hot path stays byte-for-byte what PR 3 benchmarked.
-        ``guards.charge()`` runs *before* the pop: a raise loses nothing.
+    def run(self, until: Optional[int] = None,
+            max_events: Optional[int] = None,
+            wall_timeout_s: Optional[float] = None) -> int:
+        """Run until the heap drains or simulated time reaches ``until``.
+
+        Returns the simulated time at which the run stopped.
+
+        ``max_events`` / ``wall_timeout_s`` arm one-shot runaway guards
+        for this call only (see :meth:`set_guards` for persistent ones);
+        tripping either raises :class:`GuardExceeded` with all pending
+        events intact.
         """
-        heap = self._heap
-        nowq = self._nowq
-        heappop = heapq.heappop
-        audit = self.tie_audit
-        heappush = heapq.heappush
-        bound = float("inf") if until is None else until
-        while heap or nowq:
-            guards.charge()
-            if nowq and (not heap or nowq[0] < heap[0]):
-                when, priority, seq, event = nowq.popleft()
-            else:
-                when, priority, seq, event = heappop(heap)
-                if when > bound:
-                    heappush(heap, (when, priority, seq, event))
-                    assert until is not None
-                    self._now = until
-                    return self._now
-            if audit is not None:
-                audit.observe(when, priority, seq, event)
-            self._now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-            elif not event._ok and not event.defused:
-                raise SimulationError(
-                    f"unhandled failure in {event.name!r}: {event.value!r}"
-                ) from event.value
+        if until is not None and until < self._now:
+            raise ValueError(f"until={until} is in the past (now={self._now})")
+        self._drive(None, until, max_events, wall_timeout_s)
         if until is not None:
             self._now = until
         return self._now
@@ -420,100 +387,20 @@ class Simulator:
         ``limit`` bounds simulated time; exceeding it raises
         :class:`SimulationError`.  ``max_events`` / ``wall_timeout_s``
         arm one-shot runaway guards (:class:`GuardExceeded`), merging
-        with any persistent :meth:`set_guards` budget.  (Same
-        hand-inlined fire loop as :meth:`run` — see the note there.)
+        with any persistent :meth:`set_guards` budget.
         """
-        guards = self._guards
-        if max_events is not None or wall_timeout_s is not None:
-            guards = _GuardState(max_events, wall_timeout_s)
-        if guards is not None:
-            return self._run_until_event_guarded(event, limit, guards)
-        if event.callbacks is not None:
+        if event.callbacks is not None:         # i.e. not yet processed
             # Mark the event observed so a failure is delivered here rather
-            # than raised as an unhandled error inside step().
+            # than raised as an unhandled error inside the fire loop.
             event.callbacks.append(lambda _ev: None)
-        heap = self._heap
-        nowq = self._nowq
-        heappop = heapq.heappop
-        audit = self.tie_audit
-        # One comparison per pop instead of two: an unset limit becomes an
-        # unreachable bound.
-        bound = float("inf") if limit is None else limit
-        while event.callbacks is not None:      # i.e. not yet processed
-            if nowq and (not heap or nowq[0] < heap[0]):
-                # Now-queue entries cannot exceed ``limit`` (see run()).
-                when, priority, seq, fired = nowq.popleft()
-            elif heap:
-                when, priority, seq, fired = heappop(heap)
-                if when > bound:
-                    # Post-pop check (pops are time-monotone — see run()).
-                    heapq.heappush(heap, (when, priority, seq, fired))
-                    raise SimulationError(
-                        f"time limit {limit} exceeded waiting for {event.name!r}")
-            else:
-                raise SimulationError(
-                    f"deadlock: no pending events but {event.name!r} never fired")
-            if audit is not None:
-                audit.observe(when, priority, seq, fired)
-            self._now = when
-            callbacks = fired.callbacks
-            fired.callbacks = None
-            if callbacks:
-                # Single-waiter fast path — see run().
-                if len(callbacks) == 1:
-                    callbacks[0](fired)
-                else:
-                    for callback in callbacks:
-                        callback(fired)
-            elif not fired._ok and not fired.defused:
-                raise SimulationError(
-                    f"unhandled failure in {fired.name!r}: {fired.value!r}"
-                ) from fired.value
-        if not event._ok:
-            raise event._value
-        return event._value
-
-    def _run_until_event_guarded(self, event: Event, limit: Optional[int],
-                                 guards: _GuardState) -> Any:
-        """:meth:`run_until_event` with a per-iteration guard charge
-        (mirror of :meth:`_run_guarded` — keep the loops in lockstep)."""
-        if event.callbacks is not None:
-            event.callbacks.append(lambda _ev: None)
-        heap = self._heap
-        nowq = self._nowq
-        heappop = heapq.heappop
-        audit = self.tie_audit
-        bound = float("inf") if limit is None else limit
-        while event.callbacks is not None:      # i.e. not yet processed
-            guards.charge()
-            if nowq and (not heap or nowq[0] < heap[0]):
-                when, priority, seq, fired = nowq.popleft()
-            elif heap:
-                when, priority, seq, fired = heappop(heap)
-                if when > bound:
-                    heapq.heappush(heap, (when, priority, seq, fired))
+            if not self._drive(event, limit, max_events, wall_timeout_s):
+                if self._heap or self._nowq:    # stopped at the bound
                     raise SimulationError(
                         f"time limit {limit} exceeded waiting for "
                         f"{event.name!r}")
-            else:
                 raise SimulationError(
                     f"deadlock: no pending events but {event.name!r} "
                     f"never fired")
-            if audit is not None:
-                audit.observe(when, priority, seq, fired)
-            self._now = when
-            callbacks = fired.callbacks
-            fired.callbacks = None
-            if callbacks:
-                if len(callbacks) == 1:
-                    callbacks[0](fired)
-                else:
-                    for callback in callbacks:
-                        callback(fired)
-            elif not fired._ok and not fired.defused:
-                raise SimulationError(
-                    f"unhandled failure in {fired.name!r}: {fired.value!r}"
-                ) from fired.value
         if not event._ok:
             raise event._value
         return event._value

@@ -127,14 +127,7 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        sim = self.sim
-        sim._sequence += 1
-        delay = int(delay)
-        if delay == 0:
-            sim._nowq.append((sim._now, _NORMAL, sim._sequence, self))
-        else:
-            _heappush(sim._heap,
-                      (sim._now + delay, _NORMAL, sim._sequence, self))
+        self.sim._schedule(self, delay)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -143,13 +136,6 @@ class Event:
             callback(self)
         else:
             self.callbacks.append(callback)
-
-    def _fire(self) -> None:
-        """Engine hook: run and clear callbacks."""
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self.processed else (

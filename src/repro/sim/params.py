@@ -121,12 +121,6 @@ class SimParams:
         return (self.odp_page_fault_base_ns
                 + pages * self.odp_page_fault_per_page_ns)
 
-    def cm_connect_ns(self) -> int:
-        """End-to-end rdma_cm establishment cost, excluding QP creation."""
-        rtt = 2 * (2 * self.link_propagation_ns + self.switch_forward_ns)
-        return self.cm_resolve_ns + self.cm_handshake_rtts * (
-            rtt + 300 * MICROS)
-
     def segments_of(self, length: int) -> int:
         """Number of MTU segments a ``length``-byte payload occupies."""
         if length <= 0:

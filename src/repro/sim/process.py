@@ -86,12 +86,10 @@ class Process(Event):
         # process funnels through here, so it reads private slots
         # (``_ok``/``_value``) instead of the validating properties and
         # registers itself on the target without the add_callback frame.
-        sim = self.sim
         # ``_waiting_on`` is left stale here on purpose: the fired event's
         # callbacks are already None, so interrupt()'s detach is a no-op
         # on it, and every exit path below either re-points it or ends
         # the process.  Clearing it would be a dead store per yield.
-        sim._active_process = self
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -106,8 +104,6 @@ class Process(Event):
             # process-as-event (and step() raises if nobody observes it).
             self.fail(exc)
             return
-        finally:
-            sim._active_process = None
         # Duck-typed fast path: reading ``callbacks`` replaces an
         # isinstance check on every yield; anything that is not an Event
         # lands in the except branch and gets the full diagnostic.

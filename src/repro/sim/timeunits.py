@@ -35,13 +35,3 @@ def seconds(value: float) -> int:
 def ns_to_us(value: int) -> float:
     """Convert integer nanoseconds to float microseconds."""
     return value / MICROS
-
-
-def ns_to_ms(value: int) -> float:
-    """Convert integer nanoseconds to float milliseconds."""
-    return value / MILLIS
-
-
-def ns_to_seconds(value: int) -> float:
-    """Convert integer nanoseconds to float seconds."""
-    return value / SECONDS

@@ -202,12 +202,3 @@ class Switch(Device):
         in_port = segment.pfc_ingress
         self._ingress_bytes[in_port] -= segment.size
         self._check_xon(in_port)
-
-    # ------------------------------------------------------------ inspection
-    def queue_depth_bytes(self, port: int) -> int:
-        """Bytes queued at one egress port."""
-        return self.ports[port].queued_bytes
-
-    def total_queued_bytes(self) -> int:
-        """Bytes queued across all egress ports (buffer utilization)."""
-        return sum(port.queued_bytes for port in self.ports)

@@ -119,7 +119,7 @@ class XrPerf:
                    config=None) -> PerfResult:
         """N→1 incast of open-loop senders (the Fig. 10 scenario)."""
         sink_ctx = self.context(sink, config=config)
-        self._install_sink(sink_ctx)
+        self._install_echo(sink_ctx)
         result = PerfResult(name=f"incast-{len(sources)}to1-{size}B")
         before = self._crucial_snapshot()
         t0 = self.sim.now
@@ -167,7 +167,7 @@ class XrPerf:
         procs = []
         for index, (src, dst) in enumerate(pairs):
             ctx = self.context(src)
-            self._install_sink(self.context(dst))
+            self._install_echo(self.context(dst))
             rng = self.cluster.rng.stream(f"xrperf:mix{index}")
             is_elephant = rng.uniform() < elephant_ratio
             spec = FlowSpec(
@@ -195,19 +195,6 @@ class XrPerf:
                 msg = yield ctx.incoming.get()
                 if msg.is_request:
                     ctx.send_response(msg, 64)
-
-        self.sim.spawn(loop(), name=f"xrperf:echo{ctx.nic.host_id}")
-
-    def _install_sink(self, ctx: "XrdmaContext") -> None:
-        if getattr(ctx, "_xrperf_sink", False):
-            return
-        ctx._xrperf_sink = True
-
-        def loop():
-            while True:
-                msg = yield ctx.incoming.get()
-                if msg.is_request:
-                    ctx.send_response(msg, 64)
                 # ONEWAY messages are consumed by the act of delivery.
 
-        self.sim.spawn(loop(), name=f"xrperf:sink{ctx.nic.host_id}")
+        self.sim.spawn(loop(), name=f"xrperf:echo{ctx.nic.host_id}")

@@ -27,6 +27,8 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.fleet.store import read_jsonl
+
 __all__ = ["main", "load_window_rows", "tenant_tables", "summarize"]
 
 WINDOW_COLUMNS = ("window", "start_ms", "stable", "offered", "completed",
@@ -36,19 +38,8 @@ WINDOW_COLUMNS = ("window", "start_ms", "stable", "offered", "completed",
 
 def load_window_rows(path: str) -> List[Dict[str, Any]]:
     """Parse a windows.jsonl (torn-tail tolerant, like every store read)."""
-    rows: List[Dict[str, Any]] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                break           # torn tail — keep what parsed
-            if isinstance(payload, dict) and "window" in payload:
-                rows.append(payload)
-    return rows
+    return [payload for payload in read_jsonl(path)
+            if isinstance(payload, dict) and "window" in payload]
 
 
 def tenant_tables(rows: List[Dict[str, Any]]

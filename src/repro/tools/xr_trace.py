@@ -31,6 +31,7 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.stats import nearest_rank
+from repro.fleet.store import read_jsonl
 
 __all__ = ["main", "analyze", "load_trace_file"]
 
@@ -53,28 +54,19 @@ def load_trace_file(path: str) -> Tuple[Dict[str, Any],
     """
     meta: Dict[str, Any] = {}
     by_key: Dict[Tuple[str, int], Dict[str, Any]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                break           # torn tail — keep what parsed
-            if not isinstance(payload, dict):
-                continue
-            if "meta" in payload and "trace_id" not in payload:
-                meta.update(payload["meta"])
-                continue
-            if "trace_id" not in payload:
-                continue
-            key = (str(payload.get("run_id", "")),
-                   int(payload["trace_id"]))
-            existing = by_key.get(key)
-            if existing is None or (existing.get("view") != "sender"
-                                    and payload.get("view") == "sender"):
-                by_key[key] = payload
+    for payload in read_jsonl(path):
+        if not isinstance(payload, dict):
+            continue
+        if "meta" in payload and "trace_id" not in payload:
+            meta.update(payload["meta"])
+            continue
+        if "trace_id" not in payload:
+            continue
+        key = (str(payload.get("run_id", "")), int(payload["trace_id"]))
+        existing = by_key.get(key)
+        if existing is None or (existing.get("view") != "sender"
+                                and payload.get("view") == "sender"):
+            by_key[key] = payload
     records = [by_key[key] for key in sorted(by_key)]
     return meta, records
 

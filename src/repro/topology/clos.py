@@ -234,10 +234,6 @@ class ClosTopology:
         """Global ToR index for a host id."""
         return host // self.hosts_per_tor
 
-    def hosts_of_tor(self, tor_index: int) -> range:
-        base = tor_index * self.hosts_per_tor
-        return range(base, base + self.hosts_per_tor)
-
     # ------------------------------------------------------------------ build
     def _switch(self, name: str) -> Switch:
         return Switch(self.sim, self.params, self.stats,
@@ -336,19 +332,6 @@ class ClosTopology:
         tor.register_neighbor(down_port, device, nic_port)
         slot.extra_down_ports.append(down_port)
         return uplink
-
-    def host_device(self, host: int) -> Device:
-        slot = self._slots[host] if 0 <= host < self.n_hosts else None
-        if slot is None or slot.device is None:
-            raise KeyError(f"host {host} is not attached")
-        return slot.device
-
-    def host_uplink(self, host: int) -> Optional[EgressPort]:
-        """The attached host's primary uplink (None when unattached)."""
-        slot = self._slots[host] if 0 <= host < self.n_hosts else None
-        if slot is None:
-            return None
-        return slot.uplink
 
     def switch_for(self, role: int, index: int) -> Switch:
         """The switch at a routing-table ``(role, index)`` coordinate."""

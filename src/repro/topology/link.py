@@ -134,16 +134,6 @@ class EgressPort:
                                  self.base_bandwidth_bps * 0.05)
         self._ser_cache.clear()
 
-    # ------------------------------------------------------------ out-of-band
-    def send_immediate(self, segment: Segment) -> None:
-        """Deliver bypassing the queue (PFC pause frames are link-level)."""
-        if self.peer is None:
-            raise RuntimeError(f"egress port {self.name!r} is not connected")
-        peer, port = self.peer, self.peer_port
-        self.sim.call_after(
-            self.params.link_propagation_ns,
-            lambda: peer.receive(segment, port))
-
     # --------------------------------------------------------------- internal
     def _kick(self) -> None:
         if self.busy or not self.queue:

@@ -141,9 +141,6 @@ class CmAgent:
         self.listeners[service_port] = listener
         return listener
 
-    def stop_listening(self, service_port: int) -> None:
-        self.listeners.pop(service_port, None)
-
     # --------------------------------------------------------------- active
     def connect(self, remote_host: int, service_port: int,
                 pd: "ProtectionDomain", send_cq: "CompletionQueue",

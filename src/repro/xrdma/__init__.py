@@ -14,12 +14,12 @@ with NOP deadlock breaking), keepAlive via zero-byte RDMA Write, and flow
 control (64 KB fragmentation + outstanding-WR queuing) layered over DCQCN.
 """
 
+from repro.ctrlplane import QpCache
 from repro.xrdma.channel import ChannelState, XrdmaChannel
 from repro.xrdma.config import ConfigError, XrdmaConfig
 from repro.xrdma.context import XrdmaContext
 from repro.xrdma.memcache import MemCache, RdmaBuffer
 from repro.xrdma.message import MessageKind, XrdmaHeader, XrdmaMessage
-from repro.xrdma.qpcache import QpCache
 from repro.xrdma.seqack import SeqAckWindow, WindowFull
 
 __all__ = [

@@ -479,9 +479,7 @@ class XrdmaContext:
         if channel is None:
             return
         if not completion.ok:
-            if entry is not None:
-                # Buffer bookkeeping stays with the (now broken) channel.
-                pass
+            # Buffer bookkeeping stays with the (now broken) channel.
             channel.mark_broken(f"recv CQE error: {completion.status.name}")
             return
         if entry is not None and channel.state is ChannelState.READY:

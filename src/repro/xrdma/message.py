@@ -101,8 +101,3 @@ class XrdmaMessage:
     def is_request(self) -> bool:
         """True for RPC requests (``send_response`` accepts these)."""
         return self.kind is MessageKind.REQUEST
-
-    @property
-    def is_response(self) -> bool:
-        """True for RPC responses (matched to their request by id)."""
-        return self.kind is MessageKind.RESPONSE

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.analysis.stats import percentile
 from repro.fleet.aggregate import (aggregate_records, aggregate_tables,
-                                   metric_stats, percentile)
+                                   metric_stats)
 from repro.fleet.spec import ExperimentSpec
 from repro.fleet.store import canonical_json
 

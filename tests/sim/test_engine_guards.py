@@ -77,19 +77,83 @@ def test_wall_deadline_guard_trips():
         sim.run(wall_timeout_s=0.0)
 
 
-def test_guarded_run_matches_unguarded_schedule():
-    """A generous guard must not perturb the schedule digest."""
+def test_one_shot_budget_also_charges_persistent_budget():
+    """A one-shot ``max_events`` merges with ``set_guards``; it must not
+    hide the events it fires from the persistent budget."""
+    sim = Simulator()
+    sim.spawn(spinner(sim))
+    sim.set_guards(max_events=100)
+    never = sim.event("never")
+    with pytest.raises(GuardExceeded):
+        sim.run_until_event(never, max_events=60)   # one-shot trips at 60
+    with pytest.raises(GuardExceeded):
+        sim.run(max_events=60)      # persistent has 40 left: trips first
+    before = sim.now
+    with pytest.raises(GuardExceeded):
+        sim.run(until=before + 10)  # ... and stays exhausted
+    assert sim.now == before
+
+
+def _pending(workers):
+    return not all(worker.processed for worker in workers)
+
+
+def _drain_by_run(sim, workers, guards):
+    sim.run(**guards)
+
+
+def _drain_by_run_until(sim, workers, guards):
+    while _pending(workers):        # each stop restores the next event
+        sim.run(until=sim.now + 5, **guards)
+
+
+def _drain_by_run_until_event(sim, workers, guards):
+    for worker in workers:
+        sim.run_until_event(worker, **guards)
+
+
+def _drain_by_step(sim, workers, guards):
+    sim.set_guards(**guards)        # step() takes no one-shot budget
+    while _pending(workers):
+        pops = sim.tie_audit.pops
+        sim.step()
+        assert sim.tie_audit.pops == pops + 1   # exactly one event a step
+
+
+@pytest.mark.parametrize("guards", [{}, {"max_events": 10_000}],
+                         ids=["unguarded", "guarded"])
+@pytest.mark.parametrize("drain", [_drain_by_run, _drain_by_run_until,
+                                   _drain_by_run_until_event,
+                                   _drain_by_step])
+def test_guarded_run_matches_unguarded_schedule(drain, guards):
+    """Every entry point, guarded or not, fires the same schedule."""
 
     def workload(sim):
         for index in range(50):
             yield sim.timeout(index % 7 + 1)
 
-    def run(**guard_kwargs):
+    def recycler(sim, laps=40):
+        """A Timeout re-armed inside its own callback, as the egress-port
+        and RNIC loops do: processed, yet ``callbacks`` is a list again."""
+        done = sim.event("recycler-done")
+
+        def lap(timeout):
+            nonlocal laps
+            laps -= 1
+            if laps:
+                timeout._rearm(laps % 3 + 1).callbacks.append(lap)
+            else:
+                done.succeed()
+
+        sim.timeout(2).callbacks.append(lap)
+        return done
+
+    def digest(drain, guards):
         sim = Simulator(debug_ties=True)
-        for _ in range(4):
-            sim.spawn(workload(sim))
-        sim.run(**guard_kwargs)
+        workers = [sim.spawn(workload(sim)) for _ in range(4)]
+        workers.append(recycler(sim))
+        drain(sim, workers, guards)
         assert sim.tie_audit is not None
         return sim.tie_audit.digest()
 
-    assert run() == run(max_events=10_000)
+    assert digest(drain, guards) == digest(_drain_by_run, {})
