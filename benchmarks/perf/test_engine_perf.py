@@ -5,7 +5,8 @@ tracks the *simulator's own* speed: fired events per wall-clock second on
 the four hot-path microbenches.  The committed ``BENCH_PR3.json``
 trajectory file at the repo root holds the measured before/after numbers
 for the PR-3 engine overhaul; CI's perf-smoke job compares fresh quick
-runs against it.
+runs against the current baseline, ``BENCH_PR14.json`` (events/sec does
+not compare across a PR that removes events, so PR 14 re-measured it).
 
 Two properties are asserted here, neither of which is wall-clock:
 
@@ -30,6 +31,7 @@ from ..conftest import emit
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 TRAJECTORY = REPO_ROOT / "BENCH_PR3.json"
+BASELINE = REPO_ROOT / "BENCH_PR14.json"
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,16 @@ def test_trajectory_records_the_headline_speedups():
         after = full["after"][name]["events_per_sec"]
         assert after / before >= 1.5, (
             f"{name}: committed trajectory shows {after / before:.2f}x")
+
+
+def test_ci_baseline_matches_todays_event_counts(quick_results):
+    """The file perf-smoke gates on must load in both modes and describe
+    this tree: its quick event counts are the ones a quick run fires."""
+    for mode in ("quick", "full"):
+        xr_bench.load_baseline(str(BASELINE), mode)
+    quick = json.loads(BASELINE.read_text())["quick"]
+    for name, result in quick_results.items():
+        assert quick[name]["events"] == result.events, name
 
 
 def test_emit_quick_table(quick_results):

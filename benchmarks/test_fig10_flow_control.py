@@ -15,27 +15,42 @@ multi-seed sweep behind the committed table runs via
 ``python -m repro.tools.xr_fleet run --spec fig10``.
 """
 
+from statistics import median
+
 from repro.fleet.runner import run_scenario_inline
 from repro.fleet.scenarios import FIG10_WORKLOADS
 
 from .conftest import emit
 
+#: Goodput here is quantised: every sender's last ack waits on a 10-ms
+#: timer tick (EXPERIMENTS.md, "Fig. 10 is quantised"), so one seed lands
+#: on one of four values and a legal tie-order change can move it a whole
+#: step.  The shape assertions are therefore made on per-metric medians.
+SEEDS = (0, 1, 2)
+COLUMNS = ("goodput_gbps", "cnps_sent", "pause_frames", "retransmissions")
+
 
 def test_fig10_flow_control(once):
     def run():
-        return {label: run_scenario_inline(
-                    "fig10-incast", {"workload": label}, seed=0)["metrics"]
+        return {label: [run_scenario_inline(
+                            "fig10-incast", {"workload": label},
+                            seed=seed)["metrics"] for seed in SEEDS]
                 for label in FIG10_WORKLOADS}
 
-    results = once(run)
-    lines = [f"{'workload':<10} {'goodput(Gbps)':>14} {'CNP':>7} "
+    runs = once(run)
+    results = {label: {column: median(row[column] for row in rows)
+                       for column in COLUMNS}
+               for label, rows in runs.items()}
+    lines = [f"{'workload':<10} {'seed':>6} {'goodput(Gbps)':>14} {'CNP':>7} "
              f"{'TX-pause':>9} {'retx':>6}"]
-    for name, result in results.items():
-        lines.append(
-            f"{name:<10} {result['goodput_gbps']:>14.2f} "
-            f"{result['cnps_sent']:>7} "
-            f"{result['pause_frames']:>9} "
-            f"{result['retransmissions']:>6}")
+    for name, rows in runs.items():
+        for seed, result in zip(SEEDS + ("median",),
+                                rows + [results[name]]):
+            lines.append(
+                f"{name:<10} {seed:>6} {result['goodput_gbps']:>14.2f} "
+                f"{result['cnps_sent']:>7} "
+                f"{result['pause_frames']:>9} "
+                f"{result['retransmissions']:>6}")
     lines.append("")
     lines.append("paper: fc improves bandwidth ~24%, CNP falls to 1-2%, "
                  "TX pause to ~0")

@@ -6,7 +6,7 @@ sequence number makes the order of simultaneous events deterministic
 on.
 
 Zero-delay normal-priority events — wakes, ``succeed()`` completions,
-process bootstraps; roughly a third of all traffic — bypass the heap into
+process bootstraps; 7–30% of all traffic by workload — bypass the heap into
 a FIFO *now-queue*.  This is safe because such entries are appended in
 increasing sequence order at non-decreasing times, so the deque is always
 sorted by the same ``(time, priority, sequence)`` key as the heap; the

@@ -25,12 +25,20 @@ CLI::
     python -m repro.tools.xr_bench                 # full suite
     python -m repro.tools.xr_bench --quick         # CI smoke scale
     python -m repro.tools.xr_bench --json out.json # persist results
-    python -m repro.tools.xr_bench --quick --baseline BENCH_PR3.json
+    python -m repro.tools.xr_bench --quick --baseline BENCH_PR14.json
                                                    # fail on >25% regression
 
-``--baseline`` accepts either a file written by ``--json`` or the
-committed ``BENCH_PR3.json`` trajectory file (it picks the section
-matching the current mode).
+``--baseline`` accepts either a file written by ``--json`` or a committed
+trajectory file with one section per mode (it picks the section matching
+the current mode): ``BENCH_PR14.json`` is the current one, two ``--json``
+results (quick, full) side by side; ``BENCH_PR3.json`` is PR 3's
+before/after record.
+
+events/sec is **not comparable across a PR that removes events**: the
+same workload finishing sooner with fewer events can read as a slowdown
+(PR 14 fired 25% fewer events for bit-identical results).  Such a PR
+commits a new baseline measured on its final tree and makes its speed
+claim in wall time with the ``bench/`` ledger.
 """
 
 from __future__ import annotations

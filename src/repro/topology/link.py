@@ -15,7 +15,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro.net.packet import Segment
-from repro.sim.events import Event, Timeout, _PENDING
+from repro.sim.events import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.device import Device
@@ -29,8 +29,8 @@ class EgressPort:
     __slots__ = ("sim", "params", "name", "bandwidth_bps",
                  "base_bandwidth_bps", "background_bps", "peer",
                  "peer_port", "queue", "queued_bytes", "pause_mask", "busy",
-                 "on_dequeue", "tx_segments", "tx_bytes", "_tx_started",
-                 "_wake", "_park", "_ser_cache")
+                 "on_dequeue", "tx_segments", "tx_bytes", "_ser_cache",
+                 "_ser_timeout", "_deliver_pool")
 
     #: pause mask gating every priority class (legacy whole-port gate)
     PAUSE_ALL = -1
@@ -57,15 +57,11 @@ class EgressPort:
         self.on_dequeue = on_dequeue
         self.tx_segments = 0
         self.tx_bytes = 0
-        # One persistent tx process per port (spawned lazily on first
-        # traffic) parked on a wake event while idle — spawning a fresh
-        # generator per burst costs a Process + bootstrap Event each time.
-        self._tx_started = False
-        self._wake: Optional[Event] = None
-        self._park: Optional[Event] = None      # recycled idle-wake event
         # Serialization time depends only on segment size; workloads use a
         # handful of sizes, so memoizing skips the float math per segment.
         self._ser_cache: dict = {}
+        self._ser_timeout: Optional[Timeout] = None   # recycled, see _serialize
+        self._deliver_pool: list = []       # fired delivery timeouts, reused
 
     def connect(self, peer: "Device", peer_port: int) -> None:
         """Point the wire at ``peer``'s ingress ``peer_port``."""
@@ -85,21 +81,8 @@ class EgressPort:
         self.queue.append(segment)
         self.queued_bytes += segment.size
         segment.enqueued_at = self.sim._now   # direct: per-segment hot path
-        # Inlined _kick (minus its queue check — we just appended): under
-        # load the port is already draining and this is one compare.  The
-        # gate is head-of-line: the port is a single FIFO, so it transmits
-        # iff the *head* segment's class is unpaused.
-        if not self.busy and not (
-                self.pause_mask
-                and (self.pause_mask >> self.queue[0].priority) & 1):
-            self.busy = True
-            if not self._tx_started:
-                self._tx_started = True
-                self.sim.spawn(self._tx_loop(), name=f"{self.name}:tx")
-            else:
-                wake, self._wake = self._wake, None
-                assert wake is not None  # parked loop always leaves its wake
-                wake.succeed(None)
+        if not self.busy:       # under load the port is already draining
+            self._kick()
 
     def set_paused(self, paused: bool,
                    priority: int = PAUSE_ALL) -> None:
@@ -136,18 +119,16 @@ class EgressPort:
 
     # --------------------------------------------------------------- internal
     def _kick(self) -> None:
-        if self.busy or not self.queue:
+        """Start serializing the head segment if the port is idle and the
+        head's class is unpaused (the gate is head-of-line: the port is a
+        single FIFO, so it transmits iff the *head* segment may)."""
+        queue = self.queue
+        if self.busy or not queue:
             return
-        if self.pause_mask and (self.pause_mask >> self.queue[0].priority) & 1:
+        if self.pause_mask and (self.pause_mask >> queue[0].priority) & 1:
             return
         self.busy = True
-        if not self._tx_started:
-            self._tx_started = True
-            self.sim.spawn(self._tx_loop(), name=f"{self.name}:tx")
-        else:
-            wake, self._wake = self._wake, None
-            assert wake is not None  # parked loop always leaves its wake
-            wake.succeed(None)
+        self._serialize(queue.popleft())
 
     def _serialization_ns(self, segment: Segment) -> int:
         ns = self._ser_cache.get(segment.size)
@@ -157,75 +138,52 @@ class EgressPort:
             self._ser_cache[segment.size] = ns
         return ns
 
-    def _tx_loop(self):
-        sim = self.sim
+    def _serialize(self, segment: Segment) -> None:
+        """Put ``segment`` on the wire: it rides as the value of the
+        serialization timeout, which has exactly one in flight per port
+        (``busy`` guards it), so a single recycled object serves every
+        segment."""
+        ser_ns = self._ser_cache.get(segment.size)
+        if ser_ns is None:
+            ser_ns = self._serialization_ns(segment)
+        timeout = self._ser_timeout
+        if timeout is None:
+            timeout = self._ser_timeout = Timeout(self.sim, ser_ns, segment)
+        else:
+            timeout._rearm(ser_ns, segment)
+        timeout.callbacks.append(self._on_serialized)
+
+    def _on_serialized(self, timeout: Timeout) -> None:
+        segment = timeout._value
+        # Accounting happens at the dequeue-complete instant: the segment
+        # occupies the buffer until it has fully left the wire, so
+        # occupancy-based PFC/ECN decisions never see a window where bytes
+        # vanished while the port is still busy.
+        size = segment.size
+        self.queued_bytes -= size
+        self.tx_segments += 1
+        self.tx_bytes += size
+        # Hand-inlined call_after with the segment as the timeout's value:
+        # zero per-delivery closures, recycled objects.  Several deliveries
+        # can be in flight at once on a long wire, hence a pool.
+        pool = self._deliver_pool
         propagation_ns = self.params.link_propagation_ns
-        ser_cache = self._ser_cache
+        if pool:
+            deliver = pool.pop()._rearm(propagation_ns, segment)
+        else:
+            deliver = Timeout(self.sim, propagation_ns, segment)
+        deliver.callbacks.append(self._on_delivered)
+        if self.on_dequeue is not None:
+            self.on_dequeue(segment)
+        # Next head, or idle.  ``busy`` stayed set across ``on_dequeue``,
+        # so anything the owner enqueued from the hook is picked up here.
         queue = self.queue
-        popleft = queue.popleft
-        # The wire's endpoint is fixed once connected (the loop only spawns
-        # after the first enqueue, which requires a peer), so resolve the
-        # receive target once instead of per segment.
-        peer_receive = self.peer.receive
-        peer_port = self.peer_port
-        on_dequeue = self.on_dequeue     # fixed at construction
-
-        # Fired deliver-timeouts come back here for reuse (several can be
-        # in flight at once on a long wire, hence a pool, not a single).
-        deliver_pool: list = []
-
-        def deliver_cb(ev):
-            # Shared across all deliveries on this wire: the segment rides
-            # as the timeout's value, so no per-segment closure is built.
-            peer_receive(ev._value, peer_port)
-            deliver_pool.append(ev)
-
-        # The serialization timeout has exactly one in flight (the loop
-        # blocks on it), so a single recycled object serves every segment.
-        ser_timeout: Optional[Timeout] = None
-        while True:
-            while queue and not (
-                    self.pause_mask
-                    and (self.pause_mask >> queue[0].priority) & 1):
-                segment = popleft()
-                ser_ns = ser_cache.get(segment.size)
-                if ser_ns is None:
-                    ser_ns = self._serialization_ns(segment)
-                if ser_timeout is None:
-                    ser_timeout = Timeout(sim, ser_ns)
-                else:
-                    ser_timeout._rearm(ser_ns)
-                yield ser_timeout
-                # Accounting happens at the dequeue-complete instant: the
-                # segment occupies the buffer until it has fully left the
-                # wire, so occupancy-based PFC/ECN decisions never see a
-                # window where bytes vanished while the port is still busy.
-                size = segment.size
-                self.queued_bytes -= size
-                self.tx_segments += 1
-                self.tx_bytes += size
-                # Hand-inlined call_after with the segment as the timeout's
-                # value: zero per-delivery closures, recycled objects.
-                if deliver_pool:
-                    deliver = deliver_pool.pop()._rearm(
-                        propagation_ns, segment)
-                else:
-                    deliver = Timeout(sim, propagation_ns, segment)
-                deliver.callbacks.append(deliver_cb)
-                if on_dequeue is not None:
-                    on_dequeue(segment)
-            # Idle (or paused): park on a wake event until the next kick.
-            # The wake object is recycled across idle transitions — after
-            # it fires nothing else holds a reference (the loop was its
-            # only waiter), so resetting three slots replaces a fresh
-            # allocation per idle gap.
+        if queue and not (self.pause_mask
+                          and (self.pause_mask >> queue[0].priority) & 1):
+            self._serialize(queue.popleft())
+        else:
             self.busy = False
-            wake = self._park
-            if wake is None:
-                wake = self._park = Event(sim)
-            else:
-                wake._value = _PENDING
-                wake._ok = None
-                wake.callbacks = []
-            self._wake = wake
-            yield wake
+
+    def _on_delivered(self, deliver: Timeout) -> None:
+        self.peer.receive(deliver._value, self.peer_port)
+        self._deliver_pool.append(deliver)

@@ -104,6 +104,8 @@ class XrdmaContext:
         self._kicked: deque = deque()
         self._kicked_set: set = set()
         self._wake = None
+        #: the one pending keepalive/deadlock/shrink deadline timer
+        self._deadline_timer: Optional[Timeout] = None
         self._stopped = False
         self._started = False
         self._injected_stall_ns = 0
@@ -380,6 +382,11 @@ class XrdmaContext:
             self._kicked_set.add(channel.channel_id)
         self.kick()
 
+    def _on_deadline(self, timer: Timeout) -> None:
+        if timer is self._deadline_timer:   # else superseded: stale no-op
+            self._deadline_timer = None
+            self.kick()
+
     def inject_stall(self, duration_ns: int) -> None:
         """Testing/case-study hook: make the loop stall (allocator lock,
         Sec. VII-D) so the poll-gap watchdog has something to catch."""
@@ -460,8 +467,17 @@ class XrdmaContext:
             deadline = min(last_keepalive + config.keepalive_intv_ns,
                            last_deadlock + config.deadlock_check_intv_ns,
                            last_shrink + _SHRINK_INTV_NS)
-            timer = sim.timeout(max(deadline - sim._now, 1_000))
-            yield sim.any_of([self._wake, timer])
+            # One deadline timer per context, shared by every idle wait
+            # it outlives (its value is its fire instant): a timer per
+            # wait would sit in the heap as a dead entry for up to a
+            # deadlock-check interval each.
+            fire_at = max(deadline, sim._now + 1_000)
+            timer = self._deadline_timer
+            if timer is None or timer._value != fire_at:
+                timer = self._deadline_timer = Timeout(
+                    sim, fire_at - sim._now, fire_at)
+                timer.callbacks.append(self._on_deadline)
+            yield self._wake
             woke_after = sim._now - self._idle_since
             self._wake = None
             mode = config.idle_poll_mode

@@ -7,6 +7,8 @@ decisions saw bytes vanish while the link was still busy.  Both must move
 at the dequeue-complete instant, together.
 """
 
+import pytest
+
 from repro.net.packet import Segment
 from repro.sim import SimParams, Simulator
 from repro.topology.link import EgressPort
@@ -73,30 +75,79 @@ def test_xon_hook_and_delivery_are_consistent():
     assert port.tx_bytes == 500
 
 
-def test_persistent_tx_process_is_reused_across_idle_gaps():
+def test_port_is_callback_driven_two_events_per_segment(monkeypatch):
+    """A port never spawns a process, and a segment-hop costs exactly two
+    scheduled events (serialize, deliver) — no zero-delay wake hop."""
+    monkeypatch.setattr(          # the Simulator is slotted: patch the class
+        Simulator, "spawn",
+        lambda self, *a, **kw: pytest.fail("a port spawned a process"))
+    sim = Simulator(debug_ties=True)
+    params = SimParams()
+    port = make_port(sim, params)
+    ser = port._serialization_ns(Segment(src=0, dst=1, size=1000))
+
+    # One segment on an idle port: two sequence numbers, two pops.
+    seq, pops = sim._sequence, sim.tie_audit.pops
+    port.enqueue(Segment(src=0, dst=1, size=1000))
+    assert port.busy and not sim._nowq      # serializing now, nothing deferred
+    sim.run()
+    assert (sim._sequence - seq, sim.tie_audit.pops - pops) == (2, 2)
+    assert port.tx_segments == 1 and not port.busy
+
+    # A second enqueue during serialization adds exactly two more.
+    seq, pops = sim._sequence, sim.tie_audit.pops
+    port.enqueue(Segment(src=0, dst=1, size=1000))
+    sim.call_after(ser // 2, lambda: port.enqueue(
+        Segment(src=0, dst=1, size=1000)))          # +1 event: this timer
+    sim.run()
+    assert (sim._sequence - seq, sim.tie_audit.pops - pops) == (5, 5)
+    assert port.tx_segments == 3 and not port.busy
+
+    # Unpause with a queued head restarts without a zero-delay event.
+    port.set_paused(True)
+    port.enqueue(Segment(src=0, dst=1, size=1000))
+    assert not port.busy and not sim._heap and not sim._nowq
+    seq, pops = sim._sequence, sim.tie_audit.pops
+    port.set_paused(False)
+    assert port.busy and not sim._nowq
+    sim.run()
+    assert (sim._sequence - seq, sim.tie_audit.pops - pops) == (2, 2)
+    assert port.tx_segments == 4 and port.queued_bytes == 0
+
+
+@pytest.mark.parametrize("pause_first", [True, False])
+def test_pause_and_enqueue_in_the_same_nanosecond(pause_first):
+    """PFC acts at packet boundaries: a pause landing in the instant of an
+    enqueue holds the segment only if its serialization has not started."""
     sim = Simulator()
     params = SimParams()
     port = make_port(sim, params)
+    first = Segment(src=0, dst=1, size=1000)
+    second = Segment(src=0, dst=1, size=1000)
 
-    port.enqueue(Segment(src=0, dst=1, size=100))
+    def same_instant():
+        if pause_first:
+            port.set_paused(True)
+            port.enqueue(first)
+        else:
+            port.enqueue(first)
+            port.set_paused(True)
+        port.enqueue(second)
+
+    sim.call_at(500, same_instant)
     sim.run()
-    assert port.tx_segments == 1
-    assert port._tx_started and not port.busy
-    assert port._wake is not None          # parked, not respawned
+    # Pause first: nothing leaves.  Enqueue first: that one segment was
+    # already on the wire when the pause arrived, and only it leaves.
+    sent = 0 if pause_first else 1
+    assert port.peer.received == [first][:sent]
+    assert port.tx_segments == sent
+    assert port.queued_bytes == 2000 - 1000 * sent
+    assert port.paused and not port.busy
 
-    # The Simulator is slotted, so observe spawns via the class (scoped).
-    spawned = []
-    original_spawn = Simulator.spawn
-    try:
-        Simulator.spawn = lambda self, *a, **kw: (
-            spawned.append(a) or original_spawn(self, *a, **kw))
-        port.enqueue(Segment(src=0, dst=1, size=100))
-        sim.run()
-    finally:
-        Simulator.spawn = original_spawn
-
-    assert port.tx_segments == 2
-    assert spawned == []                   # the first burst's process served
+    port.set_paused(False)
+    sim.run()
+    assert port.peer.received == [first, second]
+    assert port.queued_bytes == 0 and not port.busy
 
 
 def test_pause_mid_burst_keeps_bytes_accounted():

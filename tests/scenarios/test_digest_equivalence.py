@@ -1,12 +1,21 @@
 """Golden-digest equivalence: the optimized hot path fires the same schedule.
 
-The PR 3 optimizations (slotted events, lazy names, the persistent port
-tx process, the invariant fast path, the bucketed memcache free list,
-the inlined run loops) are only safe because the schedule is provably
-unchanged.  Each scenario here runs under :class:`TieAudit` and must
-reproduce the checked-in golden digest byte for byte, with zero tie
-anomalies.  Any engine change that reorders, adds, or drops events —
-however "equivalent" it looks — fails loudly.
+The PR 3 optimizations (slotted events, lazy names, the invariant fast
+path, the bucketed memcache free list, the inlined run loops) are only
+safe because the schedule is provably unchanged.  Each scenario here runs
+under :class:`TieAudit` and must reproduce the checked-in golden digest
+byte for byte, with zero tie anomalies.  Any engine change that reorders,
+adds, or drops events — however "equivalent" it looks — fails loudly.
+
+A change that *removes* events on purpose re-derives the goldens it
+moves and proves the results another way.  The two incast goldens were
+last re-derived when the egress ports became callback-driven and the
+context's idle wait lost its AnyOf relay (2 557 / 2 582 -> 2 078 / 2 083
+pops: no per-idle-gap wake event, no relay, no abandoned deadline
+timers); ``timer-churn`` and ``memcache-churn`` did not move, and every
+``sim_*`` result of the four ``bench/`` workloads and
+``golden_xr_trace.json`` stayed byte-identical (DESIGN.md, "digest
+equivalence is the license to optimize").
 
 To bless an *intentional* schedule change, regenerate the goldens:
 
