@@ -68,16 +68,6 @@ def last_component(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _iter_own_scope(func: ast.AST) -> Iterable[ast.AST]:
-    """Walk a function body without entering nested defs/classes/lambdas."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, _SCOPE_BARRIERS):
-            stack.extend(ast.iter_child_nodes(node))
-
-
 def _handler_names(handler: ast.ExceptHandler) -> Set[str]:
     """Exception class names an ``except`` clause lists (last components)."""
     if handler.type is None:

@@ -380,12 +380,6 @@ class LintRunner:
             exempt |= self.path_exemptions.get(part, frozenset())
         return exempt
 
-    def run_file(self, path: Path) -> List[Finding]:
-        source = self._read(path)
-        if source is None:
-            return []
-        return self.run_source(source, str(path))
-
     def _read(self, path: Path) -> Optional[str]:
         try:
             return path.read_text(encoding="utf-8")
@@ -431,11 +425,6 @@ class LintRunner:
 
 
 # --------------------------------------------------------------- AST helpers
-def call_name(ctx: FileContext, node: ast.Call) -> Optional[str]:
-    """Resolved dotted name of a call's callee, or None."""
-    return ctx.qualified_name(node.func)
-
-
 def contains_id_call(node: ast.AST) -> bool:
     """True if any sub-expression is a call to the ``id`` builtin."""
     for sub in ast.walk(node):

@@ -203,15 +203,3 @@ def block_lists(stmt: ast.stmt) -> List[List[ast.stmt]]:
         blocks.append(stmt.finalbody)
         return blocks
     return []
-
-
-def iter_blocks(func: ast.AST) -> Iterator[List[ast.stmt]]:
-    """Every statement list in a function, own scope only."""
-    pending: List[List[ast.stmt]] = [func.body]
-    while pending:
-        block = pending.pop()
-        yield block
-        for stmt in block:
-            if isinstance(stmt, _SCOPE_BARRIERS):
-                continue
-            pending.extend(block_lists(stmt))

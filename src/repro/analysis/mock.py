@@ -36,7 +36,6 @@ class Mock:
         self.sim = cluster.sim
         self._agents: Dict[int, TcpAgent] = {}
         self._routes: Dict[int, Tuple] = {}     # channel_id -> (socket, ctx)
-        self.engaged_count = 0
 
     def _agent(self, host_id: int) -> TcpAgent:
         agent = self._agents.get(host_id)
@@ -58,7 +57,6 @@ class Mock:
         self._patch(ctx_b, ch_b, socket_b)
         self.sim.spawn(self._rx_loop(ctx_a, ch_a, socket_a))
         self.sim.spawn(self._rx_loop(ctx_b, ch_b, socket_b))
-        self.engaged_count += 1
 
     def disengage(self, channel: "XrdmaChannel") -> None:
         route = self._routes.pop(channel.channel_id, None)

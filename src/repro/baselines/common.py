@@ -38,7 +38,6 @@ class MiddlewareEndpoint:
         self.host = cluster.host(host_id)
         self.conn = conn
         self.qp = conn.qp
-        self._recv_posted = 0
 
     # ------------------------------------------------------------- plumbing
     @classmethod
@@ -62,7 +61,6 @@ class MiddlewareEndpoint:
         for _ in range(count):
             yield self.host.verbs.post_recv(self.qp, WorkRequest(
                 opcode=Opcode.RECV, length=size + 256))
-            self._recv_posted += 1
 
     # ------------------------------------------------------------ data path
     def send(self, size: int):

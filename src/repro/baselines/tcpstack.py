@@ -156,15 +156,10 @@ class TcpAgent:
 
     # -------------------------------------------------------------- delivery
     def _send(self, remote_host: int, packet: _TcpPacket) -> None:
-        segment = Segment(src=self.nic.host_id, dst=remote_host,
-                          size=max(packet.nbytes, 64),
-                          kind=SegmentKind.CONTROL, ecn_capable=False,
-                          payload=packet)
-        if remote_host == self.nic.host_id:
-            self.sim.call_after(self.params.link_propagation_ns,
-                                lambda: self._on_segment(segment))
-        elif self.nic.uplink is not None:
-            self.nic.uplink.enqueue(segment)
+        self.nic.transmit(Segment(
+            src=self.nic.host_id, dst=remote_host,
+            size=max(packet.nbytes, 64), kind=SegmentKind.CONTROL,
+            ecn_capable=False, payload=packet))
 
     def _on_segment(self, segment: Segment) -> None:
         packet: _TcpPacket = segment.payload

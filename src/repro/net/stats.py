@@ -7,9 +7,8 @@ CNP counts, PFC TX-pause counts, drops, ECN marks and delivered bytes.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass
@@ -27,13 +26,6 @@ class NetStats:
     resume_frames: int = 0
     rnr_naks: int = 0
     retransmissions: int = 0
-    #: (time_ns, value) samples appended by monitors
-    timeline: Dict[str, List[Tuple[int, float]]] = field(
-        default_factory=lambda: defaultdict(list))
-
-    def record(self, series: str, time_ns: int, value: float) -> None:
-        """Append a time-series sample (used by the Monitor, Figs. 3/10/11)."""
-        self.timeline[series].append((time_ns, value))
 
     def snapshot(self) -> Dict[str, int]:
         """Scalar counters as a plain dict (for XR-Stat and tests)."""

@@ -22,7 +22,8 @@ Modelling choices that matter to the middleware experiments:
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import (TYPE_CHECKING, Callable, Deque, Dict, Optional, Union)
+from typing import (TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple,
+                    Union)
 
 from repro.net.device import Device
 from repro.sim.events import Timeout
@@ -95,12 +96,6 @@ class Rnic(Device):
         self._qp_cache: "OrderedDict[int, bool]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
-        self.retransmits = 0
-        self.rnr_naks_sent = 0
-        self.rnr_naks_received = 0
-        self.tx_messages = 0
-        self.rx_messages = 0
-        self.rx_bytes = 0
         self._watchdogs: set = set()                        # qpns with watchdog
         self.sim.spawn(self._tx_loop(), name=f"{self.name}:tx")
 
@@ -123,17 +118,16 @@ class Rnic(Device):
             self.sim.spawn(self._tx_loop(), name=f"{self.name}:tx{nic_port}")
 
     def pause_port(self, port: int, priority: int, pause: bool) -> None:
-        uplinks = getattr(self, "uplinks", None) or (
-            [self.uplink] if self.uplink else [])
-        if 0 <= port < len(uplinks):
-            uplinks[port].set_paused(pause, priority)
+        if 0 <= port < len(self.uplinks):
+            self.uplinks[port].set_paused(pause, priority)
 
     def _uplink_for(self, flow_id: int) -> "EgressPort":
         """Port for a flow: pinned on first use to the least-loaded port
         (per-flow stickiness preserves ordering; balanced assignment uses
-        both ports the way dual-port QP placement does)."""
+        both ports the way dual-port QP placement does).  Flow 0 is the
+        control plane (rdma_cm, TCP), which stays on the primary port."""
         uplinks = self.uplinks
-        if not uplinks or len(uplinks) == 1:
+        if len(uplinks) <= 1 or not flow_id:
             return self.uplink
         index = self._flow_ports.get(flow_id)
         if index is None:
@@ -176,10 +170,6 @@ class Rnic(Device):
         qp.post_send(wr)
         self._kick_qp(qp)
 
-    def kick(self, qp: QueuePair) -> None:
-        """Re-evaluate a QP that may have transmit work (used after unblock)."""
-        self._kick_qp(qp)
-
     # ---------------------------------------------------------- tx machinery
     def _limiter(self, qpn: int) -> DcqcnRateLimiter:
         limiter = self.limiters.get(qpn)
@@ -190,9 +180,11 @@ class Rnic(Device):
             self.limiters[qpn] = limiter
         return limiter
 
-    def _kick_qp(self, qp: QueuePair) -> None:
-        if qp.has_tx_work() or qp.retx:
-            self._enqueue_job(qp)
+    def _kick_qp(self, qp: QueuePair, front: bool = False) -> None:
+        """Queue ``qp`` if it has anything to send; ``front`` keeps a
+        half-sent WQE at the head of the engine (WQE-atomic transmit)."""
+        if qp.current_tx is not None or qp.sq or qp.retx:
+            self._enqueue_job(qp, front)
 
     def _enqueue_job(self, job: _TxJob, front: bool = False) -> None:
         if id(job) in self._in_ready:
@@ -207,32 +199,32 @@ class Rnic(Device):
             if not wake.triggered:
                 wake.succeed(None)
 
-    def _pending_wqe_bytes(self, qp: QueuePair) -> int:
-        """Size of the WQE about to start on ``qp`` (for pacing admission)."""
-        if qp.retx:
-            return max(qp.retx[0].wr.length, CTRL_BYTES)
-        if qp.sq:
-            return max(qp.sq[0].length, CTRL_BYTES)
-        return CTRL_BYTES
+    def _tx_head(self, job: _TxJob) -> Optional[Tuple[int, int, int]]:
+        """What ``job`` sends next: ``(qpn, fragment_bytes, wqe_bytes)``.
 
-    def _job_next_len(self, job: _TxJob) -> Optional[int]:
-        """Bytes of the next fragment, or None if the job has nothing to do."""
+        ``wqe_bytes`` is the size of the WQE this fragment starts — what
+        DCQCN admits and the WQE fetch is charged for — or 0 when the
+        fragment continues a WQE already admitted.  None: nothing to send.
+        """
+        mtu = self.params.mtu_bytes
         if isinstance(job, _ReadJob):
-            return min(self.params.mtu_bytes, job.length - job.sent)
-        qp = job
-        msg = qp.current_tx
-        if msg is None:
-            if qp.retx:
-                msg = qp.retx[0]
-            elif qp.sq:
-                wr = qp.sq[0]
-                if wr.opcode is Opcode.READ:
-                    return CTRL_BYTES
-                return min(self.params.mtu_bytes, max(wr.length, 0))
-            else:
-                return None
-        remaining = msg.wr.length - msg.sent_bytes
-        return min(self.params.mtu_bytes, max(remaining, 0))
+            return (job.responder_qpn, min(mtu, job.length - job.sent),
+                    0 if job.sent else max(job.length, CTRL_BYTES))
+        msg = job.current_tx
+        if msg is not None:
+            wqe_bytes = 0
+        elif job.retx:
+            msg = job.retx[0]
+            wqe_bytes = max(msg.wr.length, CTRL_BYTES)
+        elif job.sq:
+            wr = job.sq[0]
+            return (job.qpn, CTRL_BYTES if wr.opcode is Opcode.READ
+                    else min(mtu, max(wr.length, 0)),
+                    max(wr.length, CTRL_BYTES))
+        else:
+            return None
+        return (job.qpn, min(mtu, max(msg.wr.length - msg.sent_bytes, 0)),
+                wqe_bytes)
 
     def _tx_loop(self):
         params = self.params
@@ -268,15 +260,10 @@ class Rnic(Device):
                     sim.call_at(job.tx_blocked_until,
                                 lambda qp=job: self._kick_qp(qp))
                     continue
-                if not (job.has_tx_work() or job.retx):
-                    continue
-                qpn = job.qpn
-            else:
-                qpn = job.responder_qpn
-
-            nbytes = self._job_next_len(job)
-            if nbytes is None:
+            head = self._tx_head(job)
+            if head is None:
                 continue
+            qpn, nbytes, wqe_bytes = head
 
             # Per-port transmit-buffer back-pressure (also stalls under
             # PFC): requeue rather than hold, so an engine never blocks
@@ -298,19 +285,13 @@ class Rnic(Device):
             # the whole WQE's wire time is reserved from the limiter.
             # This is exactly why X-RDMA fragments large WRs: a 1 MB WQE
             # is a 1 MB line-rate burst no matter what DCQCN's rate says.
-            if is_qp:
-                new_wqe = job.current_tx is None
-                wqe_bytes = self._pending_wqe_bytes(job)
-            else:
-                new_wqe = job.sent == 0
-                wqe_bytes = job.length
-            if new_wqe:
+            if wqe_bytes:
                 limiter = self._limiter(qpn)
                 if params.dcqcn_enabled and limiter.next_tx_ns > sim._now:
                     sim.call_at(limiter.next_tx_ns,
                                 lambda j=job: self._enqueue_job(j))
                     continue
-                limiter.reserve(max(wqe_bytes, CTRL_BYTES))
+                limiter.reserve(wqe_bytes)
 
             # Engine occupancy: per-segment work + host-memory DMA + the
             # WQE fetch when a fresh WQE starts + QP-context cache miss.
@@ -319,10 +300,7 @@ class Rnic(Device):
                 dma = dma_cache[nbytes] = params.dma_ns(nbytes)
             occupancy = (segment_process_ns + dma
                          + self._qp_cache_access(qpn))
-            if is_qp:
-                if job.current_tx is None:
-                    occupancy += params.nic_wqe_fetch_ns
-            elif job.sent == 0:
+            if wqe_bytes:
                 occupancy += params.nic_wqe_fetch_ns
             if occ_timeout is None:          # direct: per-fragment hot path
                 occ_timeout = Timeout(sim, occupancy)
@@ -348,7 +326,7 @@ class Rnic(Device):
                 msg = OutboundMessage(wr=wr, sent_at=self.sim.now)
                 if wr.opcode is Opcode.READ:
                     self._emit_read_request(qp, msg)
-                    self._requeue_qp(qp, same_wqe=False)
+                    self._kick_qp(qp)
                     return
                 nfrags = max(1, params.segments_of(wr.length))
                 msg.first_psn = qp.send_psn
@@ -361,7 +339,7 @@ class Rnic(Device):
                 return
         if msg.acked:           # late ack raced a rewind; nothing to resend
             qp.current_tx = None
-            self._requeue_qp(qp, same_wqe=False)
+            self._kick_qp(qp)
             return
 
         wr = msg.wr
@@ -395,10 +373,9 @@ class Rnic(Device):
         if msg.fully_sent:
             msg.sent_at = self.sim.now
             qp.current_tx = None
-            self.tx_messages += 1
-            self._requeue_qp(qp, same_wqe=False)
+            self._kick_qp(qp)
         else:
-            self._requeue_qp(qp, same_wqe=True)
+            self._kick_qp(qp, front=True)
 
     def _emit_read_request(self, qp: QueuePair, msg: OutboundMessage) -> None:
         wr = msg.wr
@@ -418,7 +395,6 @@ class Rnic(Device):
         )
         self._send_segment(qp.remote_host, CTRL_BYTES, SegmentKind.DATA,
                            qp.qpn, packet)
-        self.tx_messages += 1
 
     def _emit_read_fragment(self, job: _ReadJob) -> None:
         frag_len = min(self.params.mtu_bytes, job.length - job.sent)
@@ -439,42 +415,33 @@ class Rnic(Device):
         if job.sent < job.length:
             self._enqueue_job(job, front=True)    # WQE-atomic continuation
 
-    def _requeue_qp(self, qp: QueuePair, same_wqe: bool) -> None:
-        if qp.current_tx is not None or qp.sq or qp.retx:
-            self._enqueue_job(qp, front=same_wqe)
-
     def _send_segment(self, dst_host: Optional[int], size: int,
                       kind: SegmentKind, local_qpn: int,
                       payload) -> None:
+        """One RC packet on ``local_qpn``'s flow.  Data fragments get here
+        through the engine queue; ACK/NAK/CNP replies call it straight
+        from the receive path, bypassing pacing."""
         if dst_host is None:
             raise RuntimeError(f"{self.name}: QP has no peer configured")
-        segment = Segment(
+        self.transmit(Segment(
             src=self.host_id, dst=dst_host, size=size, kind=kind,
             flow_id=(self.host_id << 20) | local_qpn,
             ecn_capable=(kind is SegmentKind.DATA),
-            payload=payload)
-        self.stats.segments_sent += 1
+            payload=payload))
+
+    def transmit(self, segment: Segment) -> None:
+        """The host's one egress: RC traffic, rdma_cm and the TCP stack
+        all put their segments on the wire here, so ``segments_sent``
+        counts every one and ``segments_sent == segments_delivered +
+        drops`` holds whenever the fabric is quiet."""
         if self.uplink is None:
             raise RuntimeError(f"{self.name} is not plugged into a fabric")
-        if dst_host == self.host_id:
+        self.stats.segments_sent += 1
+        if segment.dst == self.host_id:
             # Loopback: hairpin at the NIC without touching the fabric.
             self.sim.call_after(self.params.nic_ack_delay_ns,
                                 lambda: self.receive(segment, 0))
         else:
-            self._uplink_for(segment.flow_id).enqueue(segment)
-
-    def _send_control(self, dst_host: int, local_qpn: int,
-                      kind: SegmentKind, payload) -> None:
-        """ACK/NAK/CNP path: bypasses pacing and the engine queue."""
-        segment = Segment(
-            src=self.host_id, dst=dst_host, size=CTRL_BYTES, kind=kind,
-            flow_id=(self.host_id << 20) | local_qpn,
-            ecn_capable=False, payload=payload)
-        self.stats.segments_sent += 1
-        if dst_host == self.host_id:
-            self.sim.call_after(self.params.nic_ack_delay_ns,
-                                lambda: self.receive(segment, 0))
-        elif self.uplink is not None:
             self._uplink_for(segment.flow_id).enqueue(segment)
 
     # ------------------------------------------------------------- watchdogs
@@ -511,10 +478,12 @@ class Rnic(Device):
                 if oldest.retries > params.rc_max_retries:
                     self._qp_fatal(qp, WrStatus.RETRY_EXCEEDED)
                     return
-                self.retransmits += 1
                 self.stats.retransmissions += 1
                 if oldest.wr.opcode is Opcode.READ:
-                    self._resend_read_request(qp, oldest)
+                    # Re-issue the lost READ_REQ; responder streaming is
+                    # idempotent, so the response restarts from byte 0.
+                    oldest.resp_bytes = 0
+                    self._emit_read_request(qp, oldest)
                 else:
                     self._rewind(qp)
                 oldest.sent_at = self.sim.now
@@ -529,17 +498,6 @@ class Rnic(Device):
         for msg in qp.retx:
             msg.sent_bytes = 0
         qp.current_tx = None
-
-    def _resend_read_request(self, qp: QueuePair, msg: OutboundMessage) -> None:
-        """Re-issue a lost READ_REQ (responder streaming is idempotent)."""
-        msg.resp_bytes = 0
-        packet = RcPacket(
-            kind=RcKind.READ_REQ, src_qpn=qp.qpn,
-            dst_qpn=qp.remote_qpn or 0, msg_id=msg.msg_id,
-            length=msg.wr.length, total_length=msg.wr.length,
-            remote_addr=msg.wr.remote_addr, rkey=msg.wr.rkey)
-        self._send_segment(qp.remote_host, CTRL_BYTES, SegmentKind.DATA,
-                           qp.qpn, packet)
 
     # -------------------------------------------------------------- rx path
     def receive(self, segment: Segment, in_port: int) -> None:
@@ -563,8 +521,8 @@ class Rnic(Device):
         if segment.ecn_marked and self.cnp_governor.should_send_cnp(
                 segment.flow_id):
             self.stats.cnps_sent += 1
-            self._send_control(segment.src, packet.dst_qpn,
-                               SegmentKind.CNP, packet.src_qpn)
+            self._send_segment(segment.src, CTRL_BYTES, SegmentKind.CNP,
+                               packet.dst_qpn, packet.src_qpn)
         if packet.kind is RcKind.DATA:
             self.stats.data_bytes_delivered += packet.length
             self._rx_data(segment, packet)
@@ -591,12 +549,8 @@ class Rnic(Device):
         if packet.psn > qp.expected_psn:
             if qp.last_nak_expected != qp.expected_psn:
                 qp.last_nak_expected = qp.expected_psn
-                self._send_control(
-                    segment.src, packet.dst_qpn, SegmentKind.ACK,
-                    RcPacket(kind=RcKind.NAK_SEQ, src_qpn=packet.dst_qpn,
-                             dst_qpn=packet.src_qpn,
-                             psn=qp.expected_psn,
-                             ack_psn=qp.expected_psn - 1))
+                self._nak(segment, packet, RcKind.NAK_SEQ,
+                          qp.expected_psn, qp.expected_psn - 1)
             return
 
         # In-order fragment.
@@ -621,20 +575,13 @@ class Rnic(Device):
             recv_wr = qp.pop_recv()
             if recv_wr is None:
                 qp.rnr_events += 1
-                self.rnr_naks_sent += 1
                 self.stats.rnr_naks += 1
-                self._send_control(
-                    segment.src, packet.dst_qpn, SegmentKind.ACK,
-                    RcPacket(kind=RcKind.NAK_RNR, src_qpn=packet.dst_qpn,
-                             dst_qpn=packet.src_qpn, psn=packet.psn,
-                             ack_psn=qp.expected_psn - 1))
+                self._nak(segment, packet, RcKind.NAK_RNR,
+                          packet.psn, qp.expected_psn - 1)
                 return False
             if recv_wr.length < packet.total_length:
-                self._send_control(
-                    segment.src, packet.dst_qpn, SegmentKind.ACK,
-                    RcPacket(kind=RcKind.NAK_ACCESS, src_qpn=packet.dst_qpn,
-                             dst_qpn=packet.src_qpn, psn=packet.psn,
-                             ack_psn=qp.expected_psn - 1))
+                self._nak(segment, packet, RcKind.NAK_ACCESS,
+                          packet.psn, qp.expected_psn - 1)
                 self._qp_fatal(qp, WrStatus.LOCAL_PROTECTION_ERROR)
                 return False
             qp.rx_msg = InboundMessage(
@@ -650,11 +597,8 @@ class Rnic(Device):
                                      packet.total_length - packet.offset,
                                      write=True)
             if mr is None:
-                self._send_control(
-                    segment.src, packet.dst_qpn, SegmentKind.ACK,
-                    RcPacket(kind=RcKind.NAK_ACCESS, src_qpn=packet.dst_qpn,
-                             dst_qpn=packet.src_qpn, psn=packet.psn,
-                             ack_psn=qp.expected_psn - 1))
+                self._nak(segment, packet, RcKind.NAK_ACCESS,
+                          packet.psn, qp.expected_psn - 1)
                 self._qp_fatal(qp, WrStatus.REMOTE_ACCESS_ERROR)
                 return False
         qp.rx_msg = InboundMessage(
@@ -671,8 +615,6 @@ class Rnic(Device):
             # CQE + DMA delay land in the poll-pickup span, where the
             # receiving software actually waits them out.
             trace.mark("rx_nic")
-        self.rx_messages += 1
-        self.rx_bytes += msg.total_length
         self._ack(qp, packet.src_qpn, segment.src, packet.psn)
         delay = self.params.nic_cqe_ns + self.params.dma_ns(
             min(packet.length, self.params.mtu_bytes))
@@ -706,9 +648,18 @@ class Rnic(Device):
 
     def _ack(self, qp: QueuePair, remote_qpn: int, remote_host: int,
              ack_psn: int) -> None:
-        self._send_control(
-            remote_host, qp.qpn, SegmentKind.ACK,
+        self._send_segment(
+            remote_host, CTRL_BYTES, SegmentKind.ACK, qp.qpn,
             RcPacket(kind=RcKind.ACK, src_qpn=qp.qpn, dst_qpn=remote_qpn,
+                     ack_psn=ack_psn))
+
+    def _nak(self, segment: Segment, packet: RcPacket, kind: RcKind,
+             psn: int, ack_psn: int) -> None:
+        """Refuse ``packet``: the QPN it addressed answers its sender."""
+        self._send_segment(
+            segment.src, CTRL_BYTES, SegmentKind.ACK, packet.dst_qpn,
+            RcPacket(kind=kind, src_qpn=packet.dst_qpn,
+                     dst_qpn=packet.src_qpn, psn=psn, msg_id=packet.msg_id,
                      ack_psn=ack_psn))
 
     def _rx_read_request(self, segment: Segment, packet: RcPacket) -> None:
@@ -718,11 +669,7 @@ class Rnic(Device):
         mr = self.mr_table.check(packet.rkey, packet.remote_addr,
                                  packet.length, write=False)
         if mr is None and packet.length > 0:
-            self._send_control(
-                segment.src, packet.dst_qpn, SegmentKind.ACK,
-                RcPacket(kind=RcKind.NAK_ACCESS, src_qpn=packet.dst_qpn,
-                         dst_qpn=packet.src_qpn, msg_id=packet.msg_id,
-                         ack_psn=-1))
+            self._nak(segment, packet, RcKind.NAK_ACCESS, packet.psn, -1)
             return
         job = _ReadJob(
             requester_host=segment.src, requester_qpn=packet.src_qpn,
@@ -730,8 +677,8 @@ class Rnic(Device):
             addr=packet.remote_addr, length=max(packet.length, 0))
         if job.length == 0:
             # Zero-byte read: respond immediately with an empty last fragment.
-            self._send_control(
-                segment.src, packet.dst_qpn, SegmentKind.ACK,
+            self._send_segment(
+                segment.src, CTRL_BYTES, SegmentKind.ACK, packet.dst_qpn,
                 RcPacket(kind=RcKind.READ_RESP, src_qpn=packet.dst_qpn,
                          dst_qpn=packet.src_qpn, msg_id=packet.msg_id,
                          first=True, last=True))
@@ -750,7 +697,6 @@ class Rnic(Device):
         if packet.last:
             msg.acked = True
             del qp.reads_in_flight[packet.msg_id]
-            self.rx_messages += 1
             if msg.wr.signaled:
                 delay = self.params.nic_cqe_ns + self.params.dma_ns(
                     min(packet.length, self.params.mtu_bytes))
@@ -796,7 +742,6 @@ class Rnic(Device):
             self._qp_fatal(qp, WrStatus.REMOTE_ACCESS_ERROR)
             return
         if packet.kind is RcKind.NAK_RNR:
-            self.rnr_naks_received += 1
             head = next((m for m in qp.outstanding if not m.acked), None)
             if head is None:
                 return
@@ -813,7 +758,6 @@ class Rnic(Device):
         if self.sim.now - qp.last_rewind_ns < self.params.rc_retransmit_timeout_ns // 4:
             return
         self.stats.retransmissions += 1
-        self.retransmits += 1
         self._rewind(qp)
         self._kick_qp(qp)
 

@@ -205,6 +205,3 @@ class QueuePair:
     @property
     def recv_buffers_posted(self) -> int:
         return len(self.srq) if self.srq is not None else len(self.rq)
-
-    def has_tx_work(self) -> bool:
-        return self.current_tx is not None or bool(self.sq)

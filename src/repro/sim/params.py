@@ -30,14 +30,12 @@ class SimParams:
     header_bytes: int = 58                  #: RoCEv2 header overhead / segment
 
     # -------------------------------------------------------------- switches
-    switch_forward_ns: int = 750            #: per-switch pipeline latency
     switch_port_buffer_bytes: int = 512 * 1024  #: per egress port
     ecn_kmin_bytes: int = 64 * 1024         #: ECN marking starts here
     ecn_kmax_bytes: int = 256 * 1024        #: marking probability reaches pmax
     ecn_pmax: float = 0.8                   #: max marking probability
     pfc_xoff_bytes: int = 384 * 1024        #: ingress-side pause threshold
     pfc_xon_bytes: int = 256 * 1024         #: resume threshold
-    pfc_pause_quanta_ns: int = 65_536       #: duration of one pause frame
 
     # ------------------------------------------------------------------ RNIC
     nic_wqe_fetch_ns: int = 600             #: doorbell → WQE fetched
@@ -73,7 +71,6 @@ class SimParams:
 
     # ------------------------------------------------ connection management
     cm_resolve_ns: int = 600 * MICROS       #: rdma_cm address+route resolve
-    cm_handshake_rtts: int = 3              #: REQ/REP/RTU exchanges
     qp_create_ns: int = 900 * MICROS        #: ibv_create_qp (alloc + firmware)
     qp_modify_ns: int = 200 * MICROS        #: each state transition (×3)
     qp_reset_ns: int = 60 * MICROS          #: modify to RESET (QP-cache path)

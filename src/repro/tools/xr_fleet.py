@@ -21,7 +21,7 @@ Verbs:
   print the tables; with ``--json``, print the aggregate itself.
 
 The aggregate is byte-identical for any ``--jobs`` value — see
-DESIGN.md ("XR-Fleet") for the methodology.
+DESIGN.md ("Fleet") for the methodology.
 """
 
 from __future__ import annotations

@@ -42,8 +42,6 @@ class DcqcnRateLimiter:
         self.current_rate = line_rate_bps
         self.target_rate = line_rate_bps
         self.alpha = 1.0
-        self.cnps_seen = 0
-        self._last_cnp_ns = -(10 ** 18)
         self._last_alpha_update_ns = 0
         self._last_increase_ns = 0
         self._increase_stage = 0
@@ -54,7 +52,6 @@ class DcqcnRateLimiter:
     def on_cnp(self) -> None:
         """Rate cut on congestion notification."""
         self._advance(self.sim.now)
-        self.cnps_seen += 1
         self.target_rate = self.current_rate
         self.alpha = (1 - self.params.dcqcn_alpha_g) * self.alpha \
             + self.params.dcqcn_alpha_g
@@ -62,7 +59,6 @@ class DcqcnRateLimiter:
             self.params.dcqcn_min_rate_bps,
             self.current_rate * (1 - self.alpha / 2))
         now = self.sim.now
-        self._last_cnp_ns = now
         self._last_alpha_update_ns = now
         self._last_increase_ns = now
         self._increase_stage = 0

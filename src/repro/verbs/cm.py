@@ -223,16 +223,9 @@ class CmAgent:
 
     # ------------------------------------------------------------- internals
     def _send(self, remote_host: int, message: _CmMessage) -> None:
-        segment = Segment(src=self.nic.host_id, dst=remote_host,
-                          size=_CM_BYTES, kind=SegmentKind.CONTROL,
-                          ecn_capable=False, payload=message)
-        if self.nic.uplink is None:
-            raise RuntimeError("CM agent's NIC is not attached to a fabric")
-        if remote_host == self.nic.host_id:
-            self.sim.call_after(self.params.link_propagation_ns,
-                                lambda: self._on_segment(segment))
-        else:
-            self.nic.uplink.enqueue(segment)
+        self.nic.transmit(Segment(
+            src=self.nic.host_id, dst=remote_host, size=_CM_BYTES,
+            kind=SegmentKind.CONTROL, ecn_capable=False, payload=message))
 
     def _on_segment(self, segment: Segment) -> None:
         message: _CmMessage = segment.payload

@@ -279,7 +279,7 @@ class XrdmaChannel:
             msg = self.sent.pop(seq, None)
             if msg is None:
                 continue
-            if getattr(msg, "owns_buffer", False):
+            if msg.owns_buffer:
                 self.ctx.memcache.free(msg.src_buffer)
                 msg.owns_buffer = False
             if msg.acked is not None and not msg.acked.triggered:
@@ -352,7 +352,7 @@ class XrdmaChannel:
         error = ChannelBroken(
             f"channel {self.channel_id} to host {self.remote_host}: {reason}")
         for msg in list(self.sent.values()) + list(self.pending_send):
-            if getattr(msg, "owns_buffer", False):
+            if msg.owns_buffer:
                 self.ctx.memcache.free(msg.src_buffer)
                 msg.owns_buffer = False
             if msg.acked is not None and not msg.acked.triggered:

@@ -118,7 +118,6 @@ class FlowController:
         self._abandoned = 0
         self._queue: Deque[WorkRequest] = deque()
         self.queued_total = 0
-        self.fragments_total = 0
         if budget is not None:
             budget.controllers.append(self)
 

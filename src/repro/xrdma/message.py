@@ -96,6 +96,10 @@ class XrdmaMessage:
     delivered_at: int = 0
     #: correlation for responses
     request_msg_id: int = 0
+    #: rendezvous source: the registered buffer the peer reads from (or we
+    #: write from), and whether the channel allocated it and must free it
+    src_buffer: Any = None
+    owns_buffer: bool = False
 
     @property
     def is_request(self) -> bool:

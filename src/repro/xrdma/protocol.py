@@ -75,7 +75,6 @@ class _Rendezvous:
     seq: int
     header: XrdmaHeader
     buffer: Optional[RdmaBuffer]
-    fragments_left: int
     started_at: int
 
 
@@ -162,7 +161,7 @@ class ReadRendezvous(RendezvousStrategy):
     def send(self, channel: "XrdmaChannel", msg: XrdmaMessage,
              header: XrdmaHeader) -> ProcessGenerator:
         # The payload must live in RDMA-enabled memory the peer can read.
-        if not isinstance(getattr(msg, "src_buffer", None), RdmaBuffer):
+        if msg.src_buffer is None:
             buffer = yield from self._alloc_checked(channel,
                                                     msg.payload_size)
             if buffer is None:
@@ -195,7 +194,7 @@ class ReadRendezvous(RendezvousStrategy):
         layout = channel.flow.fragment_layout(header.payload_size)
         rendezvous = _Rendezvous(
             seq=header.seq, header=header, buffer=buffer,
-            fragments_left=len(layout), started_at=channel.ctx.sim.now)
+            started_at=channel.ctx.sim.now)
         channel._rendezvous[header.seq] = rendezvous
         channel.stats["rendezvous_reads"] += len(layout)
         for offset, size, last in layout:
@@ -233,7 +232,7 @@ class WriteRendezvous(RendezvousStrategy):
              header: XrdmaHeader) -> ProcessGenerator:
         # The source buffer is wired up front: the CTS may arrive at any
         # poll round and the Writes must be able to start immediately.
-        if not isinstance(getattr(msg, "src_buffer", None), RdmaBuffer):
+        if msg.src_buffer is None:
             buffer = yield from self._alloc_checked(channel,
                                                     msg.payload_size)
             if buffer is None:
@@ -264,7 +263,7 @@ class WriteRendezvous(RendezvousStrategy):
             return
         rendezvous = _Rendezvous(
             seq=header.seq, header=header, buffer=buffer,
-            fragments_left=0, started_at=channel.ctx.sim.now)
+            started_at=channel.ctx.sim.now)
         channel._rendezvous[header.seq] = rendezvous
         yield from channel.send_control(
             MessageKind.RNDV_CTS, rendezvous_seq=header.seq,

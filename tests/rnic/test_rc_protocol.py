@@ -218,6 +218,39 @@ def test_read_with_bad_rkey_fails_quietly_for_receiver(pair):
     assert completions[0].status is WrStatus.REMOTE_ACCESS_ERROR
 
 
+def test_lost_read_request_is_reissued_by_the_watchdog(pair):
+    """The responder is deaf for 1 ms, so the first READ_REQ vanishes; the
+    requester's watchdog re-issues it (the same emit path as the first
+    try) and the READ completes once."""
+    cluster, conn_c, conn_s = pair
+    client, server = cluster.host(0), cluster.host(1)
+
+    def register():
+        buf = server.memory.alloc(1 << 20)
+        return (yield server.verbs.reg_mr(conn_s.qp.pd, buf.addr,
+                                          buf.length))
+
+    mr = run_process(cluster, register())
+    server.nic.alive = False
+    cluster.sim.call_after(1 * MILLIS,
+                           lambda: setattr(server.nic, "alive", True))
+
+    def scenario():
+        yield client.verbs.post_send(conn_c.qp, WorkRequest(
+            opcode=Opcode.READ, length=64 * 1024, remote_addr=mr.addr,
+            rkey=mr.rkey))
+
+    run_process(cluster, scenario())
+    completions = _poll_until(cluster, conn_c.qp.send_cq)
+    assert cluster.sim.now > cluster.params.rc_retransmit_timeout_ns
+    cluster.sim.run(until=cluster.sim.now + 50 * MILLIS)
+    completions += conn_c.qp.send_cq.poll()
+    assert [(c.status, c.opcode, c.byte_len) for c in completions] == [
+        (WrStatus.SUCCESS, Opcode.READ, 64 * 1024)]
+    assert cluster.stats.retransmissions == 1
+    assert not conn_c.qp.reads_in_flight
+
+
 def test_zero_byte_write_needs_no_rkey_or_recv(pair):
     """The keepAlive probe: zero-payload WRITE, ACKed by hardware alone."""
     cluster, conn_c, conn_s = pair
