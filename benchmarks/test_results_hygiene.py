@@ -2,17 +2,11 @@
 
 The committed tables are regenerated deliberately (``XR_WRITE_RESULTS=1``)
 or by the fleet, not as a side effect of every benchmark invocation.
+``emit()`` is gated (tested here); every other writer is caught by the
+session fixture ``results_dir_untouched`` in ``conftest.py``.
 """
 
-import os
-import pathlib
-import subprocess
-
-import pytest
-
 from benchmarks import conftest as bench_conftest
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestEmitGating:
@@ -42,16 +36,16 @@ class TestEmitGating:
         assert not (tmp_path / "results").exists()
 
 
-def test_results_dir_clean_in_git():
-    """Catch *any* writer, not just emit(): the committed results files
-    must be unmodified at the time this test runs."""
-    if os.environ.get("XR_WRITE_RESULTS") == "1":
-        pytest.skip("regeneration run: results are supposed to change")
-    proc = subprocess.run(  # xr-lint: disable=blocking-call
-        ["git", "status", "--porcelain", "--", "benchmarks/results"],
-        cwd=REPO_ROOT, capture_output=True, text=True, timeout=30)
-    if proc.returncode != 0:
-        pytest.skip(f"git unavailable: {proc.stderr.strip()}")
-    assert proc.stdout.strip() == "", (
-        "benchmarks/results/ modified by a test run without "
-        f"XR_WRITE_RESULTS=1:\n{proc.stdout}")
+def test_results_snapshot_sees_every_kind_of_write(tmp_path, monkeypatch):
+    """What the session fixture ``results_dir_untouched`` asserts on: an
+    added, a changed and a deleted table must each be reported."""
+    monkeypatch.setattr(bench_conftest, "RESULTS_DIR", tmp_path)
+    (tmp_path / "kept.txt").write_text("row\n")
+    (tmp_path / "doomed.txt").write_text("row\n")
+    before = bench_conftest.results_snapshot()
+    assert bench_conftest.results_changed_since(before) == []
+    (tmp_path / "added.txt").write_text("row\n")
+    (tmp_path / "kept.txt").write_text("row 2\n")
+    (tmp_path / "doomed.txt").unlink()
+    assert bench_conftest.results_changed_since(before) == \
+        ["added.txt", "doomed.txt", "kept.txt"]

@@ -3,8 +3,8 @@
 * req-rsp tracing with clock-synced network-time decomposition,
 * the poll-gap watchdog catching an injected application stall
   (the Sec. VII-D allocator-lock case study),
-* Filter dropping messages on demand,
-* Mock falling back to TCP and returning.
+* Mock falling back to TCP and returning,
+* Filter dropping messages on demand.
 
 Run:  python examples/tracing_and_faults.py
 """
@@ -50,16 +50,8 @@ def main():
         print(f"poll watchdog flagged a {gap.duration_ns / 1e6:.1f} ms gap "
               f"(threshold {config.polling_warn_cycle_ns / 1e6:.1f} ms)")
 
-        # 3) Drop a message via the Filter.
-        server.filter = Filter(cluster.rng.stream("demo"))
-        rule = server.filter.add_rule(FaultRule(drop_probability=1.0))
-        client.send_msg(channel, 64)
-        yield cluster.sim.timeout(20 * MILLIS)
-        print(f"filter dropped {server.filter.dropped} message(s); "
-              f"application saw {len(server.incoming.items)}")
-        rule.enabled = False
-
-        # 4) Fall back to TCP via Mock, then return to RDMA.
+        # 3) Fall back to TCP via Mock, then return to RDMA.  Same
+        # channel, same window, same tracer: only the wire changes.
         mock = Mock(cluster)
         yield from mock.engage(client, channel, server, server_channel)
         request = client.send_request(channel, 4096)
@@ -68,6 +60,17 @@ def main():
               f"({response.payload_size} B response)")
         mock.disengage(channel)
         mock.disengage(server_channel)
+
+        # 4) Drop a message via the Filter.  Last on purpose: the
+        # middleware has no retransmit, so a dropped message is a
+        # permanent hole in the receiver's sequence space and nothing
+        # sent on this channel afterwards is ever delivered.
+        server.filter = Filter(cluster.rng.stream("demo"))
+        server.filter.add_rule(FaultRule(drop_probability=1.0))
+        client.send_msg(channel, 64)
+        yield cluster.sim.timeout(20 * MILLIS)
+        print(f"filter dropped {server.filter.dropped} message(s); "
+              f"application saw {len(server.incoming.items)}")
 
     done = cluster.sim.spawn(scenario())
     cluster.sim.run_until_event(done, limit=60 * SECONDS)

@@ -10,22 +10,65 @@ Engage per channel pair::
     yield from mock.engage(client_ctx, client_ch, server_ctx, server_ch)
     client_ctx.send_msg(client_ch, 4096)      # now travels over TCP
     mock.disengage(client_ch)                  # back to RDMA
+
+The detour is a *strategy*, not a second code path: while engaged the
+channel's :class:`~repro.xrdma.protocol.ProtocolPolicy` hands every
+header — data and ACK/NOP/CLOSE/RNDV_CTS alike — to :class:`TcpDetour`
+instead of the eager RC strategy, and every header the socket receives
+re-enters the owning context's poll loop as a receive completion.  The
+seq-ack window, in-order delivery, Filter, XR-Trace and ``mark_broken``
+are the channel's own, so a message may be queued under one transport,
+sent under the other and acked over either without loss or reordering.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING
 
-from repro.baselines.tcpstack import TcpAgent
-from repro.xrdma.message import MessageKind, XrdmaHeader, XrdmaMessage
+from repro.baselines.tcpstack import TcpError, TcpSocket
+from repro.rnic.wqe import Completion, Opcode, WrStatus
+from repro.sim.process import ProcessGenerator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster
     from repro.xrdma.channel import XrdmaChannel
     from repro.xrdma.context import XrdmaContext
+    from repro.xrdma.message import XrdmaHeader, XrdmaMessage
 
 _mock_ports = itertools.count(52000)
+
+
+class TcpDetour:
+    """The strategy in a detoured policy's eager slot: one blocking
+    socket write per header, data and control alike, payload bytes
+    included (a stream has no rendezvous).  Closes its own XR-Trace
+    span, ``tcp_send`` — the header never meets the flow controller or
+    the NIC's send queue."""
+
+    name = "tcp"
+
+    def __init__(self, socket: TcpSocket) -> None:
+        self._socket = socket
+
+    def send(self, channel: "XrdmaChannel", msg: "XrdmaMessage",
+             header: "XrdmaHeader") -> ProcessGenerator:
+        yield from self.send_control(channel, header)
+
+    def send_control(self, channel: "XrdmaChannel",
+                     header: "XrdmaHeader") -> ProcessGenerator:
+        wire = header.payload_size + header.wire_bytes(
+            channel.ctx.config.req_rsp_mode)
+        try:
+            yield from self._socket.send(wire, payload=header)
+        except TcpError as exc:     # the peer closed (or broke) first
+            channel.mark_broken(f"tcp detour: {exc}")
+            return
+        if header.trace is not None:
+            header.trace.mark("tcp_send")
+
+    def close(self) -> None:
+        self._socket.close()
 
 
 class Mock:
@@ -33,97 +76,42 @@ class Mock:
 
     def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
-        self.sim = cluster.sim
-        self._agents: Dict[int, TcpAgent] = {}
-        self._routes: Dict[int, Tuple] = {}     # channel_id -> (socket, ctx)
-
-    def _agent(self, host_id: int) -> TcpAgent:
-        agent = self._agents.get(host_id)
-        if agent is None:
-            agent = self.cluster.tcp_agent(host_id)
-            self._agents[host_id] = agent
-        return agent
 
     def engage(self, ctx_a: "XrdmaContext", ch_a: "XrdmaChannel",
                ctx_b: "XrdmaContext", ch_b: "XrdmaChannel"):
-        """Generator: open the TCP detour and patch both channels' sends."""
+        """Generator: open the TCP detour and switch both channels' new
+        sends to it.  The socket lives until the channel closes or
+        breaks, not until :meth:`disengage`."""
         port = next(_mock_ports)
-        agent_a = self._agent(ctx_a.nic.host_id)
-        agent_b = self._agent(ctx_b.nic.host_id)
-        listener = agent_b.listen(port)
-        socket_a = yield from agent_a.connect(ctx_b.nic.host_id, port)
+        host_b = ctx_b.nic.host_id
+        listener = self.cluster.tcp_agent(host_b).listen(port)
+        socket_a = yield from self.cluster.tcp_agent(
+            ctx_a.nic.host_id).connect(host_b, port)
         socket_b = yield listener.accepted.get()
-        self._patch(ctx_a, ch_a, socket_a)
-        self._patch(ctx_b, ch_b, socket_b)
-        self.sim.spawn(self._rx_loop(ctx_a, ch_a, socket_a))
-        self.sim.spawn(self._rx_loop(ctx_b, ch_b, socket_b))
+        self._detour(ch_a, socket_a)
+        self._detour(ch_b, socket_b)
 
     def disengage(self, channel: "XrdmaChannel") -> None:
-        route = self._routes.pop(channel.channel_id, None)
-        if route is None:
-            return
-        socket, original_queue = route
-        channel.queue_message = original_queue       # restore RDMA path
-        socket.close()
+        """New sends return to RDMA; what is on the socket still lands."""
+        channel.protocol.restore()
 
     def is_engaged(self, channel: "XrdmaChannel") -> bool:
-        return channel.channel_id in self._routes
+        return isinstance(channel.protocol.eager, TcpDetour)
 
     # ------------------------------------------------------------- internals
-    def _patch(self, ctx: "XrdmaContext", channel: "XrdmaChannel",
-               socket) -> None:
-        original_queue = channel.queue_message
+    def _detour(self, channel: "XrdmaChannel", socket: TcpSocket) -> None:
+        if not channel.is_ready:        # died during the TCP handshake
+            socket.close()
+            return
+        channel.protocol.detour(TcpDetour(socket))
+        self.cluster.sim.spawn(self._rx_pump(channel, socket),
+                               name=f"mock:rx{channel.channel_id}")
 
-        def tcp_queue(msg: XrdmaMessage) -> XrdmaMessage:
-            msg.channel = channel
-            msg.created_at = self.sim.now
-            msg.header = XrdmaHeader(
-                kind=msg.kind, seq=-1, ack=-1, msg_id=msg.msg_id,
-                payload_size=msg.payload_size,
-                request_msg_id=msg.request_msg_id,
-                user_payload=msg.payload)
-            msg.acked = self.sim.event("mock:acked")
-            msg.acked.defused = True
-            if msg.kind is MessageKind.REQUEST:
-                msg.response = self.sim.event("mock:resp")
-                msg.response.defused = True
-                channel.pending_requests[msg.msg_id] = msg
-            self.sim.spawn(self._tcp_send(channel, socket, msg))
-            return msg
-
-        channel.queue_message = tcp_queue
-        self._routes[channel.channel_id] = (socket, original_queue)
-
-    def _tcp_send(self, channel: "XrdmaChannel", socket, msg: XrdmaMessage):
-        yield from socket.send(msg.payload_size, payload=msg)
-        channel.stats["tx_msgs"] += 1
-        channel.stats["tx_bytes"] += msg.payload_size
-        if msg.acked is not None and not msg.acked.triggered:
-            # TCP delivery is kernel-acked; treat send completion as ack.
-            msg.acked.succeed(0)
-
-    def _rx_loop(self, ctx: "XrdmaContext", channel: "XrdmaChannel", socket):
-        while not socket.closed:
-            nbytes, sent_msg = yield socket.recv()
-            if sent_msg is None:
-                continue
-            delivered = XrdmaMessage(
-                kind=sent_msg.kind, payload_size=nbytes,
-                payload=sent_msg.payload, channel=channel,
-                request_msg_id=sent_msg.request_msg_id)
-            delivered.header = sent_msg.header
-            delivered.delivered_at = self.sim.now
-            channel.stats["rx_msgs"] += 1
-            channel.stats["rx_bytes"] += nbytes
-            if delivered.kind is MessageKind.RESPONSE:
-                request = channel.pending_requests.pop(
-                    sent_msg.request_msg_id, None)
-                if request is not None and request.response is not None \
-                        and not request.response.triggered:
-                    request.response.succeed(delivered)
-                    continue
-            if delivered.kind is MessageKind.REQUEST \
-                    and channel.on_request is not None:
-                channel.on_request(delivered)
-                continue
-            ctx.deliver(delivered)
+    def _rx_pump(self, channel: "XrdmaChannel",
+                 socket: TcpSocket) -> ProcessGenerator:
+        """Socket → receive CQ: the context's loop does everything else."""
+        while channel.is_ready:
+            nbytes, header = yield socket.recv()
+            channel.ctx.recv_cq.push(Completion(
+                wr_id=0, status=WrStatus.SUCCESS, opcode=Opcode.RECV,
+                qp_num=channel.qp.qpn, byte_len=nbytes, payload=header))

@@ -16,6 +16,8 @@ stage (span it closes)    closed by
 ``nic_tx``                NIC engine emitted the first fragment
 ``wire_hop<N>``           switch N forwarded the first fragment
 ``rx_nic``                receiver NIC finished reassembling the message
+``tcp_send``              Mock detour only, instead of ``flowctl_queue`` …
+                          ``rx_nic``: the socket write returned (syscall+copy)
 ``rx_poll``               receiver context picked the CQE up (poll pickup)
 ``rendezvous_read``       large only: the receiver's RDMA Read completed
 ``window_ready``          receiver window advanced rta past the message
@@ -70,6 +72,10 @@ REQUIRED_STAGES = frozenset((
 
 #: Extra stages required when the message went through rendezvous.
 LARGE_STAGES = frozenset(("src_alloc", "rendezvous_read"))
+
+#: Required stages a message the Mock's TCP detour carried never passes
+#: (its strategy closes one ``tcp_send`` span in their place).
+RC_WIRE_STAGES = frozenset(("flowctl_queue", "post_send", "nic_tx", "rx_nic"))
 
 #: Stages of a completed *setup* trace (channel establishment).  The
 #: control plane decomposes the same zero-residual way the data path
@@ -345,10 +351,13 @@ class Tracer:
                        lambda: f"trace {trace.trace_id}: total {total} != "
                                f"Σ spans {total - residual} "
                                f"(residual {residual})")
+            stages = trace.stages()
             required = REQUIRED_STAGES
+            if "tcp_send" in stages:    # the transport that carried it
+                required = required - RC_WIRE_STAGES
             if getattr(msg.header, "large", False):
                 required = required | LARGE_STAGES
-            missing = required.difference(trace.stages())
+            missing = required.difference(stages)
             _invariant(not missing, "tracing.incomplete_span_chain",
                        lambda: f"trace {trace.trace_id} missing "
                                f"{sorted(missing)}")

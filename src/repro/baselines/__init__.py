@@ -3,19 +3,18 @@
 Each baseline runs over the *same* simulated RNIC/fabric, differing only in
 the software protocol and per-operation overheads the real systems exhibit:
 
-* :mod:`~repro.baselines.ibv_pingpong` — the native-verbs ideal baseline.
-* :mod:`~repro.baselines.ucx` — UCX active-message RC (``ucx-am-rc``).
-* :mod:`~repro.baselines.libfabric` — libfabric reliable endpoints.
-* :mod:`~repro.baselines.xio` — accelio-style request/response.
+* :class:`IbvPingPong` — the native-verbs ideal baseline.
+* :class:`UcxEndpoint` — UCX active-message RC (``ucx-am-rc``).
+* :class:`LibfabricEndpoint` — libfabric reliable endpoints.
+* :class:`XioEndpoint` — accelio-style request/response.
+* :class:`RsocketEndpoint` — the socket-API wrapper over RDMA.
 * :mod:`~repro.baselines.tcpstack` — kernel TCP (and the Mock fallback).
 """
 
-from repro.baselines.ibv_pingpong import IbvPingPong
-from repro.baselines.libfabric import LibfabricEndpoint
-from repro.baselines.rsocket import RsocketEndpoint
+from repro.baselines.common import (IbvPingPong, LibfabricEndpoint,
+                                    RsocketEndpoint, UcxEndpoint,
+                                    XioEndpoint)
 from repro.baselines.tcpstack import TcpAgent, TcpListener, TcpSocket
-from repro.baselines.ucx import UcxEndpoint
-from repro.baselines.xio import XioEndpoint
 
 __all__ = ["IbvPingPong", "LibfabricEndpoint", "RsocketEndpoint",
            "TcpAgent", "TcpListener", "TcpSocket", "UcxEndpoint",

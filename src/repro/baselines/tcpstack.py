@@ -62,10 +62,6 @@ class TcpSocket:
         self.service_port = service_port
         self.incoming: Store = Store(agent.sim, name=f"tcp{conn_id}:in")
         self.closed = False
-        self._rx_pending: int = 0
-        self.tx_bytes = 0
-        self.rx_bytes = 0
-        self.keepalive = True      #: SO_KEEPALIVE — on, unlike raw RDMA
 
     def send(self, nbytes: int, payload: Any = None):
         """Generator: write ``nbytes`` (one application message)."""
@@ -85,7 +81,6 @@ class TcpSocket:
                 src_host=self.agent.nic.host_id,
                 service_port=self.service_port, nbytes=chunk, last=last,
                 msg_payload=payload if last else None))
-            self.tx_bytes += chunk
             offset += chunk
             if last:
                 break
@@ -113,9 +108,14 @@ class TcpListener:
 
 
 class TcpAgent:
-    """Per-host kernel TCP stand-in."""
+    """Per-host kernel TCP stand-in (one per NIC: it owns the NIC's
+    ``TCP_PORT`` control handler; get it from ``Cluster.tcp_agent``)."""
 
     def __init__(self, sim: "Simulator", params: "SimParams", nic: "Rnic"):
+        if TCP_PORT in nic.control_handlers:
+            raise ValueError(
+                f"host {nic.host_id} already has a TCP stack; a second "
+                f"agent would steal its segments")
         self.sim = sim
         self.params = params
         self.nic = nic
@@ -191,7 +191,6 @@ class TcpAgent:
             total = self._rx_accumulator.get(packet.conn_id, 0) + packet.nbytes
             if packet.last:
                 self._rx_accumulator.pop(packet.conn_id, None)
-                socket.rx_bytes += total
                 # Receive-side kernel costs before the app sees the message.
                 self.sim.call_after(
                     self.params.tcp_per_msg_overhead_ns

@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
+from repro.baselines.tcpstack import TcpAgent
 from repro.memory import HostMemory
 from repro.net import NetStats
 from repro.rnic import Rnic
@@ -39,6 +40,8 @@ class Host:
     verbs: VerbsContext
     cm: CmAgent
     memory: HostMemory
+    #: the host's one kernel-TCP stack, built on first ``Cluster.tcp_agent``
+    tcp: Optional[TcpAgent] = None
 
 
 @dataclass
@@ -80,11 +83,12 @@ class Cluster:
         return XrdmaContext(self.sim, host.verbs, host.cm, config=config,
                             name=name or f"xr-h{host_id}")
 
-    def tcp_agent(self, host_id: int):
-        """Convenience: a TCP stack on ``host_id`` (baselines, Mock)."""
-        from repro.baselines.tcpstack import TcpAgent
+    def tcp_agent(self, host_id: int) -> TcpAgent:
+        """The TCP stack of ``host_id`` (baselines, Mock) — one per host."""
         host = self.host(host_id)
-        return TcpAgent(self.sim, self.params, host.nic)
+        if host.tcp is None:
+            host.tcp = TcpAgent(self.sim, self.params, host.nic)
+        return host.tcp
 
 
 def build_cluster(n_hosts: int = 4, params: Optional[SimParams] = None,

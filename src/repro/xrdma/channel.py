@@ -169,10 +169,11 @@ class XrdmaChannel:
 
     def send_control(self, kind: MessageKind, *, rendezvous_seq: int = -1,
                      src_addr: int = 0, src_rkey: int = 0) -> ProcessGenerator:
-        """Generator: standalone control SEND (no window slot consumed).
+        """Generator: standalone control header (no window slot consumed).
 
         ACK and NOP for the window; RNDV_CTS for the write-rendezvous
         grant (``rendezvous_seq`` + the receiver buffer's addr/rkey).
+        Like ``pump``, it asks the policy who carries the header.
         The ack bookkeeping runs *after* the post yield: if the post
         fails or the channel breaks while this process is suspended, the
         window must not believe an ack went out.
@@ -181,13 +182,8 @@ class XrdmaChannel:
             kind=kind, seq=-1, ack=self.window.ack_to_send(),
             msg_id=0, payload_size=0, src_addr=src_addr, src_rkey=src_rkey,
             rendezvous_seq=rendezvous_seq)
-        wr = WorkRequest(
-            opcode=Opcode.SEND,
-            length=header.wire_bytes(self.ctx.config.req_rsp_mode),
-            payload=header)
-        self.ctx.route_wr(wr, self, _WrRoute(tag="ctrl", header=header))
         self.last_tx_ns = self.ctx.sim.now
-        yield self.ctx.verbs.post_send(self.qp, wr)
+        yield from self.protocol.select(header).send_control(self, header)
         if self.state is not ChannelState.READY:
             return      # broke mid-post; the ack never left
         self.window.note_ack_sent()
@@ -197,7 +193,9 @@ class XrdmaChannel:
             self.stats["nops_sent"] += 1
 
     def keepalive_probe(self) -> ProcessGenerator:
-        """Generator: zero-byte RDMA Write; the peer RNIC acks in hardware."""
+        """Generator: zero-byte RDMA Write; the peer RNIC acks in hardware.
+        Always on the channel's own QP: a dead QP breaks the channel even
+        while a Mock detour carries its messages over TCP."""
         if self.keepalive_in_flight or self.state is not ChannelState.READY:
             return
         self.keepalive_in_flight = True
@@ -373,6 +371,7 @@ class XrdmaChannel:
         self._pending_delivery.clear()
         self.window.drop_traces()
         self.flow.drop_all()
+        self.protocol.release()
         while self._recv_buffers:
             self.ctx.memcache.free(self._recv_buffers.popleft())
         self.ctx.on_channel_broken(self)

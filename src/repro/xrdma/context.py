@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.rnic.qp import QueuePair
     from repro.sim.engine import Simulator
     from repro.verbs.api import VerbsContext
-    from repro.verbs.cm import CmAgent, CmListener
+    from repro.verbs.cm import CmAgent, CmConnection, CmListener
     from repro.xrdma.memcache import RdmaBuffer
 
 _ctx_ids = itertools.count(1)
@@ -154,10 +154,7 @@ class XrdmaContext:
             if exc.qp is not None:
                 yield from self.qpcache.put(exc.qp)
             raise
-        peer_window = (conn.private_data or {}).get(
-            "window", self.config.inflight_depth)
-        channel = XrdmaChannel(
-            self, conn, min(self.config.inflight_depth, peer_window))
+        channel = self._new_channel(conn)
         yield from self._prime_channel(channel, setup)
         self.channels[conn.qp.qpn] = channel
         if setup is not None:
@@ -179,13 +176,18 @@ class XrdmaContext:
     def _accept_loop(self, listener: "CmListener") -> ProcessGenerator:
         while not self._stopped:
             conn = yield listener.accepted.get()
-            peer_window = (conn.private_data or {}).get(
-                "window", self.config.inflight_depth)
-            channel = XrdmaChannel(
-                self, conn, min(self.config.inflight_depth, peer_window))
+            channel = self._new_channel(conn)
             yield from self._prime_channel(channel)
             self.channels[conn.qp.qpn] = channel
             self.accepted.put_nowait(channel)
+
+    def _new_channel(self, conn: "CmConnection") -> XrdmaChannel:
+        """Either end of an established connection: the smaller of the
+        two ``inflight_depth`` offers is the channel's window."""
+        peer_window = (conn.private_data or {}).get(
+            "window", self.config.inflight_depth)
+        return XrdmaChannel(
+            self, conn, min(self.config.inflight_depth, peer_window))
 
     def _prime_channel(self, channel: XrdmaChannel,
                        setup_trace=None) -> ProcessGenerator:
@@ -265,6 +267,7 @@ class XrdmaContext:
             # re-check both closers would recycle the same QP.
             return
         channel.state = ChannelState.CLOSED
+        channel.protocol.release()
         self.channels.pop(channel.qp.qpn, None)
         while channel._recv_buffers:
             self.memcache.free(channel._recv_buffers.popleft())
@@ -301,10 +304,11 @@ class XrdmaContext:
     # ============================================================= Table I
     def send_msg(self, channel: XrdmaChannel, payload_size: int,
                  kind: MessageKind = MessageKind.ONEWAY,
-                 payload: Any = None) -> XrdmaMessage:
+                 payload: Any = None,
+                 request_msg_id: int = 0) -> XrdmaMessage:
         """xrdma_send_msg: queue a message; completion via its events."""
         msg = XrdmaMessage(kind=kind, payload_size=payload_size,
-                           payload=payload)
+                           payload=payload, request_msg_id=request_msg_id)
         channel.queue_message(msg)
         self._kick_channel(channel)
         return msg
@@ -320,12 +324,9 @@ class XrdmaContext:
         """Reply to a delivered REQUEST (Read-replaces-Write when large)."""
         if not request.is_request or request.channel is None:
             raise ValueError("send_response needs a delivered REQUEST")
-        msg = XrdmaMessage(kind=MessageKind.RESPONSE,
-                           payload_size=payload_size, payload=payload,
-                           request_msg_id=request.header.msg_id)
-        request.channel.queue_message(msg)
-        self._kick_channel(request.channel)
-        return msg
+        return self.send_msg(request.channel, payload_size,
+                             kind=MessageKind.RESPONSE, payload=payload,
+                             request_msg_id=request.header.msg_id)
 
     def polling(self, max_messages: int = 16) -> List[XrdmaMessage]:
         """xrdma_polling: drain up to ``max_messages`` delivered messages."""

@@ -32,7 +32,6 @@ class MessageKind(Enum):
     RESPONSE = auto()
     ACK = auto()         #: standalone window acknowledgement
     NOP = auto()         #: deadlock breaker (Sec. V-B)
-    KEEPALIVE = auto()   #: zero-byte probe (never reaches the application)
     CLOSE = auto()       #: orderly shutdown; lets both sides recycle QPs
     RNDV_CTS = auto()    #: write-rendezvous grant: receiver names its buffer
     RNDV_FIN = auto()    #: write-rendezvous notify (rides the last WRITE_IMM)

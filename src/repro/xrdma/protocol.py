@@ -27,7 +27,9 @@ and rendezvous paths are strategy objects selected per message by a
 
 Strategies are stateless singletons — all per-transfer state lives on
 the channel (``_rendezvous`` receiver-side, ``_write_pending``
-sender-side), so a strategy never outlives or leaks a channel.
+sender-side), so a strategy never outlives or leaks a channel.  (The
+one exception owns a socket: the Mock's ``TcpDetour``, which the policy
+closes with the channel — see :meth:`ProtocolPolicy.detour`.)
 
 Every strategy body is a generator driven by the owning context's
 run-to-complete loop; each ``yield`` hands the scheduler to every other
@@ -38,8 +40,9 @@ load-bearing, not defensive).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.analysis import invariants
 from repro.analysis.invariants import check as _invariant
@@ -79,7 +82,9 @@ class _Rendezvous:
 
 
 class EagerStrategy:
-    """Small messages: one eager SEND_IMM, receive buffers pre-posted."""
+    """Small messages: one eager SEND_IMM, receive buffers pre-posted.
+    Whoever holds a policy's eager slot also carries the channel's
+    standalone control headers (:meth:`send_control`)."""
 
     name = "eager"
 
@@ -93,15 +98,28 @@ class EagerStrategy:
                                                    seq=header.seq))
         yield from channel.flow.post(wr)
 
+    def send_control(self, channel: "XrdmaChannel",
+                     header: XrdmaHeader) -> ProcessGenerator:
+        """A header-only SEND outside the window and flow control."""
+        wr = WorkRequest(
+            opcode=Opcode.SEND,
+            length=header.wire_bytes(channel.ctx.config.req_rsp_mode),
+            payload=header)
+        channel.ctx.route_wr(wr, channel, _WrRoute(tag="ctrl", header=header))
+        yield channel.ctx.verbs.post_send(channel.qp, wr)
+
 
 class RendezvousStrategy:
     """Large messages: how the payload crosses once announced.
 
-    Subclasses implement the sender's announce (:meth:`send`), the
-    receiver's reaction to it (:meth:`on_announce`), rendezvous control
-    messages (:meth:`on_control` — RNDV_CTS/RNDV_FIN), and any send-CQE
-    follow-up (:meth:`on_data_completion`).  All are generators; a body
-    with nothing to do simply returns (``yield from`` of an empty
+    Both ends are shared: the sender wires a source buffer and posts a
+    header-only announce (:meth:`send`), the receiver allocates a landing
+    buffer and installs the transfer (:meth:`on_announce`).  Subclasses
+    say what the announce carries (:meth:`_prepare_announce`), how the
+    bytes start moving (:meth:`_start`), and react to rendezvous control
+    messages (:meth:`on_control` — RNDV_CTS/RNDV_FIN) and send CQEs
+    (:meth:`on_data_completion`).  All but the first are generators; a
+    body with nothing to do simply returns (``yield from`` of an empty
     generator adds no simulation events, which is what keeps the default
     strategy schedule-identical to the pre-refactor channel).
     """
@@ -110,11 +128,47 @@ class RendezvousStrategy:
 
     def send(self, channel: "XrdmaChannel", msg: XrdmaMessage,
              header: XrdmaHeader) -> ProcessGenerator:
-        raise NotImplementedError
-        yield  # pragma: no cover
+        # The payload must live in RDMA-enabled memory, wired up front:
+        # the peer may Read it (or grant the Writes) at any poll round.
+        if msg.src_buffer is None:
+            buffer = yield from self._alloc_checked(channel,
+                                                    msg.payload_size)
+            if buffer is None:
+                return      # channel died during the alloc; pump() stops
+            msg.src_buffer = buffer
+            msg.owns_buffer = True
+        if header.trace is not None:
+            header.trace.mark("src_alloc")
+        self._prepare_announce(channel, msg, header)
+        wire = header.wire_bytes(channel.ctx.config.req_rsp_mode)
+        wr = WorkRequest(opcode=Opcode.SEND_IMM, length=wire,
+                         imm_data=header.ack & 0xFFFF_FFFF, payload=header)
+        channel.ctx.route_wr(wr, channel,
+                             _WrRoute(tag="announce", message=msg,
+                                      seq=header.seq))
+        yield from channel.flow.post(wr)
 
     def on_announce(self, channel: "XrdmaChannel",
                     header: XrdmaHeader) -> ProcessGenerator:
+        if invariants.ENABLED:
+            _invariant(header.seq not in channel._rendezvous,
+                       "channel.duplicate_rendezvous",
+                       lambda: f"channel {channel.channel_id} "
+                               f"seq {header.seq}")
+        buffer = yield from self._alloc_checked(channel, header.payload_size)
+        if buffer is None:
+            return          # mark_broken swept the channel mid-alloc
+        channel._rendezvous[header.seq] = _Rendezvous(
+            seq=header.seq, header=header, buffer=buffer,
+            started_at=channel.ctx.sim.now)
+        yield from self._start(channel, header, buffer)
+
+    def _prepare_announce(self, channel: "XrdmaChannel", msg: XrdmaMessage,
+                          header: XrdmaHeader) -> None:
+        raise NotImplementedError
+
+    def _start(self, channel: "XrdmaChannel", header: XrdmaHeader,
+               buffer: RdmaBuffer) -> ProcessGenerator:
         raise NotImplementedError
         yield  # pragma: no cover
 
@@ -158,44 +212,15 @@ class ReadRendezvous(RendezvousStrategy):
 
     name = "read"
 
-    def send(self, channel: "XrdmaChannel", msg: XrdmaMessage,
-             header: XrdmaHeader) -> ProcessGenerator:
-        # The payload must live in RDMA-enabled memory the peer can read.
-        if msg.src_buffer is None:
-            buffer = yield from self._alloc_checked(channel,
-                                                    msg.payload_size)
-            if buffer is None:
-                return      # channel died during the alloc; pump() stops
-            msg.src_buffer = buffer
-            msg.owns_buffer = True
+    def _prepare_announce(self, channel: "XrdmaChannel", msg: XrdmaMessage,
+                          header: XrdmaHeader) -> None:
         header.src_addr = msg.src_buffer.addr
         header.src_rkey = msg.src_buffer.rkey
-        if header.trace is not None:
-            header.trace.mark("src_alloc")
-        wire = header.wire_bytes(channel.ctx.config.req_rsp_mode)
-        wr = WorkRequest(opcode=Opcode.SEND_IMM, length=wire,
-                         imm_data=header.ack & 0xFFFF_FFFF, payload=header)
-        channel.ctx.route_wr(wr, channel,
-                             _WrRoute(tag="announce", message=msg,
-                                      seq=header.seq))
-        yield from channel.flow.post(wr)
 
-    def on_announce(self, channel: "XrdmaChannel",
-                    header: XrdmaHeader) -> ProcessGenerator:
-        """Receiver-side on-demand buffer + fragmented RDMA Read."""
-        if invariants.ENABLED:
-            _invariant(header.seq not in channel._rendezvous,
-                       "channel.duplicate_rendezvous",
-                       lambda: f"channel {channel.channel_id} "
-                               f"seq {header.seq}")
-        buffer = yield from self._alloc_checked(channel, header.payload_size)
-        if buffer is None:
-            return          # mark_broken swept the channel mid-alloc
+    def _start(self, channel: "XrdmaChannel", header: XrdmaHeader,
+               buffer: RdmaBuffer) -> ProcessGenerator:
+        """Receiver-side fragmented RDMA Read into the landing buffer."""
         layout = channel.flow.fragment_layout(header.payload_size)
-        rendezvous = _Rendezvous(
-            seq=header.seq, header=header, buffer=buffer,
-            started_at=channel.ctx.sim.now)
-        channel._rendezvous[header.seq] = rendezvous
         channel.stats["rendezvous_reads"] += len(layout)
         for offset, size, last in layout:
             wr = WorkRequest(
@@ -228,43 +253,13 @@ class WriteRendezvous(RendezvousStrategy):
 
     name = "write"
 
-    def send(self, channel: "XrdmaChannel", msg: XrdmaMessage,
-             header: XrdmaHeader) -> ProcessGenerator:
-        # The source buffer is wired up front: the CTS may arrive at any
-        # poll round and the Writes must be able to start immediately.
-        if msg.src_buffer is None:
-            buffer = yield from self._alloc_checked(channel,
-                                                    msg.payload_size)
-            if buffer is None:
-                return
-            msg.src_buffer = buffer
-            msg.owns_buffer = True
-        if header.trace is not None:
-            header.trace.mark("src_alloc")
+    def _prepare_announce(self, channel: "XrdmaChannel", msg: XrdmaMessage,
+                          header: XrdmaHeader) -> None:
         channel._write_pending[header.seq] = msg
-        wire = header.wire_bytes(channel.ctx.config.req_rsp_mode)
-        wr = WorkRequest(opcode=Opcode.SEND_IMM, length=wire,
-                         imm_data=header.ack & 0xFFFF_FFFF, payload=header)
-        channel.ctx.route_wr(wr, channel,
-                             _WrRoute(tag="announce", message=msg,
-                                      seq=header.seq))
-        yield from channel.flow.post(wr)
 
-    def on_announce(self, channel: "XrdmaChannel",
-                    header: XrdmaHeader) -> ProcessGenerator:
-        """Receiver: allocate the landing buffer, grant with a CTS."""
-        if invariants.ENABLED:
-            _invariant(header.seq not in channel._rendezvous,
-                       "channel.duplicate_rendezvous",
-                       lambda: f"channel {channel.channel_id} "
-                               f"seq {header.seq}")
-        buffer = yield from self._alloc_checked(channel, header.payload_size)
-        if buffer is None:
-            return
-        rendezvous = _Rendezvous(
-            seq=header.seq, header=header, buffer=buffer,
-            started_at=channel.ctx.sim.now)
-        channel._rendezvous[header.seq] = rendezvous
+    def _start(self, channel: "XrdmaChannel", header: XrdmaHeader,
+               buffer: RdmaBuffer) -> ProcessGenerator:
+        """Receiver: grant with a CTS naming the landing buffer."""
         yield from channel.send_control(
             MessageKind.RNDV_CTS, rendezvous_seq=header.seq,
             src_addr=buffer.addr, src_rkey=buffer.rkey)
@@ -332,9 +327,32 @@ class ProtocolPolicy:
     """
 
     def __init__(self, config: "XrdmaConfig") -> None:
-        self.eager = _EAGER
+        self._config = config
         self.rendezvous = _VARIANTS[config.rendezvous_variant]
-        self.threshold = config.small_msg_size
+        #: detour wires (engaged or lingering) this channel must close
+        self._wires: List[Any] = []
+        self.restore()
+
+    def detour(self, wire: Any) -> None:
+        """Carry every *new* header over ``wire`` (the Mock's TCP
+        strategy).  A stream has no rendezvous: the threshold lifts out
+        of reach, so ``select``/``is_large`` need no branch, while
+        transfers already announced finish under ``rendezvous``."""
+        self._wires.append(wire)
+        self.eager = wire
+        self.threshold = sys.maxsize
+
+    def restore(self) -> None:
+        """New sends go back over RC.  The wire stays open — the peer's
+        acks are still on it, and a closed socket drops what arrives."""
+        self.eager = _EAGER
+        self.threshold = self._config.small_msg_size
+
+    def release(self) -> None:
+        """Channel closed or broken: close every wire it ever took."""
+        self.restore()
+        while self._wires:
+            self._wires.pop().close()
 
     def is_large(self, payload_size: int) -> bool:
         """Does a payload take the rendezvous path?"""

@@ -79,8 +79,10 @@ def test_mock_routes_messages_over_tcp(cluster):
     msg, incoming = run_process(cluster, scenario(), limit=2 * SECONDS)
     assert incoming.payload == "via-tcp"
     assert mock.is_engaged(client_ch)
-    # The RDMA window saw none of it.
-    assert client_ch.window.seq == 0
+    # The detour is a strategy under the channel, not a bypass around it:
+    # the message took a seq-ack window slot like any other (this used to
+    # pin ``== 0``, "the RDMA window saw none of it").
+    assert client_ch.window.seq == 1
 
 
 def test_mock_supports_rpc(cluster):
@@ -113,7 +115,9 @@ def test_mock_disengage_restores_rdma(cluster):
         yield server.incoming.get()
 
     run_process(cluster, scenario(), limit=2 * SECONDS)
-    assert client_ch.window.seq == 1   # second message used the RDMA path
+    # One sequence space across the switch: the TCP message took seq 0,
+    # the RDMA one seq 1 (was ``== 1`` while the detour skipped the window).
+    assert client_ch.window.seq == 2
     assert not mock.is_engaged(client_ch)
 
 

@@ -4,14 +4,17 @@ Every rendezvous variant must satisfy the same contract the paper's
 receiver-Read design does: strictly in-order delivery across mixed
 eager/rendezvous traffic, idempotence under middleware retransmits (a
 40% duplicate filter), and exact resource accounting at teardown —
-whether the teardown is orderly or a mid-transfer failure.  The
-Write-with-notify variant additionally proves XR-Trace span chains stay
-zero-residual (its CTS/FIN control headers must not double-mark spans).
+whether the teardown is orderly or a mid-transfer failure.  The Mock's
+TCP detour is held to the same three as one more parameter, ``"tcp"``:
+a transport under the channel differs in cost, never in delivered
+semantics.  The Write-with-notify variant additionally proves XR-Trace
+span chains stay zero-residual (its CTS/FIN control headers must not
+double-mark spans).
 """
 
 import pytest
 
-from repro.analysis import ClockSync, FaultRule, Filter, Tracer
+from repro.analysis import ClockSync, FaultRule, Filter, Mock, Tracer
 from repro.sim import MILLIS, SECONDS
 from repro.xrdma import XrdmaConfig
 from repro.xrdma.config import ConfigError
@@ -23,14 +26,23 @@ from tests.scenarios.conftest import assert_quiescent, close_channels, settle
 from tests.xrdma.conftest import connect_pair
 
 VARIANTS = rendezvous_variant_names()
+#: the conformance contract is the channel's, whatever carries its headers
+TRANSPORTS = VARIANTS + ["tcp"]
 LARGE = 256 * 1024
 
 
 def _variant_pair(cluster, variant, port, **overrides):
-    return connect_pair(
-        cluster, port=port,
-        client_config=XrdmaConfig(rendezvous_variant=variant, **overrides),
-        server_config=XrdmaConfig(rendezvous_variant=variant, **overrides))
+    """A connected pair under ``variant``; ``"tcp"`` is the default pair
+    with the Mock's TCP detour engaged on both ends."""
+    if variant != "tcp":
+        overrides["rendezvous_variant"] = variant
+    client, server, client_ch, server_ch = connect_pair(
+        cluster, port=port, client_config=XrdmaConfig(**overrides),
+        server_config=XrdmaConfig(**overrides))
+    if variant == "tcp":
+        run_process(cluster, Mock(cluster).engage(
+            client, client_ch, server, server_ch), limit=2 * SECONDS)
+    return client, server, client_ch, server_ch
 
 
 def _drain(cluster, server, total, limit=60 * SECONDS):
@@ -62,7 +74,7 @@ def test_registered_variants_and_config_validation():
 
 
 # ------------------------------------------------------------- conformance
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", TRANSPORTS)
 def test_in_order_delivery_across_eager_and_rendezvous(cluster, variant):
     """Small messages must not overtake an earlier large transfer."""
     client, server, client_ch, server_ch = _variant_pair(
@@ -82,7 +94,7 @@ def test_in_order_delivery_across_eager_and_rendezvous(cluster, variant):
     assert_quiescent(client, server)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", TRANSPORTS)
 def test_duplicate_arrivals_are_idempotent(cluster, variant):
     """A 40% duplicate filter on *both* ends: announces, data notifies,
     CTS grants, and acks may all be re-delivered — delivery stays
@@ -120,7 +132,7 @@ def test_duplicate_arrivals_are_idempotent(cluster, variant):
     assert_quiescent(client, server)
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", TRANSPORTS)
 def test_teardown_accounting_mid_transfer(cluster, variant):
     """Break both ends while rendezvous transfers are in flight: every
     buffer (src-side, landing-side, pre-posted recv) must be returned."""
