@@ -50,7 +50,7 @@ _LOOPS = (ast.While, ast.For, ast.AsyncFor)
 #: allocator methods whose yield opens the alloc-install race window —
 #: deliberately narrower than XR402's acquire vocabulary: connect/
 #: create_qp results are handed off, not installed into channel maps
-_ALLOC_METHODS = {"alloc", "try_alloc"}
+_ALLOC_METHODS = {"alloc"}
 
 
 @dataclass
@@ -309,7 +309,7 @@ class StaleGuardRule(Rule):
 # =========================================================== XR402
 #: acquisition vocabulary: allocation-like methods, plus `.get()` on a
 #: receiver that names a cache/pool (the QP-cache fast path)
-_ACQUIRE_METHODS = {"alloc", "try_alloc", "reg_mem", "create_qp", "connect"}
+_ACQUIRE_METHODS = {"alloc", "reg_mem", "create_qp", "connect"}
 _CACHE_RECEIVER_WORDS = ("cache", "pool")
 #: release vocabulary, shared with the XR2xx pairing rules
 _RELEASE_CALLS = {"free", "dereg_mem", "release", "close_channel",

@@ -215,10 +215,10 @@ class MemcacheLeakRule(PairingRule):
 
     name = "memcache-leak"
     code = "XR201"
-    summary = ("alloc()/try_alloc()/reg_mem() result neither freed nor "
+    summary = ("alloc()/reg_mem() result neither freed nor "
                "escaping the function")
-    acquire_methods = {"alloc", "try_alloc", "reg_mem"}
-    discard_methods = {"alloc", "try_alloc", "reg_mem"}
+    acquire_methods = {"alloc", "reg_mem"}
+    discard_methods = {"alloc", "reg_mem"}
     release_calls = {"free", "dereg_mem", "release"}
     release_receiver_methods = {"free", "release"}
     resource_noun = "buffer (and its MR accounting)"

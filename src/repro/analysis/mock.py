@@ -84,10 +84,14 @@ class Mock:
         breaks, not until :meth:`disengage`."""
         port = next(_mock_ports)
         host_b = ctx_b.nic.host_id
-        listener = self.cluster.tcp_agent(host_b).listen(port)
-        socket_a = yield from self.cluster.tcp_agent(
-            ctx_a.nic.host_id).connect(host_b, port)
-        socket_b = yield listener.accepted.get()
+        agent_b = self.cluster.tcp_agent(host_b)
+        listener = agent_b.listen(port)
+        try:
+            socket_a = yield from self.cluster.tcp_agent(
+                ctx_a.nic.host_id).connect(host_b, port)
+            socket_b = yield listener.accepted.get()
+        finally:
+            agent_b.unlisten(port)      # one connection per detour
         self._detour(ch_a, socket_a)
         self._detour(ch_b, socket_b)
 
@@ -109,9 +113,11 @@ class Mock:
 
     def _rx_pump(self, channel: "XrdmaChannel",
                  socket: TcpSocket) -> ProcessGenerator:
-        """Socket → receive CQ: the context's loop does everything else."""
-        while channel.is_ready:
-            nbytes, header = yield socket.recv()
+        """Socket → receive CQ until the stream ends (the channel closed
+        or broke, or the peer's did): the context's loop does everything
+        else."""
+        while (message := (yield socket.recv())) is not None:
+            nbytes, header = message
             channel.ctx.recv_cq.push(Completion(
                 wr_id=0, status=WrStatus.SUCCESS, opcode=Opcode.RECV,
                 qp_num=channel.qp.qpn, byte_len=nbytes, payload=header))

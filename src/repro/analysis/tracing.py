@@ -313,28 +313,37 @@ class Tracer:
         trace.mark("ack_return")
         self._finalize(trace, msg)
 
-    def _finalize(self, trace: TraceContext, msg: "XrdmaMessage") -> None:
+    def _close_record(self, trace: TraceContext, total: int,
+                      histogram: LatencyHistogram) -> Optional[TraceRecord]:
+        """Close the sender record of ``trace`` against ``total`` and roll
+        it up; None when it is unsampled or already closed."""
         record = trace.sender_record
         if record is None or record.complete:
-            return
+            return None
+        record.total_ns = total
+        record.spans = trace.spans()
+        record.residual_ns = total - sum(
+            duration for _, duration in record.spans)
+        record.complete = True
+        self.pending.pop(trace.trace_id, None)
+        self.suppressed_marks += trace.suppressed_marks
+        histogram.record(total)
+        for stage, duration in record.spans:
+            per_stage = self.segment_latency.get(stage)
+            if per_stage is None:
+                per_stage = self.segment_latency[stage] = LatencyHistogram()
+            per_stage.record(duration)
+        return record
+
+    def _finalize(self, trace: TraceContext, msg: "XrdmaMessage") -> None:
         # The end-to-end total is measured independently of the marks
         # (enqueue to ack, the latency the application observes); the
         # spans must account for every nanosecond of it.
         total = self.ctx.sim.now - msg.created_at
-        spans = trace.spans()
-        residual = total - sum(duration for _, duration in spans)
-        record.total_ns = total
-        record.spans = spans
-        record.residual_ns = residual
-        record.complete = True
-        self.pending.pop(trace.trace_id, None)
-        self.suppressed_marks += trace.suppressed_marks
-        self.latency.record(total)
-        for stage, duration in spans:
-            histogram = self.segment_latency.get(stage)
-            if histogram is None:
-                histogram = self.segment_latency[stage] = LatencyHistogram()
-            histogram.record(duration)
+        record = self._close_record(trace, total, self.latency)
+        if record is None:
+            return
+        spans, residual = record.spans, record.residual_ns
         # Centralized-collector join: stamp the sender's totals into the
         # receiver-side record (the same TraceContext object reaches both
         # tracers), and the receiver's network view back into ours.
@@ -396,24 +405,11 @@ class Tracer:
         A failed connect simply never finalizes: the record stays
         incomplete, which is exactly what ``incomplete_count`` reports.
         """
-        record = trace.sender_record
-        if record is None or record.complete:
-            return
         total = self.ctx.sim.now - trace.start_ns
-        spans = trace.spans()
-        residual = total - sum(duration for _, duration in spans)
-        record.total_ns = total
-        record.spans = spans
-        record.residual_ns = residual
-        record.complete = True
-        self.pending.pop(trace.trace_id, None)
-        self.suppressed_marks += trace.suppressed_marks
-        self.setup_latency.record(total)
-        for stage, duration in spans:
-            histogram = self.segment_latency.get(stage)
-            if histogram is None:
-                histogram = self.segment_latency[stage] = LatencyHistogram()
-            histogram.record(duration)
+        record = self._close_record(trace, total, self.setup_latency)
+        if record is None:
+            return
+        residual = record.residual_ns
         if invariants.ENABLED:
             _invariant(residual == 0, "tracing.setup_span_residual",
                        lambda: f"setup trace {trace.trace_id}: total "

@@ -62,6 +62,9 @@ class TcpSocket:
         self.service_port = service_port
         self.incoming: Store = Store(agent.sim, name=f"tcp{conn_id}:in")
         self.closed = False
+        #: instant by which every message received so far has reached
+        #: ``incoming``; a FIN's end-of-stream must not overtake them
+        self._rx_settled_ns = 0
 
     def send(self, nbytes: int, payload: Any = None):
         """Generator: write ``nbytes`` (one application message)."""
@@ -86,8 +89,9 @@ class TcpSocket:
                 break
 
     def recv(self):
-        """Event: the next complete application message
-        ``(nbytes, payload)``."""
+        """Event: the next complete application message ``(nbytes,
+        payload)``, or ``None`` once the stream has ended — closed here,
+        or by the peer after everything it sent has been handed over."""
         return self.incoming.get()
 
     def close(self) -> None:
@@ -99,6 +103,7 @@ class TcpSocket:
             src_host=self.agent.nic.host_id,
             service_port=self.service_port))
         self.agent.sockets.pop(self.conn_id, None)
+        self.incoming.put_nowait(None)
 
 
 class TcpListener:
@@ -132,6 +137,10 @@ class TcpAgent:
         listener = TcpListener(self.sim, service_port)
         self.listeners[service_port] = listener
         return listener
+
+    def unlisten(self, service_port: int) -> None:
+        """Stop accepting on ``service_port``; accepted sockets live on."""
+        del self.listeners[service_port]
 
     # ---------------------------------------------------------------- client
     def connect(self, remote_host: int, service_port: int,
@@ -192,9 +201,11 @@ class TcpAgent:
             if packet.last:
                 self._rx_accumulator.pop(packet.conn_id, None)
                 # Receive-side kernel costs before the app sees the message.
-                self.sim.call_after(
-                    self.params.tcp_per_msg_overhead_ns
-                    + int(total * self.params.tcp_per_byte_ns),
+                ready_ns = (self.sim.now + self.params.tcp_per_msg_overhead_ns
+                            + int(total * self.params.tcp_per_byte_ns))
+                socket._rx_settled_ns = max(socket._rx_settled_ns, ready_ns)
+                self.sim.call_at(
+                    ready_ns,
                     lambda s=socket, t=total, p=packet.msg_payload:
                         s.incoming.put_nowait((t, p)))
             else:
@@ -203,3 +214,7 @@ class TcpAgent:
             socket = self.sockets.pop(packet.conn_id, None)
             if socket is not None:
                 socket.closed = True
+                # Same-instant timers fire in creation order, so the end of
+                # stream lands behind every delivery scheduled above.
+                self.sim.call_at(max(self.sim.now, socket._rx_settled_ns),
+                                 lambda s=socket: s.incoming.put_nowait(None))

@@ -547,7 +547,7 @@ def cluster_connect_storm(ctx: RunContext) -> Dict[str, Any]:
         "storm_ms": round(sim.now / 1e6, 3),
         "spine_tx_bytes": _spine_tx_bytes(cluster),
         "background_bytes": round(background_bytes, 1),
-        "background_flows": agg.active_flows(),
+        "background_flows": len(agg.flows),
         "pause_frames": cluster.stats.pause_frames,
     }
     metrics.update(fabric_footprint(cluster))
@@ -599,7 +599,7 @@ def cluster_incast(ctx: RunContext) -> Dict[str, Any]:
         "messages": result.messages,
         "foreground_bytes": result.bytes_moved,
         "background_bytes": round(background_bytes, 1),
-        "background_flows": agg.active_flows(),
+        "background_flows": len(agg.flows),
         "spine_tx_bytes": _spine_tx_bytes(cluster),
         "pause_frames": result.crucial.get("pause_frames", 0),
         "cnps_sent": result.crucial.get("cnps_sent", 0),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.sim.timeunits import MICROS
 
@@ -99,13 +99,6 @@ class HostMemory:
         self._churn_bytes += allocation.length
         self.fragmentation = min(
             0.95, self._churn_bytes / (self.capacity * 2))
-
-    def owner_of(self, addr: int) -> Optional[Allocation]:
-        """The allocation containing ``addr``, if any."""
-        for allocation in self._allocations.values():
-            if allocation.addr <= addr < allocation.addr + allocation.length:
-                return allocation
-        return None
 
     # ----------------------------------------------------------------- costs
     def alloc_cost_ns(self, length: int, mode: AllocMode) -> int:

@@ -39,12 +39,7 @@ class AggregateFlow:
     started_ns: int
     #: the switch egress ports the flow's rate is charged on
     path: List[Tuple[int, int, int]]
-    stopped_ns: Optional[int] = None
     bytes_settled: float = 0.0
-
-    @property
-    def active(self) -> bool:
-        return self.stopped_ns is None
 
 
 class AggregateTraffic:
@@ -59,7 +54,7 @@ class AggregateTraffic:
         ... run foreground traffic ...
         agg.settle()              # close byte accounting at sim-now
 
-    Flows may start and stop mid-run; each :meth:`flush` reinstalls the
+    Flows may be added mid-run; each :meth:`flush` reinstalls the
     per-port load sums for ports whose membership changed.  Endpoints do
     not need attached devices — unattached host ids route to their
     canonical ToR down-port slot, which is exactly what lets one fleet
@@ -99,17 +94,6 @@ class AggregateTraffic:
             self._dirty.add(hop)
         return flow
 
-    def stop_flow(self, flow: AggregateFlow) -> None:
-        """Stop a flow: settle its bytes and release its rate."""
-        if not flow.active:
-            return
-        now = self.sim.now
-        flow.bytes_settled += flow.rate_bps * (now - flow.started_ns) / 8e9
-        flow.stopped_ns = now
-        for hop in flow.path:
-            self._port_load[hop] -= flow.rate_bps
-            self._dirty.add(hop)
-
     def flush(self) -> int:
         """Install pending load changes onto the fabric's egress ports.
 
@@ -128,23 +112,19 @@ class AggregateTraffic:
 
     # ---------------------------------------------------------- accounting
     def settle(self) -> float:
-        """Settle active flows' byte accounting up to sim-now; returns the
+        """Settle the flows' byte accounting up to sim-now; returns the
         total background bytes carried so far (all flows, all time)."""
         now = self.sim.now
         for flow in self.flows:
-            if flow.active:
-                flow.bytes_settled += \
-                    flow.rate_bps * (now - flow.started_ns) / 8e9
-                flow.started_ns = now
+            flow.bytes_settled += \
+                flow.rate_bps * (now - flow.started_ns) / 8e9
+            flow.started_ns = now
         return self.total_bytes()
 
     def total_bytes(self) -> float:
         """Background bytes settled so far (call :meth:`settle` first to
         include the in-flight interval)."""
         return sum(flow.bytes_settled for flow in self.flows)
-
-    def active_flows(self) -> int:
-        return sum(1 for flow in self.flows if flow.active)
 
     def port_load_bps(self, role: int, index: int, port: int) -> float:
         """Charged background rate on one switch egress port."""

@@ -762,11 +762,6 @@ class Rnic(Device):
         self._kick_qp(qp)
 
     # ---------------------------------------------------------------- errors
-    def flush(self, qp: QueuePair,
-              status: WrStatus = WrStatus.WR_FLUSH_ERROR) -> None:
-        """Public teardown path (rdma_cm disconnect, middleware keepalive)."""
-        self._qp_fatal(qp, status)
-
     def _qp_fatal(self, qp: QueuePair, status: WrStatus) -> None:
         """Move the QP to ERROR and flush every queued WR with an error CQE."""
         if qp.state is QpState.ERROR:

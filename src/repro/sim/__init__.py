@@ -12,8 +12,8 @@ Public surface:
 * Awaitables yielded by processes: :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.AnyOf`,
   :class:`~repro.sim.events.AllOf`.
-* :class:`~repro.sim.resources.Store`, :class:`~repro.sim.resources.Resource`
-  — blocking FIFO channel and counted resource.
+* :class:`~repro.sim.resources.Store` — unbounded FIFO hand-off between
+  processes.
 * :class:`~repro.sim.rng.RngStream` — named, seeded random streams.
 * :class:`~repro.sim.params.SimParams` — calibrated latency/bandwidth
   constants shared by the whole substrate.
@@ -21,10 +21,10 @@ Public surface:
 
 from repro.sim.engine import (GuardExceeded, Simulator, SimulationError,
                               TieAudit)
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.params import SimParams
 from repro.sim.process import Process
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Store
 from repro.sim.rng import RngRegistry, RngStream
 from repro.sim.timeunits import MICROS, MILLIS, NANOS, SECONDS, ns_to_us, us
 
@@ -33,12 +33,10 @@ __all__ = [
     "AnyOf",
     "Event",
     "GuardExceeded",
-    "Interrupt",
     "MICROS",
     "MILLIS",
     "NANOS",
     "Process",
-    "Resource",
     "RngRegistry",
     "RngStream",
     "SECONDS",

@@ -1,20 +1,17 @@
 """The discrete-event simulation loop.
 
-A binary heap keyed by ``(time, priority, sequence)`` orders events.  The
-sequence number makes the order of simultaneous events deterministic
-(insertion order), which the reproducibility guarantees of this project rely
-on.
+Events fire in ``(time, sequence)`` order.  The sequence number is drawn
+when an event is triggered, so simultaneous events fire in trigger order —
+the determinism every digest in this project rests on.
 
-Zero-delay normal-priority events — wakes, ``succeed()`` completions,
-process bootstraps; 7–30% of all traffic by workload — bypass the heap into
-a FIFO *now-queue*.  This is safe because such entries are appended in
-increasing sequence order at non-decreasing times, so the deque is always
-sorted by the same ``(time, priority, sequence)`` key as the heap; the
-fire loop pops whichever of heap-top/deque-head is smaller (plain tuple
-comparison — both stores hold identical 4-tuples).  The total order is
-therefore *exactly* the one a single heap would produce — the
-digest-equivalence suite pins this — while a wake costs an append+popleft
-instead of two O(log n) sift operations.
+Entries are ``(time, sequence, event)`` in one of two stores: *the now-queue
+holds every event triggered for the current instant, in trigger order; the
+heap holds only positive-delay ``Timeout`` events.*  The deque is therefore
+sorted by the heap's own key, the fire loop pops the smaller of the two
+heads, and the order is exactly a single heap's
+(``tests/sim/test_engine_model.py`` checks that on random programs) while a
+wake — 7–30% of all events by workload — costs an append+popleft instead of
+two O(log n) sifts.
 """
 
 from __future__ import annotations
@@ -25,14 +22,10 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
-from repro.sim.events import (AllOf, AnyOf, Event, SimulationError, Timeout,
-                              _NORMAL, _URGENT)
+from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 __all__ = ["GuardExceeded", "SimulationError", "Simulator", "TieAudit"]
-
-# Heap priorities (re-exported from events, where the inlined trigger
-# paths live): interrupts preempt normal events at the same instant.
 
 
 class GuardExceeded(SimulationError):
@@ -98,7 +91,7 @@ class _GuardState:
 
 
 class TieAudit:
-    """Debug-mode observer of the heap's ``(time, priority)`` tie-breaks.
+    """Debug-mode observer of the engine's same-instant tie-breaks.
 
     Ties are *normal* — many events fire at the same instant — and the
     sequence number resolves them in insertion order, which is what the
@@ -112,31 +105,31 @@ class TieAudit:
     * ``digest()`` is a SHA-256 over the fired-event schedule, so two runs
       with one root seed can be compared bit-for-bit.
 
-    The digest covers ``(time, priority, event type)`` — deliberately not
-    event *names*: names embed process-lifetime entity ids (connection,
-    message, QP counters), so including them would make the digest depend
-    on how many simulations ran earlier in the same interpreter rather
-    than on the schedule itself.
+    The digest covers ``(time, event type)`` — deliberately not event
+    *names*: names embed process-lifetime entity ids (connection, message,
+    QP counters), so including them would make the digest depend on how
+    many simulations ran earlier in the same interpreter rather than on
+    the schedule itself.
     """
 
     def __init__(self) -> None:
         self.pops = 0            #: events fired while auditing
-        self.ties = 0            #: pops sharing (time, priority) with prior
+        self.ties = 0            #: pops at the same instant as the prior
         self.tie_groups = 0      #: runs of >=2 tied pops
         self.max_group = 1       #: largest tied run
         self.anomalies = 0       #: ties resolved against insertion order
-        self._last_key: Optional[Tuple[int, int]] = None
+        self._last_when = -1
         self._last_seq = -1
         self._group = 1
         self._hash = hashlib.sha256()
 
-    def observe(self, when: int, priority: int, seq: int,
-                event: Event) -> None:
+    def observe(self, when: int, seq: int, event: Event) -> None:
         self.pops += 1
-        self._hash.update(
-            f"{when}:{priority}:{type(event).__name__}\n".encode())
-        key = (when, priority)
-        if key == self._last_key:
+        # The literal 1 is the priority every event carried while the key
+        # still had a priority axis; hashing it keeps every committed
+        # digest valid.
+        self._hash.update(f"{when}:1:{type(event).__name__}\n".encode())
+        if when == self._last_when:
             self.ties += 1
             self._group += 1
             if self._group == 2:
@@ -146,7 +139,7 @@ class TieAudit:
                 self.anomalies += 1
         else:
             self._group = 1
-        self._last_key = key
+        self._last_when = when
         self._last_seq = seq
 
     def digest(self) -> str:
@@ -181,15 +174,15 @@ class Simulator:
     __slots__ = ("_now", "_heap", "_nowq", "_sequence", "tie_audit",
                  "_guards")
 
-    def __init__(self, debug_ties: bool = False) -> None:
+    def __init__(self) -> None:
         self._now: int = 0
-        self._heap: List[Tuple[int, int, int, Event]] = []
-        #: zero-delay normal-priority events, FIFO == (time, prio, seq)
-        #: order by construction (see module docstring)
-        self._nowq: Deque[Tuple[int, int, int, Event]] = deque()
+        #: positive-delay Timeouts, keyed (time, sequence)
+        self._heap: List[Tuple[int, int, Event]] = []
+        #: events triggered for the current instant; FIFO == (time,
+        #: sequence) order by construction (see module docstring)
+        self._nowq: Deque[Tuple[int, int, Event]] = deque()
         self._sequence: int = 0
-        self.tie_audit: Optional[TieAudit] = TieAudit() if debug_ties \
-            else None
+        self.tie_audit: Optional[TieAudit] = None
         self._guards: Optional[_GuardState] = None
 
     def set_guards(self, max_events: Optional[int] = None,
@@ -261,25 +254,13 @@ class Simulator:
         return ev
 
     # ------------------------------------------------------------- execution
-    def _schedule(self, event: Event, delay: int = 0,
-                  urgent: bool = False) -> None:
-        """Insert a triggered event into the heap (engine-internal)."""
-        self._sequence += 1
-        delay = int(delay)
-        if delay == 0 and not urgent:
-            self._nowq.append((self._now, _NORMAL, self._sequence, event))
-        else:
-            priority = _URGENT if urgent else _NORMAL
-            heapq.heappush(self._heap,
-                           (self._now + delay, priority, self._sequence, event))
-
     def _drive(self, target: Optional[Event], bound: Optional[int],
                max_events: Optional[int],
                wall_timeout_s: Optional[float]) -> bool:
         """The one pop-and-fire loop behind :meth:`step`, :meth:`run` and
         :meth:`run_until_event`.
 
-        Fires events in ``(time, priority, sequence)`` order until
+        Fires events in ``(time, sequence)`` order until
         ``target`` itself has been fired (``None``: never) — only then is
         the result True — nothing is pending, or the next event lies
         beyond simulated time ``bound``; that event stays queued and the
@@ -318,17 +299,17 @@ class Simulator:
                 # Now-queue entries can never trip the bound: they were
                 # appended at a past-or-present instant and ``_now`` never
                 # exceeds the bound inside this loop.
-                when, priority, seq, event = nowq.popleft()
+                when, seq, event = nowq.popleft()
             else:
-                when, priority, seq, event = heappop(heap)
+                when, seq, event = heappop(heap)
                 if when > latest:
                     # Pops are time-monotone, so checking after the pop is
                     # equivalent to peeking first — and skips a heap[0][0]
                     # index chain on every iteration.  Restore the event.
-                    heapq.heappush(heap, (when, priority, seq, event))
+                    heapq.heappush(heap, (when, seq, event))
                     return False
             if audit is not None:
-                audit.observe(when, priority, seq, event)
+                audit.observe(when, seq, event)
             self._now = when
             callbacks = event.callbacks
             event.callbacks = None
@@ -358,7 +339,7 @@ class Simulator:
         else:
             raise SimulationError("step() on an empty event heap")
         # The head is what the loop pops first, and it stops right after.
-        self._drive(head[3], None, None, None)
+        self._drive(head[2], None, None, None)
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None,

@@ -22,12 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 # Sentinel distinguishing "no value yet" from a delivered ``None``.
 _PENDING = object()
 
-# Heap priorities, defined here so the trigger paths below can push onto
-# the heap without a round-trip through ``Simulator._schedule``.  The
-# engine imports these — they are the single source of truth.
-_URGENT = 0
-_NORMAL = 1
-
 
 class SimulationError(RuntimeError):
     """An unhandled failure escaped a process with no observer.
@@ -35,14 +29,6 @@ class SimulationError(RuntimeError):
     Lives here (not in ``engine``) because the event layer raises it too;
     ``repro.sim.engine`` re-exports it, which is the canonical import site.
     """
-
-
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -100,26 +86,18 @@ class Event:
             raise RuntimeError(f"event {self.name!r} has not been triggered")
         return self._value
 
-    def succeed(self, value: Any = None, delay: int = 0) -> "Event":
-        """Trigger the event successfully, firing after ``delay`` ns."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully; it fires at the current instant."""
         if self._value is not _PENDING:
             raise RuntimeError(f"event {self.name!r} already triggered")
         self._ok = True
         self._value = value
-        # Inlined Simulator._schedule — succeed() is on the wake/completion
-        # hot path and the extra frame is measurable.  Zero delay (the
-        # common case) takes the FIFO now-queue, not the heap.
         sim = self.sim
         sim._sequence += 1
-        delay = int(delay)
-        if delay == 0:
-            sim._nowq.append((sim._now, _NORMAL, sim._sequence, self))
-        else:
-            _heappush(sim._heap,
-                      (sim._now + delay, _NORMAL, sim._sequence, self))
+        sim._nowq.append((sim._now, sim._sequence, self))
         return self
 
-    def fail(self, exception: BaseException, delay: int = 0) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with a failure; waiters see ``exception`` raised."""
         if self._value is not _PENDING:
             raise RuntimeError(f"event {self.name!r} already triggered")
@@ -127,7 +105,9 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        sim._sequence += 1
+        sim._nowq.append((sim._now, sim._sequence, self))
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -162,15 +142,14 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._delay = delay
-        # Inlined Simulator._schedule (see succeed()); int() mirrors the
-        # engine's coercion so a float delay cannot leak into heap keys.
+        # int() keeps a float delay out of the heap keys.  Timeouts are
+        # the only events that ever reach the heap.
         sim._sequence += 1
         delay = int(delay)
         if delay == 0:
-            sim._nowq.append((sim._now, _NORMAL, sim._sequence, self))
+            sim._nowq.append((sim._now, sim._sequence, self))
         else:
-            _heappush(sim._heap,
-                      (sim._now + delay, _NORMAL, sim._sequence, self))
+            _heappush(sim._heap, (sim._now + delay, sim._sequence, self))
 
     def _rearm(self, delay: int, value: Any = None) -> "Timeout":
         """Reschedule a *fired* timeout, recycling the object.
@@ -181,8 +160,8 @@ class Timeout(Event):
         a reference, and that ``delay`` is an exact ``int`` (every call
         site passes cached/derived ints, so ``__init__``'s coercion is
         skipped).  The schedule produced is byte-identical to constructing
-        a fresh ``Timeout`` — same type, time, priority, and sequence
-        number — so TieAudit digests cannot tell the difference.
+        a fresh ``Timeout`` — same type, time and sequence number — so
+        TieAudit digests cannot tell the difference.
         """
         self.callbacks = []
         self._ok = True
@@ -191,10 +170,9 @@ class Timeout(Event):
         sim = self.sim
         sim._sequence += 1
         if delay == 0:
-            sim._nowq.append((sim._now, _NORMAL, sim._sequence, self))
+            sim._nowq.append((sim._now, sim._sequence, self))
         else:
-            _heappush(sim._heap,
-                      (sim._now + delay, _NORMAL, sim._sequence, self))
+            _heappush(sim._heap, (sim._now + delay, sim._sequence, self))
         return self
 
     def _default_name(self) -> str:

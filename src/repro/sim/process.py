@@ -11,9 +11,9 @@ the child process.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
-from repro.sim.events import Event, Interrupt, _NORMAL
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -28,7 +28,7 @@ class Process(Event):
     generator's return value, or fails with its uncaught exception.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator,
                  name: str = "") -> None:
@@ -38,7 +38,6 @@ class Process(Event):
                 f"spawn() needs a generator, got {type(generator).__name__}; "
                 "did you forget to call the generator function?")
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         # Bootstrap: resume once at the current instant.  The start event
         # is anonymous (naming it would cost an f-string per spawn) and
         # born triggered, so succeed()'s pending-state checks are skipped.
@@ -46,9 +45,8 @@ class Process(Event):
         start._ok = True
         start._value = None
         start.callbacks.append(self._resume)
-        sim._sequence += 1      # inlined zero-delay _schedule
-        sim._nowq.append((sim._now, _NORMAL, sim._sequence, start))
-        self._waiting_on = start
+        sim._sequence += 1
+        sim._nowq.append((sim._now, sim._sequence, start))
 
     def _default_name(self) -> str:
         return getattr(self._generator, "__name__", "process")
@@ -58,38 +56,11 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant.
-
-        Interrupting a finished process is a no-op.  The event the process
-        was waiting on keeps running; the process may re-wait on it.
-        """
-        if not self.alive:
-            return
-        interrupt = Event(self.sim, name=f"{self.name}:interrupt")
-        interrupt._ok = False
-        interrupt._value = Interrupt(cause)
-        # Detach from whatever we were waiting on so that a later firing of
-        # that event does not resume us twice.
-        waited = self._waiting_on
-        if waited is not None and waited.callbacks is not None:
-            try:
-                waited.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        self.sim._schedule(interrupt, 0, urgent=True)
-        interrupt.add_callback(self._resume)
-
     def _resume(self, event: Event) -> None:
         # The hottest callback in the simulator: every yield in every
         # process funnels through here, so it reads private slots
         # (``_ok``/``_value``) instead of the validating properties and
         # registers itself on the target without the add_callback frame.
-        # ``_waiting_on`` is left stale here on purpose: the fired event's
-        # callbacks are already None, so interrupt()'s detach is a no-op
-        # on it, and every exit path below either re-points it or ends
-        # the process.  Clearing it would be a dead store per yield.
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -115,7 +86,6 @@ class Process(Event):
                 f"process {self.name!r} yielded {target!r}; "
                 "processes must yield Event instances"))
             return
-        self._waiting_on = target
         if callbacks is not None:
             callbacks.append(self._resume)
         else:                       # already fired: resume immediately

@@ -1,14 +1,14 @@
-"""Blocking resources: FIFO stores and counted resources.
+"""The hand-off primitive: an unbounded FIFO store.
 
-These are the coordination primitives the substrate is built from — NIC work
-queues, switch buffers and host-side request queues are all Stores or
-Resources under the hood.
+Accept queues, receive mailboxes and socket byte streams are all Stores
+under the hood: a producer deposits without blocking, a consumer process
+yields ``get()`` until an item is there.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Any, Deque
 
 from repro.sim.events import Event
 
@@ -16,130 +16,38 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 
-class StoreFull(RuntimeError):
-    """Raised by :meth:`Store.put_nowait` when the store is at capacity."""
-
-
-class _PutEvent(Event):
-    """A pending put: the event plus the item it is trying to deposit.
-
-    ``Event`` is slotted, so the item rides in a declared slot instead of
-    an ad-hoc attribute.
-    """
-
-    __slots__ = ("item",)
-
-    def __init__(self, sim: "Simulator", item: Any, name: str = "") -> None:
-        super().__init__(sim, name=name)
-        self.item = item
-
-
 class Store:
-    """An unbounded-or-bounded FIFO channel of arbitrary items.
+    """An unbounded FIFO channel of arbitrary items.
 
-    ``put`` and ``get`` return events; processes yield them to block until
-    the operation completes.  Non-blocking variants (`put_nowait`,
-    `get_nowait`) exist for engine-internal fast paths.
+    ``get`` returns an event a process yields to block until an item
+    arrives; waiting getters are served oldest first.
     """
 
-    def __init__(self, sim: "Simulator", capacity: Optional[int] = None,
-                 name: str = "store") -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
+    def __init__(self, sim: "Simulator", name: str = "store") -> None:
         self.sim = sim
         self.name = name
-        self.capacity = capacity
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[_PutEvent] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def full(self) -> bool:
-        return self.capacity is not None and len(self.items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        """Event that fires once ``item`` has been accepted."""
-        ev = _PutEvent(self.sim, item, name=f"{self.name}:put")
-        if self._getters and not self.items:
-            # Hand the item straight to the oldest waiting getter.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            ev.succeed(None)
-        elif not self.full:
-            self.items.append(item)
-            ev.succeed(None)
-        else:
-            self._putters.append(ev)
-        return ev
-
     def put_nowait(self, item: Any) -> None:
-        """Append immediately; raises :class:`StoreFull` at capacity."""
+        """Deposit ``item``, handing it straight to the oldest waiting getter."""
         if self._getters and not self.items:
             self._getters.popleft().succeed(item)
-            return
-        if self.full:
-            raise StoreFull(self.name)
-        self.items.append(item)
+        else:
+            self.items.append(item)
 
     def get(self) -> Event:
         """Event that fires with the oldest item once one is available."""
         ev = Event(self.sim, name=f"{self.name}:get")
         if self.items:
             ev.succeed(self.items.popleft())
-            self._admit_putter()
         else:
             self._getters.append(ev)
         return ev
 
     def get_nowait(self) -> Any:
         """Pop the oldest item; raises IndexError when empty."""
-        item = self.items.popleft()
-        self._admit_putter()
-        return item
-
-    def _admit_putter(self) -> None:
-        if self._putters and not self.full:
-            putter = self._putters.popleft()
-            self.items.append(putter.item)
-            putter.succeed(None)
-
-
-class Resource:
-    """A counted resource (semaphore) with FIFO granting."""
-
-    def __init__(self, sim: "Simulator", capacity: int = 1,
-                 name: str = "resource") -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
-    def acquire(self) -> Event:
-        """Event firing once a unit of the resource is held."""
-        ev = Event(self.sim, name=f"{self.name}:acquire")
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            ev.succeed(None)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        """Return one unit; grants the oldest waiter if any."""
-        if self.in_use <= 0:
-            raise RuntimeError(f"release() of idle resource {self.name!r}")
-        if self._waiters:
-            # Hand the unit straight over: in_use stays constant.
-            self._waiters.popleft().succeed(None)
-        else:
-            self.in_use -= 1
+        return self.items.popleft()

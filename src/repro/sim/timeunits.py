@@ -22,16 +22,6 @@ def us(value: float) -> int:
     return int(round(value * MICROS))
 
 
-def ms(value: float) -> int:
-    """Convert milliseconds to integer nanoseconds."""
-    return int(round(value * MILLIS))
-
-
-def seconds(value: float) -> int:
-    """Convert seconds to integer nanoseconds."""
-    return int(round(value * SECONDS))
-
-
 def ns_to_us(value: int) -> float:
     """Convert integer nanoseconds to float microseconds."""
     return value / MICROS

@@ -9,7 +9,7 @@ how the flow-control experiments (Fig. 10) are driven.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.analysis.stats import LatencyHistogram, jitter_index, mean
 from repro.sim.timeunits import MILLIS, SECONDS
@@ -65,6 +65,7 @@ class XrPerf:
         self.cluster = cluster
         self.sim = cluster.sim
         self._contexts: Dict[int, "XrdmaContext"] = {}
+        self._echoing: Set[int] = set()     # hosts whose context echoes
         # Per-instance, not class-level: a class counter would survive
         # across drivers in one process, giving the Nth XrPerf different
         # RNG stream names than a fresh one under the same root seed.
@@ -186,9 +187,9 @@ class XrPerf:
 
     # ------------------------------------------------------------- plumbing
     def _install_echo(self, ctx: "XrdmaContext") -> None:
-        if getattr(ctx, "_xrperf_echo", False):
+        if ctx.nic.host_id in self._echoing:
             return
-        ctx._xrperf_echo = True
+        self._echoing.add(ctx.nic.host_id)
 
         def loop():
             while True:

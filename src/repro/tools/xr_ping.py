@@ -34,6 +34,9 @@ class XrPing:
         self.probe_timeout_ns = probe_timeout_ns
         #: (src, dst) -> rtt_ns, or None for unreachable
         self.matrix: Dict[Tuple[int, int], Optional[int]] = {}
+        #: (src, dst) -> [(sim time, rtt_ns or None)] from the pingmesh
+        self.history: Dict[Tuple[int, int],
+                           List[Tuple[int, Optional[int]]]] = {}
         for ctx in contexts:
             if PING_PORT not in ctx.cm.listeners:
                 ctx.listen(PING_PORT)
@@ -89,8 +92,7 @@ class XrPing:
         """Continuous pingmesh (the Guo et al. system the paper cites):
         re-probes the full mesh on a cadence and accumulates per-pair RTT
         history in :attr:`history`.  Returns the spawned process."""
-        self.history: Dict[Tuple[int, int], List[Tuple[int, Optional[int]]]] \
-            = {}
+        self.history = {}
 
         def loop():
             while True:
@@ -104,7 +106,7 @@ class XrPing:
 
     def pair_timeline(self, src: int, dst: int):
         """RTT history for one pair from the continuous pingmesh."""
-        return getattr(self, "history", {}).get((src, dst), [])
+        return self.history.get((src, dst), [])
 
     # ------------------------------------------------------------ reporting
     def unreachable_pairs(self) -> List[Tuple[int, int]]:

@@ -5,6 +5,10 @@ paper's pain point: ≈4 ms per establishment versus ≈100 µs for TCP
 (Sec. III, Issue 3).  Both sides may supply a *recycled* QP (RESET state) to
 skip the expensive ``create_qp`` — the hook the X-RDMA QP cache uses.
 
+Only establishment is modelled.  Teardown belongs to the layer above (the
+middleware's CLOSE header, then a QP reset into its cache), so the agent
+keeps no record of a connection once it has handed it over.
+
 Usage (inside sim processes)::
 
     listener = cm.listen(service_port=7000)
@@ -63,7 +67,6 @@ class _CmKind(Enum):
     REP = auto()
     RTU = auto()
     REJ = auto()
-    DISC = auto()
 
 
 @dataclass
@@ -87,8 +90,6 @@ class CmConnection:
     remote_host: int
     service_port: int
     private_data: Optional[dict] = None
-    disconnected: bool = False
-    on_disconnect: Optional[Callable[["CmConnection"], None]] = None
 
 
 class CmListener:
@@ -123,7 +124,6 @@ class CmAgent:
         self.nic = nic
         self.listeners: Dict[int, CmListener] = {}
         self._pending: Dict[int, Event] = {}          # conn_id -> REP/REJ event
-        self._connections: Dict[int, CmConnection] = {}
         self.established = 0
         nic.control_handlers[CM_PORT] = self._on_segment
 
@@ -202,24 +202,11 @@ class CmAgent:
             kind=_CmKind.RTU, conn_id=conn_id, src_host=self.nic.host_id,
             service_port=service_port, qpn=qp.qpn))
 
-        conn = CmConnection(
+        self.established += 1
+        return CmConnection(
             conn_id=conn_id, qp=qp, local_host=self.nic.host_id,
             remote_host=remote_host, service_port=service_port,
             private_data=reply.private_data)
-        self._connections[conn_id] = conn
-        self.established += 1
-        return conn
-
-    def disconnect(self, conn: CmConnection) -> None:
-        """Tear down; flushes the QP and notifies the peer."""
-        if conn.disconnected:
-            return
-        conn.disconnected = True
-        self._send(conn.remote_host, _CmMessage(
-            kind=_CmKind.DISC, conn_id=conn.conn_id,
-            src_host=self.nic.host_id, service_port=conn.service_port))
-        self.nic.flush(conn.qp)
-        self._connections.pop(conn.conn_id, None)
 
     # ------------------------------------------------------------- internals
     def _send(self, remote_host: int, message: _CmMessage) -> None:
@@ -241,13 +228,6 @@ class CmAgent:
             # the QP was moved to RTS when REP was sent (matching the
             # practical rdma_cm pattern of RTR+RTS on accept).
             pass
-        elif message.kind is _CmKind.DISC:
-            conn = self._connections.pop(message.conn_id, None)
-            if conn is not None and not conn.disconnected:
-                conn.disconnected = True
-                self.nic.flush(conn.qp)
-                if conn.on_disconnect is not None:
-                    conn.on_disconnect(conn)
 
     def _handle_request(self, request: _CmMessage):
         yield self.sim.timeout(_CM_PROC_NS)
@@ -274,11 +254,9 @@ class CmAgent:
             kind=_CmKind.REP, conn_id=request.conn_id,
             src_host=self.nic.host_id, service_port=request.service_port,
             qpn=qp.qpn, private_data=listener.private_data))
-        conn = CmConnection(
+        self.established += 1
+        listener.accepted.put_nowait(CmConnection(
             conn_id=request.conn_id, qp=qp, local_host=self.nic.host_id,
             remote_host=request.src_host,
             service_port=request.service_port,
-            private_data=request.private_data)
-        self._connections[request.conn_id] = conn
-        self.established += 1
-        listener.accepted.put_nowait(conn)
+            private_data=request.private_data))

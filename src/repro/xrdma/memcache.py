@@ -284,23 +284,6 @@ class MemCache:
             yield self.verbs.sim.timeout(fault_ns)
         return self._make_buffer(arena, addr, size)
 
-    def try_alloc(self, size: int) -> Optional[RdmaBuffer]:
-        """Non-blocking: allocate from existing arenas only.
-
-        In no-pin mode the pages are made resident with the fault
-        *counted* but not charged — a non-blocking path cannot inject
-        latency (the generator :meth:`alloc` is the accurate path).
-        """
-        if size > self.mr_bytes:
-            raise MemCacheError(
-                f"allocation {size} exceeds the arena size {self.mr_bytes}")
-        for arena in self._arenas:
-            addr = arena.alloc(size)
-            if addr is not None:
-                self._fault_in(arena, addr, size)
-                return self._make_buffer(arena, addr, size)
-        return None
-
     def free(self, buffer: RdmaBuffer) -> None:
         entry = self._live.pop(buffer.buffer_id, None)
         if entry is None:

@@ -148,6 +148,27 @@ def test_tcp_close_propagates(tcp_pair):
     assert peer.closed
 
 
+def test_tcp_end_of_stream_reaches_both_readers_behind_the_data(tcp_pair):
+    """``recv()`` yields ``None`` once the stream has ended: at once for
+    the side that closed, and for its peer only after everything sent —
+    here 1 MB still paying receive-side kernel cost when the FIN lands."""
+    cluster, agent_a, agent_b = tcp_pair
+    listener = agent_b.listen(5000)
+
+    def scenario():
+        socket = yield from agent_a.connect(1, 5000)
+        peer = yield listener.accepted.get()
+        yield from socket.send(1 << 20, payload="bulk")
+        socket.close()
+        own = yield socket.recv()
+        first = yield peer.recv()
+        second = yield peer.recv()
+        return own, first, second
+
+    assert run_process(cluster, scenario(), limit=SECONDS) == \
+        (None, (1 << 20, "bulk"), None)
+
+
 def test_tcp_send_on_closed_socket_raises(tcp_pair):
     cluster, agent_a, agent_b = tcp_pair
     listener = agent_b.listen(5000)

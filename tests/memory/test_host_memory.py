@@ -61,13 +61,6 @@ def test_allocations_do_not_overlap():
         assert a_end <= b_start
 
 
-def test_owner_of_finds_containing_allocation():
-    memory = HostMemory()
-    allocation = memory.alloc(8192)
-    assert memory.owner_of(allocation.addr + 100) is allocation
-    assert memory.owner_of(0x1) is None
-
-
 def test_fragmentation_grows_with_churn():
     memory = HostMemory(capacity_bytes=64 * MB)
     assert memory.fragmentation == 0.0

@@ -44,33 +44,13 @@ def test_residual_floors_at_five_percent():
 
 def test_settle_bytes_is_rate_times_elapsed():
     sim, params, topo, hosts, agg = make_agg()
-    flow = agg.add_flow(0, 1, rate_bps=8 * GBPS)
+    agg.add_flow(0, 1, rate_bps=8 * GBPS)
     agg.flush()
     sim.run(until=1_000_000)                   # 1 ms
     total = agg.settle()
     assert total == pytest.approx(8 * GBPS * 1e-3 / 8)
     # Settling twice at the same instant must not double-count.
     assert agg.settle() == pytest.approx(total)
-    assert flow.active
-
-
-def test_stop_flow_restores_bandwidth_and_freezes_bytes():
-    sim, params, topo, hosts, agg = make_agg()
-    flow = agg.add_flow(0, 1, rate_bps=4 * GBPS)
-    agg.flush()
-    sim.run(until=2_000_000)                   # 2 ms
-    agg.stop_flow(flow)
-    agg.flush()
-    down_port = topo.tors[0].ports[1]
-    assert down_port.bandwidth_bps == down_port.base_bandwidth_bps
-    assert not flow.active
-    assert agg.active_flows() == 0
-    frozen = agg.total_bytes()
-    assert frozen == pytest.approx(4 * GBPS * 2e-3 / 8)
-    sim.run(until=5_000_000)
-    assert agg.settle() == pytest.approx(frozen)    # stopped flows accrue 0
-    agg.stop_flow(flow)                             # idempotent
-    assert agg.total_bytes() == pytest.approx(frozen)
 
 
 def test_rates_sum_on_shared_ports():

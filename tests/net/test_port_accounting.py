@@ -81,7 +81,8 @@ def test_port_is_callback_driven_two_events_per_segment(monkeypatch):
     monkeypatch.setattr(          # the Simulator is slotted: patch the class
         Simulator, "spawn",
         lambda self, *a, **kw: pytest.fail("a port spawned a process"))
-    sim = Simulator(debug_ties=True)
+    sim = Simulator()
+    sim.enable_tie_audit()
     params = SimParams()
     port = make_port(sim, params)
     ser = port._serialization_ns(Segment(src=0, dst=1, size=1000))

@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     AnyOf,
     Event,
-    Interrupt,
     Simulator,
     SimulationError,
     Timeout,
@@ -184,39 +183,6 @@ def test_run_until_event_detects_deadlock():
         sim.run_until_event(p)
 
 
-def test_interrupt_reaches_waiting_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(1000)
-        except Interrupt as intr:
-            log.append(("interrupted", intr.cause, sim.now))
-
-    victim = sim.spawn(sleeper())
-
-    def interrupter():
-        yield sim.timeout(50)
-        victim.interrupt("wake")
-
-    sim.spawn(interrupter())
-    sim.run()
-    assert log == [("interrupted", "wake", 50)]
-
-
-def test_interrupt_dead_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    p = sim.spawn(quick())
-    sim.run()
-    p.interrupt("late")  # must not raise
-    sim.run()
-
-
 def test_anyof_fires_on_first():
     sim = Simulator()
 
@@ -298,11 +264,35 @@ def test_event_value_before_trigger_raises():
         _ = ev.ok
 
 
+def test_one_ordering_key_and_only_timeouts_on_the_heap():
+    """Pending entries are ``(time, sequence, event)``; everything
+    triggered for the current instant waits in the now-queue in trigger
+    order, and the heap holds the positive-delay Timeout alone."""
+    sim = Simulator()
+    timeout = sim.timeout(5)
+    done = sim.event().succeed("ok")
+    failed = sim.event()
+    failed.defused = True
+    failed.fail(RuntimeError("expected"))
+
+    def proc():
+        yield timeout
+
+    p = sim.spawn(proc())
+    assert sim._heap == [(5, 1, timeout)]
+    assert [entry[:2] for entry in sim._nowq] == [(0, 2), (0, 3), (0, 4)]
+    assert [entry[2] for entry in sim._nowq][:2] == [done, failed]
+    assert sim._nowq[2][2].callbacks == [p._resume]     # the bootstrap
+    sim.run()
+    assert sim.now == 5 and not p.alive
+
+
 # ------------------------------------------------------------- tie auditing
 
 def test_tie_audit_counts_tied_pops():
     from repro.sim import TieAudit
-    sim = Simulator(debug_ties=True)
+    sim = Simulator()
+    sim.enable_tie_audit()
     order = []
 
     def waiter(tag, delay):
@@ -329,9 +319,9 @@ def test_tie_audit_detects_out_of_order_sequence():
     from repro.sim import TieAudit
     audit = TieAudit()
     ev = Event(Simulator(), name="x")
-    audit.observe(10, 1, 1, ev)
-    audit.observe(10, 1, 5, ev)
-    audit.observe(10, 1, 3, ev)     # tie resolved against insertion order
+    audit.observe(10, 1, ev)
+    audit.observe(10, 5, ev)
+    audit.observe(10, 3, ev)        # tie resolved against insertion order
     assert audit.ties == 2
     assert audit.anomalies == 1
 
@@ -340,9 +330,9 @@ def test_tie_audit_digest_reflects_schedule():
     from repro.sim import TieAudit
     a, b, c = TieAudit(), TieAudit(), TieAudit()
     ev = Event(Simulator(), name="x")
-    a.observe(10, 1, 1, ev)
-    b.observe(10, 1, 1, ev)
-    c.observe(11, 1, 1, ev)         # different time -> different digest
+    a.observe(10, 1, ev)
+    b.observe(10, 1, ev)
+    c.observe(11, 1, ev)            # different time -> different digest
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
 

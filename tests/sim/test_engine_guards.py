@@ -149,11 +149,11 @@ def test_guarded_run_matches_unguarded_schedule(drain, guards):
         return done
 
     def digest(drain, guards):
-        sim = Simulator(debug_ties=True)
+        sim = Simulator()
+        audit = sim.enable_tie_audit()
         workers = [sim.spawn(workload(sim)) for _ in range(4)]
         workers.append(recycler(sim))
         drain(sim, workers, guards)
-        assert sim.tie_audit is not None
-        return sim.tie_audit.digest()
+        return audit.digest()
 
     assert digest(drain, guards) == digest(_drain_by_run, {})

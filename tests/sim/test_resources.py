@@ -1,9 +1,8 @@
-"""Unit tests for Store and Resource primitives."""
+"""Unit tests for the Store hand-off primitive."""
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
-from repro.sim.resources import StoreFull
+from repro.sim import Simulator, Store
 
 
 def test_store_put_then_get():
@@ -11,17 +10,14 @@ def test_store_put_then_get():
     store = Store(sim)
     got = []
 
-    def producer():
-        yield store.put("a")
-        yield store.put("b")
-
     def consumer():
         item = yield store.get()
         got.append(item)
         item = yield store.get()
         got.append(item)
 
-    sim.spawn(producer())
+    store.put_nowait("a")
+    store.put_nowait("b")
     sim.spawn(consumer())
     sim.run()
     assert got == ["a", "b"]
@@ -38,35 +34,12 @@ def test_store_get_blocks_until_put():
 
     def producer():
         yield sim.timeout(500)
-        yield store.put("late")
+        store.put_nowait("late")
 
     sim.spawn(consumer())
     sim.spawn(producer())
     sim.run()
     assert times == [("late", 500)]
-
-
-def test_store_capacity_blocks_putter():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    log = []
-
-    def producer():
-        yield store.put(1)
-        log.append(("put1", sim.now))
-        yield store.put(2)
-        log.append(("put2", sim.now))
-
-    def consumer():
-        yield sim.timeout(100)
-        item = yield store.get()
-        log.append(("got", item, sim.now))
-
-    sim.spawn(producer())
-    sim.spawn(consumer())
-    sim.run()
-    assert ("put1", 0) in log
-    assert ("put2", 100) in log  # blocked until consumer drained
 
 
 def test_store_fifo_ordering_of_getters():
@@ -83,25 +56,17 @@ def test_store_fifo_ordering_of_getters():
 
     def producer():
         yield sim.timeout(10)
-        yield store.put("x")
-        yield store.put("y")
+        store.put_nowait("x")
+        store.put_nowait("y")
 
     sim.spawn(producer())
     sim.run()
     assert got == [("first", "x"), ("second", "y")]
 
 
-def test_put_nowait_raises_when_full():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    store.put_nowait(1)
-    with pytest.raises(StoreFull):
-        store.put_nowait(2)
-
-
 def test_put_nowait_hands_to_waiting_getter():
     sim = Simulator()
-    store = Store(sim, capacity=1)
+    store = Store(sim)
     got = []
 
     def consumer():
@@ -131,57 +96,3 @@ def test_store_len_tracks_items():
     store.put_nowait(1)
     store.put_nowait(2)
     assert len(store) == 2
-
-
-def test_store_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Store(sim, capacity=0)
-
-
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    held = []
-
-    def worker(name, hold):
-        yield res.acquire()
-        held.append((name, sim.now))
-        yield sim.timeout(hold)
-        res.release()
-
-    sim.spawn(worker("a", 100))
-    sim.spawn(worker("b", 100))
-    sim.spawn(worker("c", 10))
-    sim.run()
-    starts = dict((n, t) for n, t in held)
-    assert starts["a"] == 0
-    assert starts["b"] == 0
-    assert starts["c"] == 100  # had to wait for a release
-
-
-def test_resource_release_idle_raises():
-    sim = Simulator()
-    res = Resource(sim)
-    with pytest.raises(RuntimeError):
-        res.release()
-
-
-def test_resource_available_counter():
-    sim = Simulator()
-    res = Resource(sim, capacity=3)
-
-    def worker():
-        yield res.acquire()
-
-    sim.spawn(worker())
-    sim.run()
-    assert res.available == 2
-    res.release()
-    assert res.available == 3
-
-
-def test_resource_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)

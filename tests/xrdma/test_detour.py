@@ -16,7 +16,7 @@ from repro.xrdma.channel import ChannelBroken, ChannelState
 from repro.xrdma.protocol import rendezvous_variant_names
 from tests.conftest import run_process
 from tests.scenarios.conftest import assert_quiescent, close_channels, settle
-from tests.xrdma.conftest import connect_pair
+from tests.xrdma.conftest import connect_pair, make_context
 
 SIZES = [512, 256 * 1024, 64, 4096, 100_000, 2048, 4097, 128]
 
@@ -115,6 +115,42 @@ def test_closed_engaged_channel_refuses_sends_and_releases_the_socket(xr):
     with pytest.raises(ChannelBroken):
         server.send_msg(server_ch, 64)
     assert_quiescent(client, server)
+
+
+def test_closed_detours_leave_nothing_behind(cluster):
+    """Twenty connect -> engage -> send -> close cycles on one pair: each
+    detour's one-shot listener is gone once it has accepted, each rx pump
+    returns at end of stream instead of staying parked on a closed
+    socket, and the stopped simulation drains."""
+    client, server = make_context(cluster, 0), make_context(cluster, 1)
+    accepted = server.listen(9100)
+    agents = [cluster.tcp_agent(0), cluster.tcp_agent(1)]
+    mock = Mock(cluster)
+    sockets, got = [], []
+
+    def scenario():
+        for index in range(20):
+            client_ch = yield from client.connect(1, 9100)
+            server_ch = yield accepted.get()
+            yield from mock.engage(client, client_ch, server, server_ch)
+            sockets.extend(s for agent in agents
+                           for s in agent.sockets.values())
+            client.send_msg(client_ch, 512, payload=index)
+            yield cluster.sim.timeout(1 * MILLIS)
+            got.extend(msg.payload for msg in server.polling())
+            yield from client.close_channel(client_ch)
+
+    run_process(cluster, scenario(), limit=10 * SECONDS)
+    settle(cluster)
+    assert got == list(range(20)) and len(sockets) == 40
+    assert all(agent.listeners == {} and agent.sockets == {}
+               for agent in agents)
+    assert not any(socket.incoming._getters for socket in sockets)
+    assert_quiescent(client, server)
+    client.stop()
+    server.stop()
+    cluster.sim.run()
+    assert not cluster.sim._heap and not cluster.sim._nowq
 
 
 def test_detoured_sends_are_window_limited(xr):

@@ -100,13 +100,6 @@ def test_shrink_spares_arenas_in_use(setup):
     assert cache.in_use_bytes == 1 << 20
 
 
-def test_try_alloc_never_registers(setup):
-    cluster, cache = setup
-    assert cache.try_alloc(4096) is None
-    _alloc(cluster, cache, 4096)
-    assert cache.try_alloc(4096) is not None
-
-
 def test_isolated_mode_uses_high_addresses(cluster):
     host = cluster.host(0)
     pd = host.verbs.alloc_pd()
