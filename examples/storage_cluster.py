@@ -35,7 +35,7 @@ def main():
         limit=cluster.sim.now + 120 * SECONDS)
 
     essd_latencies = [lat for _, lat in essd.completions]
-    xdb_latencies = [lat for _, lat in xdb.txn_completions]
+    xdb_latencies = [lat for _, lat in xdb.completions]
     print(f"ESSD: {len(essd_latencies)} x 128 KB writes, "
           f"mean latency {mean(essd_latencies) / 1000:.0f} us")
     print(f"X-DB: {len(xdb_latencies)} transactions, "

@@ -93,10 +93,3 @@ class ClockSync:
                 and now_ns - synced_at >= self.resync_after_ns):
             return self.sync(a, b, now_ns)
         return estimate
-
-    def estimate_age_ns(self, a: int, b: int, now_ns: int) -> Optional[int]:
-        """Age of the cached (a, b) estimate, or None if never synced."""
-        found = self._estimates.get((a, b))
-        if found is None:
-            return None
-        return now_ns - found[1]

@@ -21,10 +21,8 @@ Two pieces:
   installed both are near-free, so library users pay nothing.
 
 Like a sanitizer, the active registry is process-global: tests install a
-fatal registry via an autouse fixture, benchmarks a counting one.  Deep
-checks are pluggable — :meth:`InvariantRegistry.add_check` registers a
-callable run against every subject handed to
-:meth:`InvariantRegistry.run_checks` (or :func:`verify_context`).
+fatal registry via an autouse fixture, benchmarks a counting one.  The
+structural deep checks run through :func:`verify_context`.
 
 This module must not import anything from ``repro`` at module level: the
 instrumented modules import it, and it sits below all of them.
@@ -33,14 +31,11 @@ instrumented modules import it, and it sits below all of them.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 
 _MODES = ("fatal", "count")
 #: First-N violation details kept verbatim (counts are always exact).
 _DETAIL_KEEP = 64
-
-#: A structural check: subject -> iterable of violation detail strings.
-CheckFn = Callable[[Any], Iterable[str]]
 
 
 class InvariantError(AssertionError):
@@ -56,7 +51,6 @@ class InvariantRegistry:
         self.mode = mode
         self.counts: Counter = Counter()
         self.details: List[Tuple[str, str]] = []
-        self._checks: List[Tuple[str, CheckFn]] = []
 
     # ------------------------------------------------------------- recording
     @property
@@ -90,22 +84,6 @@ class InvariantRegistry:
             return True
         self.record(name, detail() if callable(detail) else str(detail))
         return False
-
-    # ----------------------------------------------------- structural checks
-    def add_check(self, name: str, fn: CheckFn) -> None:
-        """Register a pluggable deep check (run by :meth:`run_checks`)."""
-        self._checks.append((name, fn))
-
-    def run_checks(self, *subjects: Any) -> int:
-        """Run every registered deep check against every subject; returns
-        the number of violations found (fatal mode raises on the first)."""
-        found = 0
-        for subject in subjects:
-            for name, fn in self._checks:
-                for detail in fn(subject) or ():
-                    found += 1
-                    self.record(name, detail)
-        return found
 
     def summary(self) -> str:
         if self.ok:
@@ -332,9 +310,4 @@ def verify_context(ctx, registry: Optional[InvariantRegistry] = None
         found.append((name, detail))
         if reg is not None:
             reg.record(name, detail)
-    if reg is not None:
-        for check_name, fn in reg._checks:
-            for detail in fn(ctx) or ():
-                found.append((check_name, detail))
-                reg.record(check_name, detail)
     return found

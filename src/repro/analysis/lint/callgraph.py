@@ -55,8 +55,10 @@ _BUILTIN_EXCEPTIONS = {
     if isinstance(obj, type) and issubclass(obj, BaseException)
 }
 
-_FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-_SCOPE_BARRIERS = _FUNC_DEFS + (ast.ClassDef, ast.Lambda)
+FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: nodes that open a scope of their own: a walk of one function's body
+#: stops at them
+SCOPE_BARRIERS = FUNC_DEFS + (ast.ClassDef, ast.Lambda)
 
 
 def last_component(node: ast.AST) -> Optional[str]:
@@ -127,7 +129,7 @@ class CallGraph:
 
     def _index_scope(self, path: str, scope: ast.AST, prefix: str) -> None:
         for node in ast.iter_child_nodes(scope):
-            if isinstance(node, _FUNC_DEFS):
+            if isinstance(node, FUNC_DEFS):
                 qual = f"{prefix}{node.name}"
                 self._index_function(path, node, qual)
                 self._index_scope(path, node, prefix=f"{qual}.")
@@ -146,7 +148,7 @@ class CallGraph:
     def _scan_function(self, node: ast.AST, info: FunctionInfo,
                        enclosing_tries: Tuple[ast.Try, ...]) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, _SCOPE_BARRIERS):
+            if isinstance(child, SCOPE_BARRIERS):
                 continue
             if isinstance(child, ast.Yield):
                 info.yields += 1

@@ -432,10 +432,3 @@ def contains_id_call(node: ast.AST) -> bool:
                 and sub.func.id == "id":
             return True
     return False
-
-
-def walk_functions(tree: ast.Module) -> Iterator[ast.AST]:
-    """Every function/async-function definition, including nested ones."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

@@ -27,10 +27,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
-from repro.analysis.lint.callgraph import CallGraph, last_component
-
-_FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-_SCOPE_BARRIERS = _FUNC_DEFS + (ast.ClassDef, ast.Lambda)
+from repro.analysis.lint.callgraph import (FUNC_DEFS, SCOPE_BARRIERS,
+                                           CallGraph, last_component)
 
 #: method names that mutate their receiver in place (growth and shrink —
 #: either invalidates a guard computed before a preemption edge)
@@ -127,7 +125,7 @@ def iter_own_scope(node: ast.AST) -> Iterator[ast.AST]:
     while stack:
         sub = stack.pop()
         yield sub
-        if not isinstance(sub, _SCOPE_BARRIERS):
+        if not isinstance(sub, SCOPE_BARRIERS):
             stack.extend(ast.iter_child_nodes(sub))
 
 
@@ -151,8 +149,19 @@ def is_generator(func: ast.AST) -> bool:
 def functions_in(tree: ast.Module) -> Iterator[ast.AST]:
     """Every (possibly nested) function definition in a module."""
     for node in ast.walk(tree):
-        if isinstance(node, _FUNC_DEFS):
+        if isinstance(node, FUNC_DEFS):
             yield node
+
+
+def acquisition_call(value: ast.AST) -> Optional[ast.Call]:
+    """The Call inside ``x = obj.alloc(...)`` / ``x = yield from
+    obj.alloc(...)`` / ``x = yield obj.create_qp(...)``, if any."""
+    node = value
+    if isinstance(node, (ast.Yield, ast.YieldFrom)) and node.value is not None:
+        node = node.value
+    if isinstance(node, ast.Await):
+        node = node.value
+    return node if isinstance(node, ast.Call) else None
 
 
 def is_terminal(body: Sequence[ast.stmt]) -> bool:

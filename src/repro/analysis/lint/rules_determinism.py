@@ -11,11 +11,11 @@ every run even when membership is identical).
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set
+from typing import Iterator, List, Set
 
 from repro.analysis.lint.core import (FileContext, Finding, Rule,
-                                      contains_id_call, register,
-                                      walk_functions)
+                                      contains_id_call, register)
+from repro.analysis.lint.flow import functions_in
 
 #: wall-clock reads that leak host time into simulated behaviour
 _WALL_CLOCK = {
@@ -141,7 +141,7 @@ class IdOrderRule(Rule):
                "object addresses, not the root seed")
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for func in walk_functions(tree):
+        for func in functions_in(tree):
             yield from self._check_scope(ctx, func.body)
         yield from self._check_scope(
             ctx, [n for n in tree.body
@@ -276,12 +276,3 @@ class ClassCounterRule(Rule):
                     f"at runtime; a second driver in the same process "
                     f"diverges from a fresh one under the same seed — make "
                     f"it per-instance")
-
-
-#: per-file map, re-exported for the CLI --list-rules output ordering
-FAMILY = "determinism"
-RULES: Dict[str, str] = {
-    cls.name: cls.summary
-    for cls in (WallClockRule, GlobalRandomRule, IdOrderRule, HashOrderRule,
-                ClassCounterRule)
-}

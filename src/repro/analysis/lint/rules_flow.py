@@ -32,17 +32,16 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.lint.callgraph import CallGraph, last_component
+from repro.analysis.lint.callgraph import (SCOPE_BARRIERS, CallGraph,
+                                           last_component)
 from repro.analysis.lint.core import FileContext, Finding, Rule, register
-from repro.analysis.lint.flow import (MUTATOR_METHODS, attr_path,
-                                      attr_paths_read, block_lists,
+from repro.analysis.lint.flow import (MUTATOR_METHODS, acquisition_call,
+                                      attr_path, attr_paths_read, block_lists,
                                       condition_fingerprints, functions_in,
                                       identifier_parts, is_generator,
                                       is_terminal, iter_own_scope,
                                       mutates_path, normalize, preemption_in)
 
-_FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-_SCOPE_BARRIERS = _FUNC_DEFS + (ast.ClassDef, ast.Lambda)
 _LOOPS = (ast.While, ast.For, ast.AsyncFor)
 
 
@@ -109,7 +108,7 @@ class StaleGuardRule(Rule):
         while blocks:
             block = blocks.pop()
             for stmt in block:
-                if isinstance(stmt, _SCOPE_BARRIERS):
+                if isinstance(stmt, SCOPE_BARRIERS):
                     continue
                 blocks.extend(block_lists(stmt))
             for index, stmt in enumerate(block):
@@ -138,7 +137,7 @@ class StaleGuardRule(Rule):
             if not isinstance(stmt, ast.Assign) \
                     or not isinstance(stmt.value, (ast.Yield, ast.YieldFrom)):
                 continue
-            call = _acquisition_call(stmt.value)
+            call = acquisition_call(stmt.value)
             if call is None or last_component(call.func) not in _ALLOC_METHODS:
                 continue
             names: Set[str] = set()
@@ -177,7 +176,7 @@ class StaleGuardRule(Rule):
         ``(stmt, path)``, the string ``"clean"``, or None (nothing
         decisive in this block)."""
         for stmt in stmts:
-            if isinstance(stmt, _SCOPE_BARRIERS):
+            if isinstance(stmt, SCOPE_BARRIERS):
                 continue
             if isinstance(stmt, ast.Return):
                 return "clean"      # escapes to the caller: XR402's domain
@@ -268,7 +267,7 @@ class StaleGuardRule(Rule):
         for stmt in stmts:
             if state.done:
                 return
-            if isinstance(stmt, _SCOPE_BARRIERS):
+            if isinstance(stmt, SCOPE_BARRIERS):
                 continue
             path = mutates_path(stmt, state.guarded)
             if path is not None:
@@ -318,15 +317,6 @@ _RELEASE_RECEIVER_METHODS = {"close", "disconnect", "destroy", "free",
                              "release", "put"}
 
 
-def _acquisition_call(value: ast.AST) -> Optional[ast.Call]:
-    node = value
-    if isinstance(node, (ast.Yield, ast.YieldFrom)) and node.value is not None:
-        node = node.value
-    if isinstance(node, ast.Await):
-        node = node.value
-    return node if isinstance(node, ast.Call) else None
-
-
 def _is_acquire(call: ast.Call) -> bool:
     name = last_component(call.func)
     if name in _ACQUIRE_METHODS:
@@ -358,7 +348,7 @@ def _protection_map(func: ast.AST) -> Dict[int, bool]:
     def walk(stmts: Sequence[ast.stmt], shielded: bool) -> None:
         for stmt in stmts:
             protected[id(stmt)] = shielded
-            if isinstance(stmt, _SCOPE_BARRIERS):
+            if isinstance(stmt, SCOPE_BARRIERS):
                 continue
             if isinstance(stmt, ast.Try):
                 releasing = (_contains_release(stmt.finalbody)
@@ -421,7 +411,7 @@ class ExceptionEdgeLeakRule(Rule):
         for chain, stmt in _assignments_with_chains(func):
             if not isinstance(stmt, ast.Assign):
                 continue
-            call = _acquisition_call(stmt.value)
+            call = acquisition_call(stmt.value)
             if call is None or not _is_acquire(call):
                 continue
             names = {t.id for t in stmt.targets if isinstance(t, ast.Name)}
@@ -449,7 +439,7 @@ class ExceptionEdgeLeakRule(Rule):
         for stmt in stmts:
             if state.outcome is not None:
                 return
-            if isinstance(stmt, _SCOPE_BARRIERS):
+            if isinstance(stmt, SCOPE_BARRIERS):
                 continue
             if isinstance(stmt, ast.If):
                 tests_resource = any(
@@ -605,7 +595,7 @@ def _assignments_with_chains(func: ast.AST):
         for index, stmt in enumerate(block):
             here = chain + [(block, index, stmt)]
             results.append((here, stmt))
-            if isinstance(stmt, _SCOPE_BARRIERS):
+            if isinstance(stmt, SCOPE_BARRIERS):
                 continue
             for sub in block_lists(stmt):
                 walk(sub, here)
@@ -706,7 +696,7 @@ class UnboundedYieldLoopRule(Rule):
     def _has_exit_edge(loop: ast.While) -> bool:
         def scan(stmts: Sequence[ast.stmt], own_loop: bool) -> bool:
             for stmt in stmts:
-                if isinstance(stmt, _SCOPE_BARRIERS):
+                if isinstance(stmt, SCOPE_BARRIERS):
                     continue
                 if isinstance(stmt, (ast.Return, ast.Raise)):
                     return True
@@ -837,7 +827,7 @@ class YieldInCriticalSectionRule(Rule):
 
         def walk(stmts: Sequence[ast.stmt], key: Tuple) -> None:
             for stmt in stmts:
-                if isinstance(stmt, _SCOPE_BARRIERS):
+                if isinstance(stmt, SCOPE_BARRIERS):
                     continue
                 if isinstance(stmt, ast.AugAssign) \
                         and isinstance(stmt.op, (ast.Add, ast.Sub)):

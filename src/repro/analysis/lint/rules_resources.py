@@ -14,22 +14,12 @@ never released is a leak.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
+from repro.analysis.lint.callgraph import SCOPE_BARRIERS, last_component
 from repro.analysis.lint.core import FileContext, Finding, Rule, register
-
-_FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-_SCOPE_BARRIERS = _FUNC_DEFS + (ast.ClassDef, ast.Lambda)
-
-
-def _iter_scope(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested defs/lambdas."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, _SCOPE_BARRIERS):
-            stack.extend(ast.iter_child_nodes(node))
+from repro.analysis.lint.flow import (acquisition_call, functions_in,
+                                      iter_own_scope)
 
 
 def _parent_map(func: ast.AST) -> Dict[ast.AST, ast.AST]:
@@ -37,33 +27,12 @@ def _parent_map(func: ast.AST) -> Dict[ast.AST, ast.AST]:
     stack: List[ast.AST] = [func]
     while stack:
         node = stack.pop()
-        if node is not func and isinstance(node, _SCOPE_BARRIERS):
+        if node is not func and isinstance(node, SCOPE_BARRIERS):
             continue
         for child in ast.iter_child_nodes(node):
             parents[child] = node
             stack.append(child)
     return parents
-
-
-def _callee_method(call: ast.Call) -> Optional[str]:
-    """Last component of the callee name: ``cache.alloc`` -> ``alloc``."""
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
-def _acquisition_call(stmt_value: ast.AST) -> Optional[ast.Call]:
-    """The Call inside ``x = obj.alloc(...)`` / ``x = yield from
-    obj.alloc(...)`` / ``x = yield obj.create_qp(...)``, if any."""
-    node = stmt_value
-    if isinstance(node, (ast.YieldFrom, ast.Yield)) and node.value is not None:
-        node = node.value
-    if isinstance(node, ast.Await):
-        node = node.value
-    return node if isinstance(node, ast.Call) else None
 
 
 class PairingRule(Rule):
@@ -84,52 +53,50 @@ class PairingRule(Rule):
 
     # ------------------------------------------------------------- checking
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if isinstance(node, _FUNC_DEFS):
-                yield from self._check_function(ctx, node)
+        for func in functions_in(tree):
+            yield from self._check_function(ctx, func)
 
     def _check_function(self, ctx: FileContext,
                         func: ast.AST) -> Iterator[Finding]:
         parents = _parent_map(func)
         acquisitions: List[Tuple[str, ast.AST]] = []   # (var, site)
-        for node in _iter_scope(func):
+        for node in iter_own_scope(func):
             # x = <acquire>(...)  — tracked for leak analysis
             if isinstance(node, ast.Assign):
-                call = _acquisition_call(node.value)
-                if call is not None and self._acquires(call):
+                call = acquisition_call(node.value)
+                if call is not None and last_component(call.func) \
+                        in self.acquire_methods:
                     for target in node.targets:
                         if isinstance(target, ast.Name):
                             acquisitions.append((target.id, node))
             # bare <acquire>(...) as a statement — result discarded
             elif isinstance(node, ast.Expr):
-                call = _acquisition_call(node.value)
-                if call is not None \
-                        and _callee_method(call) in self.discard_methods:
+                call = acquisition_call(node.value)
+                method = (last_component(call.func)
+                          if call is not None else None)
+                if method in self.discard_methods:
                     yield self.finding(
                         ctx, node,
-                        f"result of {_callee_method(call)}() is discarded: "
+                        f"result of {method}() is discarded: "
                         f"the {self.resource_noun} can never be released; "
                         f"{self.fix_hint}")
         aliases = self._alias_map(func)
         for var, site in acquisitions:
             names = {var} | aliases.get(var, set())
             if not self._released_or_escapes(func, parents, names, site):
-                call = _acquisition_call(site.value)
+                method = last_component(acquisition_call(site.value).func)
                 yield self.finding(
                     ctx, site,
-                    f"{var!r} acquired via {_callee_method(call)}() is "
+                    f"{var!r} acquired via {method}() is "
                     f"never freed, returned, or stored — the "
                     f"{self.resource_noun} leaks when this function "
                     f"returns; {self.fix_hint}")
-
-    def _acquires(self, call: ast.Call) -> bool:
-        return _callee_method(call) in self.acquire_methods
 
     # --------------------------------------------------------------- escape
     def _alias_map(self, func: ast.AST) -> Dict[str, Set[str]]:
         """``qp = conn.qp`` makes releasing ``qp`` count for ``conn``."""
         aliases: Dict[str, Set[str]] = {}
-        for node in _iter_scope(func):
+        for node in iter_own_scope(func):
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)):
                 continue
@@ -146,7 +113,7 @@ class PairingRule(Rule):
     def _released_or_escapes(self, func: ast.AST,
                              parents: Dict[ast.AST, ast.AST],
                              names: Set[str], site: ast.AST) -> bool:
-        for node in _iter_scope(func):
+        for node in iter_own_scope(func):
             if not (isinstance(node, ast.Name) and node.id in names
                     and isinstance(node.ctx, ast.Load)):
                 continue
@@ -171,7 +138,7 @@ class PairingRule(Rule):
         while node in parents:
             up = parents[node]
             if isinstance(up, ast.Call) and node is not up.func \
-                    and _callee_method(up) in self.release_calls:
+                    and last_component(up.func) in self.release_calls:
                 return True
             if isinstance(up, ast.stmt):
                 break

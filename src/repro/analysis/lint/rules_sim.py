@@ -14,8 +14,8 @@ import ast
 from typing import Iterator, List, Set
 
 from repro.analysis.lint.core import FileContext, Finding, Rule, register
-from repro.analysis.lint.flow import functions_in, is_generator
-from repro.analysis.lint.rules_resources import _iter_scope
+from repro.analysis.lint.flow import (functions_in, is_generator,
+                                      iter_own_scope)
 
 #: host-blocking calls by resolved dotted name
 _BLOCKING_EXACT = {
@@ -62,13 +62,13 @@ class BlockingCallRule(Rule):
 
 
 def _yield_nodes(func: ast.AST) -> List[ast.Yield]:
-    return [node for node in _iter_scope(func)
+    return [node for node in iter_own_scope(func)
             if isinstance(node, ast.Yield)]
 
 
 def _is_sim_process(func: ast.AST) -> bool:
     """A generator yielding at least one event-factory call result."""
-    for node in _iter_scope(func):
+    for node in iter_own_scope(func):
         value = None
         if isinstance(node, ast.Yield):
             value = node.value

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 
 class LatencyHistogram:
@@ -18,7 +18,6 @@ class LatencyHistogram:
     def __init__(self) -> None:
         self._buckets: Dict[int, int] = {}
         self.count = 0
-        self.total = 0
         self.min_ns: int = 0
         self.max_ns: int = 0
 
@@ -29,16 +28,11 @@ class LatencyHistogram:
             math.log(latency_ns, self._BASE))
         self._buckets[index] = self._buckets.get(index, 0) + 1
         self.count += 1
-        self.total += latency_ns
         if self.count == 1:
             self.min_ns = self.max_ns = latency_ns
         else:
             self.min_ns = min(self.min_ns, latency_ns)
             self.max_ns = max(self.max_ns, latency_ns)
-
-    @property
-    def mean_ns(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
     def percentile(self, p: float) -> float:
         """Approximate p-th percentile (0 < p ≤ 100)."""
@@ -64,7 +58,6 @@ class LatencyHistogram:
                 self.min_ns = min(self.min_ns, other.min_ns)
                 self.max_ns = max(self.max_ns, other.max_ns)
         self.count += other.count
-        self.total += other.total
 
 
 def nearest_rank(ordered: Sequence[float], q: float) -> float:
@@ -101,12 +94,3 @@ def jitter_index(values: Sequence[float]) -> float:
         return 0.0
     variance = sum((v - mu) ** 2 for v in values) / (len(values) - 1)
     return math.sqrt(variance) / mu
-
-
-def timeseries_rate(samples: List, window: int = 1) -> List[float]:
-    """Convert cumulative counters [(t, v), ...] into per-interval rates."""
-    rates = []
-    for (t0, v0), (t1, v1) in zip(samples, samples[1:]):
-        dt = (t1 - t0) or 1
-        rates.append((v1 - v0) / dt)
-    return rates

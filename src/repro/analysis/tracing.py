@@ -135,16 +135,12 @@ class TraceContext:
     def start_ns(self) -> int:
         return self.marks[0][1]
 
-    @property
-    def last_ns(self) -> int:
-        return self.marks[-1][1]
-
     def stages(self) -> List[str]:
         return [stage for stage, _ in self.marks]
 
     def spans(self) -> List[Tuple[str, int]]:
         """(stage, duration) pairs; each span is named by the mark that
-        closed it, so the list sums to ``last_ns - start_ns`` exactly."""
+        closed it, so the list sums to last mark − first mark exactly."""
         return [(stage, t1 - t0)
                 for (_, t0), (stage, t1) in zip(self.marks, self.marks[1:])]
 
@@ -169,12 +165,6 @@ class TraceRecord:
     complete: bool = False      #: delivered *and* acked; totals are final
     residual_ns: int = 0        #: total - Σ spans (zero unless a hook broke)
     tenant: str = ""            #: owning tenant (serving runs; "" otherwise)
-
-    def dominant_span(self) -> Tuple[str, int]:
-        """The longest segment — critical-path attribution for one trace."""
-        if not self.spans:
-            return ("", 0)
-        return max(self.spans, key=lambda item: (item[1], item[0]))
 
     def as_dict(self) -> Dict[str, Any]:
         out = {

@@ -12,9 +12,8 @@
 from repro.apps.erpc import ErpcClient, ErpcError, ErpcServer, ErpcService
 from repro.apps.essd import EssdFrontend
 from repro.apps.pangu import BlockServer, ChunkServer, PanguDeployment
-from repro.apps.polardb import PolarDbFrontend, PolarStoreNode
 from repro.apps.xdb import XdbFrontend
 
 __all__ = ["BlockServer", "ChunkServer", "ErpcClient", "ErpcError",
            "ErpcServer", "ErpcService", "EssdFrontend", "PanguDeployment",
-           "PolarDbFrontend", "PolarStoreNode", "XdbFrontend"]
+           "XdbFrontend"]

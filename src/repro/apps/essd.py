@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.apps.pangu import BLOCK_PORT
-from repro.sim.timeunits import MILLIS, SECONDS
-from repro.workloads.traces import Knot, rate_at
+from repro.apps.pangu import _Frontend
+from repro.sim.timeunits import MILLIS
 from repro.xrdma.channel import ChannelBroken
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -19,33 +18,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.xrdma.config import XrdmaConfig
 
 
-class EssdFrontend:
+class EssdFrontend(_Frontend):
     """One VM-side I/O issuer bound to a block server."""
 
     def __init__(self, cluster: "Cluster", host_id: int,
                  block_server_host: int, io_bytes: int = 128 * 1024,
                  config: Optional["XrdmaConfig"] = None,
                  queue_depth: int = 8):
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.host_id = host_id
-        self.block_server_host = block_server_host
+        super().__init__(cluster, host_id, block_server_host, config,
+                         name=f"essd{host_id}")
         self.io_bytes = io_bytes
         self.queue_depth = queue_depth
-        self.ctx = cluster.xrdma_context(host_id, config=config,
-                                         name=f"essd{host_id}")
-        self.channel = None
-        #: (completion_time_ns, latency_ns) per I/O
-        self.completions: List[Tuple[int, int]] = []
-        self.failures = 0
 
-    def connect(self):
-        """Generator: attach to the block server."""
-        self.channel = yield from self.ctx.connect(self.block_server_host,
-                                                   BLOCK_PORT)
-        return self.channel
-
-    # ------------------------------------------------------------- workloads
     def run_closed_loop(self, total_ios: int):
         """Generator: ``queue_depth`` outstanding I/Os until ``total_ios``."""
         if self.channel is None:
@@ -65,26 +49,14 @@ class EssdFrontend:
             self.completions.append((self.sim.now, self.sim.now - t0))
         return len(self.completions)
 
-    def run_profile(self, profile: List[Knot], duration_ns: int):
-        """Generator: open-loop I/O at the profile's (time-varying) IOPS."""
-        if self.channel is None:
-            yield from self.connect()
-        started = self.sim.now
-        while self.sim.now - started < duration_ns:
-            iops = rate_at(profile, self.sim.now - started)
-            if iops <= 0:
-                yield self.sim.timeout(1 * MILLIS)
-                continue
-            gap = max(int(1 * SECONDS / iops), 1)
-            t0 = self.sim.now
-            request = self._issue()
-            self.sim.spawn(self._collect(t0, request))
-            yield self.sim.timeout(gap)
-        return len(self.completions)
-
     def _issue(self):
         return self.ctx.send_request(self.channel, self.io_bytes,
                                      payload={"op": "frontend_write"})
+
+    def _start_op(self):
+        # The write is posted by the pacing loop itself, not by the
+        # collector it spawns.
+        return self._collect(self.sim.now, self._issue())
 
     def _collect(self, t0, request):
         try:
@@ -94,19 +66,7 @@ class EssdFrontend:
             return
         self.completions.append((self.sim.now, self.sim.now - t0))
 
-    # ------------------------------------------------------------- reporting
     def iops_timeline(self, bucket_ns: int = 100 * MILLIS
                       ) -> List[Tuple[int, float]]:
         """(bucket_start_ns, IOPS) aggregation of completions (Fig. 8)."""
-        if not self.completions:
-            return []
-        buckets = {}
-        for when, _latency in self.completions:
-            buckets.setdefault(when // bucket_ns, 0)
-            buckets[when // bucket_ns] += 1
-        return [(index * bucket_ns, count * (1 * SECONDS) / bucket_ns)
-                for index, count in sorted(buckets.items())]
-
-    def latencies_in(self, start_ns: int, end_ns: int) -> List[int]:
-        return [latency for when, latency in self.completions
-                if start_ns <= when < end_ns]
+        return self._timeline(bucket_ns)

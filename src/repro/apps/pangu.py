@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.sim.timeunits import MICROS, SECONDS
+from repro.sim.timeunits import MICROS, MILLIS, SECONDS
+from repro.workloads.traces import Knot, rate_at
 from repro.xrdma.channel import ChannelBroken, XrdmaChannel
 from repro.xrdma.context import XrdmaContext
 from repro.xrdma.message import XrdmaMessage
@@ -193,3 +194,57 @@ class PanguDeployment:
         contexts = [bs.ctx for bs in self.block_servers] \
             + [cs.ctx for cs in self.chunk_servers]
         return sum(len(ctx.channels) + len(ctx.qpcache) for ctx in contexts)
+
+
+class _Frontend:
+    """The client half of a block server, shared by the ESSD and X-DB
+    front-ends: one context attached to one block server, open-loop
+    pacing from a rate profile, and the completion log.  A subclass
+    supplies ``_start_op()`` — one operation as a generator that appends
+    to ``completions`` or counts a failure."""
+
+    def __init__(self, cluster: "Cluster", host_id: int,
+                 block_server_host: int, config: Optional["XrdmaConfig"],
+                 name: str):
+        self.cluster = cluster
+        self.sim = cluster.sim
+        self.host_id = host_id
+        self.block_server_host = block_server_host
+        self.ctx = cluster.xrdma_context(host_id, config=config, name=name)
+        self.channel = None
+        #: (completion_time_ns, latency_ns) per operation
+        self.completions: List[Tuple[int, int]] = []
+        self.failures = 0
+
+    def connect(self):
+        """Generator: attach to the block server."""
+        self.channel = yield from self.ctx.connect(self.block_server_host,
+                                                   BLOCK_PORT)
+        return self.channel
+
+    def run_profile(self, profile: List[Knot], duration_ns: int):
+        """Generator: open-loop operations at the profile's (time-varying)
+        rate per second."""
+        if self.channel is None:
+            yield from self.connect()
+        started = self.sim.now
+        while self.sim.now - started < duration_ns:
+            rate = rate_at(profile, self.sim.now - started)
+            if rate <= 0:
+                yield self.sim.timeout(1 * MILLIS)
+                continue
+            self.sim.spawn(self._start_op())
+            yield self.sim.timeout(max(int(1 * SECONDS / rate), 1))
+        return len(self.completions)
+
+    def _timeline(self, bucket_ns: int) -> List[Tuple[int, float]]:
+        """(bucket_start_ns, completions per second) per bucket."""
+        buckets: Dict[int, int] = {}
+        for when, _latency in self.completions:
+            buckets[when // bucket_ns] = buckets.get(when // bucket_ns, 0) + 1
+        return [(index * bucket_ns, count * (1 * SECONDS) / bucket_ns)
+                for index, count in sorted(buckets.items())]
+
+    def latencies_in(self, start_ns: int, end_ns: int) -> List[int]:
+        return [latency for when, latency in self.completions
+                if start_ns <= when < end_ns]

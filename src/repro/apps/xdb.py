@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.apps.pangu import BLOCK_PORT
-from repro.sim.timeunits import MILLIS, SECONDS
-from repro.workloads.traces import Knot, rate_at
+from repro.apps.pangu import _Frontend
+from repro.sim.timeunits import MILLIS
 from repro.xrdma.channel import ChannelBroken
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -24,27 +23,14 @@ _PAGE_BYTES = 16 * 1024
 _REDO_BYTES = 32 * 1024
 
 
-class XdbFrontend:
+class XdbFrontend(_Frontend):
     """One transaction issuer bound to a block server."""
 
     def __init__(self, cluster: "Cluster", host_id: int,
                  block_server_host: int,
                  config: Optional["XrdmaConfig"] = None):
-        self.cluster = cluster
-        self.sim = cluster.sim
-        self.host_id = host_id
-        self.block_server_host = block_server_host
-        self.ctx = cluster.xrdma_context(host_id, config=config,
-                                         name=f"xdb{host_id}")
-        self.channel = None
-        self.txn_completions: List[Tuple[int, int]] = []
-        self.failures = 0
-
-    def connect(self):
-        """Generator: attach to the block server."""
-        self.channel = yield from self.ctx.connect(self.block_server_host,
-                                                   BLOCK_PORT)
-        return self.channel
+        super().__init__(cluster, host_id, block_server_host, config,
+                         name=f"xdb{host_id}")
 
     def run_transactions(self, count: int):
         """Generator: closed-loop transactions; returns completed count."""
@@ -55,25 +41,10 @@ class XdbFrontend:
                 yield from self._one_txn()
             except ChannelBroken:
                 self.failures += 1
-                return len(self.txn_completions)
-        return len(self.txn_completions)
+                return len(self.completions)
+        return len(self.completions)
 
-    def run_profile(self, profile: List[Knot], duration_ns: int):
-        """Generator: open-loop transactions at a time-varying TPS."""
-        if self.channel is None:
-            yield from self.connect()
-        started = self.sim.now
-        while self.sim.now - started < duration_ns:
-            tps = rate_at(profile, self.sim.now - started)
-            if tps <= 0:
-                yield self.sim.timeout(1 * MILLIS)
-                continue
-            gap = max(int(1 * SECONDS / tps), 1)
-            self.sim.spawn(self._txn_wrapper())
-            yield self.sim.timeout(gap)
-        return len(self.txn_completions)
-
-    def _txn_wrapper(self):
+    def _start_op(self):
         try:
             yield from self._one_txn()
         except ChannelBroken:
@@ -93,18 +64,9 @@ class XdbFrontend:
         redo = self.ctx.send_request(self.channel, _REDO_BYTES,
                                      payload={"op": "frontend_write"})
         yield redo.response
-        self.txn_completions.append((self.sim.now, self.sim.now - t0))
+        self.completions.append((self.sim.now, self.sim.now - t0))
 
-    # ------------------------------------------------------------- reporting
     def tps_timeline(self, bucket_ns: int = 100 * MILLIS
                      ) -> List[Tuple[int, float]]:
-        buckets = {}
-        for when, _latency in self.txn_completions:
-            buckets.setdefault(when // bucket_ns, 0)
-            buckets[when // bucket_ns] += 1
-        return [(index * bucket_ns, count * (1 * SECONDS) / bucket_ns)
-                for index, count in sorted(buckets.items())]
-
-    def latencies_in(self, start_ns: int, end_ns: int) -> List[int]:
-        return [latency for when, latency in self.txn_completions
-                if start_ns <= when < end_ns]
+        """(bucket_start_ns, TPS) aggregation of commits (Fig. 12b)."""
+        return self._timeline(bucket_ns)

@@ -7,15 +7,12 @@ the software protocol and per-operation overheads the real systems exhibit:
 * :class:`UcxEndpoint` — UCX active-message RC (``ucx-am-rc``).
 * :class:`LibfabricEndpoint` — libfabric reliable endpoints.
 * :class:`XioEndpoint` — accelio-style request/response.
-* :class:`RsocketEndpoint` — the socket-API wrapper over RDMA.
 * :mod:`~repro.baselines.tcpstack` — kernel TCP (and the Mock fallback).
 """
 
 from repro.baselines.common import (IbvPingPong, LibfabricEndpoint,
-                                    RsocketEndpoint, UcxEndpoint,
-                                    XioEndpoint)
+                                    UcxEndpoint, XioEndpoint)
 from repro.baselines.tcpstack import TcpAgent, TcpListener, TcpSocket
 
-__all__ = ["IbvPingPong", "LibfabricEndpoint", "RsocketEndpoint",
-           "TcpAgent", "TcpListener", "TcpSocket", "UcxEndpoint",
-           "XioEndpoint"]
+__all__ = ["IbvPingPong", "LibfabricEndpoint", "TcpAgent", "TcpListener",
+           "TcpSocket", "UcxEndpoint", "XioEndpoint"]

@@ -168,23 +168,6 @@ class XioEndpoint(MiddlewareEndpoint):
     COPIES = True            #: bounce-buffer copies on both sides
 
 
-class RsocketEndpoint(MiddlewareEndpoint):
-    """rsocket: the socket-API wrapper over RDMA (Related Work, Sec. VIII).
-
-    "Rsocket is a simple wrapper of RDMA APIs" — it keeps the POSIX
-    stream interface, which costs it a bounce-buffer copy on each side
-    (the stream abstraction cannot expose registered buffers to the
-    application) plus a small wrapper overhead, but it rides the RC
-    transport, so it beats kernel TCP easily while trailing purpose-built
-    middleware.
-    """
-
-    NAME = "rsocket"
-    OP_OVERHEAD_NS = 500     #: socket-semantics bookkeeping per op
-    RX_OVERHEAD_NS = 350
-    COPIES = True            #: stream API forces copies both sides
-
-
 def run_pingpong(cluster: "Cluster", endpoint_cls, size: int,
                  iterations: int = 20, service_port: int = 8600):
     """Build a pair, run the ping-pong, return one-way latencies (ns)."""

@@ -150,6 +150,57 @@ def build_cluster(n_hosts: int = 4, params: Optional[SimParams] = None,
     return cluster
 
 
+# ---------------------------------------------------------------- geometry
+#: rack width the cluster-scale scenarios shard by (one ToR per rack)
+RACK_HOSTS = 16
+
+
+def cluster_dims(n_hosts: int) -> Dict[str, int]:
+    """Canonical Clos dimensions for an emulated cluster of ``n_hosts``.
+
+    16 hosts per ToR (one rack), up to 8 racks per pod, two leaves per
+    pod and two spines: 1024 hosts become an 8-pod fabric whose
+    cross-pod paths all transit the spine tier.  Pure arithmetic — every
+    fleet shard of the same cluster derives the identical fabric.
+    """
+    pod_hosts = 8 * RACK_HOSTS
+    n_pods = max(1, -(-n_hosts // pod_hosts))
+    tors_per_pod = -(-n_hosts // (n_pods * RACK_HOSTS))
+    return {"n_pods": n_pods, "tors_per_pod": tors_per_pod,
+            "hosts_per_tor": RACK_HOSTS, "leaves_per_pod": 2,
+            "n_spines": 2}
+
+
+def rack_shard(n_hosts: int, rack: int) -> List[int]:
+    """The host ids of one rack shard (one ToR's worth)."""
+    n_racks = n_hosts // RACK_HOSTS
+    if n_racks < 2:
+        raise ValueError(
+            f"cluster-scale scenarios need >= {2 * RACK_HOSTS} hosts, "
+            f"got {n_hosts}")
+    if not 0 <= rack < n_racks:
+        raise ValueError(f"rack {rack} outside [0, {n_racks})")
+    base = rack * RACK_HOSTS
+    return list(range(base, base + RACK_HOSTS))
+
+
+def remote_peer(n_hosts: int, dims: Dict[str, int], rack_base: int) -> int:
+    """A host id one pod away from the rack (falls back to the next rack
+    on single-pod fabrics), so packet-level traffic transits the spines."""
+    pod_hosts = dims["tors_per_pod"] * dims["hosts_per_tor"]
+    peer = (rack_base + pod_hosts) % n_hosts
+    if peer // RACK_HOSTS == rack_base // RACK_HOSTS:
+        peer = (rack_base + RACK_HOSTS) % n_hosts
+    return peer
+
+
+def spine_tx_bytes(cluster: Cluster) -> int:
+    """Bytes the spine tier has transmitted: the cross-pod traffic proof."""
+    return sum(port.tx_bytes
+               for spine in cluster.topology.spines
+               for port in spine.ports)
+
+
 # --------------------------------------------------------------- footprint
 def _port_footprint(port) -> int:
     total = sys.getsizeof(port)

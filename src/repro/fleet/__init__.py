@@ -16,8 +16,7 @@ Pipeline::
   name + seed list + parameter grid) and its expansion into
   :class:`~repro.fleet.spec.RunUnit` work units with stable,
   worker-count-independent identities.
-* :mod:`repro.fleet.planner` — canonical total order and deterministic
-  sharding over run units.
+* :mod:`repro.fleet.planner` — canonical total order over run units.
 * :mod:`repro.fleet.runner` — executes one unit: seeded cluster
   factory, TieAudit schedule digest, invariant counting, monitor
   rollups, metric sanitation.
@@ -38,7 +37,7 @@ CLI: ``python -m repro.tools.xr_fleet`` (run / status / aggregate).
 """
 
 from repro.fleet.aggregate import aggregate_records
-from repro.fleet.planner import plan, shard_of
+from repro.fleet.planner import plan
 from repro.fleet.pool import FleetPool, SweepSummary
 from repro.fleet.runner import RunContext, execute_unit, run_scenario_inline
 from repro.fleet.spec import ExperimentSpec, RunUnit
@@ -56,5 +55,4 @@ __all__ = [
     "execute_unit",
     "plan",
     "run_scenario_inline",
-    "shard_of",
 ]

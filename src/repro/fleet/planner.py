@@ -1,27 +1,20 @@
-"""Deterministic planning: canonical order and stable sharding.
+"""Deterministic planning: the canonical run-unit order.
 
 The planner turns specs into the one total order every part of the fleet
-agrees on.  Two properties matter:
-
-* **Worker-count independence** — the plan (unit identity *and* order) is
-  a pure function of the specs.  ``--jobs 1`` and ``--jobs 8`` dispatch
-  the same units in the same order; only completion interleaving differs,
-  and the store/aggregator canonicalize that away.
-* **Stable sharding** — :func:`shard_of` hashes the run_id itself
-  (SHA-256, not Python's salted ``hash()``), so a unit lands on the same
-  shard in every process, on every machine, for any shard count it is
-  asked about.  ``--shard K/N`` sweeps on different machines therefore
-  partition perfectly without coordination.
+agrees on.  **Worker-count independence** is the property that matters:
+the plan (unit identity *and* order) is a pure function of the specs.
+``--jobs 1`` and ``--jobs 8`` dispatch the same units in the same order;
+only completion interleaving differs, and the store/aggregator
+canonicalize that away.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.fleet.spec import ExperimentSpec, RunUnit
 
-__all__ = ["plan", "shard_of", "shard_filter", "shard_histogram"]
+__all__ = ["plan"]
 
 
 def plan(specs: Sequence[ExperimentSpec]) -> List[RunUnit]:
@@ -44,29 +37,3 @@ def plan(specs: Sequence[ExperimentSpec]) -> List[RunUnit]:
             raise ValueError(f"duplicate run id {unit.run_id!r}")
         seen_ids.add(unit.run_id)
     return units
-
-
-def shard_of(run_id: str, n_shards: int) -> int:
-    """The shard ``run_id`` belongs to, stable across processes/machines."""
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    digest = hashlib.sha256(run_id.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % n_shards
-
-
-def shard_filter(units: Iterable[RunUnit], shard: int,
-                 n_shards: int) -> List[RunUnit]:
-    """The subset of ``units`` owned by ``shard`` (0-based) of ``n_shards``."""
-    if not 0 <= shard < n_shards:
-        raise ValueError(f"shard {shard} out of range for {n_shards} shards")
-    return [unit for unit in units
-            if shard_of(unit.run_id, n_shards) == shard]
-
-
-def shard_histogram(units: Iterable[RunUnit],
-                    n_shards: int) -> List[int]:
-    """Units per shard — used by ``status`` to show balance."""
-    counts = [0] * n_shards
-    for unit in units:
-        counts[shard_of(unit.run_id, n_shards)] += 1
-    return counts

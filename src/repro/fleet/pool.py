@@ -39,7 +39,7 @@ import multiprocessing as mp
 import queue
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.fleet.runner import execute_unit
 from repro.fleet.spec import RunUnit
@@ -123,20 +123,14 @@ class SweepSummary:
 class FleetPool:
     """Runs planned units across ``jobs`` supervised worker processes."""
 
-    def __init__(self, jobs: int = 2, backoff_s: float = 0.25,
-                 mp_context: Optional[str] = None,
-                 on_record: Optional[Callable[[Dict[str, Any]], None]]
-                 = None) -> None:
+    def __init__(self, jobs: int = 2, backoff_s: float = 0.25) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.backoff_s = backoff_s
-        self.on_record = on_record
-        if mp_context is None:
-            # fork keeps worker startup ~ms; fall back where unavailable.
-            methods = mp.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = mp.get_context(mp_context)
+        # fork keeps worker startup ~ms; fall back where unavailable.
+        methods = mp.get_all_start_methods()
+        self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         self._next_worker_id = 0
 
     # ------------------------------------------------------------ internals
@@ -178,8 +172,6 @@ class FleetPool:
                                          "timeout", "cancelled") else "failed"
         setattr(summary, count_key, getattr(summary, count_key) + 1)
         store.append(record)
-        if self.on_record is not None:
-            self.on_record(record)
         if will_retry:
             summary.retries += 1
             backoff = self.backoff_s * (2 ** task.attempt)

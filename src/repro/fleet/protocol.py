@@ -24,9 +24,7 @@ from typing import Any, Dict
 from repro.fleet.runner import RunContext
 from repro.fleet.scenarios import (_closed_loop_rpc, _congested_incast,
                                    scenario)
-from repro.serving import (BULK_CLASS, RPC_CLASS, ServingHarness, SloTarget,
-                           TenantSpec, TrafficClass)
-from repro.sim import MILLIS
+from repro.fleet.serving import mix_tenant
 from repro.xrdma import XrdmaConfig
 
 __all__ = ["protocol_config", "protocol_pingpong", "protocol_incast",
@@ -87,25 +85,4 @@ def protocol_serving(ctx: RunContext) -> Dict[str, Any]:
     params: rendezvous_variant; optional small_msg_size, fragment_bytes,
     inflight_depth, rate_per_s, duration_ms, window_ms, slo_us.
     """
-    params = ctx.params
-    duration_ns = int(float(params.get("duration_ms", 40)) * MILLIS)
-    window_ns = int(float(params.get("window_ms", 10)) * MILLIS)
-    cluster = ctx.build_cluster(4)
-    monitor = ctx.monitor(cluster)
-    harness = ServingHarness(cluster, duration_ns=duration_ns,
-                             window_ns=window_ns)
-    harness.server_context(3, config=protocol_config(params))
-    classes = (
-        TrafficClass(name="rpc", weight=0.8, size_fn=RPC_CLASS.size_fn),
-        TrafficClass(name="bulk", weight=0.2, size_fn=BULK_CLASS.size_fn))
-    spec = TenantSpec(
-        name="mix", hosts=(0, 1), server_host=3,
-        rate_per_s=float(params.get("rate_per_s", 10_000.0)),
-        classes=classes,
-        n_channels=int(params.get("n_channels", 4)),
-        policy=str(params.get("policy", "sharded")),
-        slo=SloTarget(latency_us=float(params.get("slo_us", 800.0))))
-    tenant = harness.add_tenant(spec, config=protocol_config(params))
-    harness.run(monitor=monitor)
-    ctx.record_windows(harness.window_rows())
-    return {f"mix_{key}": value for key, value in tenant.summary().items()}
+    return mix_tenant(ctx, protocol_config(ctx.params), "sharded")

@@ -22,7 +22,6 @@ host timing, which is what the aggregator's byte-identity rests on.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import time
 import traceback
@@ -220,7 +219,7 @@ class RunContext:
 
 # --------------------------------------------------------------- resolution
 def resolve_scenario(name: str) -> ScenarioFn:
-    """Look up a scenario by registry name or ``module:attr`` path.
+    """Look up a scenario by registry name.
 
     Importing :mod:`repro.fleet.scenarios` / :mod:`repro.fleet.drills`
     populates the registry, so workers (including spawn-context ones that
@@ -229,17 +228,11 @@ def resolve_scenario(name: str) -> ScenarioFn:
     from repro.fleet import (drills, protocol,   # noqa: F401  (registration)
                              scenarios, serving)  # noqa: F401
     fn = scenarios.SCENARIOS.get(name)
-    if fn is not None:
-        return fn
-    if ":" in name:
-        module_name, _, attr = name.partition(":")
-        module = importlib.import_module(module_name)
-        fn = getattr(module, attr, None)
-        if callable(fn):
-            return fn
-    raise KeyError(
-        f"unknown scenario {name!r}; registered: "
-        f"{', '.join(sorted(scenarios.SCENARIOS))} (or use 'module:attr')")
+    if fn is None:
+        raise KeyError(
+            f"unknown scenario {name!r}; registered: "
+            f"{', '.join(sorted(scenarios.SCENARIOS))}")
+    return fn
 
 
 # ---------------------------------------------------------------- execution

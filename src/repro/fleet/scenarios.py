@@ -21,7 +21,8 @@ from collections import deque
 from statistics import mean
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster import fabric_footprint
+from repro.cluster import (RACK_HOSTS, cluster_dims, fabric_footprint,
+                           rack_shard, remote_peer, spine_tx_bytes)
 from repro.fleet.runner import RunContext, ScenarioFn
 from repro.net.aggregate import AggregateTraffic
 from repro.sim import MICROS, MILLIS, SECONDS
@@ -32,7 +33,7 @@ from repro.xrdma.memcache import MemCache
 
 __all__ = ["SCENARIOS", "scenario", "fragment_incast", "rpc_latency",
            "window_throughput", "mr_registration", "fig10_incast",
-           "smoke_incast", "traced_rpc", "ctrl_plane", "cluster_dims",
+           "smoke_incast", "traced_rpc", "ctrl_plane",
            "cluster_connect_storm", "cluster_incast"]
 
 SCENARIOS: Dict[str, ScenarioFn] = {}
@@ -430,55 +431,6 @@ def smoke_incast(ctx: RunContext) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------- cluster scale
-#: rack width the cluster-scale scenarios shard by (one ToR per rack)
-RACK_HOSTS = 16
-
-
-def cluster_dims(n_hosts: int) -> Dict[str, int]:
-    """Canonical Clos dimensions for an emulated cluster of ``n_hosts``.
-
-    16 hosts per ToR (one rack), up to 8 racks per pod, two leaves per
-    pod and two spines: 1024 hosts become an 8-pod fabric whose
-    cross-pod paths all transit the spine tier.  Pure arithmetic — every
-    fleet shard of the same cluster derives the identical fabric.
-    """
-    pod_hosts = 8 * RACK_HOSTS
-    n_pods = max(1, -(-n_hosts // pod_hosts))
-    tors_per_pod = -(-n_hosts // (n_pods * RACK_HOSTS))
-    return {"n_pods": n_pods, "tors_per_pod": tors_per_pod,
-            "hosts_per_tor": RACK_HOSTS, "leaves_per_pod": 2,
-            "n_spines": 2}
-
-
-def _rack_shard(n_hosts: int, rack: int) -> List[int]:
-    """The host ids of one rack shard (one ToR's worth)."""
-    n_racks = n_hosts // RACK_HOSTS
-    if n_racks < 2:
-        raise ValueError(
-            f"cluster-scale scenarios need >= {2 * RACK_HOSTS} hosts, "
-            f"got {n_hosts}")
-    if not 0 <= rack < n_racks:
-        raise ValueError(f"rack {rack} outside [0, {n_racks})")
-    base = rack * RACK_HOSTS
-    return list(range(base, base + RACK_HOSTS))
-
-
-def _remote_peer(n_hosts: int, dims: Dict[str, int], rack_base: int) -> int:
-    """A host id one pod away from the rack (falls back to the next rack
-    on single-pod fabrics), so packet-level traffic transits the spines."""
-    pod_hosts = dims["tors_per_pod"] * dims["hosts_per_tor"]
-    peer = (rack_base + pod_hosts) % n_hosts
-    if peer // RACK_HOSTS == rack_base // RACK_HOSTS:
-        peer = (rack_base + RACK_HOSTS) % n_hosts
-    return peer
-
-
-def _spine_tx_bytes(cluster) -> int:
-    return sum(port.tx_bytes
-               for spine in cluster.topology.spines
-               for port in spine.ports)
-
-
 @scenario("cluster-connect-storm")
 def cluster_connect_storm(ctx: RunContext) -> Dict[str, Any]:
     """Full-mesh connect storm at cluster scale, one rack per fleet shard
@@ -497,9 +449,9 @@ def cluster_connect_storm(ctx: RunContext) -> Dict[str, Any]:
     rack = int(params.get("rack", 0))
     connects = int(params.get("connects_per_host", 8))
     dims = cluster_dims(n_hosts)
-    rack_hosts = _rack_shard(n_hosts, rack)
+    rack_hosts = rack_shard(n_hosts, rack)
     n_racks = n_hosts // RACK_HOSTS
-    gateway = _remote_peer(n_hosts, dims, rack_hosts[0])
+    gateway = remote_peer(n_hosts, dims, rack_hosts[0])
     cluster = ctx.build_cluster(n_hosts,
                                 attach_hosts=[*rack_hosts, gateway],
                                 **dims)
@@ -545,7 +497,7 @@ def cluster_connect_storm(ctx: RunContext) -> Dict[str, Any]:
         "rack": rack,
         "connects": len(rack_hosts) * connects,
         "storm_ms": round(sim.now / 1e6, 3),
-        "spine_tx_bytes": _spine_tx_bytes(cluster),
+        "spine_tx_bytes": spine_tx_bytes(cluster),
         "background_bytes": round(background_bytes, 1),
         "background_flows": len(agg.flows),
         "pause_frames": cluster.stats.pause_frames,
@@ -574,8 +526,8 @@ def cluster_incast(ctx: RunContext) -> Dict[str, Any]:
     size = int(params.get("size", 64 * 1024))
     messages = int(params.get("messages", 4))
     dims = cluster_dims(n_hosts)
-    rack_hosts = _rack_shard(n_hosts, rack)
-    sink = _remote_peer(n_hosts, dims, rack_hosts[0])
+    rack_hosts = rack_shard(n_hosts, rack)
+    sink = remote_peer(n_hosts, dims, rack_hosts[0])
     cluster = ctx.build_cluster(n_hosts, params=congested_params(),
                                 attach_hosts=[*rack_hosts, sink],
                                 **dims)
@@ -600,7 +552,7 @@ def cluster_incast(ctx: RunContext) -> Dict[str, Any]:
         "foreground_bytes": result.bytes_moved,
         "background_bytes": round(background_bytes, 1),
         "background_flows": len(agg.flows),
-        "spine_tx_bytes": _spine_tx_bytes(cluster),
+        "spine_tx_bytes": spine_tx_bytes(cluster),
         "pause_frames": result.crucial.get("pause_frames", 0),
         "cnps_sent": result.crucial.get("cnps_sent", 0),
         "retransmissions": result.crucial.get("retransmissions", 0),

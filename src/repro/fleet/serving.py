@@ -20,7 +20,7 @@ Both push their per-window SLO tables through
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.fleet.runner import RunContext
 from repro.fleet.scenarios import scenario
@@ -50,14 +50,11 @@ def _flat(prefix: str, summary: Dict[str, Any]) -> Dict[str, Any]:
     return {f"{prefix}_{key}": value for key, value in summary.items()}
 
 
-@scenario("serving-mix")
-def serving_mix(ctx: RunContext) -> Dict[str, Any]:
-    """One tenant, mice+elephant mix, open loop.
-
-    params: policy (round-robin|sharded), arrival (poisson|mmpp|diurnal);
-    optional rate_per_s (per source host), duration_ms, window_ms,
-    n_channels, slo_us.
-    """
+def mix_tenant(ctx: RunContext, config: Optional[XrdmaConfig] = None,
+               default_policy: str = "round-robin") -> Dict[str, Any]:
+    """The one mice+elephant tenant behind ``serving-mix`` and
+    ``protocol-serving``: two source hosts, 80 % RPC / 20 % bulk, open
+    loop; ``config`` applies to the tenant's and the server's contexts."""
     params = ctx.params
     cluster = ctx.build_cluster(4)
     monitor = ctx.monitor(cluster)
@@ -75,12 +72,23 @@ def serving_mix(ctx: RunContext) -> Dict[str, Any]:
         burst_factor=float(params.get("burst_factor", 6.0)),
         classes=classes,
         n_channels=int(params.get("n_channels", 4)),
-        policy=str(params.get("policy", "round-robin")),
+        policy=str(params.get("policy", default_policy)),
         slo=SloTarget(latency_us=float(params.get("slo_us", 800.0))))
-    tenant = harness.add_tenant(spec)
+    tenant = harness.add_tenant(spec, config=config, server_config=config)
     harness.run(monitor=monitor)
     ctx.record_windows(harness.window_rows())
     return _flat("mix", tenant.summary())
+
+
+@scenario("serving-mix")
+def serving_mix(ctx: RunContext) -> Dict[str, Any]:
+    """One tenant, mice+elephant mix, open loop.
+
+    params: policy (round-robin|sharded), arrival (poisson|mmpp|diurnal);
+    optional rate_per_s (per source host), duration_ms, window_ms,
+    n_channels, slo_us.
+    """
+    return mix_tenant(ctx)
 
 
 @scenario("serving-interference")

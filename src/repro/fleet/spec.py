@@ -1,9 +1,9 @@
 """Declarative experiment specifications and their expansion.
 
-An :class:`ExperimentSpec` names a scenario callable (by registry name or
-``module:attr`` path — workers re-resolve it by name, so specs stay
-picklable and serializable), a seed list, and a parameter grid.  Expansion
-is the cartesian product of grid axes × seeds, in a canonical order:
+An :class:`ExperimentSpec` names a scenario callable by registry name
+(workers re-resolve it by name, so specs stay picklable and
+serializable), a seed list, and a parameter grid.  Expansion is the
+cartesian product of grid axes × seeds, in a canonical order:
 
 * axes sorted by name,
 * values in their declared order,

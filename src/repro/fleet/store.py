@@ -178,9 +178,3 @@ class ResultStore:
             if record.get("final"):
                 final[record["run_id"]] = record
         return final
-
-    def load_traces(self) -> List[Dict[str, Any]]:
-        """Every exported trace line, in append order (torn-tail tolerant)."""
-        if not self.traces_path.exists():
-            return []
-        return list(read_jsonl(self.traces_path))

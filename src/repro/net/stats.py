@@ -7,7 +7,7 @@ CNP counts, PFC TX-pause counts, drops, ECN marks and delivered bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict
 
 
@@ -29,16 +29,4 @@ class NetStats:
 
     def snapshot(self) -> Dict[str, int]:
         """Scalar counters as a plain dict (for XR-Stat and tests)."""
-        return {
-            "segments_sent": self.segments_sent,
-            "segments_delivered": self.segments_delivered,
-            "bytes_delivered": self.bytes_delivered,
-            "data_bytes_delivered": self.data_bytes_delivered,
-            "drops": self.drops,
-            "ecn_marks": self.ecn_marks,
-            "cnps_sent": self.cnps_sent,
-            "pause_frames": self.pause_frames,
-            "resume_frames": self.resume_frames,
-            "rnr_naks": self.rnr_naks,
-            "retransmissions": self.retransmissions,
-        }
+        return asdict(self)

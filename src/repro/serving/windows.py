@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.analysis.stats import percentile
 from repro.sim.timeunits import SECONDS
 
-__all__ = ["SloTarget", "WindowedRecorder"]
+__all__ = ["SloTarget", "WindowedRecorder", "slo_verdict"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,19 @@ class SloTarget:
         if p_us > self.latency_us:
             return False
         return achieved_rps >= self.min_achieved_rps
+
+
+def slo_verdict(rows: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
+    """``slo_attainment`` / ``slo_ok`` from window rows carrying their
+    own per-window ``slo_ok``.  Judged windows are the stable ones that
+    saw traffic; idle stable windows are vacuously fine and excluded."""
+    judged = [row for row in rows if row.get("stable")
+              and (row.get("offered", 0) or row.get("completed", 0))]
+    ok = sum(1 for row in judged if row.get("slo_ok"))
+    return {
+        "slo_attainment": round(ok / len(judged), 4) if judged else 0.0,
+        "slo_ok": int(bool(judged) and ok == len(judged)),
+    }
 
 
 class WindowedRecorder:
@@ -172,27 +185,12 @@ class WindowedRecorder:
     def summary(self, slo: SloTarget) -> Dict[str, Any]:
         """Flat metrics over the *stable* windows (fleet-record ready)."""
         stable = self.stable_indices()
-        pooled: List[int] = []
-        offered = completed = 0
-        slo_ok_windows = 0
-        judged = 0
-        for index in stable:
-            window_offered = self.offered.get(index, 0)
-            offered += window_offered
-            completed += self.completed.get(index, 0)
-            values = sorted(self.latencies.get(index, []))
-            pooled.extend(values)
-            if not window_offered and not values:
-                continue                # idle window: nothing asked
-            judged += 1
-            if values:
-                p_us = percentile(values, slo.percentile / 100) / 1000
-                window_s = self.window_ns / SECONDS
-                if slo.window_ok(p_us, len(values) / window_s):
-                    slo_ok_windows += 1
+        offered = sum(self.offered.get(index, 0) for index in stable)
+        completed = sum(self.completed.get(index, 0) for index in stable)
+        pooled = sorted(value for index in stable
+                        for value in self.latencies.get(index, ()))
         stable_s = len(stable) * self.window_ns / SECONDS
-        pooled.sort()
-        summary: Dict[str, Any] = {
+        return {
             "windows": self.n_windows,
             "windows_stable": len(stable),
             "offered": offered,
@@ -207,12 +205,9 @@ class WindowedRecorder:
                        if pooled else 0.0),
             "slo_target_us": slo.latency_us,
             "slo_percentile": slo.percentile,
-            "slo_attainment": (round(slo_ok_windows / judged, 4)
-                               if judged else 0.0),
-            "slo_ok": int(judged > 0 and slo_ok_windows == judged),
+            **slo_verdict(self.rows(slo)),
             "window_digest": self.digest(),
         }
-        return summary
 
     def digest(self) -> str:
         """SHA-256 over the complete window content.

@@ -26,7 +26,7 @@ from repro.sim.params import SimParams
 from repro.sim.process import Process
 from repro.sim.resources import Store
 from repro.sim.rng import RngRegistry, RngStream
-from repro.sim.timeunits import MICROS, MILLIS, NANOS, SECONDS, ns_to_us, us
+from repro.sim.timeunits import MICROS, MILLIS, SECONDS
 
 __all__ = [
     "AllOf",
@@ -35,7 +35,6 @@ __all__ = [
     "GuardExceeded",
     "MICROS",
     "MILLIS",
-    "NANOS",
     "Process",
     "RngRegistry",
     "RngStream",
@@ -46,6 +45,4 @@ __all__ = [
     "Store",
     "TieAudit",
     "Timeout",
-    "ns_to_us",
-    "us",
 ]

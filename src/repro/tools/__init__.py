@@ -7,14 +7,14 @@
 * :class:`~repro.tools.xr_perf.XrPerf` — benchmark/stress driver with
   customizable flow models (elephant/mice, incast).
 * :class:`~repro.tools.xr_adm.XrAdm` — online configuration distribution.
-* :class:`~repro.tools.xr_server.XrServer` — the standing diagnostic
-  server (echo/sink/stat endpoints) used to qualify fabrics pre-rollout.
+
+Sec. IV-A's fifth utility, the standing XR-Server, has no class of its
+own: XR-Ping's responder and XR-Perf's echo loop play that role.
 """
 
 from repro.tools.xr_adm import XrAdm
 from repro.tools.xr_perf import PerfResult, XrPerf
 from repro.tools.xr_ping import XrPing
-from repro.tools.xr_server import XrServer
 from repro.tools.xr_stat import XrStat
 
-__all__ = ["PerfResult", "XrAdm", "XrPerf", "XrPing", "XrServer", "XrStat"]
+__all__ = ["PerfResult", "XrAdm", "XrPerf", "XrPing", "XrStat"]

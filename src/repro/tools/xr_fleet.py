@@ -12,8 +12,7 @@ Verbs:
 
 * ``run`` — expand the chosen spec sets, execute them on the supervised
   pool, write ``runs.jsonl`` + ``aggregate.json`` + ``manifest.json``
-  under ``--out`` (default ``fleet-out/``).  ``--shard K/N`` runs only
-  this machine's stable share of the plan.  Exit 0 if every run ended
+  under ``--out`` (default ``fleet-out/``).  Exit 0 if every run ended
   ``ok``, 1 if any run failed/crashed/timed out, 130 on interrupt.
 * ``status`` — progress + retry/failure accounting of a (possibly
   running or interrupted) sweep directory.
@@ -34,7 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.fleet.aggregate import aggregate_records, aggregate_tables
 from repro.fleet.experiments import spec_names, specs_for
-from repro.fleet.planner import plan, shard_filter, shard_histogram
+from repro.fleet.planner import plan
 from repro.fleet.pool import FleetPool
 from repro.fleet.spec import ExperimentSpec, RunUnit
 from repro.fleet.store import ResultStore
@@ -42,28 +41,13 @@ from repro.fleet.store import ResultStore
 DEFAULT_OUT = "fleet-out"
 
 
-def _parse_shard(value: str) -> Any:
-    try:
-        shard, _, total = value.partition("/")
-        return int(shard), int(total)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--shard wants K/N (e.g. 0/4), got {value!r}")
-
-
 def _rebuild_units(store: ResultStore) -> List[RunUnit]:
     """Re-expand the persisted plan so status/aggregate see planned-but-
     missing runs (cancelled sweeps) as well as recorded ones."""
     payload = store.load_plan()
-    specs = [ExperimentSpec(
-        name=entry["name"], scenario=entry["scenario"],
-        grid=entry.get("grid", {}), seeds=entry.get("seeds", [0]),
-        timeout_s=entry.get("timeout_s", 120.0),
-        max_retries=entry.get("max_retries", 2),
-        max_events=entry.get("max_events"),
-        description=entry.get("description", ""),
-    ) for entry in payload.get("specs", [])]
-    units = plan(specs)
+    # plan.json holds ExperimentSpec.as_dict() verbatim: field for field.
+    units = plan([ExperimentSpec(**entry)
+                  for entry in payload.get("specs", [])])
     wanted = set(payload.get("units", []))
     return [unit for unit in units if unit.run_id in wanted]
 
@@ -93,26 +77,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"xr-fleet: {exc.args[0]}", file=sys.stderr)
         return 2
     units = plan(specs)
-    if args.shard is not None:
-        shard, total = args.shard
-        units = shard_filter(units, shard, total)
-    if not units:
-        print("xr-fleet: nothing to run (empty shard?)", file=sys.stderr)
-        return 2
     store = ResultStore(Path(args.out))
     store.begin(specs, units)
-    done = 0
-
-    def progress(record: Dict[str, Any]) -> None:
-        nonlocal done
-        done += 1
-        if not args.json:
-            status = record["status"]
-            mark = "." if status == "ok" else "!"
-            print(f"  [{done:>4}] {mark} {record['run_id']:<56} {status}"
-                  + (f" ({record['reason']})" if record["reason"] else ""))
-
-    pool = FleetPool(jobs=args.jobs, backoff_s=args.backoff)
+    pool = FleetPool(jobs=args.jobs)
     if not args.json:
         print(f"xr-fleet: {len(units)} runs, {len(specs)} experiments, "
               f"jobs={args.jobs}")
@@ -125,8 +92,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = {
         "jobs": args.jobs,
         "quick": args.quick,
-        "shard": (f"{args.shard[0]}/{args.shard[1]}"
-                  if args.shard else None),
         "specs": sorted(spec.name for spec in specs),
         "runs_planned": len(units),
         "summary": summary.as_dict(),
@@ -171,7 +136,6 @@ def cmd_status(args: argparse.Namespace) -> int:
         "attempts": sum(attempts.values()),
         "retried_runs": sum(1 for n in attempts.values() if n > 1),
         "by_status": dict(sorted(by_status.items())),
-        "shards": {str(n): shard_histogram(units, n) for n in (2, 4)},
     }
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -224,11 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="trimmed grids / single seed (CI smoke scale)")
     run_p.add_argument("--out", default=DEFAULT_OUT, metavar="DIR",
                        help=f"sweep directory (default {DEFAULT_OUT}/)")
-    run_p.add_argument("--shard", type=_parse_shard, metavar="K/N",
-                       help="run only shard K of N (stable partition)")
-    run_p.add_argument("--backoff", type=float, default=0.25,
-                       metavar="SECONDS",
-                       help="base retry backoff (default 0.25)")
     run_p.add_argument("--json", action="store_true",
                        help="print the manifest as JSON instead of tables")
     run_p.set_defaults(fn=cmd_run)

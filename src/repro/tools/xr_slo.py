@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.fleet.store import read_jsonl
+from repro.serving.windows import slo_verdict
 
 __all__ = ["main", "load_window_rows", "tenant_tables", "summarize"]
 
@@ -63,16 +64,9 @@ def tenant_tables(rows: List[Dict[str, Any]]
 
 
 def summarize(table: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """One run+tenant's verdict line from its window rows.
-
-    Judged windows are the stable ones that saw traffic; idle stable
-    windows are vacuously fine and excluded from attainment (matching
-    :meth:`repro.serving.windows.WindowedRecorder.summary`).
-    """
+    """One run+tenant's verdict line from its window rows (attainment
+    by :func:`repro.serving.windows.slo_verdict`, the recorder's own)."""
     stable = [row for row in table if row.get("stable")]
-    judged = [row for row in stable
-              if row.get("offered", 0) or row.get("completed", 0)]
-    ok = sum(1 for row in judged if row.get("slo_ok"))
     return {
         "windows": len(table),
         "windows_stable": len(stable),
@@ -82,10 +76,10 @@ def summarize(table: List[Dict[str, Any]]) -> Dict[str, Any]:
                             for row in stable) if stable else 0.0),
         "achieved_rps": (max(float(row.get("achieved_rps", 0.0))
                              for row in stable) if stable else 0.0),
+        # idle stable windows carry p99 0.0, so they never win the max
         "worst_p99_us": (max(float(row.get("p99_us", 0.0))
-                             for row in judged) if judged else 0.0),
-        "slo_attainment": round(ok / len(judged), 4) if judged else 0.0,
-        "slo_ok": int(bool(judged) and ok == len(judged)),
+                             for row in stable) if stable else 0.0),
+        **slo_verdict(table),
     }
 
 

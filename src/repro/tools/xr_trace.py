@@ -36,13 +36,6 @@ from repro.fleet.store import read_jsonl
 __all__ = ["main", "analyze", "load_trace_file"]
 
 
-def _percentile(ordered: List[int], p: float) -> int:
-    """Nearest-rank percentile of an already-sorted list (shared impl)."""
-    if not ordered:
-        return 0
-    return int(nearest_rank(ordered, p / 100))
-
-
 def load_trace_file(path: str) -> Tuple[Dict[str, Any],
                                         List[Dict[str, Any]]]:
     """Parse one trace artifact into (meta, records).
@@ -83,8 +76,7 @@ def analyze(meta: Dict[str, Any], records: List[Dict[str, Any]],
         for stage, duration in record.get("spans", []):
             spans_by_stage.setdefault(stage, []).append(int(duration))
             grand_total += int(duration)
-            # Ties go to the later stage, matching TraceRecord.dominant_span
-            # (max with (duration, stage) key over the span list).
+            # Ties go to the later stage name: max over (duration, stage).
             if (duration, stage) > (worst_ns, worst_stage):
                 worst_stage, worst_ns = stage, duration
         if worst_stage:
@@ -96,9 +88,9 @@ def analyze(meta: Dict[str, Any], records: List[Dict[str, Any]],
         total = sum(values)
         segments[stage] = {
             "count": len(values),
-            "p50_ns": _percentile(values, 50),
-            "p90_ns": _percentile(values, 90),
-            "p99_ns": _percentile(values, 99),
+            "p50_ns": nearest_rank(values, 0.50),
+            "p90_ns": nearest_rank(values, 0.90),
+            "p99_ns": nearest_rank(values, 0.99),
             "max_ns": values[-1],
             "total_ns": total,
             "share": round(total / grand_total, 4) if grand_total else 0.0,

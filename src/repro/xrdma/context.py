@@ -32,7 +32,8 @@ from repro.sim.process import ProcessGenerator
 from repro.sim.resources import Store
 from repro.sim.timeunits import MILLIS, SECONDS
 from repro.verbs.cm import ConnectError
-from repro.xrdma.channel import ChannelState, XrdmaChannel, _WrRoute
+from repro.xrdma.channel import (ChannelBroken, ChannelState, XrdmaChannel,
+                                 _WrRoute)
 from repro.xrdma.config import XrdmaConfig
 from repro.xrdma.flowctl import WrBudget
 from repro.xrdma.memcache import MemCache
@@ -135,9 +136,12 @@ class XrdmaContext:
                 timeout_ns: int = 2 * SECONDS) -> ProcessGenerator:
         """Generator: establish a channel (QP cache fast path when warm).
 
-        Every failure path returns the QP the attempt was holding —
-        recycled *or* freshly created by the CM — to the QP cache, so a
-        connect storm against a dead peer leaks nothing.
+        Every failed establishment returns the QP the attempt was
+        holding — recycled *or* freshly created by the CM — to the QP
+        cache, so a connect storm against a dead peer leaks nothing.  A
+        channel that breaks while its receive buffers are being primed
+        raises :class:`ChannelBroken`; ``mark_broken`` has already
+        released everything it held.
         """
         self.start()
         setup = (self.tracer.begin_setup(remote_host, service_port)
@@ -156,6 +160,10 @@ class XrdmaContext:
             raise
         channel = self._new_channel(conn)
         yield from self._prime_channel(channel, setup)
+        if channel.state is not ChannelState.READY:
+            raise ChannelBroken(
+                f"channel {channel.channel_id} to host {remote_host}: "
+                f"broke while priming")
         self.channels[conn.qp.qpn] = channel
         if setup is not None:
             self.tracer.finalize_setup(setup)
@@ -178,6 +186,8 @@ class XrdmaContext:
             conn = yield listener.accepted.get()
             channel = self._new_channel(conn)
             yield from self._prime_channel(channel)
+            if channel.state is not ChannelState.READY:
+                continue        # broke while priming: already released
             self.channels[conn.qp.qpn] = channel
             self.accepted.put_nowait(channel)
 

@@ -43,18 +43,6 @@ def test_invalid_mode_rejected():
         InvariantRegistry(mode="warn")
 
 
-def test_add_check_runs_against_subjects():
-    registry = InvariantRegistry(mode="count")
-
-    def never_negative(subject):
-        if subject < 0:
-            yield f"subject={subject}"
-
-    registry.add_check("unit.negative", never_negative)
-    assert registry.run_checks(1, -2, -3) == 2
-    assert registry.counts["unit.negative"] == 2
-
-
 # ---------------------------------------------------------- module-level hook
 
 def test_install_uninstall_roundtrip(fatal_invariants):
@@ -102,14 +90,6 @@ def test_verify_context_reports_corrupted_budget(cluster):
         client.wr_budget.in_use -= 1
     assert "flowctl.budget_mismatch" in {name for name, _ in found}
     assert registry.counts["flowctl.budget_mismatch"] == 1
-
-
-def test_verify_context_runs_pluggable_checks(cluster):
-    client, server, client_ch, server_ch = connect_pair(cluster)
-    registry = InvariantRegistry(mode="count")
-    registry.add_check("unit.always", lambda ctx: [f"ctx={ctx.ctx_id}"])
-    found = verify_context(client, registry)
-    assert found == [("unit.always", f"ctx={client.ctx_id}")]
 
 
 # ------------------------------------------------------------ Monitor wiring

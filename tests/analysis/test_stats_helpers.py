@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.stats import jitter_index, mean, timeseries_rate
+from repro.analysis.stats import jitter_index, mean
 
 
 def test_mean_empty_is_zero():
@@ -22,13 +22,3 @@ def test_jitter_index_grows_with_spread():
 def test_jitter_index_degenerate_cases():
     assert jitter_index([1.0]) == 0.0
     assert jitter_index([0.0, 0.0]) == 0.0
-
-
-def test_timeseries_rate():
-    samples = [(0, 0), (10, 50), (20, 150)]
-    assert timeseries_rate(samples) == [5.0, 10.0]
-
-
-def test_timeseries_rate_zero_dt_guard():
-    samples = [(5, 0), (5, 10)]
-    assert timeseries_rate(samples) == [10.0]

@@ -158,7 +158,6 @@ def test_estimates_age_out_under_resync_policy():
     assert sync.exchanges == 1
     sync.offset(0, 1, now_ns=1_000)                   # aged: re-estimate
     assert sync.exchanges == 2
-    assert sync.estimate_age_ns(0, 1, 1_500) == 500
     # Without the policy (the seed behaviour) estimates never age.
     lazy = ClockSync(RngRegistry(1))
     lazy.sync(0, 1, now_ns=0)

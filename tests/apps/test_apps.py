@@ -115,7 +115,7 @@ def test_xdb_transactions(pangu):
     completed = run_process(cluster, scenario(), limit=30 * SECONDS)
     assert completed == 15
     assert frontend.failures == 0
-    latencies = [latency for _, latency in frontend.txn_completions]
+    latencies = [latency for _, latency in frontend.completions]
     assert all(lat > 0 for lat in latencies)
     # Each txn wrote one redo block, 3-way replicated.
     written = sum(cs.chunks_written for cs in deployment.chunk_servers)
@@ -132,4 +132,4 @@ def test_essd_and_xdb_share_the_deployment(pangu):
         cluster.sim.all_of([essd_proc, xdb_proc]),
         limit=cluster.sim.now + 60 * SECONDS)
     assert len(essd.completions) == 20
-    assert len(xdb.txn_completions) == 10
+    assert len(xdb.completions) == 10

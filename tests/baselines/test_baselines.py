@@ -4,8 +4,8 @@ from statistics import mean
 
 import pytest
 
-from repro.baselines import (IbvPingPong, LibfabricEndpoint,
-                             RsocketEndpoint, UcxEndpoint, XioEndpoint)
+from repro.baselines import (IbvPingPong, LibfabricEndpoint, UcxEndpoint,
+                             XioEndpoint)
 from repro.baselines.common import run_pingpong
 from repro.baselines.tcpstack import TcpAgent, TcpError
 from repro.cluster import build_cluster
@@ -32,32 +32,6 @@ def test_middleware_ordering_matches_paper():
     assert results["ibv-pingpong"] < results["ucx-am-rc"]
     assert results["ucx-am-rc"] < results["libfabric"]
     assert results["libfabric"] < results["xio"]
-
-
-def test_rsocket_sits_between_middleware_and_tcp():
-    """Related work: a thin socket wrapper — slower than UCX (copies),
-    far faster than kernel TCP."""
-    rsocket = mean(run_pingpong(build_cluster(2), RsocketEndpoint, 4096, 16))
-    ucx = mean(run_pingpong(build_cluster(2), UcxEndpoint, 4096, 16))
-    assert rsocket > ucx
-    # TCP RTT for the same size is dominated by per-message syscalls.
-    cluster = build_cluster(2)
-    agent_a = TcpAgent(cluster.sim, cluster.params, cluster.host(0).nic)
-    agent_b = TcpAgent(cluster.sim, cluster.params, cluster.host(1).nic)
-    listener = agent_b.listen(5000)
-
-    def tcp_roundtrip():
-        socket = yield from agent_a.connect(1, 5000)
-        peer = yield listener.accepted.get()
-        t0 = cluster.sim.now
-        yield from socket.send(4096)
-        yield peer.recv()
-        yield from peer.send(4096)
-        yield socket.recv()
-        return (cluster.sim.now - t0) // 2
-
-    tcp = run_process(cluster, tcp_roundtrip(), limit=SECONDS)
-    assert rsocket < tcp
 
 
 def test_xio_copy_cost_scales_with_size():

@@ -3,9 +3,9 @@ rack-sharded emulation path end to end (at reduced scale)."""
 
 import pytest
 
+from repro.cluster import RACK_HOSTS, cluster_dims
 from repro.fleet.experiments import spec_names, specs_for
 from repro.fleet.runner import run_scenario_inline
-from repro.fleet.scenarios import RACK_HOSTS, cluster_dims
 
 
 def test_cluster_dims_geometry():

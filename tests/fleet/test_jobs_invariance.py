@@ -43,21 +43,3 @@ def test_aggregate_bytes_identical_across_jobs(tmp_path):
     fleet_manifest = json.loads((fleet / "manifest.json").read_text())
     assert solo_manifest["jobs"] == 1
     assert fleet_manifest["jobs"] == 4
-
-
-def test_shards_union_to_the_full_plan(tmp_path):
-    """--shard 0/2 and 1/2 together cover exactly the full smoke plan."""
-    seen = []
-    for shard in ("0/2", "1/2"):
-        out = tmp_path / f"shard-{shard.replace('/', '-')}"
-        code = xr_fleet.main(["run", "--spec", "smoke", "--jobs", "2",
-                              "--shard", shard, "--out", str(out), "--json"])
-        assert code == 0
-        aggregate = json.loads((out / "aggregate.json").read_text())
-        seen.extend(aggregate["runs"])
-    full = tmp_path / "full"
-    code = xr_fleet.main(["run", "--spec", "smoke", "--jobs", "2",
-                          "--out", str(full), "--json"])
-    assert code == 0
-    aggregate = json.loads((full / "aggregate.json").read_text())
-    assert sorted(seen) == sorted(aggregate["runs"])

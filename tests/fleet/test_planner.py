@@ -1,8 +1,8 @@
-"""Shard planner: stable partition, worker-count independence."""
+"""Planner: canonical order, worker-count independence."""
 
 import pytest
 
-from repro.fleet.planner import plan, shard_filter, shard_histogram, shard_of
+from repro.fleet.planner import plan
 from repro.fleet.spec import ExperimentSpec
 
 
@@ -26,36 +26,3 @@ class TestPlan:
         spec = two_specs()[0]
         with pytest.raises(ValueError):
             plan([spec, spec])
-
-
-class TestSharding:
-    def test_shard_of_is_stable_across_calls(self):
-        # Stability matters: Python's own hash() is salted per process.
-        assert shard_of("smoke/fragment_bytes=16384/s0", 4) \
-            == shard_of("smoke/fragment_bytes=16384/s0", 4)
-
-    def test_shards_partition_the_plan(self):
-        units = plan(two_specs())
-        for total in (1, 2, 3, 4):
-            shards = [shard_filter(units, k, total) for k in range(total)]
-            collected = [u.run_id for shard in shards for u in shard]
-            assert sorted(collected) == sorted(u.run_id for u in units)
-
-    def test_shard_preserves_canonical_order(self):
-        units = plan(two_specs())
-        shard = shard_filter(units, 0, 2)
-        ids = [u.run_id for u in shard]
-        full = [u.run_id for u in units]
-        assert ids == [run_id for run_id in full if run_id in set(ids)]
-
-    def test_histogram_counts_sum_to_plan(self):
-        units = plan(two_specs())
-        hist = shard_histogram(units, 3)
-        assert sum(hist) == len(units)
-
-    def test_bad_shard_args_rejected(self):
-        units = plan(two_specs())
-        with pytest.raises(ValueError):
-            shard_filter(units, 2, 2)
-        with pytest.raises(ValueError):
-            shard_filter(units, 0, 0)

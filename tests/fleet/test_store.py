@@ -3,7 +3,7 @@
 import json
 
 from repro.fleet.spec import ExperimentSpec
-from repro.fleet.store import ResultStore, canonical_json
+from repro.fleet.store import ResultStore, canonical_json, read_jsonl
 
 
 def spec():
@@ -70,7 +70,7 @@ class TestStore:
         assert records[0]["trace"] == {"records": 2, "completed": 2}
         assert "traces" not in records[0]
         # traces.jsonl carries one stamped line per trace.
-        traces = store.load_traces()
+        traces = list(read_jsonl(store.traces_path))
         assert [t["trace_id"] for t in traces] == [1, 2]
         assert all(t["run_id"] == "exp/x=1/s0" for t in traces)
         assert all(t["attempt"] == 0 for t in traces)
@@ -84,7 +84,7 @@ class TestStore:
         store.close()
         store.begin([spec()], spec().expand())  # fresh sweep, same dir
         store.close()
-        assert store.load_traces() == []
+        assert not store.traces_path.exists()
 
     def test_append_reopens_after_close(self, tmp_path):
         # An `aggregate` verb run after an interrupted sweep must be able

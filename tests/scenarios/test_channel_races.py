@@ -9,10 +9,11 @@ bookkeeping.
 """
 
 from repro.sim import MILLIS
+from repro.xrdma.channel import ChannelBroken
 from repro.xrdma.message import MessageKind
 from tests.conftest import run_process
 from tests.scenarios.conftest import assert_quiescent, settle
-from tests.xrdma.conftest import connect_pair
+from tests.xrdma.conftest import connect_pair, make_context
 
 LARGE = 256 * 1024
 
@@ -41,6 +42,72 @@ def _break_when(cluster, entered, channel, reason):
         channel.mark_broken(reason)
 
     run_process(cluster, breaker())
+
+
+def _prime_break_pair(cluster, port, slow_side):
+    """Two contexts, ``server`` listening; the ``slow_side`` one primes
+    through the slow alloc and records every channel it creates, so a
+    breaker can reach a channel that is not in ``ctx.channels`` yet."""
+    client, server = make_context(cluster, 0), make_context(cluster, 1)
+    server.listen(port)
+    ctx = client if slow_side == "client" else server
+    entered, created = [], []
+    _slow_alloc(cluster, ctx, entered)
+    real_new_channel = ctx._new_channel
+
+    def new_channel(conn):
+        created.append(real_new_channel(conn))
+        return created[-1]
+
+    ctx._new_channel = new_channel
+
+    def connector():
+        try:
+            channel = yield from client.connect(1, port)
+        except ChannelBroken:
+            return None
+        return channel
+
+    def breaker():
+        while not (entered and created):
+            yield cluster.sim.timeout(1_000)
+        created[-1].mark_broken("injected during prime")
+
+    connecting = cluster.sim.spawn(connector())
+    run_process(cluster, breaker())
+    settle(cluster, 500 * MILLIS)
+    assert connecting.triggered
+    return client, server, created[-1], connecting.value
+
+
+def test_connect_raises_when_the_channel_breaks_mid_prime(cluster):
+    """Active side: the channel dies during a ``memcache.alloc`` yield of
+    ``_prime_channel``.  ``connect`` must raise ``ChannelBroken``, not
+    register and return the dead channel (the pre-fix code did both, so
+    the BROKEN channel stayed in ``ctx.channels`` for good)."""
+    client, server, broken, connected = _prime_break_pair(
+        cluster, 9630, "client")
+    assert connected is None                 # connect raised ChannelBroken
+    assert broken.qp.qpn not in client.channels
+
+    for channel in list(server.channels.values()):
+        channel.mark_broken("peer torn down")
+    settle(cluster, 200 * MILLIS)
+    assert_quiescent(client, server)
+
+
+def test_accept_drops_a_channel_that_breaks_mid_prime(cluster):
+    """Passive side: same window in ``_accept_loop``.  The dead channel
+    must be neither registered nor handed to the application."""
+    client, server, broken, connected = _prime_break_pair(
+        cluster, 9640, "server")
+    assert connected is not None             # the active side came up
+    assert not server.accepted.items
+    assert broken.qp.qpn not in server.channels
+
+    connected.mark_broken("peer torn down")
+    settle(cluster, 200 * MILLIS)
+    assert_quiescent(client, server)
 
 
 def test_rendezvous_alloc_vs_mark_broken_accounting(cluster):

@@ -1,8 +1,10 @@
 """The poll loop's idle wait (hybrid polling, Sec. IV-B): one wake event
 and one deadline timer per context, nothing abandoned in the heap."""
 
-from repro.sim import MICROS, MILLIS
+from repro.cluster import build_cluster
+from repro.sim import MICROS, MILLIS, SECONDS
 from repro.xrdma import XrdmaConfig
+from tests.conftest import run_process
 from tests.xrdma.conftest import make_context
 
 
@@ -76,3 +78,32 @@ def test_inject_stall_interrupts_an_idle_wait(cluster):
     woke = 1 * MILLIS + cluster.params.host_wakeup_ns
     assert ctx.monitor.rounds == [0, woke + 2 * MILLIS]
     assert ctx.poll_gaps == [woke + 2 * MILLIS]
+
+
+def test_idle_poll_modes_change_latency():
+    """busy < event for a cold (long-idle) request: a busy-polling pair
+    never pays the epoll wakeup on either side."""
+    def cold_latency(mode):
+        fresh = build_cluster(2)
+        config = XrdmaConfig(idle_poll_mode=mode)
+        server = fresh.xrdma_context(1, config=config)
+        client = fresh.xrdma_context(0, config=config)
+        server.listen(9970)
+
+        def echo():
+            while True:
+                msg = yield server.incoming.get()
+                server.send_response(msg, msg.payload_size)
+
+        def scenario():
+            channel = yield from client.connect(1, 9970)
+            yield fresh.sim.timeout(5 * MILLIS)     # go cold
+            t0 = fresh.sim.now
+            request = client.send_request(channel, 64)
+            yield request.response
+            return fresh.sim.now - t0
+
+        fresh.sim.spawn(echo())
+        return run_process(fresh, scenario(), limit=5 * SECONDS)
+
+    assert cold_latency("busy") < cold_latency("event")
