@@ -35,11 +35,12 @@ class ClockSync:
 
     #: bound on the estimate's residual error (one-way asymmetry)
     RESIDUAL_BOUND_NS = 2_000
+    #: bound on each host clock's true offset from simulated time
+    MAX_SKEW_NS = 1_000_000
 
-    def __init__(self, rng: "RngRegistry", max_skew_ns: int = 1_000_000,
+    def __init__(self, rng: "RngRegistry",
                  resync_after_ns: Optional[int] = None):
         self._rng = rng.stream("clocksync")
-        self.max_skew_ns = max_skew_ns
         #: estimates older than this are re-synced by :meth:`offset`
         #: (None: cached estimates never age — the seed behaviour)
         self.resync_after_ns = resync_after_ns
@@ -51,7 +52,7 @@ class ClockSync:
     def clock(self, host_id: int) -> HostClock:
         existing = self._clocks.get(host_id)
         if existing is None:
-            offset = self._rng.randint(-self.max_skew_ns, self.max_skew_ns)
+            offset = self._rng.randint(-self.MAX_SKEW_NS, self.MAX_SKEW_NS)
             existing = HostClock(host_id, offset)
             self._clocks[host_id] = existing
         return existing

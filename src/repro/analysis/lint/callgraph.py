@@ -88,7 +88,6 @@ def _handler_names(handler: ast.ExceptHandler) -> Set[str]:
 class FunctionInfo:
     """Per-function facts the fixpoints and rules consume."""
 
-    qualname: str                 #: e.g. ``QpCache.put``
     name: str                     #: last component, e.g. ``put``
     path: str                     #: file the definition lives in
     node: ast.AST                 #: the FunctionDef itself
@@ -120,27 +119,23 @@ class CallGraph:
         return graph
 
     def _index_module(self, path: str, tree: ast.Module) -> None:
-        self._index_scope(path, tree, prefix="")
+        self._index_scope(path, tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ExceptHandler):
                 self.caught_exceptions |= (_handler_names(node)
                                            - _BROAD_HANDLERS
                                            - _BUILTIN_EXCEPTIONS)
 
-    def _index_scope(self, path: str, scope: ast.AST, prefix: str) -> None:
+    def _index_scope(self, path: str, scope: ast.AST) -> None:
         for node in ast.iter_child_nodes(scope):
             if isinstance(node, FUNC_DEFS):
-                qual = f"{prefix}{node.name}"
-                self._index_function(path, node, qual)
-                self._index_scope(path, node, prefix=f"{qual}.")
-            elif isinstance(node, ast.ClassDef):
-                self._index_scope(path, node, prefix=f"{prefix}{node.name}.")
+                self._index_function(path, node)
+                self._index_scope(path, node)
             elif not isinstance(node, ast.Lambda):
-                self._index_scope(path, node, prefix=prefix)
+                self._index_scope(path, node)
 
-    def _index_function(self, path: str, func: ast.AST, qual: str) -> None:
-        info = FunctionInfo(qualname=qual, name=func.name, path=path,
-                            node=func)
+    def _index_function(self, path: str, func: ast.AST) -> None:
+        info = FunctionInfo(name=func.name, path=path, node=func)
         self._scan_function(func, info, enclosing_tries=())
         self.functions.append(info)
         self.by_name.setdefault(info.name, []).append(info)

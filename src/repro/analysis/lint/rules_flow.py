@@ -372,8 +372,6 @@ class _EscapeState:
     names: Set[str]
     graph: CallGraph
     protected: Dict[int, bool]
-    acquired_via: str
-    acquire_line: int
     outcome: Optional[Tuple[str, ast.stmt, str]] = None  # (kind, stmt, text)
     tested_depth: int = 0   #: inside an `if` whose test reads the resource
 
@@ -419,8 +417,7 @@ class ExceptionEdgeLeakRule(Rule):
                 continue
             via = last_component(call.func) or "?"
             state = _EscapeState(names=names, graph=graph,
-                                 protected=protected, acquired_via=via,
-                                 acquire_line=stmt.lineno)
+                                 protected=protected)
             self._scan(_tail_from_chain(chain), state)
             if state.outcome is not None and state.outcome[0] == "flag":
                 _, site, text = state.outcome

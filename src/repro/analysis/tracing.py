@@ -47,7 +47,7 @@ III. **Slow-segment log** — instrumented code segments exceeding
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
                     Tuple)
 
@@ -167,27 +167,14 @@ class TraceRecord:
     tenant: str = ""            #: owning tenant (serving runs; "" otherwise)
 
     def as_dict(self) -> Dict[str, Any]:
-        out = {
-            "trace_id": self.trace_id,
-            "channel_id": self.channel_id,
-            "src_host": self.src_host,
-            "dst_host": self.dst_host,
-            "payload_size": self.payload_size,
-            "kind": self.kind,
-            "view": self.view,
-            "sent_local_ns": self.sent_local_ns,
-            "received_local_ns": self.received_local_ns,
-            "network_ns": self.network_ns,
-            "total_ns": self.total_ns,
-            "started_at_ns": self.started_at_ns,
-            "spans": [[stage, duration] for stage, duration in self.spans],
-            "complete": self.complete,
-            "residual_ns": self.residual_ns,
-        }
-        if self.tenant:
+        """The fields in declaration order, ``spans`` entries as lists —
+        exactly what a JSON round trip of the record gives back."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["spans"] = [list(span) for span in self.spans]
+        if not self.tenant:
             # Only serving runs tag tenants; the key is omitted otherwise
             # so untagged artifacts stay byte-identical with older ones.
-            out["tenant"] = self.tenant
+            del out["tenant"]
         return out
 
 
@@ -195,7 +182,6 @@ class TraceRecord:
 class SlowLogEntry:
     location: str
     duration_ns: int
-    at_ns: int
     host: int
 
 
@@ -414,8 +400,7 @@ class Tracer:
     def on_slow_poll(self, ctx: "XrdmaContext", gap_ns: int) -> None:
         """Method II: the polling watchdog fired."""
         self.poll_gap_log.append(SlowLogEntry(
-            location="polling", duration_ns=gap_ns,
-            at_ns=ctx.sim.now, host=ctx.nic.host_id))
+            location="polling", duration_ns=gap_ns, host=ctx.nic.host_id))
 
     # --------------------------------------------------------- app-facing api
     def segment(self, location: str, duration_ns: int) -> None:
@@ -423,7 +408,7 @@ class Tracer:
         if duration_ns >= self.ctx.config.slow_threshold_ns:
             self.slow_log.append(SlowLogEntry(
                 location=location, duration_ns=duration_ns,
-                at_ns=self.ctx.sim.now, host=self.ctx.nic.host_id))
+                host=self.ctx.nic.host_id))
 
     def trace_request(self, msg: "XrdmaMessage") -> Optional[TraceRecord]:
         """The ``xrdma_trace_request`` API."""

@@ -68,8 +68,7 @@ class MrRegCache:
         self.misses += 1
         return None
 
-    def acquire(self, length: int, addr_source: Callable[[], int],
-                access: AccessFlags = AccessFlags.all_remote()
+    def acquire(self, length: int, addr_source: Callable[[], int]
                 ) -> ProcessGenerator:
         """Generator: a warm MR if cached, else register at full cost.
 
@@ -79,7 +78,7 @@ class MrRegCache:
         mr = self.lookup(length)
         if mr is None:
             mr = yield self.verbs.reg_mr(self.pd, addr_source(), length,
-                                         access)
+                                         AccessFlags.all_remote())
         return mr
 
     def release(self, mr: MemoryRegion) -> None:
@@ -91,10 +90,7 @@ class MrRegCache:
             self._evict(self._pool.popleft())
 
     # ------------------------------------------------------------- lifecycle
-    def prewarm(self, count: int, length: int,
-                addr_source: Optional[Callable[[], int]] = None,
-                access: AccessFlags = AccessFlags.all_remote()
-                ) -> ProcessGenerator:
+    def prewarm(self, count: int, length: int) -> ProcessGenerator:
         """Generator: batch-register ``count`` warm regions of ``length``.
 
         One ``reg_mr_batch`` call — the driver base cost is paid once,
@@ -102,13 +98,11 @@ class MrRegCache:
         """
         if count <= 0:
             return
-        if addr_source is None:
-            memory = self.verbs.memory
-
-            def addr_source() -> int:
-                return memory.alloc(length, AllocMode.ANONYMOUS).addr
-        regions = [(addr_source(), length) for _ in range(count)]
-        mrs = yield self.verbs.reg_mr_batch(self.pd, regions, access)
+        memory = self.verbs.memory
+        regions = [(memory.alloc(length, AllocMode.ANONYMOUS).addr, length)
+                   for _ in range(count)]
+        mrs = yield self.verbs.reg_mr_batch(self.pd, regions,
+                                            AccessFlags.all_remote())
         for mr in mrs:
             self.release(mr)
 

@@ -76,14 +76,12 @@ class AggregateTraffic:
         self._dirty: Set[Tuple[int, int, int]] = set()
 
     # -------------------------------------------------------------- flows
-    def add_flow(self, src: int, dst: int, rate_bps: float,
-                 flow_id: Optional[int] = None) -> AggregateFlow:
+    def add_flow(self, src: int, dst: int, rate_bps: float) -> AggregateFlow:
         """Start a background flow of ``rate_bps`` from ``src`` to ``dst``."""
         if rate_bps < 0:
             raise ValueError(f"rate_bps must be >= 0, got {rate_bps}")
-        if flow_id is None:
-            flow_id = self._next_flow
-            self._next_flow += 1
+        flow_id = self._next_flow
+        self._next_flow += 1
         path = self.routing.flow_path(flow_id, src, dst)
         flow = AggregateFlow(flow_id=flow_id, src=src, dst=dst,
                              rate_bps=rate_bps, started_ns=self.sim.now,

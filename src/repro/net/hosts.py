@@ -23,19 +23,17 @@ class SimpleHost(Device):
     it as a traffic source.
     """
 
-    def __init__(self, host_id: int, name: str = ""):
+    def __init__(self, host_id: int):
         self.host_id = host_id
-        self.name = name or f"host{host_id}"
+        self.name = f"host{host_id}"
         self.uplink: Optional["EgressPort"] = None
         self.received: List[Segment] = []
         self.rx_bytes = 0
         self.on_receive: Optional[Callable[[Segment], None]] = None
 
-    def plug_into(self, topology: "ClosTopology",
-                  bandwidth_bps: Optional[float] = None) -> None:
+    def plug_into(self, topology: "ClosTopology") -> None:
         """Attach to the fabric as this host id."""
-        self.uplink = topology.attach(self.host_id, self,
-                                      bandwidth_bps=bandwidth_bps)
+        self.uplink = topology.attach(self.host_id, self)
 
     def receive(self, segment: Segment, in_port: int) -> None:
         """Record an arrival (and invoke ``on_receive`` if set)."""

@@ -20,7 +20,6 @@ class SegmentKind(Enum):
     DATA = auto()        #: RC payload (or payload-carrying first/only packet)
     ACK = auto()         #: RC acknowledgement / NAK
     CNP = auto()         #: DCQCN congestion-notification packet
-    PAUSE = auto()       #: PFC pause/resume frame (link-local, never queued)
     CONTROL = auto()     #: connection management (rdma_cm, TCP handshakes)
 
 
@@ -43,7 +42,6 @@ class Segment:
     ecn_capable: bool = True
     ecn_marked: bool = False
     payload: Any = None
-    enqueued_at: int = 0              #: set by switches for latency accounting
     hops: int = 0                     #: switch traversals so far
     #: PFC ingress accounting, stamped by the switch that queued the
     #: segment so its dequeue hook can find the right ingress counter.

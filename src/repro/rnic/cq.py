@@ -43,7 +43,6 @@ class CompletionQueue:
         if len(self._entries) >= self.depth:
             raise CqOverflow(
                 f"CQ {self.cq_id} overflow at depth {self.depth}")
-        completion.timestamp = self.sim.now
         self._entries.append(completion)
         self.total_completions += 1
         if self._notify_cb is not None:

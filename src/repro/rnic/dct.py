@@ -82,14 +82,12 @@ class DcInitiator:
     """Send side: one object, many targets, one active session at a time."""
 
     def __init__(self, sim: "Simulator", params: "SimParams", nic: "Rnic",
-                 pd: "ProtectionDomain", send_cq: "CompletionQueue",
-                 sq_depth: int = 64):
+                 pd: "ProtectionDomain", send_cq: "CompletionQueue"):
         self.sim = sim
         self.params = params
         self.nic = nic
         self.pd = pd
         self.send_cq = send_cq
-        self.sq_depth = sq_depth
         #: per-target hidden sessions (tiny: no receive ring, shared SQ)
         self._sessions: Dict[Tuple[int, int], QueuePair] = {}
         self._active: Optional[Tuple[int, int]] = None
@@ -107,7 +105,7 @@ class DcInitiator:
         session = self._sessions.get(target)
         if session is None:
             session = QueuePair(self.pd, self.send_cq, self.send_cq,
-                                sq_depth=self.sq_depth, rq_depth=1)
+                                sq_depth=64, rq_depth=1)
             session.state = QpState.RTS
             session.set_peer(*target)
             self.nic.register_qp(session)

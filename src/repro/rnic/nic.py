@@ -63,23 +63,25 @@ class _ReadJob:
 
 _TxJob = Union[QueuePair, _ReadJob]
 
+#: per-port transmit buffer: a job whose port holds this many queued
+#: bytes is requeued instead of served (back-pressure, also under PFC)
+_TX_BUFFER_BYTES = 256 * 1024
+
 
 class Rnic(Device):
     """One host's RDMA NIC, attached to the fabric as a Device."""
 
     def __init__(self, sim: "Simulator", params: "SimParams",
-                 stats: "NetStats", host_id: int, name: str = "",
-                 tx_buffer_bytes: int = 256 * 1024):
+                 stats: "NetStats", host_id: int):
         self.sim = sim
         self.params = params
         self.stats = stats
         self.host_id = host_id
-        self.name = name or f"rnic{host_id}"
+        self.name = f"rnic{host_id}"
         self.uplink: Optional["EgressPort"] = None
         self.uplinks: list = []
         self._flow_ports: Dict[int, int] = {}
         self.alive = True
-        self.tx_buffer_bytes = tx_buffer_bytes
 
         self.qps: Dict[int, QueuePair] = {}
         #: DC targets by dct_number (Sec. IX DCT evaluation)
@@ -100,20 +102,17 @@ class Rnic(Device):
         self.sim.spawn(self._tx_loop(), name=f"{self.name}:tx")
 
     # --------------------------------------------------------------- fabric
-    def plug_into(self, topology: "ClosTopology",
-                  bandwidth_bps: Optional[float] = None,
-                  ports: int = 1) -> None:
+    def plug_into(self, topology: "ClosTopology", ports: int = 1) -> None:
         """Attach to the fabric with ``ports`` links (dual-port CX4-Lx).
 
         Flows hash across ports, so one QP keeps in-order delivery while
         the NIC's aggregate bandwidth scales with the port count.
         """
-        self.uplink = topology.attach(self.host_id, self,
-                                      bandwidth_bps=bandwidth_bps)
+        self.uplink = topology.attach(self.host_id, self)
         self.uplinks = [self.uplink]
         for nic_port in range(1, ports):
             self.uplinks.append(topology.attach_extra_port(
-                self.host_id, self, nic_port, bandwidth_bps=bandwidth_bps))
+                self.host_id, self, nic_port))
             # Each port brings its own processing pipeline.
             self.sim.spawn(self._tx_loop(), name=f"{self.name}:tx{nic_port}")
 
@@ -166,7 +165,6 @@ class Rnic(Device):
 
     def post_send(self, qp: QueuePair, wr: WorkRequest) -> None:
         """NIC half of post_send; verbs charges the host-side overhead."""
-        wr.posted_at = self.sim.now
         qp.post_send(wr)
         self._kick_qp(qp)
 
@@ -270,7 +268,7 @@ class Rnic(Device):
             # traffic destined for the other port.
             out_port = self._uplink_for((self.host_id << 20) | qpn)
             if (out_port is not None
-                    and out_port.queued_bytes >= self.tx_buffer_bytes):
+                    and out_port.queued_bytes >= _TX_BUFFER_BYTES):
                 # Back of the queue: a blocked port must not starve work
                 # bound for the other port (WQE fragment order is kept by
                 # the per-QP cursor, not by queue position).
@@ -482,7 +480,6 @@ class Rnic(Device):
                 if oldest.wr.opcode is Opcode.READ:
                     # Re-issue the lost READ_REQ; responder streaming is
                     # idempotent, so the response restarts from byte 0.
-                    oldest.resp_bytes = 0
                     self._emit_read_request(qp, oldest)
                 else:
                     self._rewind(qp)
@@ -574,7 +571,6 @@ class Rnic(Device):
         if opcode in (Opcode.SEND, Opcode.SEND_IMM):
             recv_wr = qp.pop_recv()
             if recv_wr is None:
-                qp.rnr_events += 1
                 self.stats.rnr_naks += 1
                 self._nak(segment, packet, RcKind.NAK_RNR,
                           packet.psn, qp.expected_psn - 1)
@@ -634,7 +630,6 @@ class Rnic(Device):
             if recv_wr is None:
                 # WRITE_IMM consumes a receive; none posted is an RNR case
                 # at message end (rare; treat as silent drop + RNR count).
-                qp.rnr_events += 1
                 self.stats.rnr_naks += 1
                 return
             completion = Completion(
@@ -693,7 +688,6 @@ class Rnic(Device):
         msg = qp.reads_in_flight.get(packet.msg_id)
         if msg is None or msg.acked:
             return
-        msg.resp_bytes = packet.offset + packet.length
         if packet.last:
             msg.acked = True
             del qp.reads_in_flight[packet.msg_id]

@@ -78,8 +78,6 @@ class OutboundMessage:
     acked: bool = False
     retries: int = 0
     rnr_retries: int = 0
-    #: READ-only: bytes of response received so far
-    resp_bytes: int = 0
 
     @property
     def fully_sent(self) -> bool:
@@ -134,7 +132,6 @@ class QueuePair:
         self.reads_in_flight: Dict[int, OutboundMessage] = {}
         #: set while waiting out an RNR backoff / go-back-N rewind
         self.tx_blocked_until = 0
-        self.rnr_events = 0
         #: NAK dedup / spurious-rewind guards (receiver and sender side)
         self.last_nak_expected = -1
         self.last_rewind_ns = -(10 ** 18)

@@ -49,8 +49,6 @@ class WorkRequest:
     #: (stands in for the bytes a real SEND would carry)
     payload: Any = None
     wr_id: int = field(default_factory=lambda: next(_wr_ids))
-    #: filled in by the NIC while the WR is in flight
-    posted_at: int = 0
 
     def __post_init__(self) -> None:
         if self.length < 0:
@@ -77,7 +75,6 @@ class Completion:
     addr: int = 0
     #: application payload from the sender's WR (receive completions)
     payload: Any = None
-    timestamp: int = 0
 
     @property
     def ok(self) -> bool:

@@ -45,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.xrdma.context import XrdmaContext
     from repro.xrdma.message import XrdmaMessage
 
+#: the port every serving context listens on
+_SERVING_PORT = 8800
+
 __all__ = ["TrafficClass", "RPC_CLASS", "BULK_CLASS", "TenantSpec",
            "Tenant", "ServingHarness"]
 
@@ -136,9 +139,7 @@ class Tenant:
             cluster.xrdma_context(host, config=config,
                                   name=f"serve-{spec.name}-h{host}")
             for host in spec.hosts]
-        self.recorder = WindowedRecorder(
-            harness.window_ns, warmup_windows=harness.warmup_windows,
-            cooldown_windows=harness.cooldown_windows)
+        self.recorder = WindowedRecorder(harness.window_ns)
         self.outstanding = 0
         self.sent_by_class: Dict[str, int] = {
             cls.name: 0 for cls in spec.classes}
@@ -196,7 +197,7 @@ class Tenant:
 
         def connect_one(slot: int) -> ProcessGenerator:
             channels[slot] = yield from ctx.connect(spec.server_host,
-                                                    self.harness.port)
+                                                    _SERVING_PORT)
 
         connects = [sim.spawn(connect_one(slot),
                               name=f"serve-{spec.name}-conn{slot}")
@@ -285,9 +286,7 @@ class ServingHarness:
     """
 
     def __init__(self, cluster: "Cluster", duration_ns: int,
-                 window_ns: int, warmup_windows: int = 1,
-                 cooldown_windows: int = 1, port: int = 8800,
-                 drain_ns: Optional[int] = None) -> None:
+                 window_ns: int) -> None:
         if duration_ns <= 0:
             raise ValueError("duration_ns must be positive")
         if window_ns <= 0 or window_ns > duration_ns:
@@ -295,10 +294,6 @@ class ServingHarness:
         self.cluster = cluster
         self.duration_ns = duration_ns
         self.window_ns = window_ns
-        self.warmup_windows = warmup_windows
-        self.cooldown_windows = cooldown_windows
-        self.port = port
-        self.drain_ns = drain_ns if drain_ns is not None else duration_ns
         self.tenants: List[Tenant] = []
         self.servers: Dict[int, "XrdmaContext"] = {}
         self.start_ns = 0
@@ -313,7 +308,7 @@ class ServingHarness:
         if ctx is None:
             ctx = self.cluster.xrdma_context(host_id, config=config,
                                              name=f"serve-srv-h{host_id}")
-            accepted = ctx.listen(self.port)
+            accepted = ctx.listen(_SERVING_PORT)
             self.cluster.sim.spawn(self._acceptor(ctx, accepted),
                                    name=f"serve-accept-h{host_id}")
             self.servers[host_id] = ctx
@@ -357,11 +352,12 @@ class ServingHarness:
         def conduct() -> ProcessGenerator:
             for proc in procs:
                 yield proc
-            # Bounded completion drain: open loop means requests may
-            # still be in flight when the schedule ends; stragglers
-            # land in cooldown windows, and anything past the drain
-            # deadline stays visible as `outstanding`.
-            deadline = sim.now + self.drain_ns
+            # Bounded completion drain (one more run duration): open
+            # loop means requests may still be in flight when the
+            # schedule ends; stragglers land in cooldown windows, and
+            # anything past the drain deadline stays visible as
+            # `outstanding`.
+            deadline = sim.now + self.duration_ns
             step = max(1, self.window_ns // 4)
             while any(tenant.outstanding for tenant in self.tenants):
                 if sim.now >= deadline:

@@ -100,14 +100,10 @@ class SimParams:
         return self.nic_dma_ns + int(round(
             payload_bytes * self.nic_dma_per_byte_ns))
 
-    def mr_register_ns(self, length_bytes: int) -> int:
-        """Cost of registering a memory region of ``length_bytes``."""
-        pages = max(1, (length_bytes + 4095) // 4096)
-        return self.mr_register_base_ns + pages * self.mr_register_per_page_ns
-
-    def mr_register_batch_ns(self, lengths: "list[int]") -> int:
-        """Cost of one batched registration call: the per-call base (the
-        driver round trip) is paid once; per-page pinning still sums."""
+    def mr_register_ns(self, lengths: "list[int]") -> int:
+        """Cost of one registration call over regions of ``lengths``: the
+        per-call base (the driver round trip) is paid once; per-page
+        pinning sums over every region."""
         if not lengths:
             return 0
         pages = sum(max(1, (length + 4095) // 4096) for length in lengths)

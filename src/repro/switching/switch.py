@@ -77,12 +77,11 @@ class Switch(Device):
         self.marks = 0
 
     # -------------------------------------------------------------- topology
-    def add_port(self, bandwidth_bps: Optional[float] = None) -> int:
+    def add_port(self) -> int:
         """Create one egress port; returns its index."""
         index = len(self.ports)
-        port = EgressPort(
-            self.sim, self.params, name=f"{self.name}.p{index}",
-            bandwidth_bps=bandwidth_bps, on_dequeue=self._on_dequeue)
+        port = EgressPort(self.sim, self.params, name=f"{self.name}.p{index}",
+                          on_dequeue=self._on_dequeue)
         self.ports.append(port)
         # Grow the flat ingress arrays in step, keeping the LOCAL_PORT
         # accumulator as the trailing element.

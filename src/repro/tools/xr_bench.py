@@ -66,9 +66,10 @@ def bench_memcache_churn(quick: bool) -> BenchResult:
 
     Thousands of live buffers in mixed sizes — the regime the paper's
     middleware actually runs in (one cache serving every channel of a
-    context) and where the free-list data structure is the bottleneck:
-    small buffers shred the arenas into holes that every large
-    allocation must skip past.
+    context): small buffers shred the arenas into holes that every large
+    allocation's first-fit scan must skip past.  ``ops_per_sec`` times
+    the whole path — the ``alloc`` generator, buffer bookkeeping and the
+    free list together — not the free list alone.
     """
     n_ops = 6_000 if quick else 30_000
     live_target = 600 if quick else 2_500

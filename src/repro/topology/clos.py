@@ -190,7 +190,9 @@ class RoutingTable:
 
 
 class ClosTopology:
-    """Builds and owns the fabric; hosts attach by id."""
+    """Builds and owns the fabric; hosts attach by id.
+
+    The five Clos dimensions live on the shared :attr:`routing` table."""
 
     def __init__(self, sim: "Simulator", params: "SimParams",
                  stats: "NetStats", rng: "RngRegistry",
@@ -205,11 +207,6 @@ class ClosTopology:
         self.params = params
         self.stats = stats
         self.rng = rng
-        self.n_pods = n_pods
-        self.leaves_per_pod = leaves_per_pod
-        self.tors_per_pod = tors_per_pod
-        self.hosts_per_tor = hosts_per_tor
-        self.n_spines = n_spines
 
         self.tors: List[Switch] = []       # index: pod * tors_per_pod + t
         self.leaves: List[Switch] = []     # index: pod * leaves_per_pod + l
@@ -225,14 +222,7 @@ class ClosTopology:
     # ------------------------------------------------------------ dimensions
     @property
     def n_hosts(self) -> int:
-        return self.n_pods * self.tors_per_pod * self.hosts_per_tor
-
-    def host_pod(self, host: int) -> int:
-        return host // (self.tors_per_pod * self.hosts_per_tor)
-
-    def host_tor_index(self, host: int) -> int:
-        """Global ToR index for a host id."""
-        return host // self.hosts_per_tor
+        return len(self._slots)
 
     # ------------------------------------------------------------------ build
     def _switch(self, name: str) -> Switch:
@@ -247,23 +237,24 @@ class ClosTopology:
         b.register_neighbor(b_port, a, a_port)
 
     def _build(self) -> None:
-        for s in range(self.n_spines):
+        dims = self.routing
+        for s in range(dims.n_spines):
             self.spines.append(self._switch(f"spine{s}"))
-        for pod in range(self.n_pods):
-            for l in range(self.leaves_per_pod):
+        for pod in range(dims.n_pods):
+            for l in range(dims.leaves_per_pod):
                 self.leaves.append(self._switch(f"leaf{pod}.{l}"))
-            for t in range(self.tors_per_pod):
+            for t in range(dims.tors_per_pod):
                 self.tors.append(self._switch(f"tor{pod}.{t}"))
 
         # ToR ports: [0, hosts_per_tor) down to hosts,
         #            [hosts_per_tor, +leaves_per_pod) up to pod leaves.
         for tor_index, tor in enumerate(self.tors):
-            pod = tor_index // self.tors_per_pod
-            for _ in range(self.hosts_per_tor):
+            pod = tor_index // dims.tors_per_pod
+            for _ in range(dims.hosts_per_tor):
                 tor.add_port()       # connected when the host attaches
-            for l in range(self.leaves_per_pod):
+            for l in range(dims.leaves_per_pod):
                 up = tor.add_port()
-                leaf = self.leaves[pod * self.leaves_per_pod + l]
+                leaf = self.leaves[pod * dims.leaves_per_pod + l]
                 down = leaf.add_port()
                 self._link(tor, up, leaf, down)
             tor.install_routing(self.routing, Switch.ROLE_TOR, tor_index)
@@ -271,7 +262,7 @@ class ClosTopology:
         # Leaf ports: [0, tors_per_pod) down (wired above),
         #             [tors_per_pod, +n_spines) up to all spines.
         for leaf_index, leaf in enumerate(self.leaves):
-            for s in range(self.n_spines):
+            for s in range(dims.n_spines):
                 up = leaf.add_port()
                 spine = self.spines[s]
                 down = spine.add_port()
@@ -284,8 +275,7 @@ class ClosTopology:
                                   spine_index)
 
     # ----------------------------------------------------------------- hosts
-    def attach(self, host: int, device: Device,
-               bandwidth_bps: Optional[float] = None) -> EgressPort:
+    def attach(self, host: int, device: Device) -> EgressPort:
         """Plug ``device`` in as host ``host``; returns its uplink port.
 
         The device will see :meth:`Device.receive` calls with ``in_port=0``
@@ -296,11 +286,10 @@ class ClosTopology:
         existing = self._slots[host]
         if existing is not None and existing.device is not None:
             raise ValueError(f"host {host} already attached")
-        tor = self.tors[self.host_tor_index(host)]
-        down_port = host % self.hosts_per_tor
+        tor = self.tors[self.routing.host_tor_index(host)]
+        down_port = host % self.routing.hosts_per_tor
 
-        uplink = EgressPort(self.sim, self.params, name=f"host{host}.up",
-                            bandwidth_bps=bandwidth_bps)
+        uplink = EgressPort(self.sim, self.params, name=f"host{host}.up")
         # ToR's ingress from this host is numbered by the down-port index.
         uplink.connect(tor, down_port)
         tor.ports[down_port].connect(device, 0)
@@ -310,8 +299,7 @@ class ClosTopology:
             tor=tor, tor_down_port=down_port, device=device, uplink=uplink)
         return uplink
 
-    def attach_extra_port(self, host: int, device: Device, nic_port: int,
-                          bandwidth_bps: Optional[float] = None
+    def attach_extra_port(self, host: int, device: Device, nic_port: int
                           ) -> EgressPort:
         """Wire an additional NIC port for ``host`` to its ToR.
 
@@ -325,8 +313,7 @@ class ClosTopology:
         tor = slot.tor
         down_port = tor.add_port()
         uplink = EgressPort(self.sim, self.params,
-                            name=f"host{host}.up{nic_port}",
-                            bandwidth_bps=bandwidth_bps)
+                            name=f"host{host}.up{nic_port}")
         uplink.connect(tor, down_port)
         tor.ports[down_port].connect(device, nic_port)
         tor.register_neighbor(down_port, device, nic_port)
@@ -345,8 +332,9 @@ class ClosTopology:
         """Switch count on the (ECMP-independent) src→dst path."""
         if src == dst:
             return 0
-        if self.host_tor_index(src) == self.host_tor_index(dst):
+        routing = self.routing
+        if routing.host_tor_index(src) == routing.host_tor_index(dst):
             return 1
-        if self.host_pod(src) == self.host_pod(dst):
+        if routing.host_pod(src) == routing.host_pod(dst):
             return 3  # tor-leaf-tor
         return 5      # tor-leaf-spine-leaf-tor

@@ -36,12 +36,11 @@ class EgressPort:
     PAUSE_ALL = -1
 
     def __init__(self, sim: "Simulator", params: "SimParams", name: str,
-                 bandwidth_bps: Optional[float] = None,
                  on_dequeue: Optional[Callable[[Segment], None]] = None):
         self.sim = sim
         self.params = params
         self.name = name
-        self.bandwidth_bps = bandwidth_bps or params.link_bandwidth_bps
+        self.bandwidth_bps = params.link_bandwidth_bps
         #: nominal link rate; ``bandwidth_bps`` is the *residual* capacity
         #: once flow-aggregate background load is subtracted
         self.base_bandwidth_bps = self.bandwidth_bps
@@ -80,7 +79,6 @@ class EgressPort:
             raise RuntimeError(f"egress port {self.name!r} is not connected")
         self.queue.append(segment)
         self.queued_bytes += segment.size
-        segment.enqueued_at = self.sim._now   # direct: per-segment hot path
         if not self.busy:       # under load the port is already draining
             self._kick()
 

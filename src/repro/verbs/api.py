@@ -65,12 +65,8 @@ class VerbsContext:
     def reg_mr(self, pd: ProtectionDomain, addr: int, length: int,
                access: AccessFlags = AccessFlags.all_remote()) -> Event:
         """Register RDMA-enabled memory (pins pages; cost scales with size)."""
-        def effect() -> MemoryRegion:
-            mr = pd.register(addr, length, access)
-            self.nic.mr_table.install(mr)
-            self.mrs_registered += 1
-            return mr
-        return self._charged(self.params.mr_register_ns(length), effect)
+        return self._charged(self.params.mr_register_ns([length]),
+                             lambda: self._install(pd, addr, length, access))
 
     def reg_mr_batch(self, pd: ProtectionDomain,
                      regions: List[Tuple[int, int]],
@@ -80,17 +76,10 @@ class VerbsContext:
         The per-call base cost (the driver round trip) is paid once for
         the whole batch; per-page pinning still sums — the lazy/batched
         registration path of the control plane."""
-        def effect() -> List[MemoryRegion]:
-            mrs = []
-            for addr, length in regions:
-                mr = pd.register(addr, length, access)
-                self.nic.mr_table.install(mr)
-                self.mrs_registered += 1
-                mrs.append(mr)
-            return mrs
-        cost = self.params.mr_register_batch_ns(
-            [length for _, length in regions])
-        return self._charged(cost, effect)
+        cost = self.params.mr_register_ns([length for _, length in regions])
+        return self._charged(cost, lambda: [
+            self._install(pd, addr, length, access)
+            for addr, length in regions])
 
     def reg_mr_odp(self, pd: ProtectionDomain, addr: int, length: int,
                    access: AccessFlags = AccessFlags.all_remote()) -> Event:
@@ -99,12 +88,17 @@ class VerbsContext:
         Registration is cheap — no pages are pinned — but accesses to
         non-resident pages later pay fault latency (charged by the
         no-pin MemCache at buffer hand-out)."""
-        def effect() -> MemoryRegion:
-            mr = pd.register(addr, length, access)
-            self.nic.mr_table.install(mr)
-            self.mrs_registered += 1
-            return mr
-        return self._charged(self.params.odp_register_ns, effect)
+        return self._charged(self.params.odp_register_ns,
+                             lambda: self._install(pd, addr, length, access))
+
+    def _install(self, pd: ProtectionDomain, addr: int, length: int,
+                 access: AccessFlags) -> MemoryRegion:
+        """The effect every registration shares: register, install in
+        the NIC translation table, count."""
+        mr = pd.register(addr, length, access)
+        self.nic.mr_table.install(mr)
+        self.mrs_registered += 1
+        return mr
 
     def dereg_mr(self, pd: ProtectionDomain, mr: MemoryRegion) -> Event:
         def effect() -> None:
@@ -122,16 +116,13 @@ class VerbsContext:
     # ------------------------------------------------------------------- QPs
     def create_qp(self, pd: ProtectionDomain, send_cq: CompletionQueue,
                   recv_cq: CompletionQueue,
-                  sq_depth: Optional[int] = None,
-                  rq_depth: Optional[int] = None,
                   srq: Optional[SharedReceiveQueue] = None) -> Event:
         """Allocate a QP (≈1 ms of firmware/driver work)."""
         def effect() -> QueuePair:
             qp = QueuePair(
                 pd, send_cq, recv_cq,
-                sq_depth=sq_depth or self.params.max_send_queue_depth,
-                rq_depth=rq_depth or self.params.max_recv_queue_depth,
-                srq=srq)
+                sq_depth=self.params.max_send_queue_depth,
+                rq_depth=self.params.max_recv_queue_depth, srq=srq)
             self.nic.register_qp(qp)
             self.qps_created += 1
             return qp

@@ -141,6 +141,11 @@ class CmAgent:
         self.listeners[service_port] = listener
         return listener
 
+    def unlisten(self, listener: CmListener) -> None:
+        """Withdraw ``listener``'s port: later REQs to it get REJ."""
+        if self.listeners.get(listener.service_port) is listener:
+            del self.listeners[listener.service_port]
+
     # --------------------------------------------------------------- active
     def connect(self, remote_host: int, service_port: int,
                 pd: "ProtectionDomain", send_cq: "CompletionQueue",

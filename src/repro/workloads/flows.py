@@ -104,7 +104,7 @@ def open_loop_sender(ctx: "XrdmaContext", channel: "XrdmaChannel",
 
 
 def request_loop(ctx: "XrdmaContext", channel: "XrdmaChannel",
-                 size: int, count: int, response_size: int = 64,
+                 size: int, count: int,
                  latencies: Optional[List[int]] = None):
     """Process generator: closed-loop RPC ping (latency measurement)."""
     sim = ctx.sim

@@ -81,7 +81,7 @@ class XrdmaConfig:
         """Reject inconsistent parameter combinations."""
         if self.inflight_depth < 2:
             raise ConfigError("inflight_depth must be >= 2 (one slot is "
-                              "reserved for the NOP deadlock breaker)")
+                              "held back for control headers)")
         if self.inflight_depth >= self.cq_size:
             raise ConfigError("inflight_depth must stay below cq_size")
         if self.small_msg_size <= 0 or self.fragment_bytes <= 0:

@@ -102,6 +102,7 @@ class XrdmaContext:
         self._recv_buffers: Dict[int, Tuple[XrdmaChannel, Any]] = {}
         self.incoming: Store = Store(sim, name=f"{self.name}:incoming")
         self.accepted: Store = Store(sim, name=f"{self.name}:accepted")
+        self._listeners: List["CmListener"] = []
         self._kicked: deque = deque()
         self._kicked_set: set = set()
         self._wake = None
@@ -127,8 +128,17 @@ class XrdmaContext:
         self.sim.spawn(self._run(), name=f"{self.name}:loop")
 
     def stop(self) -> None:
-        """Shut the run-to-complete loop down at its next iteration."""
+        """Shut the run-to-complete loop down at its next iteration.
+
+        Every port this context listens on is withdrawn — a later REQ gets
+        REJ, so the peer's ``connect`` fails instead of handing back a
+        channel nobody polls — and each parked accept loop is woken to end.
+        """
         self._stopped = True
+        for listener in self._listeners:
+            self.cm.unlisten(listener)
+            listener.accepted.put_nowait(None)
+        self._listeners.clear()
         self.kick()
 
     # ====================================================== connection mgmt
@@ -177,6 +187,7 @@ class XrdmaContext:
             service_port, self.pd, self.send_cq, self.recv_cq, srq=self.srq,
             qp_provider=self.qpcache.get,
             private_data={"window": self.config.inflight_depth})
+        self._listeners.append(listener)
         self.sim.spawn(self._accept_loop(listener),
                        name=f"{self.name}:accept{service_port}")
         return self.accepted
@@ -184,6 +195,8 @@ class XrdmaContext:
     def _accept_loop(self, listener: "CmListener") -> ProcessGenerator:
         while not self._stopped:
             conn = yield listener.accepted.get()
+            if conn is None:            # stop() withdrew the listener
+                return
             channel = self._new_channel(conn)
             yield from self._prime_channel(channel)
             if channel.state is not ChannelState.READY:

@@ -15,10 +15,10 @@ and tags buffers, so out-of-bound access bugs are detectable in tests.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.invariants import check as _invariant
 from repro.memory.host import AllocMode, HostMemory
@@ -52,27 +52,13 @@ class RdmaBuffer:
 
 
 class _Arena:
-    """One registered MR plus a size-bucketed first-fit free list.
+    """One registered MR plus an address-ordered first-fit free list.
 
-    The free store is indexed three ways so both hot operations are cheap
-    while staying *exactly* first-fit equivalent to a naive address-sorted
-    scan (the placement — lowest-address block with ``length >= size`` —
-    is what the Fig. 11c occupancy behaviour and the golden schedule
-    digests depend on):
-
-    * ``_buckets`` — per size-class (``size.bit_length()``) min-heaps of
-      block start addresses.  A request of class ``c`` scans only bucket
-      ``c`` (whose blocks may or may not fit) plus the heap *roots* of the
-      higher buckets (whose blocks all fit), instead of the whole list.
-    * ``_sizes`` — live block start -> size; the ground truth.  Heap
-      entries are lazily invalidated against it, so removal is O(1).
-    * ``_ends`` — block end -> start, giving O(1) neighbour lookup for
-      coalescing on release (the old path re-sorted the entire list).
-
-    Lazy deletion means stale heap entries pile up under churn; the
-    buckets are rebuilt from ``_sizes`` whenever total entries exceed
-    twice the live block count (amortized O(1) per operation — without
-    this the same-class scan degenerates quadratically).
+    ``free`` holds the free blocks as ``(addr, size)`` in address order.
+    ``alloc`` takes the lowest-address block that fits — the placement the
+    Fig. 11c occupancy behaviour and the golden schedule digests depend on
+    — and ``release`` finds its slot by bisection and merges with the free
+    neighbour on either side, so adjacent free blocks never coexist.
     """
 
     def __init__(self, mr: MemoryRegion) -> None:
@@ -81,104 +67,19 @@ class _Arena:
         #: no-pin mode only: page indices already faulted resident.
         #: None (the default, pinned registration) means "all resident".
         self.resident_pages: Optional[set] = None
-        self._buckets: Dict[int, List[int]] = {}
-        self._sizes: Dict[int, int] = {}
-        self._ends: Dict[int, int] = {}
-        self._entries = 0            #: heap entries incl. stale ones
-        #: bitmask of size classes with (possibly stale) entries; stale
-        #: bits are cleared opportunistically during alloc scans.
-        self._class_mask = 0
-        self._insert_block(mr.addr, mr.length)
+        self.free: List[Tuple[int, int]] = [(mr.addr, mr.length)]
 
-    # ------------------------------------------------------------ free store
-    @property
-    def free(self) -> List[Tuple[int, int]]:
-        """Address-ordered ``(addr, size)`` view of the free blocks.
-
-        Kept as the compatibility surface for the structural deep checks
-        (and for tests that corrupt an arena on purpose): assigning to it
-        reloads the bucketed store from scratch.
-        """
-        return sorted(self._sizes.items())
-
-    @free.setter
-    def free(self, blocks: Iterable[Tuple[int, int]]) -> None:
-        self._sizes = dict(blocks)
-        self._ends = {addr + size: addr for addr, size in self._sizes.items()}
-        self._rebuild()
-
-    def _insert_block(self, addr: int, size: int) -> None:
-        self._sizes[addr] = size
-        self._ends[addr + size] = addr
-        klass = size.bit_length()
-        heapq.heappush(self._buckets.setdefault(klass, []), addr)
-        self._entries += 1
-        self._class_mask |= 1 << klass
-
-    def _remove_block(self, addr: int) -> int:
-        size = self._sizes.pop(addr)
-        del self._ends[addr + size]
-        # The bucket heap entry goes stale and is skipped lazily.
-        return size
-
-    def _rebuild(self) -> None:
-        """Drop every stale heap entry by rebuilding from the ground truth."""
-        buckets: Dict[int, List[int]] = {}
-        for addr, size in self._sizes.items():
-            buckets.setdefault(size.bit_length(), []).append(addr)
-        mask = 0
-        for klass, heap in buckets.items():
-            heapq.heapify(heap)
-            mask |= 1 << klass
-        self._buckets = buckets
-        self._entries = len(self._sizes)
-        self._class_mask = mask
-
-    # ------------------------------------------------------------ operations
     def alloc(self, size: int) -> Optional[int]:
-        sizes = self._sizes
-        if self._entries > 2 * len(sizes) + 32:
-            self._rebuild()
-        buckets = self._buckets
-        request_class = size.bit_length()
-        best: Optional[int] = None
-        # Same-class blocks may be smaller than the request; scan the
-        # (compact, see _rebuild) bucket for fitting ones.
-        if self._class_mask >> request_class & 1:
-            for addr in buckets.get(request_class, ()):
-                block = sizes.get(addr)
-                if (block is not None and block >= size
-                        and block.bit_length() == request_class
-                        and (best is None or addr < best)):
-                    best = addr
-        # Every block of a higher class fits; only the lowest-address one
-        # (the heap root, once stale roots are popped) can win first-fit.
-        # The mask jumps straight to populated classes instead of probing
-        # every class up to the arena size.
-        mask = self._class_mask >> (request_class + 1) << (request_class + 1)
-        while mask:
-            low_bit = mask & -mask
-            mask ^= low_bit
-            klass = low_bit.bit_length() - 1
-            heap = buckets.get(klass)
-            while heap:
-                block = sizes.get(heap[0])
-                if block is not None and block.bit_length() == klass:
-                    break
-                heapq.heappop(heap)
-                self._entries -= 1
-            if heap:
-                if best is None or heap[0] < best:
-                    best = heap[0]
-            else:
-                self._class_mask &= ~low_bit     # bit was stale
-        if best is None:
-            return None
-        block_size = self._remove_block(best)
-        if block_size > size:
-            self._insert_block(best + size, block_size - size)
-        self.used_bytes += size
-        return best
+        free = self.free
+        for index, (addr, length) in enumerate(free):
+            if length >= size:
+                if length == size:
+                    del free[index]
+                else:
+                    free[index] = (addr + size, length - size)
+                self.used_bytes += size
+                return addr
+        return None
 
     def release(self, addr: int, size: int) -> None:
         self.used_bytes -= size
@@ -193,15 +94,15 @@ class _Arena:
                        lambda: f"release({addr:#x}, {size}) outside arena "
                                f"[{self.mr.addr:#x}, "
                                f"{self.mr.addr + self.mr.length:#x})")
-        # Coalesce with the free neighbours on either side, if any.
-        start, total = addr, size
-        left_start = self._ends.get(addr)
-        if left_start is not None:
-            total += self._remove_block(left_start)
-            start = left_start
-        if addr + size in self._sizes:
-            total += self._remove_block(addr + size)
-        self._insert_block(start, total)
+        free = self.free
+        index = bisect_left(free, (addr,))
+        if index < len(free) and free[index][0] == addr + size:
+            size += free.pop(index)[1]
+        if index and free[index - 1][0] + free[index - 1][1] == addr:
+            left, left_size = free[index - 1]
+            free[index - 1] = (left, left_size + size)
+        else:
+            free.insert(index, (addr, size))
 
     @property
     def idle(self) -> bool:

@@ -2,15 +2,21 @@
 
 Both sides of a channel run one of these.  Sender side: ``seq`` counts
 transmitted messages, ``acked`` the ones the *peer application* has
-consumed; at most ``depth - 1`` may be in flight (the last ring slot is
-reserved for the NOP deadlock breaker).  Receiver side: ``wta`` ("wait to
-ack") counts arrivals, ``rta`` ("ready to ack") the prefix fully received —
-a large message only becomes ready once its RDMA Read completed, so acks
-track application-visible progress, not hardware delivery.
+consumed; at most ``depth - 1`` may be in flight.  Receiver side: ``wta``
+("wait to ack") counts arrivals, ``rta`` ("ready to ack") the prefix fully
+received — a large message only becomes ready once its RDMA Read
+completed, so acks track application-visible progress, not hardware
+delivery.
 
-Because a sender never exceeds the window and the receiver pre-posts at
-least ``depth`` receive buffers, a SEND can never meet an empty RQ:
-**RNR-free by construction** (Fig. 9).
+Control headers — ACK, NOP, RNDV_CTS, CLOSE — take no sequence number:
+they ride ``send_control`` with ``seq=-1`` outside the window, yet each
+still lands in one of the peer's receive buffers.  The receiver pre-posts
+at least ``depth`` buffers and data may hold at most ``depth - 1`` of
+them, so the ring slot held back from data keeps a buffer free for those
+headers when the data window is full — in particular for the NOP that
+breaks a window deadlock by carrying the ack both sides are waiting for.
+So no SEND, data or control, meets an empty RQ: **RNR-free by
+construction** (Fig. 9).
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ class SeqAckWindow:
 
     def __init__(self, depth: int) -> None:
         if depth < 2:
-            raise ValueError("window depth must be >= 2 (NOP slot reserved)")
+            raise ValueError("window depth must be >= 2 (one slot is held "
+                             "back for control headers)")
         self.depth = depth
         # Sender state.
         self.seq = 0           #: next sequence number to assign
@@ -51,16 +58,13 @@ class SeqAckWindow:
         return self.seq - self.acked
 
     def can_send(self) -> bool:
-        """One slot is always held back for NOP (deadlock breaking)."""
+        """One slot is always held back: its receive buffer is the one a
+        control header (ACK / NOP / RNDV_CTS / CLOSE) lands in."""
         return self.in_flight < self.depth - 1
 
-    def can_send_nop(self) -> bool:
-        """Whether the reserved NOP slot itself is still free."""
-        return self.in_flight < self.depth
-
-    def next_seq(self, nop: bool = False) -> int:
+    def next_seq(self) -> int:
         """Claim the next sequence number (raises WindowFull when closed)."""
-        if not (self.can_send_nop() if nop else self.can_send()):
+        if not self.can_send():
             raise WindowFull(
                 f"in_flight={self.in_flight} depth={self.depth}")
         seq = self.seq

@@ -38,7 +38,7 @@ def test_acquire_miss_registers_at_full_cost(setup):
     mr, elapsed = _acquire(cluster, host, cache, 4 * KB)
     assert cache.misses == 1 and cache.hits == 0
     assert host.verbs.mrs_registered == 1
-    assert elapsed == host.verbs.params.mr_register_ns(4 * KB) > 0
+    assert elapsed == host.verbs.params.mr_register_ns([4 * KB]) > 0
     assert host.nic.mr_table.check(mr.rkey, mr.addr, 4 * KB, write=True) is mr
 
 
@@ -106,10 +106,10 @@ def test_prewarm_batch_pays_base_cost_once(cluster):
     assert len(cache) == count
     assert host.verbs.mrs_registered == count
     params = host.verbs.params
-    assert elapsed == params.mr_register_batch_ns([length] * count)
+    assert elapsed == params.mr_register_ns([length] * count)
     # The batch amortizes the driver base cost: strictly cheaper than
     # the same registrations issued one at a time.
-    assert elapsed < count * params.mr_register_ns(length)
+    assert elapsed < count * params.mr_register_ns([length])
 
 
 # ------------------------------------------------- MemCache integration

@@ -41,7 +41,7 @@ def test_odp_registration_is_cheap(cluster):
     odp_ns = run_process(cluster, register(odp=True))
     # ODP skips pinning: flat cost, far below the 1 MB pinned register.
     assert odp_ns == params.odp_register_ns
-    assert pinned_ns == params.mr_register_ns(1 * MB)
+    assert pinned_ns == params.mr_register_ns([1 * MB])
     assert odp_ns < pinned_ns
 
 

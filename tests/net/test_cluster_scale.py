@@ -20,7 +20,7 @@ def test_multipod_defaults_distribute_hosts_across_pods():
     # packing all hosts into pod 0 and leaving the spines idle.
     cluster = build_cluster(n_hosts=32, n_pods=2, n_spines=2)
     topo = cluster.topology
-    pods = {topo.host_pod(host.host_id) for host in cluster.hosts}
+    pods = {topo.routing.host_pod(host.host_id) for host in cluster.hosts}
     assert pods == {0, 1}
     assert topo.n_hosts == 32          # capacity fits exactly, no slack pod
 
@@ -29,7 +29,7 @@ def test_multipod_cross_pod_traffic_reaches_spines():
     cluster = build_cluster(n_hosts=32, n_pods=2, n_spines=2)
     topo = cluster.topology
     src, dst = 0, 31                   # opposite pods under fixed sizing
-    assert topo.host_pod(src) != topo.host_pod(dst)
+    assert topo.routing.host_pod(src) != topo.routing.host_pod(dst)
     perf = XrPerf(cluster)
     perf.run_incast([src], dst, size=16 * 1024, messages_per_source=2)
     spine_bytes = sum(port.tx_bytes for spine in topo.spines
@@ -39,11 +39,11 @@ def test_multipod_cross_pod_traffic_reaches_spines():
 
 def test_single_pod_defaults_unchanged():
     # Digest safety: the n_pods=1 sizing must match the old arithmetic.
-    topo = build_cluster(n_hosts=5).topology
-    assert (topo.n_pods, topo.tors_per_pod,
-            topo.hosts_per_tor, topo.n_spines) == (1, 1, 5, 1)
-    topo = build_cluster(n_hosts=20).topology
-    assert (topo.n_pods, topo.tors_per_pod, topo.hosts_per_tor) == (1, 2, 10)
+    dims = build_cluster(n_hosts=5).topology.routing
+    assert (dims.n_pods, dims.tors_per_pod,
+            dims.hosts_per_tor, dims.n_spines) == (1, 1, 5, 1)
+    dims = build_cluster(n_hosts=20).topology.routing
+    assert (dims.n_pods, dims.tors_per_pod, dims.hosts_per_tor) == (1, 2, 10)
 
 
 def test_impossible_dimensions_raise():
@@ -200,5 +200,5 @@ def test_flow_path_handles_unattached_endpoints():
                         leaves_per_pod=2, n_spines=2)
     hops = topo.routing.flow_path(1, 0, 9)     # nobody attached at all
     assert hops[0][0] == 0 and hops[-1][0] == 0      # ToR at both ends
-    assert hops[-1][2] == 9 % topo.hosts_per_tor     # canonical down-port
+    assert hops[-1][2] == 9 % topo.routing.hosts_per_tor  # canonical port
     assert topo.routing.flow_path(1, 3, 3) == []

@@ -100,9 +100,10 @@ def test_ecmp_spreads_flows_across_uplinks():
         hosts[0].send(Segment(src=0, dst=2, size=100, flow_id=flow))
     sim.run()
     tor = topo.tors[0]
+    dims = topo.routing
     used_uplinks = {
-        p for p in range(topo.hosts_per_tor,
-                         topo.hosts_per_tor + topo.leaves_per_pod)
+        p for p in range(dims.hosts_per_tor,
+                         dims.hosts_per_tor + dims.leaves_per_pod)
         if tor.ports[p].tx_segments > 0
     }
     assert len(used_uplinks) >= 2  # hashing spreads over multiple uplinks

@@ -108,7 +108,7 @@ def test_destroy_qp_unregisters(cluster):
 def test_mr_registration_cost_scales_with_size(cluster):
     host = cluster.host(0)
     params = cluster.params
-    assert params.mr_register_ns(4 << 20) > params.mr_register_ns(4096)
+    assert params.mr_register_ns([4 << 20]) > params.mr_register_ns([4096])
     # 4 MB MR ≈ base + 1024 pages of translate/pin work.
     expected = params.mr_register_base_ns + 1024 * params.mr_register_per_page_ns
-    assert params.mr_register_ns(4 << 20) == expected
+    assert params.mr_register_ns([4 << 20]) == expected

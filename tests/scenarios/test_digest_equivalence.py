@@ -1,7 +1,7 @@
 """Golden-digest equivalence: the optimized hot path fires the same schedule.
 
 The PR 3 optimizations (slotted events, lazy names, the invariant fast
-path, the bucketed memcache free list, the inlined run loops) are only
+path, the memcache free list, the inlined run loops) are only
 safe because the schedule is provably unchanged.  Each scenario here runs
 under :class:`TieAudit` and must reproduce the checked-in golden digest
 byte for byte, with zero tie anomalies.  Any engine change that reorders,
@@ -30,12 +30,14 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import ClockSync, Tracer, invariants
 from repro.cluster import build_cluster
 from repro.sim import SECONDS, Simulator
 from repro.xrdma import XrdmaConfig
-from repro.xrdma.memcache import MemCache
+from repro.xrdma.memcache import MemCache, _Arena
 
 from tests.scenarios.test_determinism import run_incast
 
@@ -188,56 +190,89 @@ def test_tracing_is_digest_neutral():
     assert audit_on.digest() == audit_off.digest()
 
 
-def test_bucketed_free_list_is_first_fit_equivalent():
-    """Placement-level proof: the bucketed arena returns the exact
-    addresses a naive address-sorted first-fit scan would."""
-    from repro.xrdma.memcache import _Arena
+class _FakeMr:
+    addr, length = 0x4000, 1 << 20
 
-    class _FakeMr:
-        addr, length = 0x4000, 1 << 20
 
-    class _ReferenceArena:
-        """The pre-PR free list: address-sorted scan + sort-based merge."""
+class _ReferenceArena:
+    """The independent oracle: address-sorted first-fit scan, and a
+    release that appends, re-sorts and merges the whole list."""
 
-        def __init__(self):
-            self.free = [(_FakeMr.addr, _FakeMr.length)]
+    def __init__(self, mr=_FakeMr):
+        self.free = [(mr.addr, mr.length)]
 
-        def alloc(self, size):
-            for index, (addr, length) in enumerate(self.free):
-                if length >= size:
-                    if length == size:
-                        del self.free[index]
-                    else:
-                        self.free[index] = (addr + size, length - size)
-                    return addr
-            return None
-
-        def release(self, addr, size):
-            self.free.append((addr, size))
-            self.free.sort()
-            merged = []
-            for a, length in self.free:
-                if merged and merged[-1][0] + merged[-1][1] == a:
-                    merged[-1] = (merged[-1][0], merged[-1][1] + length)
+    def alloc(self, size):
+        for index, (addr, length) in enumerate(self.free):
+            if length >= size:
+                if length == size:
+                    del self.free[index]
                 else:
-                    merged.append((a, length))
-            self.free = merged
+                    self.free[index] = (addr + size, length - size)
+                return addr
+        return None
 
-    bucketed, reference = _Arena(_FakeMr()), _ReferenceArena()
-    sizes = [64, 256, 1024, 4096, 16384, 65536]
+    def release(self, addr, size):
+        self.free.append((addr, size))
+        self.free.sort()
+        merged = []
+        for a, length in self.free:
+            if merged and merged[-1][0] + merged[-1][1] == a:
+                merged[-1] = (merged[-1][0], merged[-1][1] + length)
+            else:
+                merged.append((a, length))
+        self.free = merged
+
+
+def _replay(arena, reference, ops):
+    """Apply ``("alloc", size)`` / ``("free", index into live)`` steps to
+    both arenas; placement, free list and ``used_bytes`` must agree after
+    every one of them."""
     live = []
-    state = 12345
-    for step in range(6000):
-        state = (state * 1103515245 + 12721) % (1 << 31)   # deterministic LCG
-        if live and state % 100 < 45:
-            addr, size = live.pop(state % len(live))
-            bucketed.release(addr, size)
+    for step, (op, value) in enumerate(ops):
+        if op == "free":
+            if not live:
+                continue
+            addr, size = live.pop(value % len(live))
+            arena.release(addr, size)
             reference.release(addr, size)
         else:
-            size = sizes[state % len(sizes)]
-            got = bucketed.alloc(size)
-            want = reference.alloc(size)
+            got, want = arena.alloc(value), reference.alloc(value)
             assert got == want, f"step {step}: {got} != {want}"
             if got is not None:
-                live.append((got, size))
-        assert bucketed.free == reference.free, f"step {step}"
+                live.append((got, value))
+        assert arena.free == reference.free, f"step {step}"
+        assert arena.used_bytes == sum(size for _, size in live)
+
+
+def test_free_list_matches_sort_and_merge_reference():
+    """Placement-level proof over a long churn: the arena returns the
+    exact addresses the naive sort-and-merge first-fit list would."""
+    sizes = [64, 256, 1024, 4096, 16384, 65536]
+    ops, state = [], 12345
+    for _ in range(6000):
+        state = (state * 1103515245 + 12721) % (1 << 31)   # deterministic LCG
+        if state % 100 < 45:
+            ops.append(("free", state))
+        else:
+            ops.append(("alloc", sizes[state % len(sizes)]))
+    _replay(_Arena(_FakeMr()), _ReferenceArena(), ops)
+
+
+class _SmallMr:
+    addr, length = 0x4000, 1024
+
+
+_FILL = [("alloc", 256)] * 4                  # four blocks: arena full
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.just("alloc"), st.sampled_from([64, 128, 256, 512, 1024])),
+    st.tuples(st.just("free"), st.integers(0, 15))), max_size=60))
+# Full arena, then releases with no free neighbour, a free right
+# neighbour, free neighbours on both sides; refill, a free left
+# neighbour, and an exact fit into the merged block.
+@example(_FILL + [("free", 1), ("free", 0), ("free", 1), ("free", 0)]
+         + _FILL + [("free", 0), ("free", 0), ("alloc", 512)])
+def test_property_free_list_matches_reference(ops):
+    _replay(_Arena(_SmallMr()), _ReferenceArena(_SmallMr), ops)

@@ -6,7 +6,10 @@ the teardown, and the survivor must still receive every message — with
 the budget balanced to zero at the end.
 """
 
+import pytest
+
 from repro.sim import MILLIS
+from repro.verbs.cm import ConnectError
 from tests.conftest import run_process
 from tests.scenarios.conftest import assert_quiescent, close_channels, settle
 from tests.xrdma.conftest import make_context
@@ -45,3 +48,40 @@ def test_teardown_under_queued_load(cluster):
     close_channels(cluster, client)
     settle(cluster)
     assert_quiescent(client, server)
+
+
+def test_stopped_context_withdraws_its_listeners(cluster):
+    """``stop()`` used to leave the CM listener registered and the accept
+    loop parked: a peer's connect came back READY, a message on it was
+    never acked while the NIC kept answering keepalives, and no second
+    context on the host could listen on the port."""
+    server = make_context(cluster, 1)
+    server.listen(9000)
+    listener = cluster.host(1).cm.listeners[9000]
+    server.stop()
+    client = make_context(cluster, 0)
+
+    def connect_refused():
+        with pytest.raises(ConnectError):
+            yield from client.connect(1, 9000)
+
+    run_process(cluster, connect_refused())
+    assert 9000 not in cluster.host(1).cm.listeners
+    assert not listener.accepted._getters      # the accept loop ended
+
+    successor = make_context(cluster, 1)
+    accepted = successor.listen(9000)
+
+    def exchange():
+        channel = yield from client.connect(1, 9000)
+        peer = yield accepted.get()
+        client.send_msg(channel, 64, payload="ping")
+        yield cluster.sim.timeout(500 * MILLIS)
+        return channel, peer
+
+    channel, peer = run_process(cluster, exchange())
+    assert channel.window.in_flight == 0       # acked, not wedged
+    assert [m.payload for m in successor.polling()] == ["ping"]
+    close_channels(cluster, client)
+    settle(cluster)
+    assert_quiescent(client, successor)

@@ -18,9 +18,6 @@ def test_one_slot_reserved_for_nop():
     for _ in range(3):
         window.next_seq()
     assert not window.can_send()
-    assert window.can_send_nop()
-    window.next_seq(nop=True)
-    assert not window.can_send_nop()
 
 
 def test_next_seq_raises_when_full():
