@@ -26,7 +26,6 @@ from typing import (TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple,
                     Union)
 
 from repro.net.device import Device
-from repro.sim.events import Timeout
 from repro.net.packet import Segment, SegmentKind
 from repro.rnic.cq import CompletionQueue
 from repro.rnic.mr import MrTable
@@ -94,12 +93,17 @@ class Rnic(Device):
 
         self._ready: Deque[_TxJob] = deque()
         self._in_ready: set = set()                         # ids of queued jobs
-        self._tx_wakes: list = []
+        #: transmit engines waiting for work (one engine per NIC port)
+        self._tx_idle = 0
+        #: DMA time by fragment size: fragments come in a handful of sizes
+        #: (MTU, CTRL, message remainders), so the float math is memoized
+        #: the way EgressPort memoizes serialization
+        self._dma_cache: Dict[int, int] = {}
         self._qp_cache: "OrderedDict[int, bool]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
         self._watchdogs: set = set()                        # qpns with watchdog
-        self.sim.spawn(self._tx_loop(), name=f"{self.name}:tx")
+        self.sim.schedule(0, self._tx_run)      # start, as a bootstrap does
 
     # --------------------------------------------------------------- fabric
     def plug_into(self, topology: "ClosTopology", ports: int = 1) -> None:
@@ -114,7 +118,7 @@ class Rnic(Device):
             self.uplinks.append(topology.attach_extra_port(
                 self.host_id, self, nic_port))
             # Each port brings its own processing pipeline.
-            self.sim.spawn(self._tx_loop(), name=f"{self.name}:tx{nic_port}")
+            self.sim.schedule(0, self._tx_run)
 
     def pause_port(self, port: int, priority: int, pause: bool) -> None:
         if 0 <= port < len(self.uplinks):
@@ -148,6 +152,7 @@ class Rnic(Device):
     def destroy_qp(self, qp: QueuePair) -> None:
         self.qps.pop(qp.qpn, None)
         self.limiters.pop(qp.qpn, None)
+        self._flow_ports.pop((self.host_id << 20) | qp.qpn, None)
 
     def register_dc_target(self, target) -> None:
         self.dc_targets[target.dct_num] = target
@@ -192,10 +197,9 @@ class Rnic(Device):
             self._ready.appendleft(job)
         else:
             self._ready.append(job)
-        while self._tx_wakes:
-            wake = self._tx_wakes.pop()
-            if not wake.triggered:
-                wake.succeed(None)
+        while self._tx_idle:
+            self._tx_idle -= 1
+            self.sim.schedule(0, self._tx_run)
 
     def _tx_head(self, job: _TxJob) -> Optional[Tuple[int, int, int]]:
         """What ``job`` sends next: ``(qpn, fragment_bytes, wqe_bytes)``.
@@ -224,39 +228,35 @@ class Rnic(Device):
         return (job.qpn, min(mtu, max(msg.wr.length - msg.sent_bytes, 0)),
                 wqe_bytes)
 
-    def _tx_loop(self):
+    # The transmit engine is a callback machine, one per NIC port, all
+    # serving the one ready queue.  An engine is either *idle* (counted in
+    # ``_tx_idle``; ``_enqueue_job`` wakes it through a now-queue entry,
+    # never synchronously) or *busy*: exactly one bare entry of its own is
+    # pending — its start, a wake, a back-pressure retry, or the occupancy
+    # of the fragment it works on, which emits it and runs the engine on.
+    def _tx_run(self, _arg: object = None) -> None:
+        """Take jobs off the ready queue until one occupies the engine, the
+        queue is empty (the engine idles), the port pushes back, or the
+        NIC is dead."""
         params = self.params
         sim = self.sim
-        ready = self._ready          # stable deque, hoisted for the hot loop
+        ready = self._ready
         in_ready = self._in_ready
-        # DMA time depends only on the fragment size, and fragments come in
-        # a handful of sizes (MTU, CTRL, message remainders) — memoize the
-        # float math the same way EgressPort memoizes serialization.
-        dma_cache: dict = {}
-        segment_process_ns = params.nic_segment_process_ns
-        # Exactly one occupancy timeout is in flight (the loop blocks on
-        # it), so one recycled object serves every fragment.
-        occ_timeout: Optional[Timeout] = None
         while True:
             if not self.alive:
                 return
             if not ready:
-                # Static name: one of these is born per idle transition,
-                # which is far too hot for a per-event f-string.
-                wake = sim.event("txwake")
-                self._tx_wakes.append(wake)
-                yield wake
-                continue
+                self._tx_idle += 1
+                return
             job = ready.popleft()
             in_ready.discard(id(job))
 
-            is_qp = isinstance(job, QueuePair)
-            if is_qp:
+            if isinstance(job, QueuePair):
                 if job.state is not QpState.RTS:
                     continue
                 if sim._now < job.tx_blocked_until:
-                    sim.call_at(job.tx_blocked_until,
-                                lambda qp=job: self._kick_qp(qp))
+                    sim.schedule(job.tx_blocked_until - sim._now,
+                                 self._kick_qp, job)
                     continue
             head = self._tx_head(job)
             if head is None:
@@ -273,9 +273,9 @@ class Rnic(Device):
                 # bound for the other port (WQE fragment order is kept by
                 # the per-QP cursor, not by queue position).
                 self._enqueue_job(job, front=False)
-                yield self.sim.timeout(
-                    params.serialization_ns(params.mtu_bytes) // 2)
-                continue
+                sim.schedule(params.serialization_ns(params.mtu_bytes) // 2,
+                             self._tx_run)
+                return
 
             # DCQCN pacing is applied at *WQE boundaries*: once a work
             # request is admitted, its segments burst back-to-back (the
@@ -286,32 +286,34 @@ class Rnic(Device):
             if wqe_bytes:
                 limiter = self._limiter(qpn)
                 if params.dcqcn_enabled and limiter.next_tx_ns > sim._now:
-                    sim.call_at(limiter.next_tx_ns,
-                                lambda j=job: self._enqueue_job(j))
+                    sim.schedule(limiter.next_tx_ns - sim._now,
+                                 self._enqueue_job, job)
                     continue
                 limiter.reserve(wqe_bytes)
+            break
 
-            # Engine occupancy: per-segment work + host-memory DMA + the
-            # WQE fetch when a fresh WQE starts + QP-context cache miss.
-            dma = dma_cache.get(nbytes)
-            if dma is None:
-                dma = dma_cache[nbytes] = params.dma_ns(nbytes)
-            occupancy = (segment_process_ns + dma
-                         + self._qp_cache_access(qpn))
-            if wqe_bytes:
-                occupancy += params.nic_wqe_fetch_ns
-            if occ_timeout is None:          # direct: per-fragment hot path
-                occ_timeout = Timeout(sim, occupancy)
-            else:
-                occ_timeout._rearm(occupancy)
-            yield occ_timeout
+        # Engine occupancy: per-segment work + host-memory DMA + the WQE
+        # fetch when a fresh WQE starts + QP-context cache miss.
+        dma = self._dma_cache.get(nbytes)
+        if dma is None:
+            dma = self._dma_cache[nbytes] = params.dma_ns(nbytes)
+        occupancy = (params.nic_segment_process_ns + dma
+                     + self._qp_cache_access(qpn))
+        if wqe_bytes:
+            occupancy += params.nic_wqe_fetch_ns
+        sim.schedule(occupancy, self._on_occupied, (job, out_port))
 
-            if is_qp:
-                self._emit_qp_fragment(job)
-            else:
-                self._emit_read_fragment(job)
+    def _on_occupied(self, work: Tuple[_TxJob, "EgressPort"]) -> None:
+        """The engine's work on one fragment is done: emit it on the port
+        resolved when the work began, then take the next job."""
+        job, port = work
+        if isinstance(job, QueuePair):
+            self._emit_qp_fragment(job, port)
+        else:
+            self._emit_read_fragment(job, port)
+        self._tx_run()
 
-    def _emit_qp_fragment(self, qp: QueuePair) -> None:
+    def _emit_qp_fragment(self, qp: QueuePair, port: "EgressPort") -> None:
         params = self.params
         msg = qp.current_tx
         if msg is None:
@@ -323,7 +325,7 @@ class Rnic(Device):
                 wr = qp.sq.popleft()
                 msg = OutboundMessage(wr=wr, sent_at=self.sim.now)
                 if wr.opcode is Opcode.READ:
-                    self._emit_read_request(qp, msg)
+                    self._emit_read_request(qp, msg, port)
                     self._kick_qp(qp)
                     return
                 nfrags = max(1, params.segments_of(wr.length))
@@ -344,29 +346,21 @@ class Rnic(Device):
         offset = msg.sent_bytes
         frag_len = min(params.mtu_bytes, max(wr.length - offset, 0))
         frag_index = offset // params.mtu_bytes if wr.length else 0
+        # Positional: RcPacket(kind, src_qpn, dst_qpn, psn, msg_id,
+        # opcode, offset, length, total_length, first, last, remote_addr,
+        # rkey, imm_data, ack_psn, app_payload) — once per fragment.
         packet = RcPacket(
-            kind=RcKind.DATA,
-            src_qpn=qp.qpn,
-            dst_qpn=qp.remote_qpn or 0,
-            psn=msg.first_psn + frag_index,
-            msg_id=msg.msg_id,
-            opcode=wr.opcode,
-            offset=offset,
-            length=frag_len,
-            total_length=wr.length,
-            first=(offset == 0),
-            last=(offset + frag_len >= wr.length),
-            remote_addr=wr.remote_addr + offset,
-            rkey=wr.rkey,
-            imm_data=wr.imm_data,
-            app_payload=(wr.payload if offset == 0 else None),
-        )
+            RcKind.DATA, qp.qpn, qp.remote_qpn or 0,
+            msg.first_psn + frag_index, msg.msg_id, wr.opcode, offset,
+            frag_len, wr.length, offset == 0,
+            offset + frag_len >= wr.length, wr.remote_addr + offset,
+            wr.rkey, wr.imm_data, -1, wr.payload if offset == 0 else None)
         if offset == 0:
             trace = getattr(wr.payload, "trace", None)
             if trace is not None:
                 trace.mark("nic_tx")
         self._send_segment(qp.remote_host, frag_len, SegmentKind.DATA,
-                           qp.qpn, packet)
+                           qp.qpn, packet, port)
         msg.sent_bytes = offset + max(frag_len, 1)
         if msg.fully_sent:
             msg.sent_at = self.sim.now
@@ -375,7 +369,8 @@ class Rnic(Device):
         else:
             self._kick_qp(qp, front=True)
 
-    def _emit_read_request(self, qp: QueuePair, msg: OutboundMessage) -> None:
+    def _emit_read_request(self, qp: QueuePair, msg: OutboundMessage,
+                           port: Optional["EgressPort"] = None) -> None:
         wr = msg.wr
         qp.reads_in_flight[msg.msg_id] = msg
         msg.sent_bytes = max(wr.length, 1)
@@ -392,46 +387,44 @@ class Rnic(Device):
             rkey=wr.rkey,
         )
         self._send_segment(qp.remote_host, CTRL_BYTES, SegmentKind.DATA,
-                           qp.qpn, packet)
+                           qp.qpn, packet, port)
 
-    def _emit_read_fragment(self, job: _ReadJob) -> None:
+    def _emit_read_fragment(self, job: _ReadJob, port: "EgressPort") -> None:
         frag_len = min(self.params.mtu_bytes, job.length - job.sent)
+        # Positional, as in _emit_qp_fragment: once per response fragment.
         packet = RcPacket(
-            kind=RcKind.READ_RESP,
-            src_qpn=job.responder_qpn,
-            dst_qpn=job.requester_qpn,
-            msg_id=job.msg_id,
-            offset=job.sent,
-            length=frag_len,
-            total_length=job.length,
-            first=(job.sent == 0),
-            last=(job.sent + frag_len >= job.length),
-        )
+            RcKind.READ_RESP, job.responder_qpn, job.requester_qpn, 0,
+            job.msg_id, None, job.sent, frag_len, job.length, job.sent == 0,
+            job.sent + frag_len >= job.length)
         self._send_segment(job.requester_host, frag_len, SegmentKind.DATA,
-                           job.responder_qpn, packet)
+                           job.responder_qpn, packet, port)
         job.sent += frag_len
         if job.sent < job.length:
             self._enqueue_job(job, front=True)    # WQE-atomic continuation
 
     def _send_segment(self, dst_host: Optional[int], size: int,
-                      kind: SegmentKind, local_qpn: int,
-                      payload) -> None:
+                      kind: SegmentKind, local_qpn: int, payload,
+                      port: Optional["EgressPort"] = None) -> None:
         """One RC packet on ``local_qpn``'s flow.  Data fragments get here
-        through the engine queue; ACK/NAK/CNP replies call it straight
-        from the receive path, bypassing pacing."""
+        through the engine queue, with the port it resolved; ACK/NAK/CNP
+        replies call it straight from the receive path, bypassing
+        pacing."""
         if dst_host is None:
             raise RuntimeError(f"{self.name}: QP has no peer configured")
+        # Positional: Segment(src, dst, size, kind, flow_id, priority,
+        # ecn_capable, ecn_marked, payload) — once per RC packet.
         self.transmit(Segment(
-            src=self.host_id, dst=dst_host, size=size, kind=kind,
-            flow_id=(self.host_id << 20) | local_qpn,
-            ecn_capable=(kind is SegmentKind.DATA),
-            payload=payload))
+            self.host_id, dst_host, size, kind,
+            (self.host_id << 20) | local_qpn, 0, kind is SegmentKind.DATA,
+            False, payload), port)
 
-    def transmit(self, segment: Segment) -> None:
+    def transmit(self, segment: Segment,
+                 port: Optional["EgressPort"] = None) -> None:
         """The host's one egress: RC traffic, rdma_cm and the TCP stack
         all put their segments on the wire here, so ``segments_sent``
         counts every one and ``segments_sent == segments_delivered +
-        drops`` holds whenever the fabric is quiet."""
+        drops`` holds whenever the fabric is quiet.  ``port`` is the
+        flow's uplink when the caller has already resolved it."""
         if self.uplink is None:
             raise RuntimeError(f"{self.name} is not plugged into a fabric")
         self.stats.segments_sent += 1
@@ -440,7 +433,9 @@ class Rnic(Device):
             self.sim.call_after(self.params.nic_ack_delay_ns,
                                 lambda: self.receive(segment, 0))
         else:
-            self._uplink_for(segment.flow_id).enqueue(segment)
+            if port is None:
+                port = self._uplink_for(segment.flow_id)
+            port.enqueue(segment)
 
     # ------------------------------------------------------------- watchdogs
     def _arm_watchdog(self, qp: QueuePair) -> None:
@@ -623,8 +618,7 @@ class Rnic(Device):
                 qp_num=qp.qpn, byte_len=msg.total_length,
                 imm_data=packet.imm_data, addr=recv_wr.local_addr,
                 payload=msg.app_payload)
-            self.sim.call_after(delay,
-                                lambda: qp.recv_cq.push(completion))
+            self.sim.schedule(delay, qp.recv_cq.push, completion)
         elif msg.opcode is Opcode.WRITE_IMM:
             recv_wr = qp.pop_recv()
             if recv_wr is None:
@@ -637,8 +631,7 @@ class Rnic(Device):
                 opcode=Opcode.RECV_IMM, qp_num=qp.qpn,
                 byte_len=msg.total_length, imm_data=packet.imm_data,
                 addr=msg.write_addr, payload=msg.app_payload)
-            self.sim.call_after(delay,
-                                lambda: qp.recv_cq.push(completion))
+            self.sim.schedule(delay, qp.recv_cq.push, completion)
         # Plain WRITE: silent at the receiver (memory semantics).
 
     def _ack(self, qp: QueuePair, remote_qpn: int, remote_host: int,
@@ -698,8 +691,7 @@ class Rnic(Device):
                     wr_id=msg.wr.wr_id, status=WrStatus.SUCCESS,
                     opcode=Opcode.READ, qp_num=qp.qpn,
                     byte_len=msg.wr.length)
-                self.sim.call_after(delay,
-                                    lambda: qp.send_cq.push(completion))
+                self.sim.schedule(delay, qp.send_cq.push, completion)
 
     def _rx_ack(self, packet: RcPacket) -> None:
         qp = self.qps.get(packet.dst_qpn)
@@ -718,9 +710,8 @@ class Rnic(Device):
                     wr_id=msg.wr.wr_id, status=WrStatus.SUCCESS,
                     opcode=msg.wr.opcode, qp_num=qp.qpn,
                     byte_len=msg.wr.length)
-                self.sim.call_after(
-                    self.params.nic_cqe_ns,
-                    lambda c=completion: qp.send_cq.push(c))
+                self.sim.schedule(self.params.nic_cqe_ns, qp.send_cq.push,
+                                  completion)
         if qp.retx:
             qp.retx = deque(m for m in qp.retx if not m.acked)
         if qp.current_tx is not None and qp.current_tx.acked:
@@ -745,8 +736,8 @@ class Rnic(Device):
                 return
             qp.tx_blocked_until = self.sim.now + self.params.rc_rnr_retry_delay_ns
             self._rewind(qp)
-            self.sim.call_at(qp.tx_blocked_until,
-                             lambda: self._kick_qp(qp))
+            self.sim.schedule(self.params.rc_rnr_retry_delay_ns,
+                              self._kick_qp, qp)
             return
         # NAK_SEQ: rewind unless we just did (spurious duplicate guard).
         if self.sim.now - qp.last_rewind_ns < self.params.rc_retransmit_timeout_ns // 4:

@@ -1,17 +1,20 @@
 """The discrete-event simulation loop.
 
-Events fire in ``(time, sequence)`` order.  The sequence number is drawn
-when an event is triggered, so simultaneous events fire in trigger order —
-the determinism every digest in this project rests on.
+Entries fire in ``(time, sequence)`` order.  The sequence number is drawn
+when an entry is scheduled, so simultaneous entries fire in scheduling
+order — the determinism every digest in this project rests on.
 
-Entries are ``(time, sequence, event)`` in one of two stores: *the now-queue
-holds every event triggered for the current instant, in trigger order; the
-heap holds only positive-delay ``Timeout`` events.*  The deque is therefore
-sorted by the heap's own key, the fire loop pops the smaller of the two
-heads, and the order is exactly a single heap's
-(``tests/sim/test_engine_model.py`` checks that on random programs) while a
-wake — 7–30% of all events by workload — costs an append+popleft instead of
-two O(log n) sifts.
+Every entry is ``(time, sequence, fn, arg)``, made by one primitive,
+:meth:`Simulator.schedule`.  A *bare* entry runs ``fn(arg)``: the timers
+nobody waits on (port serialize and deliver, NIC occupancy, CQE pushes,
+``call_at``) cost one tuple and one call, not a Timeout, a callbacks list
+and a resume.  An *event* entry, ``(time, sequence, None, event)``, fires
+the event's callbacks.  *The now-queue holds every entry scheduled for the
+current instant, in scheduling order; the heap holds only positive-delay
+entries.*  The deque is therefore sorted by the heap's own key, the fire
+loop pops the smaller of the two heads, and the order is exactly a single
+heap's (``tests/sim/test_engine_model.py`` checks that on random
+programs) while a wake costs an append+popleft, not two O(log n) sifts.
 """
 
 from __future__ import annotations
@@ -19,13 +22,21 @@ from __future__ import annotations
 import hashlib
 import heapq
 import time
-from collections import deque
+from collections import Counter, deque
 from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 __all__ = ["GuardExceeded", "SimulationError", "Simulator", "TieAudit"]
+
+#: ``(time, sequence, fn, arg)``; see the module docstring
+_Entry = Tuple[int, int, Optional[Callable[[Any], None]], Any]
+
+_heappush = heapq.heappush
+
+#: the target of a run that stops at no particular entry
+_NEVER = object()
 
 
 class GuardExceeded(SimulationError):
@@ -90,45 +101,72 @@ class _GuardState:
             self.outer.charge()
 
 
+def _call(fn: Callable[[], None]) -> None:
+    """The bare-entry body behind :meth:`Simulator.call_at`: ``fn()``."""
+    fn()
+
+
+def _owner(fn: Optional[Callable[..., Any]], arg: Any) -> str:
+    """Who a popped entry runs: a bare entry's ``fn`` (``call_at``'s
+    callable), else the event's first callback (a process's generator)."""
+    if fn is None:
+        callbacks = arg.callbacks
+        if not callbacks:
+            return f"({type(arg).__name__}, no callback)"
+        fn = callbacks[0]
+        process = getattr(fn, "__self__", None)
+        if isinstance(process, Process):
+            fn = process._generator
+    elif fn is _call:
+        fn = arg
+    return getattr(fn, "__qualname__", type(fn).__qualname__)
+
+
 class TieAudit:
     """Debug-mode observer of the engine's same-instant tie-breaks.
 
-    Ties are *normal* — many events fire at the same instant — and the
-    sequence number resolves them in insertion order, which is what the
+    Ties are *normal* — many entries fire at the same instant — and the
+    sequence number resolves them in scheduling order, which is what the
     determinism guarantee rests on.  The auditor makes that story
     measurable end to end:
 
     * ``ties`` / ``tie_groups`` / ``max_group`` quantify how much of a run
       rides on the tie-break (how fragile the schedule would be without it);
-    * ``anomalies`` counts pops where a tie resolved *out of* insertion
+    * ``anomalies`` counts pops where a tie resolved *out of* scheduling
       order — always 0 unless a refactor breaks the heap key;
-    * ``digest()`` is a SHA-256 over the fired-event schedule, so two runs
-      with one root seed can be compared bit-for-bit.
+    * ``owners`` counts pops by who they run (:func:`_owner`): the
+      events-by-owner table that says which layer a run's events go to;
+    * ``digest()`` is a SHA-256 over the fired schedule, so two runs with
+      one root seed can be compared bit-for-bit.
 
-    The digest covers ``(time, event type)`` — deliberately not event
-    *names*: names embed process-lifetime entity ids (connection, message,
-    QP counters), so including them would make the digest depend on how
-    many simulations ran earlier in the same interpreter rather than on
-    the schedule itself.
+    The digest covers ``(time, event type)``, a bare entry hashing as the
+    ``Timeout`` it replaced — deliberately not names: they embed
+    process-lifetime entity ids (connection, message, QP counters), so the
+    digest would depend on how many simulations ran earlier in the same
+    interpreter rather than on the schedule itself.
     """
 
     def __init__(self) -> None:
-        self.pops = 0            #: events fired while auditing
+        self.pops = 0            #: entries fired while auditing
         self.ties = 0            #: pops at the same instant as the prior
         self.tie_groups = 0      #: runs of >=2 tied pops
         self.max_group = 1       #: largest tied run
-        self.anomalies = 0       #: ties resolved against insertion order
+        self.anomalies = 0       #: ties resolved against scheduling order
+        self.owners: Counter = Counter()     #: pops by owner qualname
         self._last_when = -1
         self._last_seq = -1
         self._group = 1
         self._hash = hashlib.sha256()
 
-    def observe(self, when: int, seq: int, event: Event) -> None:
+    def observe(self, when: int, seq: int, fn: Optional[Callable[..., Any]],
+                arg: Any) -> None:
         self.pops += 1
+        kind = "Timeout" if fn is not None else type(arg).__name__
         # The literal 1 is the priority every event carried while the key
         # still had a priority axis; hashing it keeps every committed
         # digest valid.
-        self._hash.update(f"{when}:1:{type(event).__name__}\n".encode())
+        self._hash.update(f"{when}:1:{kind}\n".encode())
+        self.owners[_owner(fn, arg)] += 1
         if when == self._last_when:
             self.ties += 1
             self._group += 1
@@ -147,9 +185,12 @@ class TieAudit:
         return self._hash.hexdigest()
 
     def summary(self) -> str:
+        owners = " ".join(f"{name}={count}"
+                          for name, count in self.owners.most_common(5))
         return (f"tie-audit: pops={self.pops} ties={self.ties} "
                 f"groups={self.tie_groups} max_group={self.max_group} "
-                f"anomalies={self.anomalies}")
+                f"anomalies={self.anomalies}\n"
+                f"tie-audit: top owners: {owners}")
 
 
 class Simulator:
@@ -176,11 +217,11 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: int = 0
-        #: positive-delay Timeouts, keyed (time, sequence)
-        self._heap: List[Tuple[int, int, Event]] = []
-        #: events triggered for the current instant; FIFO == (time,
+        #: positive-delay entries ``(time, sequence, fn, arg)``
+        self._heap: List[_Entry] = []
+        #: entries scheduled for the current instant; FIFO == (time,
         #: sequence) order by construction (see module docstring)
-        self._nowq: Deque[Tuple[int, int, Event]] = deque()
+        self._nowq: Deque[_Entry] = deque()
         self._sequence: int = 0
         self.tie_audit: Optional[TieAudit] = None
         self._guards: Optional[_GuardState] = None
@@ -239,19 +280,33 @@ class Simulator:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
 
-    def call_at(self, when: int, fn: Callable[[], None]) -> Event:
+    def schedule(self, delay: int, fn: Optional[Callable[[Any], None]],
+                 arg: Any = None) -> None:
+        """Run ``fn(arg)`` ``delay`` ns from now: the one primitive every
+        entry goes through (``fn`` None fires the event ``arg``).
+
+        Callers pass an exact ``int`` delay ≥ 0 — nothing is checked here;
+        :meth:`call_at` / :meth:`call_after` validate.  A bare entry's
+        ``arg`` must not be an event someone runs :meth:`run_until_event`
+        on: the fire loop recognises that target by identity.
+        """
+        sequence = self._sequence = self._sequence + 1
+        if delay:
+            _heappush(self._heap, (self._now + delay, sequence, fn, arg))
+        else:
+            self._nowq.append((self._now, sequence, fn, arg))
+
+    def call_at(self, when: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute time ``when`` (≥ now)."""
         if when < self._now:
             raise ValueError(f"call_at({when}) is in the past (now={self._now})")
-        ev = Timeout(self, when - self._now)
-        ev.callbacks.append(lambda _ev: fn())   # fresh timeout: list exists
-        return ev
+        self.schedule(int(when - self._now), _call, fn)
 
-    def call_after(self, delay: int, fn: Callable[[], None]) -> Event:
+    def call_after(self, delay: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` ns."""
-        ev = Timeout(self, delay)
-        ev.callbacks.append(lambda _ev: fn())   # fresh timeout: list exists
-        return ev
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
+        self.schedule(int(delay), _call, fn)
 
     # ------------------------------------------------------------- execution
     def _drive(self, target: Optional[Event], bound: Optional[int],
@@ -260,14 +315,12 @@ class Simulator:
         """The one pop-and-fire loop behind :meth:`step`, :meth:`run` and
         :meth:`run_until_event`.
 
-        Fires events in ``(time, sequence)`` order until
-        ``target`` itself has been fired (``None``: never) — only then is
-        the result True — nothing is pending, or the next event lies
-        beyond simulated time ``bound``; that event stays queued and the
+        Fires entries in ``(time, sequence)`` order until the entry whose
+        ``arg`` is ``target`` has fired (``None``: never) — only then is
+        the result True — nothing is pending, or the next entry lies
+        beyond simulated time ``bound``; that entry stays queued and the
         clock is left for the caller to settle.  The target stop is by
-        identity, not by ``target.callbacks is None``: a recycled
-        :class:`Timeout` re-armed inside its own callback has a fresh
-        callback list by the time control returns here.
+        identity, so :meth:`step` can name a bare entry by its ``arg``.
 
         ``max_events`` / ``wall_timeout_s`` arm a one-shot budget for this
         call, charged *together with* any persistent :meth:`set_guards`
@@ -276,10 +329,8 @@ class Simulator:
         one event a ``bound`` stop puts back has been charged).
 
         Everything the loop touches is hoisted into locals: this is the
-        hottest loop in the project, and the method call, the attribute
-        loads and (when off, as in every production run) the whole audit
-        branch are measurable.  The auditor must be enabled before running
-        (documented on :meth:`enable_tie_audit`), so one load outside the
+        hottest loop in the project.  The auditor must be enabled before
+        running (see :meth:`enable_tie_audit`), so one load outside the
         loop is equivalent.
         """
         guards = self._guards
@@ -290,8 +341,10 @@ class Simulator:
         heappop = heapq.heappop
         audit = self.tie_audit
         # One comparison per heap pop instead of two: an unset bound
-        # becomes an unreachable one.
+        # becomes an unreachable one, an unset target an unmatchable one.
         latest = float("inf") if bound is None else bound
+        if target is None:
+            target = _NEVER
         while heap or nowq:
             if guards is not None:
                 guards.charge()
@@ -299,47 +352,46 @@ class Simulator:
                 # Now-queue entries can never trip the bound: they were
                 # appended at a past-or-present instant and ``_now`` never
                 # exceeds the bound inside this loop.
-                when, seq, event = nowq.popleft()
+                when, seq, fn, arg = nowq.popleft()
             else:
-                when, seq, event = heappop(heap)
+                when, seq, fn, arg = heappop(heap)
                 if when > latest:
                     # Pops are time-monotone, so checking after the pop is
                     # equivalent to peeking first — and skips a heap[0][0]
-                    # index chain on every iteration.  Restore the event.
-                    heapq.heappush(heap, (when, seq, event))
+                    # index chain on every iteration.  Restore the entry.
+                    heapq.heappush(heap, (when, seq, fn, arg))
                     return False
             if audit is not None:
-                audit.observe(when, seq, event)
+                audit.observe(when, seq, fn, arg)
             self._now = when
-            callbacks = event.callbacks
-            event.callbacks = None
-            if callbacks:
-                # One waiter is the overwhelmingly common case (a process
-                # resume or a delivery hook); skip the iterator for it.
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-            elif not event._ok and not event.defused:
-                raise SimulationError(
-                    f"unhandled failure in {event.name!r}: {event.value!r}"
-                ) from event.value
-            if event is target:
+            if fn is not None:
+                fn(arg)
+            else:
+                callbacks = arg.callbacks
+                arg.callbacks = None
+                if callbacks:
+                    # One waiter is the overwhelmingly common case (a
+                    # process resume); skip the iterator for it.
+                    if len(callbacks) == 1:
+                        callbacks[0](arg)
+                    else:
+                        for callback in callbacks:
+                            callback(arg)
+                elif not arg._ok and not arg.defused:
+                    raise SimulationError(
+                        f"unhandled failure in {arg.name!r}: {arg.value!r}"
+                    ) from arg.value
+            if arg is target:
                 return True
         return False
 
     def step(self) -> None:
-        """Fire the single next event."""
-        heap, nowq = self._heap, self._nowq
-        if nowq and (not heap or nowq[0] < heap[0]):
-            head = nowq[0]
-        elif heap:
-            head = heap[0]
-        else:
+        """Fire the single next entry."""
+        heads = [queue[0] for queue in (self._nowq, self._heap) if queue]
+        if not heads:
             raise SimulationError("step() on an empty event heap")
         # The head is what the loop pops first, and it stops right after.
-        self._drive(head[2], None, None, None)
+        self._drive(min(heads)[3], None, None, None)
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None,

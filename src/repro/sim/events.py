@@ -5,15 +5,15 @@ The engine resumes the process when the event *fires* — either successfully,
 delivering a value, or with a failure, raising the stored exception inside
 the process.
 
-Events are the single hottest allocation in the simulator (every timeout,
-wake-up, and process bootstrap is one), so the classes here carry
+Events are the hottest allocation in the simulator after the engine's
+bare entries (every process timeout, wake-up and bootstrap is one), so
+the classes here carry
 ``__slots__`` and compute their display names lazily: the name only
 matters in error messages and debug output, never on the fire path.
 """
 
 from __future__ import annotations
 
-from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -92,9 +92,7 @@ class Event:
             raise RuntimeError(f"event {self.name!r} already triggered")
         self._ok = True
         self._value = value
-        sim = self.sim
-        sim._sequence += 1
-        sim._nowq.append((sim._now, sim._sequence, self))
+        self.sim.schedule(0, None, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -105,17 +103,8 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        sim = self.sim
-        sim._sequence += 1
-        sim._nowq.append((sim._now, sim._sequence, self))
+        self.sim.schedule(0, None, self)
         return self
-
-    def add_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Register ``callback(event)``; runs immediately if already fired."""
-        if self.callbacks is None:
-            callback(self)
-        else:
-            self.callbacks.append(callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self.processed else (
@@ -142,38 +131,8 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._delay = delay
-        # int() keeps a float delay out of the heap keys.  Timeouts are
-        # the only events that ever reach the heap.
-        sim._sequence += 1
-        delay = int(delay)
-        if delay == 0:
-            sim._nowq.append((sim._now, sim._sequence, self))
-        else:
-            _heappush(sim._heap, (sim._now + delay, sim._sequence, self))
-
-    def _rearm(self, delay: int, value: Any = None) -> "Timeout":
-        """Reschedule a *fired* timeout, recycling the object.
-
-        Strictly an allocation-avoidance hook for single-owner hot loops
-        (port serialization, NIC occupancy, wire delivery): the caller
-        guarantees the timeout has been processed, that nothing else holds
-        a reference, and that ``delay`` is an exact ``int`` (every call
-        site passes cached/derived ints, so ``__init__``'s coercion is
-        skipped).  The schedule produced is byte-identical to constructing
-        a fresh ``Timeout`` — same type, time and sequence number — so
-        TieAudit digests cannot tell the difference.
-        """
-        self.callbacks = []
-        self._ok = True
-        self._value = value
-        self._delay = delay
-        sim = self.sim
-        sim._sequence += 1
-        if delay == 0:
-            sim._nowq.append((sim._now, sim._sequence, self))
-        else:
-            _heappush(sim._heap, (sim._now + delay, sim._sequence, self))
-        return self
+        # int() keeps a float delay out of the heap keys.
+        sim.schedule(int(delay), None, self)
 
     def _default_name(self) -> str:
         return f"timeout({self._delay})"
@@ -195,7 +154,10 @@ class _Condition(Event):
             self.succeed({})
             return
         for event in self.events:
-            event.add_callback(self._on_child)
+            if event.callbacks is None:         # already fired
+                self._on_child(event)
+            else:
+                event.callbacks.append(self._on_child)
 
     def _on_child(self, event: Event) -> None:
         if self.triggered:

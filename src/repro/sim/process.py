@@ -45,8 +45,7 @@ class Process(Event):
         start._ok = True
         start._value = None
         start.callbacks.append(self._resume)
-        sim._sequence += 1
-        sim._nowq.append((sim._now, sim._sequence, start))
+        sim.schedule(0, None, start)
 
     def _default_name(self) -> str:
         return getattr(self._generator, "__name__", "process")
@@ -60,7 +59,7 @@ class Process(Event):
         # The hottest callback in the simulator: every yield in every
         # process funnels through here, so it reads private slots
         # (``_ok``/``_value``) instead of the validating properties and
-        # registers itself on the target without the add_callback frame.
+        # registers itself on the target without a helper frame.
         try:
             if event._ok:
                 target = self._generator.send(event._value)

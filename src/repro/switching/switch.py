@@ -60,14 +60,12 @@ class Switch(Device):
         self.ports: List[EgressPort] = []
         #: in_port -> (upstream device, upstream's egress-port index)
         self.neighbors: Dict[int, Tuple[Device, int]] = {}
-        #: shared flyweight routing (installed by the topology) + this
-        #: switch's coordinate in it
+        #: shared flyweight routing (installed by the topology), this
+        #: switch's index within its role, and the role's route function
+        #: bound at install: ``_route(routing_index, segment)`` -> port
         self.routing: Optional["RoutingTable"] = None
-        self.routing_role: int = Switch.ROLE_TOR
         self.routing_index: int = 0
-        #: test/bench hook: an explicit per-switch route function overrides
-        #: the shared table when set
-        self.route: Optional[Callable[[Segment], int]] = None
+        self._route: Callable[[int, Segment], int]     # install_routing sets
         # Flat PFC ingress accounting, index == ingress port; the final
         # element is the LOCAL_PORT (-1) slot for harness-injected traffic.
         self._ingress_bytes: List[int] = [0]
@@ -93,8 +91,8 @@ class Switch(Device):
                         index: int) -> None:
         """Adopt the fabric's shared routing table at ``(role, index)``."""
         self.routing = routing
-        self.routing_role = role
         self.routing_index = index
+        self._route = routing.router(role)
 
     def register_neighbor(self, in_port: int, device: Device,
                           their_port: int) -> None:
@@ -104,16 +102,8 @@ class Switch(Device):
     # ------------------------------------------------------------- data path
     def receive(self, segment: Segment, in_port: int) -> None:
         """Forward one segment: route, admit, ECN-mark, PFC-account."""
-        route = self.route
-        if route is not None:
-            out_index = route(segment)
-        elif self.routing is not None:
-            out_index = self.routing.route(self.routing_role,
-                                           self.routing_index, segment)
-        else:
-            raise RuntimeError(f"switch {self.name!r} has no routing installed")
         segment.hops += 1
-        port = self.ports[out_index]
+        port = self.ports[self._route(self.routing_index, segment)]
         params = self.params
         size = segment.size
         pfc = self.pfc_enabled

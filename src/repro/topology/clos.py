@@ -24,7 +24,7 @@ Before this, each switch held a route closure capturing the whole
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.net.device import Device
 from repro.net.packet import Segment
@@ -82,13 +82,15 @@ class RoutingTable:
         self._slots = slots          # shared with the owning ClosTopology
 
     # ------------------------------------------------------------- dispatch
-    def route(self, role: int, index: int, segment: Segment) -> int:
-        """Egress port for ``segment`` at the switch ``(role, index)``."""
+    def router(self, role: int) -> Callable[[int, Segment], int]:
+        """The route function of one switch role: ``fn(index, segment)``
+        is the egress port for ``segment`` at the switch ``(role,
+        index)``.  A switch binds it once, at install."""
         if role == Switch.ROLE_TOR:
-            return self._route_tor(index, segment)
+            return self._route_tor
         if role == Switch.ROLE_LEAF:
-            return self._route_leaf(index, segment)
-        return self._route_spine(index, segment)
+            return self._route_leaf
+        return self._route_spine
 
     # ------------------------------------------------------------ per-role
     def _route_tor(self, tor_index: int, segment: Segment) -> int:

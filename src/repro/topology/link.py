@@ -15,7 +15,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro.net.packet import Segment
-from repro.sim.events import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.device import Device
@@ -29,8 +28,7 @@ class EgressPort:
     __slots__ = ("sim", "params", "name", "bandwidth_bps",
                  "base_bandwidth_bps", "background_bps", "peer",
                  "peer_port", "queue", "queued_bytes", "pause_mask", "busy",
-                 "on_dequeue", "tx_segments", "tx_bytes", "_ser_cache",
-                 "_ser_timeout", "_deliver_pool")
+                 "on_dequeue", "tx_segments", "tx_bytes", "_ser_cache")
 
     #: pause mask gating every priority class (legacy whole-port gate)
     PAUSE_ALL = -1
@@ -59,8 +57,6 @@ class EgressPort:
         # Serialization time depends only on segment size; workloads use a
         # handful of sizes, so memoizing skips the float math per segment.
         self._ser_cache: dict = {}
-        self._ser_timeout: Optional[Timeout] = None   # recycled, see _serialize
-        self._deliver_pool: list = []       # fired delivery timeouts, reused
 
     def connect(self, peer: "Device", peer_port: int) -> None:
         """Point the wire at ``peer``'s ingress ``peer_port``."""
@@ -77,10 +73,15 @@ class EgressPort:
         """Queue a segment for transmission (admission already decided)."""
         if self.peer is None:
             raise RuntimeError(f"egress port {self.name!r} is not connected")
-        self.queue.append(segment)
         self.queued_bytes += segment.size
-        if not self.busy:       # under load the port is already draining
-            self._kick()
+        # An idle port with a backlog has a paused head (it would be
+        # draining otherwise), so the segment joins the FIFO behind it.
+        if (self.busy or self.queue or (
+                self.pause_mask and (self.pause_mask >> segment.priority) & 1)):
+            self.queue.append(segment)
+        else:
+            self.busy = True
+            self._serialize(segment)
 
     def set_paused(self, paused: bool,
                    priority: int = PAUSE_ALL) -> None:
@@ -97,8 +98,13 @@ class EgressPort:
             self.pause_mask |= (1 << priority)
         else:
             self.pause_mask &= ~(1 << priority)
-        if not paused:
-            self._kick()
+        # The gate is head-of-line: the port is a single FIFO, so an idle
+        # port restarts iff the *head* segment's class may transmit.
+        queue = self.queue
+        if (not paused and not self.busy and queue
+                and not (self.pause_mask >> queue[0].priority) & 1):
+            self.busy = True
+            self._serialize(queue.popleft())
 
     def set_background_load(self, bps: float) -> None:
         """Reserve ``bps`` of this link for flow-aggregate background
@@ -116,18 +122,6 @@ class EgressPort:
         self._ser_cache.clear()
 
     # --------------------------------------------------------------- internal
-    def _kick(self) -> None:
-        """Start serializing the head segment if the port is idle and the
-        head's class is unpaused (the gate is head-of-line: the port is a
-        single FIFO, so it transmits iff the *head* segment may)."""
-        queue = self.queue
-        if self.busy or not queue:
-            return
-        if self.pause_mask and (self.pause_mask >> queue[0].priority) & 1:
-            return
-        self.busy = True
-        self._serialize(queue.popleft())
-
     def _serialization_ns(self, segment: Segment) -> int:
         ns = self._ser_cache.get(segment.size)
         if ns is None:
@@ -137,22 +131,14 @@ class EgressPort:
         return ns
 
     def _serialize(self, segment: Segment) -> None:
-        """Put ``segment`` on the wire: it rides as the value of the
-        serialization timeout, which has exactly one in flight per port
-        (``busy`` guards it), so a single recycled object serves every
-        segment."""
+        """Put ``segment`` on the wire: one bare entry that fires
+        :meth:`_on_serialized` when its last bit has left."""
         ser_ns = self._ser_cache.get(segment.size)
         if ser_ns is None:
             ser_ns = self._serialization_ns(segment)
-        timeout = self._ser_timeout
-        if timeout is None:
-            timeout = self._ser_timeout = Timeout(self.sim, ser_ns, segment)
-        else:
-            timeout._rearm(ser_ns, segment)
-        timeout.callbacks.append(self._on_serialized)
+        self.sim.schedule(ser_ns, self._on_serialized, segment)
 
-    def _on_serialized(self, timeout: Timeout) -> None:
-        segment = timeout._value
+    def _on_serialized(self, segment: Segment) -> None:
         # Accounting happens at the dequeue-complete instant: the segment
         # occupies the buffer until it has fully left the wire, so
         # occupancy-based PFC/ECN decisions never see a window where bytes
@@ -161,16 +147,8 @@ class EgressPort:
         self.queued_bytes -= size
         self.tx_segments += 1
         self.tx_bytes += size
-        # Hand-inlined call_after with the segment as the timeout's value:
-        # zero per-delivery closures, recycled objects.  Several deliveries
-        # can be in flight at once on a long wire, hence a pool.
-        pool = self._deliver_pool
-        propagation_ns = self.params.link_propagation_ns
-        if pool:
-            deliver = pool.pop()._rearm(propagation_ns, segment)
-        else:
-            deliver = Timeout(self.sim, propagation_ns, segment)
-        deliver.callbacks.append(self._on_delivered)
+        self.sim.schedule(self.params.link_propagation_ns, self._on_delivered,
+                          segment)
         if self.on_dequeue is not None:
             self.on_dequeue(segment)
         # Next head, or idle.  ``busy`` stayed set across ``on_dequeue``,
@@ -182,6 +160,5 @@ class EgressPort:
         else:
             self.busy = False
 
-    def _on_delivered(self, deliver: Timeout) -> None:
-        self.peer.receive(deliver._value, self.peer_port)
-        self._deliver_pool.append(deliver)
+    def _on_delivered(self, segment: Segment) -> None:
+        self.peer.receive(segment, self.peer_port)

@@ -20,12 +20,48 @@ from repro.rnic.cq import CompletionQueue
 from repro.rnic.mr import AccessFlags, MemoryRegion, ProtectionDomain
 from repro.rnic.qp import QpState, QueuePair, SharedReceiveQueue
 from repro.rnic.wqe import Completion, WorkRequest
-from repro.sim.events import Event
+from repro.sim.events import Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rnic.nic import Rnic
     from repro.sim.engine import Simulator
     from repro.sim.params import SimParams
+
+
+class _Charged(Event):
+    """A verbs call as one event: it fires ``cost_ns`` after the call, runs
+    the effect as its first callback and carries the effect's result — or
+    exception — as its value, so the caller resumes in the same pop.  A
+    failure nobody waits on raises :class:`SimulationError`, as an
+    unobserved failed event does."""
+
+    __slots__ = ("_effect", "_waiters")
+
+    def __init__(self, sim: "Simulator", cost_ns: int,
+                 effect: Callable[[], object]) -> None:
+        super().__init__(sim)
+        self._effect = effect
+        # The fire loop detaches ``callbacks`` before running them, so
+        # the effect keeps its own handle on the waiter list.
+        self._waiters = self.callbacks
+        self.callbacks.append(self._apply)
+        sim.schedule(cost_ns, None, self)
+
+    def _apply(self, _event: Event) -> None:
+        # Dropping the list breaks the cycle it closes through this bound
+        # method, so a fired call is freed by refcount, not by the GC.
+        waiters, self._waiters = self._waiters, None
+        try:
+            self._value = self._effect()
+            self._ok = True
+        except BaseException as exc:
+            # Not swallowed: the waiters see it raised at their yield, and
+            # with none it escalates below.
+            self._ok = False
+            self._value = exc
+            if len(waiters) == 1 and not self.defused:
+                raise SimulationError(
+                    f"unhandled failure in {self.name!r}: {exc!r}") from exc
 
 
 class VerbsContext:
@@ -42,20 +78,8 @@ class VerbsContext:
 
     # ----------------------------------------------------------------- infra
     def _charged(self, cost_ns: int, effect: Callable[[], object]) -> Event:
-        """Run ``effect`` after ``cost_ns``; the returned event carries its
-        result (or failure)."""
-        done = self.sim.event()
-
-        def fire(_ev: Event) -> None:
-            try:
-                done.succeed(effect())
-            except BaseException as exc:  # xr-lint: disable=swallowed-error
-                # Not swallowed: fail() re-raises through the charged event
-                # at the caller's yield point.
-                done.fail(exc)
-
-        self.sim.timeout(cost_ns).add_callback(fire)
-        return done
+        """Run ``effect`` after ``cost_ns``; the event carries its result."""
+        return _Charged(self.sim, cost_ns, effect)
 
     # ------------------------------------------------------------------- PDs
     def alloc_pd(self) -> ProtectionDomain:

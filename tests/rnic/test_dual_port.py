@@ -87,3 +87,34 @@ def test_extra_port_requires_primary():
     stranger = SimpleHost(99)
     with pytest.raises(ValueError):
         cluster.topology.attach_extra_port(1, stranger, 1)
+
+
+def test_destroyed_qp_releases_its_port_pin():
+    """A flow's port pin dies with its QP: new flows balance against live
+    flows only, and the pin table does not grow with every QP ever made."""
+    cluster = build_cluster(2, nic_ports=2)
+    host = cluster.host(0)
+    nic = host.nic
+    pd = host.verbs.alloc_pd()
+    cq = host.verbs.create_cq()
+
+    def create(count):
+        qps = []
+        for _ in range(count):
+            qps.append((yield host.verbs.create_qp(pd, cq, cq)))
+        return qps
+
+    def destroy(doomed):
+        for qp in doomed:
+            yield host.verbs.destroy_qp(qp)
+
+    def port_of(qp):
+        flow = (nic.host_id << 20) | qp.qpn
+        return nic.uplinks.index(nic._uplink_for(flow))
+
+    qps = run_process(cluster, create(4))
+    assert [port_of(qp) for qp in qps] == [0, 1, 0, 1]
+    run_process(cluster, destroy([qps[0], qps[2]]))
+    fresh = run_process(cluster, create(2))
+    assert [port_of(qp) for qp in fresh] == [0, 0]
+    assert len(nic._flow_ports) == 4

@@ -264,11 +264,14 @@ def test_event_value_before_trigger_raises():
         _ = ev.ok
 
 
-def test_one_ordering_key_and_only_timeouts_on_the_heap():
-    """Pending entries are ``(time, sequence, event)``; everything
-    triggered for the current instant waits in the now-queue in trigger
-    order, and the heap holds the positive-delay Timeout alone."""
+def test_one_ordering_key_and_only_timers_on_the_heap():
+    """Pending entries are ``(time, sequence, fn, arg)`` — ``fn`` None for
+    an event; everything scheduled for the current instant waits in the
+    now-queue in scheduling order, bare entries and events alike, and the
+    heap holds the positive-delay entries alone: the Timeout and the bare
+    timer."""
     sim = Simulator()
+    fired = []
     timeout = sim.timeout(5)
     done = sim.event().succeed("ok")
     failed = sim.event()
@@ -279,11 +282,18 @@ def test_one_ordering_key_and_only_timeouts_on_the_heap():
         yield timeout
 
     p = sim.spawn(proc())
-    assert sim._heap == [(5, 1, timeout)]
-    assert [entry[:2] for entry in sim._nowq] == [(0, 2), (0, 3), (0, 4)]
-    assert [entry[2] for entry in sim._nowq][:2] == [done, failed]
-    assert sim._nowq[2][2].callbacks == [p._resume]     # the bootstrap
+    sim.schedule(0, fired.append, "bare-now")
+    sim.schedule(3, fired.append, "bare-later")
+    assert sorted(sim._heap) == [(3, 6, fired.append, "bare-later"),
+                                 (5, 1, None, timeout)]
+    assert [entry[:2] for entry in sim._nowq] == [(0, 2), (0, 3), (0, 4),
+                                                  (0, 5)]
+    assert [entry[2:] for entry in sim._nowq][:2] == [(None, done),
+                                                      (None, failed)]
+    assert sim._nowq[2][3].callbacks == [p._resume]     # the bootstrap
+    assert sim._nowq[3][2:] == (fired.append, "bare-now")
     sim.run()
+    assert fired == ["bare-now", "bare-later"]
     assert sim.now == 5 and not p.alive
 
 
@@ -319,9 +329,9 @@ def test_tie_audit_detects_out_of_order_sequence():
     from repro.sim import TieAudit
     audit = TieAudit()
     ev = Event(Simulator(), name="x")
-    audit.observe(10, 1, ev)
-    audit.observe(10, 5, ev)
-    audit.observe(10, 3, ev)        # tie resolved against insertion order
+    audit.observe(10, 1, None, ev)
+    audit.observe(10, 5, None, ev)
+    audit.observe(10, 3, None, ev)        # tie resolved against insertion order
     assert audit.ties == 2
     assert audit.anomalies == 1
 
@@ -330,11 +340,58 @@ def test_tie_audit_digest_reflects_schedule():
     from repro.sim import TieAudit
     a, b, c = TieAudit(), TieAudit(), TieAudit()
     ev = Event(Simulator(), name="x")
-    a.observe(10, 1, ev)
-    b.observe(10, 1, ev)
-    c.observe(11, 1, ev)            # different time -> different digest
+    a.observe(10, 1, None, ev)
+    b.observe(10, 1, None, ev)
+    c.observe(11, 1, None, ev)            # different time -> different digest
     assert a.digest() == b.digest()
     assert a.digest() != c.digest()
+
+
+def test_tie_audit_hashes_bare_entries_as_timeouts_and_counts_owners():
+    """A bare entry hashes as the Timeout it replaced, so digests of
+    schedules that only swapped timers for entries stay valid; the owner
+    table names the bare entry's function, a ``call_at`` callable, or a
+    process's generator."""
+
+    def run(bare):
+        sim = Simulator()
+        audit = sim.enable_tie_audit()
+        hits = []
+        for delay in (3, 0, 7):
+            if bare:
+                sim.schedule(delay, hits.append, delay)
+            else:
+                sim.timeout(delay).callbacks.append(
+                    lambda _ev, d=delay: hits.append(d))
+        sim.run()
+        return audit, hits
+
+    bare, bare_hits = run(bare=True)
+    timed, timed_hits = run(bare=False)
+    assert bare_hits == timed_hits == [0, 3, 7]
+    assert bare.digest() == timed.digest()
+    assert bare.owners == {"list.append": 3}
+
+    sim = Simulator()
+    audit = sim.enable_tie_audit()
+
+    def pinger():
+        yield sim.timeout(4)
+
+    def tick():
+        pass
+
+    sim.spawn(pinger())
+    sim.call_at(2, tick)
+    sim.run()
+    assert audit.owners == {
+        "test_tie_audit_hashes_bare_entries_as_timeouts_and_counts_owners"
+        ".<locals>.pinger": 2,
+        "test_tie_audit_hashes_bare_entries_as_timeouts_and_counts_owners"
+        ".<locals>.tick": 1,
+        "(Process, no callback)": 1}
+    assert audit.owners.most_common(1)[0][1] == 2
+    assert "top owners:" in audit.summary()
 
 
 def test_enable_tie_audit_is_idempotent():

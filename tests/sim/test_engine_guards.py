@@ -133,19 +133,18 @@ def test_guarded_run_matches_unguarded_schedule(drain, guards):
             yield sim.timeout(index % 7 + 1)
 
     def recycler(sim, laps=40):
-        """A Timeout re-armed inside its own callback, as the egress-port
-        and RNIC loops do: processed, yet ``callbacks`` is a list again."""
+        """A bare entry rescheduling itself from its own body, as the
+        egress ports and the RNIC transmit engine do: the next entry is
+        pushed while the current one is still firing."""
         done = sim.event("recycler-done")
 
-        def lap(timeout):
-            nonlocal laps
-            laps -= 1
-            if laps:
-                timeout._rearm(laps % 3 + 1).callbacks.append(lap)
+        def lap(remaining):
+            if remaining:
+                sim.schedule(remaining % 3 + 1, lap, remaining - 1)
             else:
                 done.succeed()
 
-        sim.timeout(2).callbacks.append(lap)
+        sim.schedule(2, lap, laps - 1)
         return done
 
     def digest(drain, guards):

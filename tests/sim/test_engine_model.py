@@ -1,14 +1,15 @@
 """The two-queue engine *is* a single heap keyed ``(time, sequence)``.
 
 ``repro.sim.engine``'s docstring argues that a FIFO now-queue plus a heap of
-positive-delay Timeouts fires events in exactly the order one heap would.
-Here a ten-line reference model — one ``heapq``, nothing else — predicts the
-firing order of random programs, and the engine must match it event for
-event under every way of draining it.
+positive-delay entries fires bare entries and events in exactly the order
+one heap would.  Here a ten-line reference model — one ``heapq``, nothing
+else — predicts the firing order of random programs, and the engine must
+match it entry for entry under every way of draining it.
 
-A program is a list of op-lists: the k-th event to fire runs ``script[k]``,
-each op triggering one new event, so any divergence in order changes what
-runs next and shows up in the fired ``(time, label)`` trace.
+A program is a list of op-lists: the k-th entry to fire runs ``script[k]``,
+each op scheduling one new entry — a Timeout, a bare ``schedule`` entry, a
+process, a succeeded or failed event — so any divergence in order changes
+what runs next and shows up in the fired ``(time, label)`` trace.
 """
 
 import heapq
@@ -20,7 +21,7 @@ from repro.sim import Simulator
 
 #: (kind, delay); ``succeed`` / ``fail`` fire at the current instant
 OPS = st.tuples(
-    st.sampled_from(["timeout", "rearm", "spawn", "succeed", "fail"]),
+    st.sampled_from(["timeout", "bare", "spawn", "succeed", "fail"]),
     st.integers(0, 3))
 SCRIPTS = st.lists(st.lists(OPS, max_size=4), min_size=1, max_size=40)
 
@@ -86,7 +87,6 @@ def predicted(script):
 
 def observed(script, drain):
     sim = Simulator()
-    fired_timeouts = []
 
     def body(label):
         program.fired(label)
@@ -95,19 +95,17 @@ def observed(script, drain):
         program.fired(woke)
 
     def trigger(kind, delay, label):
-        def on_fire(event):
-            if kind in ("timeout", "rearm"):
-                fired_timeouts.append(event)    # re-armable, even by itself
+        def on_fire(_event):
             program.fired(label)
 
         if kind == "spawn":
             exited = program.after[program.after[label][1]][1]
             sim.spawn(body(label)).callbacks.append(
                 lambda _ev: program.fired(exited))
-        elif kind == "timeout" or (kind == "rearm" and not fired_timeouts):
+        elif kind == "timeout":
             sim.timeout(delay).callbacks.append(on_fire)
-        elif kind == "rearm":
-            fired_timeouts.pop()._rearm(delay).callbacks.append(on_fire)
+        elif kind == "bare":
+            sim.schedule(delay, program.fired, label)
         elif kind == "succeed":
             sim.event().succeed().callbacks.append(on_fire)
         else:
