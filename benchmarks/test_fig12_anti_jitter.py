@@ -14,7 +14,7 @@ from statistics import mean
 
 import pytest
 
-from repro.analysis.stats import jitter_index
+from repro.analysis.stats import percentile
 from repro.apps import EssdFrontend, PanguDeployment, XdbFrontend
 from repro.cluster import build_cluster
 from repro.sim import MILLIS, SECONDS
@@ -27,13 +27,6 @@ from .conftest import emit
 DURATION = 1200 * MILLIS
 BURST_START = 400 * MILLIS
 BURST_LEN = 400 * MILLIS
-
-
-def percentile(values, p):
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1, int(len(ordered) * p / 100))]
 
 
 def run_pressure(flow_control: bool):
@@ -68,10 +61,10 @@ def window_stats(app, label):
     burst = app.latencies_in(BURST_START, BURST_START + BURST_LEN)
     return {
         "label": label,
-        "calm_p50_us": percentile(calm, 50) / 1000,
-        "burst_p50_us": percentile(burst, 50) / 1000,
-        "calm_p95_us": percentile(calm, 95) / 1000,
-        "burst_p95_us": percentile(burst, 95) / 1000,
+        "calm_p50_us": percentile(calm, 0.50) / 1000,
+        "burst_p50_us": percentile(burst, 0.50) / 1000,
+        "calm_p95_us": percentile(calm, 0.95) / 1000,
+        "burst_p95_us": percentile(burst, 0.95) / 1000,
         "calm_n": len(calm),
         "burst_n": len(burst),
     }

@@ -37,7 +37,7 @@ def scenario_heavy_incast():
                     config=XrdmaConfig(flow_control=False))
     stat = XrStat(cluster)
     crucial = stat.crucial_indexes()
-    caught = crucial["cnps"] > 0 or crucial["pfc_pause_frames"] > 0
+    caught = crucial["cnps_sent"] > 0 or crucial["pause_frames"] > 0
     return "heavy incast", "XR-Stat crucial indexes", caught
 
 

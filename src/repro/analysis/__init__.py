@@ -2,10 +2,11 @@
 
 * :class:`~repro.analysis.tracing.Tracer` — req-rsp tracing: latency
   decomposition with synchronized clocks, the poll-gap watchdog, and
-  slow-segment logging.
+  slow-segment logging; :func:`~repro.analysis.tracing.analyze` folds its
+  records into numbers (nearest-rank percentiles, see
+  :mod:`repro.analysis.stats`).
 * :class:`~repro.analysis.clocksync.ClockSync` — the clock-offset service
   the network-time decomposition needs.
-* :class:`~repro.analysis.stats.LatencyHistogram` — percentile machinery.
 * :class:`~repro.analysis.monitor.Monitor` — the centralized collector the
   XR-* tools and production figures read from.
 * :class:`~repro.analysis.faultfilter.Filter` — error injection (drops,
@@ -23,10 +24,9 @@ from repro.analysis.invariants import (InvariantError, InvariantRegistry,
 from repro.analysis.mock import Mock
 from repro.analysis.monitor import Monitor
 from repro.analysis.report import series_panel, sparkline, table
-from repro.analysis.stats import LatencyHistogram
 from repro.analysis.tracing import TraceContext, TraceRecord, Tracer
 
 __all__ = ["ClockSync", "FaultRule", "Filter", "HostClock",
-           "InvariantError", "InvariantRegistry", "LatencyHistogram",
-           "Mock", "Monitor", "TraceContext", "TraceRecord", "Tracer",
+           "InvariantError", "InvariantRegistry", "Mock", "Monitor",
+           "TraceContext", "TraceRecord", "Tracer",
            "series_panel", "sparkline", "table", "verify_context"]

@@ -79,18 +79,6 @@ class Monitor:
         if registry is not None:
             self.series[f"{prefix}.invariant_violations"].append(
                 (now, registry.total))
-        tracer = ctx.tracer
-        if tracer is not None:
-            self.series[f"{prefix}.tracing.completed"].append(
-                (now, tracer.latency.count))
-            self.series[f"{prefix}.tracing.negative_network_clamped"].append(
-                (now, tracer.negative_network_clamped))
-            for stage in sorted(tracer.segment_latency):
-                histogram = tracer.segment_latency[stage]
-                self.series[f"{prefix}.trace.{stage}.count"].append(
-                    (now, histogram.count))
-                self.series[f"{prefix}.trace.{stage}.p99_ns"].append(
-                    (now, histogram.percentile(99)))
 
     def sample_fabric(self) -> None:
         """Record the cluster-wide crucial indexes."""

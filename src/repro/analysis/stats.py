@@ -1,63 +1,9 @@
-"""Latency/statistics helpers shared by the tracer, monitor and tools."""
+"""Percentile and jitter helpers shared by the tracer, fleet and tools."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
-
-
-class LatencyHistogram:
-    """Log-bucketed latency histogram with percentile queries.
-
-    Buckets are powers of √2 over nanoseconds, giving ~3% resolution with a
-    few dozen integers — cheap enough to keep per channel.
-    """
-
-    _BASE = math.sqrt(2)
-
-    def __init__(self) -> None:
-        self._buckets: Dict[int, int] = {}
-        self.count = 0
-        self.min_ns: int = 0
-        self.max_ns: int = 0
-
-    def record(self, latency_ns: int) -> None:
-        if latency_ns < 0:
-            raise ValueError(f"negative latency: {latency_ns}")
-        index = 0 if latency_ns < 1 else int(
-            math.log(latency_ns, self._BASE))
-        self._buckets[index] = self._buckets.get(index, 0) + 1
-        self.count += 1
-        if self.count == 1:
-            self.min_ns = self.max_ns = latency_ns
-        else:
-            self.min_ns = min(self.min_ns, latency_ns)
-            self.max_ns = max(self.max_ns, latency_ns)
-
-    def percentile(self, p: float) -> float:
-        """Approximate p-th percentile (0 < p ≤ 100)."""
-        if not 0 < p <= 100:
-            raise ValueError(f"percentile out of range: {p}")
-        if self.count == 0:
-            return 0.0
-        target = math.ceil(self.count * p / 100)
-        seen = 0
-        for index in sorted(self._buckets):
-            seen += self._buckets[index]
-            if seen >= target:
-                return self._BASE ** (index + 0.5)
-        return float(self.max_ns)  # pragma: no cover - target ≤ count
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        for index, count in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + count
-        if other.count:
-            if self.count == 0:
-                self.min_ns, self.max_ns = other.min_ns, other.max_ns
-            else:
-                self.min_ns = min(self.min_ns, other.min_ns)
-                self.max_ns = max(self.max_ns, other.max_ns)
-        self.count += other.count
+from typing import Sequence
 
 
 def nearest_rank(ordered: Sequence[float], q: float) -> float:
@@ -66,9 +12,13 @@ def nearest_rank(ordered: Sequence[float], q: float) -> float:
 
     Integer rank arithmetic via ``math.ceil`` — no interpolation, so the
     result is always an actual observed value and never depends on float
-    summation order.  This is THE percentile routine: the fleet
-    aggregator, the xr_trace CLI and the serving window engine all
-    delegate here, so their numbers are comparable by construction.
+    summation order.  This is THE percentile routine: the trace fold
+    (:func:`repro.analysis.tracing.analyze`, behind both the xr_trace CLI
+    and every fleet run's ``trace`` section), the ``traced-rpc`` and
+    ``ctrl-plane`` scenarios, the fleet aggregator, the serving window
+    engine and tenants and the Fig. 12 benchmark (through
+    :func:`percentile`) and the ``bench/`` ledger all delegate here, so
+    their numbers are comparable by construction.
     """
     if not ordered:
         raise ValueError("percentile of empty sequence")

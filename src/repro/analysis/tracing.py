@@ -42,6 +42,12 @@ II.  **Poll-gap watchdog** — the context reports gaps between polling
      how the Pangu allocator-lock jitter of Sec. VII-D was found).
 III. **Slow-segment log** — instrumented code segments exceeding
      ``slow_threshold`` are recorded with their location.
+
+A tracer keeps records, not rollups: :attr:`Tracer.records` is its only
+store, and :func:`analyze` is the only code that folds records into
+numbers (nearest-rank percentiles per stage, critical-path attribution).
+The ``xr_trace`` CLI prints that fold, and every traced fleet run carries
+it as its ``trace`` section.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
 from repro.analysis import invariants
 from repro.analysis.clocksync import ClockSync
 from repro.analysis.invariants import check as _invariant
-from repro.analysis.stats import LatencyHistogram
+from repro.analysis.stats import nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -200,14 +206,8 @@ class Tracer:
         self.pending: Dict[int, TraceContext] = {}
         self.slow_log: List[SlowLogEntry] = []
         self.poll_gap_log: List[SlowLogEntry] = []
-        self.latency = LatencyHistogram()
-        self.network_latency = LatencyHistogram()
-        #: end-to-end channel-establishment latency (setup traces)
-        self.setup_latency = LatencyHistogram()
-        #: per-stage span histograms (completed traces only)
-        self.segment_latency: Dict[str, LatencyHistogram] = {}
         #: negative network decompositions (clock-sync residual larger than
-        #: the true network time) — surfaced, not hidden by the clamp
+        #: the true network time) — counted; the record keeps the sign
         self.negative_network_clamped = 0
         #: marks suppressed across finalized traces (retransmit visibility)
         self.suppressed_marks = 0
@@ -248,7 +248,7 @@ class Tracer:
 
         Records if and only if the sender sampled the message — the trace
         context in the header *is* the decision, so sender and receiver
-        histograms share one denominator.
+        records share one denominator.
         """
         header = msg.header
         trace = None if header is None else getattr(header, "trace", None)
@@ -273,11 +273,10 @@ class Tracer:
         record.network_ns = network
         trace.delivery_record = record
         if network < 0:
-            # Clock-sync residual exceeded the true network time.  The
-            # histogram needs a non-negative value, but the event itself
-            # is a crucial index (Monitor series), not something to hide.
+            # Clock-sync residual exceeded the true network time: the
+            # record keeps the signed value, and the event is a crucial
+            # index of its own (every trace summary reports it).
             self.negative_network_clamped += 1
-        self.network_latency.record(max(network, 0))
 
     def on_message_acked(self, channel: "XrdmaChannel",
                          msg: "XrdmaMessage") -> None:
@@ -289,10 +288,10 @@ class Tracer:
         trace.mark("ack_return")
         self._finalize(trace, msg)
 
-    def _close_record(self, trace: TraceContext, total: int,
-                      histogram: LatencyHistogram) -> Optional[TraceRecord]:
-        """Close the sender record of ``trace`` against ``total`` and roll
-        it up; None when it is unsampled or already closed."""
+    def _close_record(self, trace: TraceContext,
+                      total: int) -> Optional[TraceRecord]:
+        """Close the sender record of ``trace`` against ``total``; None
+        when it is unsampled or already closed."""
         record = trace.sender_record
         if record is None or record.complete:
             return None
@@ -303,12 +302,6 @@ class Tracer:
         record.complete = True
         self.pending.pop(trace.trace_id, None)
         self.suppressed_marks += trace.suppressed_marks
-        histogram.record(total)
-        for stage, duration in record.spans:
-            per_stage = self.segment_latency.get(stage)
-            if per_stage is None:
-                per_stage = self.segment_latency[stage] = LatencyHistogram()
-            per_stage.record(duration)
         return record
 
     def _finalize(self, trace: TraceContext, msg: "XrdmaMessage") -> None:
@@ -316,7 +309,7 @@ class Tracer:
         # (enqueue to ack, the latency the application observes); the
         # spans must account for every nanosecond of it.
         total = self.ctx.sim.now - msg.created_at
-        record = self._close_record(trace, total, self.latency)
+        record = self._close_record(trace, total)
         if record is None:
             return
         spans, residual = record.spans, record.residual_ns
@@ -382,7 +375,7 @@ class Tracer:
         incomplete, which is exactly what ``incomplete_count`` reports.
         """
         total = self.ctx.sim.now - trace.start_ns
-        record = self._close_record(trace, total, self.setup_latency)
+        record = self._close_record(trace, total)
         if record is None:
             return
         residual = record.residual_ns
@@ -446,6 +439,18 @@ def merged_trace_records(tracers: Iterable[Tracer]) -> List[Dict[str, Any]]:
     return [by_id[trace_id] for trace_id in sorted(by_id)]
 
 
+def tracer_totals(tracers: Iterable[Tracer]) -> Dict[str, int]:
+    """The two counts a tracer keeps outside its records — negative-network
+    clamps and suppressed marks — summed: the meta :func:`analyze` reads."""
+    tracers = list(tracers)
+    return {
+        "negative_network_clamped": sum(
+            tracer.negative_network_clamped for tracer in tracers),
+        "suppressed_marks": sum(
+            tracer.suppressed_marks for tracer in tracers),
+    }
+
+
 def export_jsonl(path: Any, tracers: Iterable[Tracer],
                  meta: Optional[Dict[str, Any]] = None) -> int:
     """Write one trace artifact: a meta line, then one line per trace.
@@ -459,10 +464,7 @@ def export_jsonl(path: Any, tracers: Iterable[Tracer],
         "records": len(records),
         "incomplete": sum(1 for record in records
                           if not record["complete"]),
-        "negative_network_clamped": sum(
-            tracer.negative_network_clamped for tracer in tracers),
-        "suppressed_marks": sum(
-            tracer.suppressed_marks for tracer in tracers),
+        **tracer_totals(tracers),
     }
     if meta:
         header.update(meta)
@@ -471,3 +473,80 @@ def export_jsonl(path: Any, tracers: Iterable[Tracer],
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     return len(records)
+
+
+# ------------------------------------------------------------------ the fold
+def analyze(meta: Dict[str, Any], records: List[Dict[str, Any]],
+            slowest: int = 5) -> Dict[str, Any]:
+    """Fold trace records into the report payload (the ``--json`` output)."""
+    completed = [record for record in records if record.get("complete")]
+    spans_by_stage: Dict[str, List[int]] = {}
+    dominated_by: Dict[str, int] = {}
+    grand_total = 0
+    for record in completed:
+        worst_stage, worst_ns = "", -1
+        for stage, duration in record.get("spans", []):
+            spans_by_stage.setdefault(stage, []).append(int(duration))
+            grand_total += int(duration)
+            # Ties go to the later stage name: max over (duration, stage).
+            if (duration, stage) > (worst_ns, worst_stage):
+                worst_stage, worst_ns = stage, duration
+        if worst_stage:
+            dominated_by[worst_stage] = dominated_by.get(worst_stage, 0) + 1
+
+    segments: Dict[str, Dict[str, Any]] = {}
+    for stage in sorted(spans_by_stage):
+        values = sorted(spans_by_stage[stage])
+        total = sum(values)
+        segments[stage] = {
+            "count": len(values),
+            "p50_ns": nearest_rank(values, 0.50),
+            "p90_ns": nearest_rank(values, 0.90),
+            "p99_ns": nearest_rank(values, 0.99),
+            "max_ns": values[-1],
+            "total_ns": total,
+            "share": round(total / grand_total, 4) if grand_total else 0.0,
+        }
+
+    ranked = sorted(
+        completed,
+        key=lambda record: (-int(record.get("total_ns", 0)),
+                            int(record["trace_id"]),
+                            str(record.get("run_id", ""))))
+    worst = [{
+        "trace_id": record["trace_id"],
+        "run_id": record.get("run_id", ""),
+        "src_host": record.get("src_host"),
+        "dst_host": record.get("dst_host"),
+        "kind": record.get("kind", ""),
+        "payload_size": record.get("payload_size", 0),
+        "total_ns": record.get("total_ns", 0),
+        "network_ns": record.get("network_ns", 0),
+        "residual_ns": record.get("residual_ns", 0),
+        "spans": record.get("spans", []),
+        "dominant": max(record.get("spans", []) or [["", 0]],
+                        key=lambda item: (item[1], item[0]))[0],
+    } for record in ranked[:slowest]]
+
+    residual_violations = sum(
+        1 for record in completed if record.get("residual_ns", 0) != 0)
+    setup_traces = sum(1 for record in records
+                       if record.get("view") == "setup")
+    return {
+        "summary": {
+            "records": len(records),
+            "completed": len(completed),
+            "incomplete": len(records) - len(completed),
+            "setup_traces": setup_traces,
+            "residual_violations": residual_violations,
+            "negative_network_clamped": int(
+                meta.get("negative_network_clamped",
+                         sum(1 for record in records
+                             if record.get("network_ns", 0) < 0))),
+            "suppressed_marks": int(meta.get("suppressed_marks", 0)),
+        },
+        "segments": segments,
+        "slowest": worst,
+        "critical_path": {stage: dominated_by[stage]
+                          for stage in sorted(dominated_by)},
+    }

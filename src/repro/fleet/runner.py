@@ -30,8 +30,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from repro.analysis import invariants
 from repro.analysis.clocksync import ClockSync
 from repro.analysis.monitor import Monitor
-from repro.analysis.stats import LatencyHistogram
-from repro.analysis.tracing import Tracer, merged_trace_records
+from repro.analysis.tracing import (Tracer, analyze, merged_trace_records,
+                                    tracer_totals)
 from repro.cluster import Cluster, build_cluster
 from repro.sim.engine import Simulator
 from repro.sim.params import SimParams
@@ -177,36 +177,15 @@ class RunContext:
         return rollup
 
     def trace_rollup(self) -> Dict[str, Any]:
-        """Deterministic XR-Trace summary for the run record ({} when no
-        tracer is attached)."""
+        """The run's XR-Trace report ({} when no tracer is attached):
+        :func:`analyze` over :meth:`trace_records`, with the tracers'
+        clamp and suppressed-mark totals as meta and no slowest list —
+        the keys and per-segment numbers ``xr_trace --json`` prints for
+        the run's lines of ``traces.jsonl``."""
         if not self._tracers:
             return {}
-        records = self.trace_records()
-        completed = sum(1 for record in records if record["complete"])
-        segments: Dict[str, Dict[str, float]] = {}
-        merged: Dict[str, LatencyHistogram] = {}
-        for tracer in self._tracers:
-            for stage in sorted(tracer.segment_latency):
-                histogram = merged.get(stage)
-                if histogram is None:
-                    histogram = merged[stage] = LatencyHistogram()
-                histogram.merge(tracer.segment_latency[stage])
-        for stage in sorted(merged):
-            histogram = merged[stage]
-            segments[stage] = {
-                "count": histogram.count,
-                "p99_ns": histogram.percentile(99),
-            }
-        return {
-            "records": len(records),
-            "completed": completed,
-            "incomplete": len(records) - completed,
-            "negative_network_clamped": sum(
-                tracer.negative_network_clamped for tracer in self._tracers),
-            "suppressed_marks": sum(
-                tracer.suppressed_marks for tracer in self._tracers),
-            "segments": segments,
-        }
+        return analyze(tracer_totals(self._tracers), self.trace_records(),
+                       slowest=0)
 
     def trace_records(self) -> List[Dict[str, Any]]:
         """Every trace, one dict per trace id (sender view preferred)."""

@@ -21,6 +21,7 @@ from collections import deque
 from statistics import mean
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.stats import nearest_rank
 from repro.cluster import (RACK_HOSTS, cluster_dims, fabric_footprint,
                            rack_shard, remote_peer, spine_tx_bytes)
 from repro.fleet.runner import RunContext, ScenarioFn
@@ -254,7 +255,7 @@ def traced_rpc(ctx: RunContext) -> Dict[str, Any]:
             request = client.send_request(channel, size)
             yield request.response
         # Settle: let trailing piggybacked/standalone acks close the
-        # last spans on both sides before we read the histograms.
+        # last spans on both sides before we read the records.
         yield sim.timeout(500 * MICROS)
 
     proc = sim.spawn(run())
@@ -266,14 +267,17 @@ def traced_rpc(ctx: RunContext) -> Dict[str, Any]:
                 totals[stage] = totals.get(stage, 0) + duration
     dominant = (max(sorted(totals), key=lambda stage: totals[stage])
                 if totals else "")
-    rollup = ctx.trace_rollup()
-    p99 = (client_tracer.latency.percentile(99)
-           if client_tracer.latency.count else 0.0)
+    # The client's end-to-end latency: every request it sent and saw acked.
+    totals_ns = sorted(record.total_ns
+                       for record in client_tracer.records.values()
+                       if record.complete and record.view == "sender")
+    p99 = nearest_rank(totals_ns, 0.99) if totals_ns else 0.0
+    summary = ctx.trace_rollup()["summary"]
     return {
         "rpcs": iterations,
-        "traces_completed": rollup["completed"],
-        "traces_incomplete": rollup["incomplete"],
-        "negative_network_clamped": rollup["negative_network_clamped"],
+        "traces_completed": summary["completed"],
+        "traces_incomplete": summary["incomplete"],
+        "negative_network_clamped": summary["negative_network_clamped"],
         "client_p99_total_us": round(p99 / 1000, 3),
         "dominant_segment": dominant,
     }
@@ -342,23 +346,21 @@ def ctrl_plane(ctx: RunContext) -> Dict[str, Any]:
     proc = sim.spawn(run())
     sim.run_until_event(proc, limit=20 * MILLIS * n_channels + 10 * SECONDS)
 
-    hist = tracer.setup_latency
-    setup_records = [record for record in tracer.records.values()
-                     if record.view == "setup"]
-    residual_violations = sum(1 for record in setup_records
-                              if record.complete and record.residual_ns)
+    setups = [record for record in tracer.records.values()
+              if record.view == "setup" and record.complete]
+    residual_violations = sum(1 for record in setups if record.residual_ns)
+    totals_ns = sorted(record.total_ns for record in setups)
 
     def span_p50(stage: str) -> float:
-        histogram = tracer.segment_latency.get(stage)
-        if histogram is None or not histogram.count:
-            return 0.0
-        return round(histogram.percentile(50) / 1000, 2)
+        values = sorted(duration for record in setups
+                        for name, duration in record.spans if name == stage)
+        return round(nearest_rank(values, 0.50) / 1000, 2) if values else 0.0
 
     metrics: Dict[str, Any] = {
         "channels": n_channels,
         "warm": int(warm),
         "no_pin": int(no_pin),
-        "setup_traces": hist.count,
+        "setup_traces": len(setups),
         "setup_residual_violations": residual_violations,
         "qp_setup_p50_us": span_p50("qp_setup"),
         "mr_reg_p50_us": span_p50("mr_reg"),
@@ -374,7 +376,8 @@ def ctrl_plane(ctx: RunContext) -> Dict[str, Any]:
     }
     for pct in (10, 25, 50, 75, 90, 99):
         metrics[f"setup_p{pct}_us"] = (
-            round(hist.percentile(pct) / 1000, 1) if hist.count else 0.0)
+            round(nearest_rank(totals_ns, pct / 100) / 1000, 1)
+            if totals_ns else 0.0)
     return metrics
 
 

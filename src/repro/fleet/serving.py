@@ -136,7 +136,7 @@ def serving_interference(ctx: RunContext) -> Dict[str, Any]:
     ctx.record_windows(harness.window_rows())
     metrics.update(_flat("b", tenant_b.summary()))
     # Per-segment attribution: where tenant B's latency went, straight
-    # from the victim's own tracer histograms.
+    # from the run's trace fold (only the victim samples).
     rollup = ctx.trace_rollup()
     for stage in _ATTRIBUTED_STAGES:
         entry = rollup.get("segments", {}).get(stage)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.analysis.stats import LatencyHistogram, jitter_index, mean
+from repro.analysis.stats import jitter_index, mean
 from repro.sim.timeunits import MILLIS, SECONDS
 from repro.workloads.flows import (FlowSpec, elephant_size, mice_size,
                                    open_loop_sender, request_loop)

@@ -26,47 +26,33 @@ class XrStat:
 
     # ------------------------------------------------------------------ rows
     def channel_rows(self, ctx: "XrdmaContext") -> List[Dict[str, Any]]:
-        rows = []
-        for channel in ctx.channels.values():
-            rows.append({
-                "channel": channel.channel_id,
-                "local": ctx.nic.host_id,
-                "remote": channel.remote_host,
-                "state": channel.state.name,
-                "in_flight": channel.window.in_flight,
-                "window": channel.window.depth,
-                "tx_msgs": channel.stats["tx_msgs"],
-                "rx_msgs": channel.stats["rx_msgs"],
-                "tx_bytes": channel.stats["tx_bytes"],
-                "rx_bytes": channel.stats["rx_bytes"],
-                "queued": len(channel.pending_send),
-                "wr_queued": channel.flow.queued,
-                "keepalives": channel.stats["keepalives_sent"],
-                "acks": channel.stats["acks_sent"],
-                "nops": channel.stats["nops_sent"],
-            })
-        return rows
+        """One row per channel: its identity and live window/queue state,
+        then every ``channel.stats`` counter under its own name."""
+        return [{
+            "channel": channel.channel_id,
+            "local": ctx.nic.host_id,
+            "remote": channel.remote_host,
+            "state": channel.state.name,
+            "in_flight": channel.window.in_flight,
+            "window": channel.window.depth,
+            "queued": len(channel.pending_send),
+            "wr_queued": channel.flow.queued,
+            **channel.stats,
+        } for channel in ctx.channels.values()]
 
     def context_row(self, ctx: "XrdmaContext") -> Dict[str, Any]:
         return ctx.stat_snapshot()
 
     def crucial_indexes(self) -> Dict[str, Any]:
-        """Fabric health: the numbers the paper says must be watched."""
-        stats = self.cluster.stats
+        """Fabric health: the numbers the paper says must be watched —
+        every ``NetStats`` counter under its own name, plus the bytes
+        queued in each ToR's ports."""
         buffer_utilization = {}
         for tor in self.cluster.topology.tors:
             total = sum(port.queued_bytes for port in tor.ports)
             buffer_utilization[tor.name] = total
-        return {
-            "pfc_pause_frames": stats.pause_frames,
-            "pfc_resume_frames": stats.resume_frames,
-            "queue_drops": stats.drops,
-            "ecn_marks": stats.ecn_marks,
-            "cnps": stats.cnps_sent,
-            "rnr_naks": stats.rnr_naks,
-            "retransmissions": stats.retransmissions,
-            "buffer_utilization_bytes": buffer_utilization,
-        }
+        return {**self.cluster.stats.snapshot(),
+                "buffer_utilization_bytes": buffer_utilization}
 
     # ---------------------------------------------------------------- report
     def format(self) -> str:
@@ -92,7 +78,7 @@ class XrStat:
                 f"qp_cache={snapshot['qp_cache_size']}")
         crucial = self.crucial_indexes()
         lines.append(
-            f"net: pause={crucial['pfc_pause_frames']} "
-            f"drops={crucial['queue_drops']} cnp={crucial['cnps']} "
+            f"net: pause={crucial['pause_frames']} "
+            f"drops={crucial['drops']} cnp={crucial['cnps_sent']} "
             f"rnr={crucial['rnr_naks']} retx={crucial['retransmissions']}")
         return "\n".join(lines)

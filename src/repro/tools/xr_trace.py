@@ -19,8 +19,10 @@ or a fleet sweep's ``traces.jsonl`` (same record lines, stamped with
   histogram that pointed Sec. VII-D's jitter hunt at the host allocator
   rather than the fabric.
 
-All output is deterministically ordered (ties broken by stage name /
-trace id), so ``--json`` output under a fixed seed is golden-testable.
+The fold is :func:`repro.analysis.tracing.analyze`; every traced fleet
+run carries the same fold as its record's ``trace`` section.  All output
+is deterministically ordered (ties broken by stage name / trace id), so
+``--json`` output under a fixed seed is golden-testable.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.analysis.stats import nearest_rank
+from repro.analysis.tracing import analyze
 from repro.fleet.store import read_jsonl
 
-__all__ = ["main", "analyze", "load_trace_file"]
+__all__ = ["main", "load_trace_file"]
 
 
 def load_trace_file(path: str) -> Tuple[Dict[str, Any],
@@ -62,82 +64,6 @@ def load_trace_file(path: str) -> Tuple[Dict[str, Any],
             by_key[key] = payload
     records = [by_key[key] for key in sorted(by_key)]
     return meta, records
-
-
-def analyze(meta: Dict[str, Any], records: List[Dict[str, Any]],
-            slowest: int = 5) -> Dict[str, Any]:
-    """Fold trace records into the report payload (the ``--json`` output)."""
-    completed = [record for record in records if record.get("complete")]
-    spans_by_stage: Dict[str, List[int]] = {}
-    dominated_by: Dict[str, int] = {}
-    grand_total = 0
-    for record in completed:
-        worst_stage, worst_ns = "", -1
-        for stage, duration in record.get("spans", []):
-            spans_by_stage.setdefault(stage, []).append(int(duration))
-            grand_total += int(duration)
-            # Ties go to the later stage name: max over (duration, stage).
-            if (duration, stage) > (worst_ns, worst_stage):
-                worst_stage, worst_ns = stage, duration
-        if worst_stage:
-            dominated_by[worst_stage] = dominated_by.get(worst_stage, 0) + 1
-
-    segments: Dict[str, Dict[str, Any]] = {}
-    for stage in sorted(spans_by_stage):
-        values = sorted(spans_by_stage[stage])
-        total = sum(values)
-        segments[stage] = {
-            "count": len(values),
-            "p50_ns": nearest_rank(values, 0.50),
-            "p90_ns": nearest_rank(values, 0.90),
-            "p99_ns": nearest_rank(values, 0.99),
-            "max_ns": values[-1],
-            "total_ns": total,
-            "share": round(total / grand_total, 4) if grand_total else 0.0,
-        }
-
-    ranked = sorted(
-        completed,
-        key=lambda record: (-int(record.get("total_ns", 0)),
-                            int(record["trace_id"]),
-                            str(record.get("run_id", ""))))
-    worst = [{
-        "trace_id": record["trace_id"],
-        "run_id": record.get("run_id", ""),
-        "src_host": record.get("src_host"),
-        "dst_host": record.get("dst_host"),
-        "kind": record.get("kind", ""),
-        "payload_size": record.get("payload_size", 0),
-        "total_ns": record.get("total_ns", 0),
-        "network_ns": record.get("network_ns", 0),
-        "residual_ns": record.get("residual_ns", 0),
-        "spans": record.get("spans", []),
-        "dominant": max(record.get("spans", []) or [["", 0]],
-                        key=lambda item: (item[1], item[0]))[0],
-    } for record in ranked[:slowest]]
-
-    residual_violations = sum(
-        1 for record in completed if record.get("residual_ns", 0) != 0)
-    setup_traces = sum(1 for record in records
-                       if record.get("view") == "setup")
-    return {
-        "summary": {
-            "records": len(records),
-            "completed": len(completed),
-            "incomplete": len(records) - len(completed),
-            "setup_traces": setup_traces,
-            "residual_violations": residual_violations,
-            "negative_network_clamped": int(
-                meta.get("negative_network_clamped",
-                         sum(1 for record in records
-                             if record.get("network_ns", 0) < 0))),
-            "suppressed_marks": int(meta.get("suppressed_marks", 0)),
-        },
-        "segments": segments,
-        "slowest": worst,
-        "critical_path": {stage: dominated_by[stage]
-                          for stage in sorted(dominated_by)},
-    }
 
 
 # ---------------------------------------------------------------- rendering

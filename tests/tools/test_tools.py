@@ -1,8 +1,11 @@
 """XR-Stat, XR-Ping, XR-Adm, XR-Perf."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.cluster import build_cluster
+from repro.net.stats import NetStats
 from repro.sim import MILLIS, SECONDS
 from repro.tools import XrAdm, XrPerf, XrPing, XrStat
 from tests.conftest import run_process
@@ -36,11 +39,22 @@ def test_xr_stat_crucial_indexes_and_format(cluster):
     stat = XrStat(cluster)
     stat.attach(client)
     crucial = stat.crucial_indexes()
-    assert set(crucial) >= {"pfc_pause_frames", "queue_drops", "cnps",
+    assert set(crucial) >= {"pause_frames", "drops", "cnps_sent",
                             "rnr_naks", "buffer_utilization_bytes"}
     report = stat.format()
     assert "net:" in report
     assert str(client.nic.host_id) in report
+
+
+def test_xr_stat_keeps_every_counter_under_its_own_name(cluster):
+    client, server, client_ch, server_ch = connect_pair(cluster)
+    stat = XrStat(cluster)
+    crucial = stat.crucial_indexes()
+    for field in fields(NetStats):
+        assert crucial[field.name] == getattr(cluster.stats, field.name)
+    (row,) = stat.channel_rows(client)
+    for key, value in client_ch.stats.items():
+        assert row[key] == value
 
 
 # ------------------------------------------------------------------- XR-Ping
