@@ -229,26 +229,39 @@ class HashOrderRule(Rule):
                         "interpreter runs; sort by a stable attribute")
 
 
+def _counters(body: List[ast.stmt], ctx: FileContext) -> Set[str]:
+    """Names a module or class body binds to ``itertools.count(...)``."""
+    return {target.id for stmt in body if isinstance(stmt, ast.Assign)
+            and isinstance(stmt.value, ast.Call)
+            and ctx.qualified_name(stmt.value.func) == "itertools.count"
+            for target in stmt.targets if isinstance(target, ast.Name)}
+
+
 @register
 class ClassCounterRule(Rule):
-    """No mutation of class-level counters from methods.
+    """No counter that outlives a run: class- or module-level state.
 
     ``XrPerf._sender_seq += 1`` style state survives across driver
     instances in one process, so the Nth run of a scenario sees different
     RNG stream names than the 1st — same root seed, different behaviour.
-    Keep the counter per-instance (``self._sender_seq``) or derive names
-    from seeded state.
+    So is ``next()`` on a class- or module-level ``itertools.count``: keep
+    the counter on the object whose namespace it numbers.
     """
 
     name = "class-counter"
     code = "XR105"
-    summary = ("class attribute mutated via ClassName.attr: hidden "
-               "cross-run state breaks seed reproducibility")
+    summary = ("ClassName.attr mutated, or next() on a class- or module-"
+               "level counter: cross-run state breaks seed reproducibility")
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
+        shared = {name: f"module-level {name!r}"
+                  for name in _counters(tree.body, ctx)}
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
+            shared.update((f"{base}.{name}", f"class-level {node.name}.{name}")
+                          for name in _counters(node.body, ctx)
+                          for base in (node.name, "self", "cls"))
             class_level: Set[str] = set()
             for stmt in node.body:
                 if isinstance(stmt, ast.Assign):
@@ -259,6 +272,16 @@ class ClassCounterRule(Rule):
                         and isinstance(stmt.target, ast.Name):
                     class_level.add(stmt.target.id)
             yield from self._check_mutations(ctx, node, class_level)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "next" and node.args:
+                dotted, imported = ctx.resolved_name(node.args[0])
+                where = shared.get(dotted or "") or (
+                    f"another module's {dotted!r}" if imported else "")
+                if where:
+                    yield self.finding(ctx, node, (
+                        f"next() on {where} outlives the run; keep the "
+                        f"counter on the object whose namespace it numbers"))
 
     def _check_mutations(self, ctx: FileContext, cls: ast.ClassDef,
                          class_level: Set[str]) -> Iterator[Finding]:

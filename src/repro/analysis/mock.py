@@ -23,7 +23,6 @@ sent under the other and acked over either without loss or reordering.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 from repro.baselines.tcpstack import TcpError, TcpSocket
@@ -35,8 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.xrdma.channel import XrdmaChannel
     from repro.xrdma.context import XrdmaContext
     from repro.xrdma.message import XrdmaHeader, XrdmaMessage
-
-_mock_ports = itertools.count(52000)
 
 
 class TcpDetour:
@@ -82,7 +79,7 @@ class Mock:
         """Generator: open the TCP detour and switch both channels' new
         sends to it.  The socket lives until the channel closes or
         breaks, not until :meth:`disengage`."""
-        port = next(_mock_ports)
+        port = 52000 + self.cluster.sim.next_id("mock_port")
         host_b = ctx_b.nic.host_id
         agent_b = self.cluster.tcp_agent(host_b)
         listener = agent_b.listen(port)

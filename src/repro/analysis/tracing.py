@@ -345,16 +345,13 @@ class Tracer:
                     service_port: int) -> Optional[TraceContext]:
         """Start a channel-establishment trace (``connect`` calls this).
 
-        Setup traces draw ids from the same counter as message traces, so
+        Setup and message traces share the run's ``trace`` ids, so
         ``(run_id, trace_id)`` stays unique across both kinds in merged
         artifacts.  Returns None when the sample mask traces nothing.
         """
         if self.ctx.config.trace_sample_mask == 0:
             return None
-        # Module-attribute lookup at call time: tests monkeypatch the
-        # counter for deterministic ids, and late import avoids a cycle.
-        from repro.xrdma import channel as _channel_mod
-        trace_id = next(_channel_mod._trace_ids)
+        trace_id = self.ctx.sim.next_id("trace")
         now = self.ctx.sim.now
         trace = TraceContext(trace_id, self.ctx.sim, now,
                              anchor="setup_begin")

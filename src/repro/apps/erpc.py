@@ -25,8 +25,7 @@ Usage::
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.sim.events import AnyOf
@@ -42,8 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _SERIALIZE_PER_BYTE_NS = 0.25
 _SERIALIZE_BASE_NS = 400
 
-_call_ids = itertools.count(1)
-
 
 class ErpcError(RuntimeError):
     """Remote method failed, unknown method, or call timed out."""
@@ -55,7 +52,6 @@ class _Envelope:
 
     method: str
     body: Any
-    call_id: int
     error: Optional[str] = None
 
 
@@ -133,8 +129,7 @@ class ErpcServer:
     def _reply(self, msg: XrdmaMessage, envelope: _Envelope, body: Any,
                nbytes: int, error: Optional[str] = None) -> None:
         self.ctx.send_response(msg, nbytes, payload=_Envelope(
-            method=envelope.method, body=body, call_id=envelope.call_id,
-            error=error))
+            method=envelope.method, body=body, error=error))
 
 
 class ErpcClient:
@@ -158,8 +153,7 @@ class ErpcClient:
         # Encode cost (protobuf serialize).
         yield self.ctx.sim.timeout(
             _SERIALIZE_BASE_NS + int(request_bytes * _SERIALIZE_PER_BYTE_NS))
-        envelope = _Envelope(method=method, body=body,
-                             call_id=next(_call_ids))
+        envelope = _Envelope(method=method, body=body)
         try:
             request = self.ctx.send_request(self.channel, request_bytes,
                                             payload=envelope)

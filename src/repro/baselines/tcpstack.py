@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Control-handler slot the TCP stack claims on the NIC.
 TCP_PORT = 1
 _CHUNK = 64 * 1024
-_conn_ids = itertools.count(1)
 
 
 class TcpError(RuntimeError):
@@ -42,7 +41,7 @@ class TcpError(RuntimeError):
 @dataclass
 class _TcpPacket:
     kind: str                  #: syn | syn_ack | data | fin
-    conn_id: int
+    conn_id: Tuple[int, int]
     src_host: int
     service_port: int
     nbytes: int = 0
@@ -54,8 +53,8 @@ class _TcpPacket:
 class TcpSocket:
     """One established TCP connection endpoint."""
 
-    def __init__(self, agent: "TcpAgent", conn_id: int, remote_host: int,
-                 service_port: int):
+    def __init__(self, agent: "TcpAgent", conn_id: Tuple[int, int],
+                 remote_host: int, service_port: int):
         self.agent = agent
         self.conn_id = conn_id
         self.remote_host = remote_host
@@ -125,9 +124,10 @@ class TcpAgent:
         self.params = params
         self.nic = nic
         self.listeners: Dict[int, TcpListener] = {}
-        self.sockets: Dict[int, TcpSocket] = {}
-        self._pending_syn: Dict[int, Any] = {}
-        self._rx_accumulator: Dict[int, int] = {}
+        self.sockets: Dict[Tuple[int, int], TcpSocket] = {}
+        self._conn_ids = itertools.count(1)
+        self._pending_syn: Dict[Tuple[int, int], Any] = {}
+        self._rx_accumulator: Dict[Tuple[int, int], int] = {}
         nic.control_handlers[TCP_PORT] = self._on_segment
 
     # ---------------------------------------------------------------- server
@@ -147,7 +147,8 @@ class TcpAgent:
                 timeout_ns: int = 2 * SECONDS):
         """Generator: 3-way handshake (≈100 µs, Sec. III Issue 3)."""
         yield self.sim.timeout(self.params.tcp_connect_ns)
-        conn_id = next(_conn_ids)
+        # Numbered per agent: with the host, one key at both ends.
+        conn_id = (self.nic.host_id, next(self._conn_ids))
         reply = self.sim.event(f"tcp:synack{conn_id}")
         self._pending_syn[conn_id] = reply
         self._send(remote_host, _TcpPacket(

@@ -116,6 +116,5 @@ class MrRegCache:
     # -------------------------------------------------------------- internal
     def _evict(self, mr: MemoryRegion) -> None:
         self.pinned_bytes -= mr.length
-        self.verbs.nic.mr_table.remove(mr)
-        self.pd.deregister(mr)
+        self.verbs.nic.mr_table.deregister(self.pd, mr)
         self.evictions += 1

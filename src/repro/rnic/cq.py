@@ -8,7 +8,6 @@ the completion-channel fd that epoll waits on.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
@@ -16,8 +15,6 @@ from repro.rnic.wqe import Completion
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
-
-_cq_ids = itertools.count(1)
 
 
 class CqOverflow(RuntimeError):
@@ -29,7 +26,6 @@ class CompletionQueue:
         if depth <= 0:
             raise ValueError(f"CQ depth must be positive: {depth}")
         self.sim = sim
-        self.cq_id = next(_cq_ids)
         self.depth = depth
         self._entries: Deque[Completion] = deque()
         self._notify_cb: Optional[Callable[[], None]] = None
@@ -42,7 +38,7 @@ class CompletionQueue:
         """NIC-side: append a CQE (hard error on overflow, like hardware)."""
         if len(self._entries) >= self.depth:
             raise CqOverflow(
-                f"CQ {self.cq_id} overflow at depth {self.depth}")
+                f"CQ overflow at depth {self.depth}")
         self._entries.append(completion)
         self.total_completions += 1
         if self._notify_cb is not None:

@@ -23,7 +23,6 @@ scheduling model.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Tuple
 
@@ -36,8 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.rnic.nic import Rnic
     from repro.sim.engine import Simulator
     from repro.sim.params import SimParams
-
-_dct_numbers = itertools.count(0xD000)
 
 #: In-band session establishment: one extra round trip's worth of NIC work
 #: on first contact with a target (vs ~4 ms for CM + create_qp).
@@ -56,7 +53,7 @@ class DcTarget:
         self.pd = pd
         self.recv_cq = recv_cq
         self.srq = srq
-        self.dct_num = next(_dct_numbers)
+        self.dct_num = 0         #: numbered by the NIC's register_dc_target
         #: per-initiator responder QPs, created lazily on first contact
         self._responders: Dict[Tuple[int, int], QueuePair] = {}
 

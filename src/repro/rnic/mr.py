@@ -1,9 +1,9 @@
 """Protection domains and memory regions.
 
 Access to a remote buffer succeeds only if the (addr, length) range lies in
-a registered MR of the target's protection domain and the 32-bit rkey
-matches — mirroring verbs semantics, including the failure mode (a remote
-access error transitions the QP to ERROR).
+an MR registered on the target's NIC under that 32-bit rkey, with the
+needed access right — mirroring verbs semantics, including the failure
+mode (a remote access error transitions the QP to ERROR).
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Flag, auto
 from typing import Dict, Optional
-
-_pd_ids = itertools.count(1)
-_mr_keys = itertools.count(0x1001)
 
 
 class AccessFlags(Flag):
@@ -29,7 +26,6 @@ class AccessFlags(Flag):
 
 @dataclass
 class MemoryRegion:
-    pd_id: int
     addr: int
     length: int
     lkey: int
@@ -42,37 +38,34 @@ class MemoryRegion:
 
 
 class ProtectionDomain:
-    """Groups MRs and QPs; rkeys are only valid within their PD."""
+    """Groups one owner's MRs; rkeys are not scoped to it (any valid
+    rkey passes the NIC's :class:`MrTable`, whichever PD registered it)."""
 
     def __init__(self) -> None:
-        self.pd_id = next(_pd_ids)
         self.mrs: Dict[int, MemoryRegion] = {}      # by lkey
-
-    def register(self, addr: int, length: int,
-                 access: AccessFlags) -> MemoryRegion:
-        if length <= 0:
-            raise ValueError(f"MR length must be positive: {length}")
-        key = next(_mr_keys)
-        mr = MemoryRegion(pd_id=self.pd_id, addr=addr, length=length,
-                          lkey=key, rkey=key, access=access)
-        self.mrs[mr.lkey] = mr
-        return mr
-
-    def deregister(self, mr: MemoryRegion) -> None:
-        if self.mrs.pop(mr.lkey, None) is None:
-            raise KeyError(f"MR lkey={mr.lkey:#x} not registered in this PD")
 
 
 class MrTable:
-    """NIC-side lookup used to validate inbound one-sided operations."""
+    """Issues the NIC's MR keys and validates inbound one-sided access."""
 
     def __init__(self) -> None:
         self._by_rkey: Dict[int, MemoryRegion] = {}
+        self._keys = itertools.count(0x1001)
 
-    def install(self, mr: MemoryRegion) -> None:
-        self._by_rkey[mr.rkey] = mr
+    def register(self, pd: ProtectionDomain, addr: int, length: int,
+                 access: AccessFlags) -> MemoryRegion:
+        """A new MR of ``pd`` under a fresh key, open to inbound access."""
+        if length <= 0:
+            raise ValueError(f"MR length must be positive: {length}")
+        key = next(self._keys)
+        mr = MemoryRegion(addr=addr, length=length, lkey=key, rkey=key,
+                          access=access)
+        self._by_rkey[key] = pd.mrs[key] = mr
+        return mr
 
-    def remove(self, mr: MemoryRegion) -> None:
+    def deregister(self, pd: ProtectionDomain, mr: MemoryRegion) -> None:
+        if pd.mrs.pop(mr.lkey, None) is None:
+            raise KeyError(f"MR lkey={mr.lkey:#x} not registered in this PD")
         self._by_rkey.pop(mr.rkey, None)
 
     def check(self, rkey: int, addr: int, length: int,

@@ -21,6 +21,7 @@ Modelling choices that matter to the middleware experiments:
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict, deque
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, Optional, Tuple,
                     Union)
@@ -82,9 +83,12 @@ class Rnic(Device):
         self._flow_ports: Dict[int, int] = {}
         self.alive = True
 
+        # QPNs and DCT numbers are per-device namespaces, as on an RNIC.
         self.qps: Dict[int, QueuePair] = {}
+        self._qpns = itertools.count(0x100)
         #: DC targets by dct_number (Sec. IX DCT evaluation)
         self.dc_targets: Dict[int, object] = {}
+        self._dct_numbers = itertools.count(0xD000)
         self.mr_table = MrTable()
         self.limiters: Dict[int, DcqcnRateLimiter] = {}     # by local qpn
         self.cnp_governor = CnpGovernor(sim, params)
@@ -147,6 +151,7 @@ class Rnic(Device):
 
     # ------------------------------------------------------------ qp surface
     def register_qp(self, qp: QueuePair) -> None:
+        qp.qpn = next(self._qpns)
         self.qps[qp.qpn] = qp
 
     def destroy_qp(self, qp: QueuePair) -> None:
@@ -155,6 +160,7 @@ class Rnic(Device):
         self._flow_ports.pop((self.host_id << 20) | qp.qpn, None)
 
     def register_dc_target(self, target) -> None:
+        target.dct_num = next(self._dct_numbers)
         self.dc_targets[target.dct_num] = target
 
     def _resolve_rx_qp(self, segment: Segment,
@@ -323,7 +329,7 @@ class Rnic(Device):
                 qp.current_tx = msg
             elif qp.sq:
                 wr = qp.sq.popleft()
-                msg = OutboundMessage(wr=wr, sent_at=self.sim.now)
+                msg = OutboundMessage(wr, next(qp.msg_ids), sent_at=self.sim.now)
                 if wr.opcode is Opcode.READ:
                     self._emit_read_request(qp, msg, port)
                     self._kick_qp(qp)
@@ -764,9 +770,9 @@ class Rnic(Device):
         flushed.extend(qp.sq)
         seen = set()
         for wr in flushed:
-            if wr.wr_id in seen:
+            if id(wr) in seen:
                 continue
-            seen.add(wr.wr_id)
+            seen.add(id(wr))
             wr_status = status if first else WrStatus.WR_FLUSH_ERROR
             first = False
             qp.send_cq.push(Completion(

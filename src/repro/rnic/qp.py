@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import TYPE_CHECKING, Deque, Dict, Optional
 
@@ -18,8 +18,6 @@ from repro.rnic.wqe import Opcode, WorkRequest
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rnic.cq import CompletionQueue
     from repro.rnic.mr import ProtectionDomain
-
-_msg_ids = itertools.count(1)
 
 
 class QpState(Enum):
@@ -70,7 +68,7 @@ class OutboundMessage:
     """Sender-side in-flight state for one WQE."""
 
     wr: WorkRequest
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    msg_id: int                  #: from the QP's ``msg_ids``
     first_psn: int = 0
     last_psn: int = 0
     sent_bytes: int = 0          #: transmit progress (engine cursor)
@@ -103,12 +101,10 @@ class QueuePair:
     """One RC queue pair.  Created via the verbs layer or reused via the
     X-RDMA QP cache (RESET then re-INIT, skipping firmware allocation)."""
 
-    _qpn_counter = itertools.count(0x100)
-
     def __init__(self, pd: "ProtectionDomain", send_cq: "CompletionQueue",
                  recv_cq: "CompletionQueue", sq_depth: int, rq_depth: int,
                  srq: Optional[SharedReceiveQueue] = None):
-        self.qpn = next(QueuePair._qpn_counter)
+        self.qpn = 0             #: numbered by the NIC's register_qp
         self.pd = pd
         self.send_cq = send_cq
         self.recv_cq = recv_cq
@@ -130,6 +126,8 @@ class QueuePair:
         self.retx: Deque[OutboundMessage] = deque()
         self.rx_msg: Optional[InboundMessage] = None
         self.reads_in_flight: Dict[int, OutboundMessage] = {}
+        #: message ids the peer echoes; never reset, so stale echoes miss
+        self.msg_ids = itertools.count(1)
         #: set while waiting out an RNR backoff / go-back-N rewind
         self.tx_blocked_until = 0
         #: NAK dedup / spurious-rewind guards (receiver and sender side)

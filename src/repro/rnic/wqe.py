@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Any, Optional
-
-_wr_ids = itertools.count(1)
 
 
 class Opcode(Enum):
@@ -48,7 +45,8 @@ class WorkRequest:
     #: opaque application object delivered with the receive completion
     #: (stands in for the bytes a real SEND would carry)
     payload: Any = None
-    wr_id: int = field(default_factory=lambda: next(_wr_ids))
+    #: the poster's cookie, echoed in the CQE (as in ibverbs)
+    wr_id: int = 0
 
     def __post_init__(self) -> None:
         if self.length < 0:

@@ -140,10 +140,9 @@ class TieAudit:
       one root seed can be compared bit-for-bit.
 
     The digest covers ``(time, event type)``, a bare entry hashing as the
-    ``Timeout`` it replaced — deliberately not names: they embed
-    process-lifetime entity ids (connection, message, QP counters), so the
-    digest would depend on how many simulations ran earlier in the same
-    interpreter rather than on the schedule itself.
+    ``Timeout`` it replaced — deliberately not names: they embed entity
+    ids (connection, channel, QP numbers), which say whose event it is,
+    not when it fires.
     """
 
     def __init__(self) -> None:
@@ -213,7 +212,7 @@ class Simulator:
     # attributes in the program (every schedule and every fire touches
     # them); slots keep them out of a dict lookup.
     __slots__ = ("_now", "_heap", "_nowq", "_sequence", "tie_audit",
-                 "_guards")
+                 "_guards", "_ids")
 
     def __init__(self) -> None:
         self._now: int = 0
@@ -225,6 +224,12 @@ class Simulator:
         self._sequence: int = 0
         self.tie_audit: Optional[TieAudit] = None
         self._guards: Optional[_GuardState] = None
+        self._ids: Counter = Counter()
+
+    def next_id(self, namespace: str) -> int:
+        """The run's next id (1, 2, …) in ``namespace``, e.g. "channel"."""
+        self._ids[namespace] += 1
+        return self._ids[namespace]
 
     def set_guards(self, max_events: Optional[int] = None,
                    wall_timeout_s: Optional[float] = None) -> None:

@@ -117,18 +117,15 @@ class VerbsContext:
 
     def _install(self, pd: ProtectionDomain, addr: int, length: int,
                  access: AccessFlags) -> MemoryRegion:
-        """The effect every registration shares: register, install in
-        the NIC translation table, count."""
-        mr = pd.register(addr, length, access)
-        self.nic.mr_table.install(mr)
+        """The effect every registration shares: register in the NIC
+        translation table, count."""
+        mr = self.nic.mr_table.register(pd, addr, length, access)
         self.mrs_registered += 1
         return mr
 
     def dereg_mr(self, pd: ProtectionDomain, mr: MemoryRegion) -> Event:
-        def effect() -> None:
-            pd.deregister(mr)
-            self.nic.mr_table.remove(mr)
-        return self._charged(self.params.mr_register_base_ns // 2, effect)
+        return self._charged(self.params.mr_register_base_ns // 2,
+                             lambda: self.nic.mr_table.deregister(pd, mr))
 
     # ------------------------------------------------------------------- CQs
     def create_cq(self, depth: int = 1024) -> CompletionQueue:

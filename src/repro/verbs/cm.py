@@ -45,8 +45,6 @@ _CM_BYTES = 256
 #: Per-message software processing at each end of the handshake.
 _CM_PROC_NS = 150 * MICROS
 
-_conn_ids = itertools.count(1)
-
 
 class ConnectError(RuntimeError):
     """Establishment failed (timeout, rejection, or dead peer).
@@ -123,6 +121,8 @@ class CmAgent:
         self.verbs = verbs
         self.nic = nic
         self.listeners: Dict[int, CmListener] = {}
+        #: ids of the connections this agent initiates (REP/REJ echo them)
+        self._conn_ids = itertools.count(1)
         self._pending: Dict[int, Event] = {}          # conn_id -> REP/REJ event
         self.established = 0
         nic.control_handlers[CM_PORT] = self._on_segment
@@ -174,7 +174,7 @@ class CmAgent:
         if setup_trace is not None:
             setup_trace.mark("qp_setup")
 
-        conn_id = next(_conn_ids)
+        conn_id = next(self._conn_ids)
         reply_ev = self.sim.event(f"cm:rep{conn_id}")
         self._pending[conn_id] = reply_ev
         self._send(remote_host, _CmMessage(

@@ -47,9 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.cm import CmConnection
     from repro.xrdma.context import XrdmaContext
 
-_channel_ids = itertools.count(1)
-_trace_ids = itertools.count(1)
-
 
 class ChannelState(Enum):
     """Lifecycle of a channel (READY until closed or found dead)."""
@@ -70,7 +67,7 @@ class XrdmaChannel:
         self.ctx = ctx
         self.conn = conn
         self.qp = conn.qp
-        self.channel_id = next(_channel_ids)
+        self.channel_id = ctx.sim.next_id("channel")
         self.state = ChannelState.READY
         self.window = SeqAckWindow(window_depth)
         self.flow = FlowController(
@@ -83,6 +80,7 @@ class XrdmaChannel:
         self.pending_send: Deque[XrdmaMessage] = deque()
         self.sent: Dict[int, XrdmaMessage] = {}          # seq -> message
         self.pending_requests: Dict[int, XrdmaMessage] = {}  # msg_id -> req
+        self._msg_ids = itertools.count(1)
         self._rendezvous: Dict[int, _Rendezvous] = {}    # seq -> state
         #: write-rendezvous sender side: seq -> message awaiting its CTS
         self._write_pending: Dict[int, XrdmaMessage] = {}
@@ -117,6 +115,7 @@ class XrdmaChannel:
         if self.state is not ChannelState.READY:
             raise ChannelBroken(f"channel {self.channel_id} is {self.state.name}")
         msg.channel = self
+        msg.msg_id = next(self._msg_ids)
         msg.created_at = self.ctx.sim.now
         msg.acked = self.ctx.sim.event(f"ch{self.channel_id}:acked")
         msg.acked.defused = True
@@ -160,7 +159,7 @@ class XrdmaChannel:
             request_msg_id=msg.request_msg_id,
             user_payload=msg.payload)
         if config.req_rsp_mode:
-            header.trace_id = next(_trace_ids)
+            header.trace_id = self.ctx.sim.next_id("trace")
             header.sent_at_ns = self.ctx.local_time()
             tracer = self.ctx.tracer
             if tracer is not None:

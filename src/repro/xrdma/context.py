@@ -47,8 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.cm import CmAgent, CmConnection, CmListener
     from repro.xrdma.memcache import RdmaBuffer
 
-_ctx_ids = itertools.count(1)
-
 #: Idle time after which the loop leaves busy-polling for event mode.
 _BUSY_POLL_WINDOW_NS = 100_000
 #: Memory-cache shrink cadence.
@@ -73,7 +71,7 @@ class XrdmaContext:
         self.nic = verbs.nic
         self.params = verbs.params
         self.config = config or XrdmaConfig()
-        self.ctx_id = next(_ctx_ids)
+        self.ctx_id = sim.next_id("ctx")
         self.name = name or f"xrdma{self.ctx_id}"
 
         self.pd = verbs.alloc_pd()
@@ -98,6 +96,7 @@ class XrdmaContext:
         self.drain_timeouts = 0      #: close drains that hit the deadline
 
         self.channels: Dict[int, XrdmaChannel] = {}          # by qpn
+        self._wr_ids = itertools.count(1)
         self._wr_routes: Dict[int, Tuple[XrdmaChannel, _WrRoute]] = {}
         self._recv_buffers: Dict[int, Tuple[XrdmaChannel, Any]] = {}
         self.incoming: Store = Store(sim, name=f"{self.name}:incoming")
@@ -252,7 +251,7 @@ class XrdmaContext:
     def _post_recv(self, channel: XrdmaChannel,
                    buffer: "RdmaBuffer") -> ProcessGenerator:
         wr = WorkRequest(opcode=Opcode.RECV, length=buffer.size,
-                         local_addr=buffer.addr)
+                         local_addr=buffer.addr, wr_id=next(self._wr_ids))
         if self.srq is not None:
             if len(self.srq) >= self.srq.depth:
                 return  # shared pool full; the buffer stays with the channel
@@ -571,6 +570,7 @@ class XrdmaContext:
     # ------------------------------------------------------------- plumbing
     def route_wr(self, wr: WorkRequest, channel: XrdmaChannel,
                  route: _WrRoute) -> None:
+        wr.wr_id = next(self._wr_ids)
         self._wr_routes[wr.wr_id] = (channel, route)
 
     def deliver(self, msg: XrdmaMessage) -> None:

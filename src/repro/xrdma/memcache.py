@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.invariants import check as _invariant
@@ -34,8 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: stack, so stray pointers into the heap never alias cached buffers.
 _ISOLATED_BASE = 0x7F00_0000_0000
 
-_buffer_ids = itertools.count(1)
-
 
 @dataclass
 class RdmaBuffer:
@@ -44,7 +42,7 @@ class RdmaBuffer:
     addr: int
     size: int
     mr: MemoryRegion
-    buffer_id: int = field(default_factory=lambda: next(_buffer_ids))
+    buffer_id: int          #: unique within the MemCache that made it
 
     @property
     def rkey(self) -> int:
@@ -135,6 +133,7 @@ class MemCache:
         self.no_pin = no_pin
         self._arenas: List[_Arena] = []
         self._live: Dict[int, Tuple[_Arena, RdmaBuffer]] = {}
+        self._buffer_ids = itertools.count(1)
         self._isolated_cursor = _ISOLATED_BASE
         self.grow_count = 0
         self.shrink_count = 0
@@ -186,11 +185,12 @@ class MemCache:
         return self._make_buffer(arena, addr, size)
 
     def free(self, buffer: RdmaBuffer) -> None:
-        entry = self._live.pop(buffer.buffer_id, None)
-        if entry is None:
+        entry = self._live.get(buffer.buffer_id)
+        if entry is None or entry[1] is not buffer:
             raise MemCacheError(
                 f"double free or foreign buffer id={buffer.buffer_id}")
-        arena, _ = entry
+        del self._live[buffer.buffer_id]
+        arena = entry[0]
         if arena not in self._arenas:
             # Releasing into a reclaimed MR would silently skew the
             # Fig. 11c occupancy curves (the arena is no longer summed).
@@ -228,8 +228,7 @@ class MemCache:
                 # pinned) in the cache; a later growth reuses it free.
                 self.mr_cache.release(arena.mr)
             else:
-                self.verbs.nic.mr_table.remove(arena.mr)
-                self.pd.deregister(arena.mr)
+                self.verbs.nic.mr_table.deregister(self.pd, arena.mr)
             self.shrink_count += 1
         return len(victims)
 
@@ -290,6 +289,7 @@ class MemCache:
         return self.verbs.params.odp_page_fault_ns(len(new_pages))
 
     def _make_buffer(self, arena: _Arena, addr: int, size: int) -> RdmaBuffer:
-        buffer = RdmaBuffer(addr=addr, size=size, mr=arena.mr)
+        buffer = RdmaBuffer(addr=addr, size=size, mr=arena.mr,
+                            buffer_id=next(self._buffer_ids))
         self._live[buffer.buffer_id] = (arena, buffer)
         return buffer

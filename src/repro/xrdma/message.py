@@ -8,16 +8,13 @@ the piggybacked ``ack`` drives the seq-ack window on every message.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.events import Event
     from repro.xrdma.channel import XrdmaChannel
-
-_msg_ids = itertools.count(1)
 
 #: Header bytes added to every payload.
 BARE_HEADER_BYTES = 16
@@ -84,7 +81,9 @@ class XrdmaMessage:
     kind: MessageKind
     payload_size: int
     payload: Any = None
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    #: numbered by the channel that queues it (0 until then); an
+    #: incoming message carries the sender's in ``header.msg_id``
+    msg_id: int = 0
     channel: Optional["XrdmaChannel"] = None
     header: Optional[XrdmaHeader] = None
     #: sender side events (created by the channel when queued)

@@ -160,6 +160,77 @@ def test_class_counter_allows_instance_counter():
     assert findings == []
 
 
+def test_class_counter_flags_next_on_module_level_counter():
+    # The shape that bit: a module-level itertools.count drawn from a
+    # constructor and from a dataclass default factory.
+    findings = lint("""
+        import itertools
+        from dataclasses import dataclass, field
+
+        _ids = itertools.count(1)
+
+        class Channel:
+            def __init__(self):
+                self.channel_id = next(_ids)
+
+        @dataclass
+        class Message:
+            msg_id: int = field(default_factory=lambda: next(_ids))
+        """, rule="class-counter")
+    assert codes(findings) == ["XR105", "XR105"]
+    assert "module-level '_ids'" in findings[0].message
+
+
+def test_class_counter_flags_next_on_class_level_counter():
+    findings = lint("""
+        import itertools
+
+        class QueuePair:
+            _qpn_counter = itertools.count(0x100)
+
+            def __init__(self):
+                self.qpn = next(QueuePair._qpn_counter)
+
+            def renumber(self):
+                self.qpn = next(self._qpn_counter)
+        """, rule="class-counter")
+    assert codes(findings) == ["XR105", "XR105"]
+    assert "QueuePair._qpn_counter" in findings[0].message
+
+
+def test_class_counter_flags_next_on_another_modules_counter():
+    findings = lint("""
+        def begin():
+            from repro.xrdma import channel as channel_mod
+            return next(channel_mod._trace_ids)
+        """, rule="class-counter")
+    assert codes(findings) == ["XR105"]
+    assert "repro.xrdma.channel._trace_ids" in findings[0].message
+
+
+def test_class_counter_allows_counters_an_object_owns():
+    findings = lint("""
+        import itertools
+
+        PORTS = [52000, 52001]       # module-level, but not a counter
+
+        class Nic:
+            def __init__(self):
+                self._qpns = itertools.count(0x100)
+
+            def create_qp(self):
+                return next(self._qpns)
+
+        def first_port():
+            return next(iter(PORTS))
+
+        def local_counter(items):
+            ids = itertools.count(1)
+            return [next(ids) for _ in items] + [next(iter(items))]
+        """, rule="class-counter")
+    assert findings == []
+
+
 # ---------------------------------------------------------------- XR201
 def test_memcache_leak_flags_alloc_never_freed():
     findings = lint("""

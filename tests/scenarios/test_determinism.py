@@ -1,15 +1,16 @@
 """Bit-reproducibility regression: one root seed, one schedule.
 
 The xr-lint determinism family (XR1xx) bans the *sources* of divergence
-— wall clocks, global RNG state, identity-ordered iteration, class-level
-counters.  This scenario checks the *outcome*: running the same seeded
-workload twice in one process yields the identical event schedule
-(:class:`~repro.sim.engine.TieAudit` digests match byte for byte), the
-heap never resolves a tie against insertion order, and a different seed
-genuinely changes the schedule.
+— wall clocks, global RNG state, identity-ordered iteration, class- and
+module-level counters.  This scenario checks the *outcome*: running the
+same seeded workload twice in one process yields the identical event
+schedule (:class:`~repro.sim.engine.TieAudit` digests match byte for
+byte), the heap never resolves a tie against insertion order, and a
+different seed genuinely changes the schedule.
 """
 
 from repro.cluster import build_cluster
+from repro.fleet.runner import run_scenario_inline
 from repro.sim import MILLIS
 from repro.tools.xr_perf import XrPerf
 
@@ -67,18 +68,65 @@ def test_different_seed_different_schedule():
     assert audit_a.digest() != audit_b.digest()
 
 
-def test_second_driver_in_one_process_matches_first():
-    """Regression for the XrPerf class-counter bug (xr-lint XR105).
+def _xr_perf_incast():
+    _, result = run_incast(seed=11)
+    return (result.duration_ns, result.bytes_moved,
+            tuple(sorted(result.crucial.items())))
 
-    ``_sender_seq`` used to be class-level state: the Nth driver in one
-    interpreter derived different RNG stream names ("...#4" instead of
-    "...#1") than a fresh one, so back-to-back runs under one root seed
-    produced different gap sequences.  Per-instance state makes run N
-    identical to run 1.
+
+def _cluster_incast():
+    """Quick-scale cluster incast: two leaf uplinks, so ECMP hashes each
+    flow id — and a flow id embeds the sender's QPN."""
+    record = run_scenario_inline(
+        "cluster-incast",
+        {"n_hosts": 256, "rack": 0, "size": 16 * 1024, "messages": 2})
+    return record["digest"], record["events"], record["metrics"]
+
+
+def _traced_rpc():
+    """Sampled trace lines: the mask tests the trace id, and the lines
+    carry trace and channel ids."""
+    record = run_scenario_inline(
+        "traced-rpc", {"size": 2048, "sample_mask": 4})
+    return record["traces"], record["trace"]
+
+
+def _create_one_qp():
+    """Create one QP through the verbs API, in a cluster of its own."""
+    cluster = build_cluster(2, seed=0)
+    verbs = cluster.host(0).verbs
+    pd = verbs.alloc_pd()
+    cq = verbs.create_cq()
+    created = verbs.create_qp(pd, cq, cq)
+    cluster.sim.run()
+    assert created.value.qpn
+
+
+#: (name, one run's fingerprint, what else the process does between runs)
+REPEATED_RUNS = [
+    ("xr-perf incast", _xr_perf_incast, None),
+    ("cluster-incast after one more QP", _cluster_incast, _create_one_qp),
+    ("traced-rpc, sample_mask=4", _traced_rpc, None),
+]
+
+
+def test_second_driver_in_one_process_matches_first():
+    """Regression for process-global state: run N in one interpreter must
+    equal run 1.
+
+    ``XrPerf._sender_seq`` used to be class-level state: the Nth driver
+    derived different RNG stream names ("...#4" instead of "...#1") than
+    a fresh one, so back-to-back runs under one root seed produced
+    different gap sequences.  Likewise QPNs, trace ids and channel ids
+    came from process-global counters: one extra QP in the process moved
+    cluster-incast's ECMP draws, and each traced-rpc run sampled
+    different messages under the same mask.  Each id now comes from the
+    object whose namespace it numbers.
     """
-    results = []
-    for _ in range(3):
-        _, result = run_incast(seed=11)
-        results.append((result.duration_ns, result.bytes_moved,
-                        tuple(sorted(result.crucial.items()))))
-    assert results[0] == results[1] == results[2]
+    for name, run, between in REPEATED_RUNS:
+        results = []
+        for _ in range(3):
+            results.append(run())
+            if between is not None:
+                between()
+        assert results[0] == results[1] == results[2], name

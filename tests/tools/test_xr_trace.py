@@ -9,7 +9,6 @@ Regenerate the golden after an intentional report-format change::
 then review the ``golden_xr_trace.json`` diff like any other code.
 """
 
-import itertools
 import json
 import os
 from pathlib import Path
@@ -24,12 +23,9 @@ GOLDEN_PATH = Path(__file__).with_name("golden_xr_trace.json")
 
 
 @pytest.fixture
-def trace_file(tmp_path, monkeypatch):
-    """A deterministic trace artifact: fixed seed, reset trace-id counter
-    (the counter is process-global, so without the reset the ids would
-    depend on which tests ran earlier)."""
-    import repro.xrdma.channel as channel_mod
-    monkeypatch.setattr(channel_mod, "_trace_ids", itertools.count(1))
+def trace_file(tmp_path):
+    """A deterministic trace artifact: fixed seed, and trace ids that the
+    run numbers itself whatever ran earlier in the process."""
     record = run_scenario_inline(
         "traced-rpc", {"size": 2048, "iterations": 6}, seed=7)
     path = tmp_path / "traces.jsonl"

@@ -71,6 +71,21 @@ def test_double_free_rejected(setup):
         cache.free(buffer)
 
 
+def test_foreign_buffer_rejected_even_when_its_id_is_live_here(setup):
+    # Buffer ids are numbered per cache, so a foreign buffer can carry an
+    # id this cache has handed out too: it must still be refused, and the
+    # local buffer under that id must stay live.
+    cluster, cache = setup
+    other = MemCache(cache.verbs, cache.pd, mr_bytes=1 << 20)
+    mine = _alloc(cluster, cache, 4096)
+    foreign = _alloc(cluster, other, 4096)
+    assert foreign.buffer_id == mine.buffer_id
+    with pytest.raises(MemCacheError):
+        cache.free(foreign)
+    cache.free(mine)
+    other.free(foreign)
+
+
 def test_oversized_alloc_rejected(setup):
     cluster, cache = setup
     with pytest.raises(MemCacheError):
