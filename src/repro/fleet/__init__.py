@@ -20,9 +20,10 @@ Pipeline::
 * :mod:`repro.fleet.runner` — executes one unit: seeded cluster
   factory, TieAudit schedule digest, invariant counting, monitor
   rollups, metric sanitation.
-* :mod:`repro.fleet.pool` — the supervised worker pool: per-run
-  wall-clock timeouts, crash isolation, bounded retries with backoff,
-  quarantine, graceful cancellation.  The sweep always completes.
+* :mod:`repro.fleet.pool` — the supervised worker pool: each run
+  executes once, with a per-run wall-clock kill deadline, crash
+  isolation and graceful cancellation.  The sweep always completes, and
+  a run that misbehaved has one reasoned record.
 * :mod:`repro.fleet.store` — JSONL run records plus canonical-bytes
   JSON artifacts.
 * :mod:`repro.fleet.aggregate` — percentile tables and the
@@ -31,9 +32,9 @@ Pipeline::
   library of paper scenarios and the built-in specs (ablation grids,
   Fig. 10 sweep).
 * :mod:`repro.fleet.drills` — fault-injection scenarios exercising the
-  supervisor itself (crash, flaky crash, raise, runaway).
+  supervisor itself (crash, raise, runaway, hang).
 
-CLI: ``python -m repro.tools.xr_fleet`` (run / status / aggregate).
+CLI: ``python -m repro.tools.xr_fleet`` (run / status).
 """
 
 from repro.fleet.aggregate import aggregate_records

@@ -1,10 +1,10 @@
 """Folding run records into the jobs-invariant aggregate.
 
-The aggregate is a pure function of ``(plan, terminal records)``: records
+The aggregate is a pure function of ``(plan, run records)``: records
 are keyed and sorted by run_id, every float comes from the deterministic
 simulations themselves, and nothing wall-clock-derived is admitted
-(``wall_s``, worker ids, and attempt *timing* live only in ``runs.jsonl``
-and the manifest).  Serialize it with
+(``wall_s`` and worker ids live only in ``runs.jsonl`` and the
+manifest).  Serialize it with
 :func:`repro.fleet.store.canonical_json` and the bytes are identical for
 ``--jobs 1`` and ``--jobs N`` — the property the committed invariance
 test and the CI ``fleet-smoke`` job both enforce.
@@ -15,9 +15,9 @@ Structure::
       "experiments": {name: {param_slug: {metric: {mean,p50,p90,min,max,n},
                                           runs, ok, failed,
                                           invariant_violations, digest}}},
-      "runs":        {run_id: {status, attempts, seed, digest, metrics, ...}},
-      "totals":      {runs, ok, failed, crashed, timeout, missing,
-                      retried_attempts, invariant_violations, tie_anomalies}
+      "runs":        {run_id: {status, seed, digest, metrics, ...}},
+      "totals":      {runs, ok, failed, crashed, timeout, cancelled, missing,
+                      invariant_violations, tie_anomalies}
     }
 
 Percentiles use nearest-rank on the sorted values — integer index
@@ -28,19 +28,18 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.analysis.stats import nearest_rank
 from repro.fleet.spec import RunUnit, format_params
 
 __all__ = ["aggregate_records", "metric_stats", "aggregate_tables"]
 
-#: attempt-record fields that never enter the aggregate (host-timing or
-#: bookkeeping the invariance guarantee must not depend on; ``traces``
-#: and ``windows`` are normally split into traces.jsonl / windows.jsonl
-#: before records reach us, but a hand-fed record must not bloat the
-#: aggregate either)
-_EXCLUDED_FIELDS = ("wall_s", "worker", "final", "traces", "windows")
+#: run-record fields that never enter the aggregate (host timing the
+#: invariance guarantee must not depend on; ``traces`` and ``windows``
+#: are normally split into traces.jsonl / windows.jsonl before records
+#: reach us, but a hand-fed record must not bloat the aggregate either)
+_EXCLUDED_FIELDS = ("wall_s", "worker", "traces", "windows")
 
 
 def metric_stats(values: Sequence[float]) -> Dict[str, float]:
@@ -69,31 +68,24 @@ def _digest_roll(entries: Sequence[str]) -> str:
 
 def aggregate_records(
         units: Sequence[RunUnit],
-        terminal: Mapping[str, Mapping[str, Any]],
-        attempts: Optional[Mapping[str, int]] = None) -> Dict[str, Any]:
-    """Fold terminal records (plus attempt counts) into the aggregate.
+        records: Mapping[str, Mapping[str, Any]]) -> Dict[str, Any]:
+    """Fold run records (keyed by run_id) into the aggregate.
 
-    ``units`` is the plan — any planned run without a terminal record is
-    reported ``missing`` (a cancelled or still-running sweep) rather than
-    silently dropped.
+    ``units`` is the plan — any planned run without a record is reported
+    ``missing`` (an interrupted sweep) rather than silently dropped.
     """
-    attempts = attempts or {}
     runs: Dict[str, Any] = {}
     by_group: Dict[str, Dict[str, List[Mapping[str, Any]]]] = \
         defaultdict(lambda: defaultdict(list))
     totals = {"runs": 0, "ok": 0, "failed": 0, "crashed": 0, "timeout": 0,
-              "cancelled": 0, "missing": 0, "retried_attempts": 0,
+              "cancelled": 0, "missing": 0,
               "invariant_violations": 0, "tie_anomalies": 0}
 
     for unit in sorted(units, key=lambda u: u.run_id):
         totals["runs"] += 1
-        record = terminal.get(unit.run_id)
-        n_attempts = attempts.get(unit.run_id,
-                                  1 if record is not None else 0)
-        totals["retried_attempts"] += max(0, n_attempts - 1)
+        record = records.get(unit.run_id)
         if record is None:
-            runs[unit.run_id] = {"status": "missing", "attempts": n_attempts,
-                                 "seed": unit.seed,
+            runs[unit.run_id] = {"status": "missing", "seed": unit.seed,
                                  "params": unit.params_dict}
             totals["missing"] += 1
             continue
@@ -102,9 +94,7 @@ def aggregate_records(
         totals["invariant_violations"] += int(
             record.get("invariant_violations", 0))
         totals["tie_anomalies"] += int(record.get("tie_anomalies", 0))
-        entry = _strip(record)
-        entry["attempts"] = n_attempts
-        runs[unit.run_id] = entry
+        runs[unit.run_id] = _strip(record)
         slug = format_params(unit.params_dict) or "-"
         by_group[unit.experiment][slug].append(record)
 
@@ -112,8 +102,8 @@ def aggregate_records(
     for experiment in sorted(by_group):
         groups: Dict[str, Any] = {}
         for slug in sorted(by_group[experiment]):
-            records = by_group[experiment][slug]
-            ok = [r for r in records if r.get("status") == "ok"]
+            group = by_group[experiment][slug]
+            ok = [r for r in group if r.get("status") == "ok"]
             metrics: Dict[str, Any] = {}
             numeric: Dict[str, List[float]] = defaultdict(list)
             for record in ok:
@@ -125,11 +115,11 @@ def aggregate_records(
             for key in sorted(numeric):
                 metrics[key] = metric_stats(numeric[key])
             groups[slug] = {
-                "runs": len(records),
+                "runs": len(group),
                 "ok": len(ok),
-                "failed": len(records) - len(ok),
+                "failed": len(group) - len(ok),
                 "invariant_violations": sum(
-                    int(r.get("invariant_violations", 0)) for r in records),
+                    int(r.get("invariant_violations", 0)) for r in group),
                 "digest": _digest_roll(
                     [f"{r['run_id']}:{r.get('digest', '')}" for r in ok]),
                 "metrics": metrics,

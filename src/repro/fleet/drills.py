@@ -3,13 +3,13 @@
 The paper's operational lesson is that the orchestration layer must keep
 working when individual runs do not.  These scenarios exercise exactly
 that — each one misbehaves in a distinct way so the supervisor's crash
-isolation, retry accounting, quarantine, and runaway guards can be proven
-by tests (``tests/scenarios/test_fleet_failures.py``) rather than
-asserted in prose.
+isolation, kill deadline and runaway guards can be proven by tests
+(``tests/scenarios/test_fleet_failures.py``) rather than asserted in
+prose.
 
-All drills are deterministic: whether and when they misbehave depends
-only on ``ctx.params`` / ``ctx.seed`` / ``ctx.attempt``, never on timing,
-so retry accounting is exact and jobs-invariant.
+All drills are deterministic: whether and how they misbehave depends
+only on ``ctx.params`` / ``ctx.seed``, never on timing, so each yields
+the same one record in every sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Any, Dict
 from repro.fleet.runner import RunContext
 from repro.fleet.scenarios import scenario
 
-__all__ = ["healthy", "raising", "crashing", "flaky_crash", "runaway"]
+__all__ = ["healthy", "raising", "crashing", "runaway"]
 
 
 @scenario("drill-healthy")
@@ -56,18 +56,6 @@ def crashing(ctx: RunContext) -> Dict[str, Any]:
     synthesize a ``crashed`` record, and respawn.
     """
     os._exit(int(ctx.params.get("exit_code", 13)))
-
-
-@scenario("drill-flaky-crash")
-def flaky_crash(ctx: RunContext) -> Dict[str, Any]:
-    """Crashes the worker on early attempts, succeeds from
-    ``params["succeed_at"]`` on — the retry-then-recover path."""
-    succeed_at = int(ctx.params.get("succeed_at", 1))
-    if ctx.attempt < succeed_at:
-        os._exit(int(ctx.params.get("exit_code", 21)))
-    cluster = ctx.build_cluster(1)
-    cluster.sim.run(until=1000)
-    return {"recovered_at_attempt": ctx.attempt}
 
 
 @scenario("drill-runaway")

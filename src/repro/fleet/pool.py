@@ -11,21 +11,20 @@ knows exactly which run a worker holds and since when — that is what
 makes per-run wall-clock deadlines and crash attribution exact rather
 than heuristic.  The contract the failure drills pin down:
 
+* **One run, one record** — every run executes once.  A seeded run is a
+  pure function of its scenario, params and seed, so a run that failed
+  would fail the same way again; a sweep with a bad run exits 1 and is
+  re-run, never retried.
 * **Crash isolation** — a worker that dies mid-run (segfault analogue:
-  ``os._exit``) is detected by liveness polling; the supervisor records a
-  ``crashed`` attempt, respawns a fresh worker, and the sweep continues.
+  ``os._exit``) is detected by liveness polling; the supervisor records
+  the run ``crashed``, respawns a fresh worker, and the sweep continues.
 * **Timeouts** — a run past its ``timeout_s`` deadline gets its worker
-  killed (SIGKILL; no cooperation required) and a ``timeout`` attempt
-  recorded.  The in-engine guard (armed slightly tighter) usually turns
-  the run into a reasoned ``failed`` record before the kill is needed.
-* **Bounded retries with backoff, then quarantine** — failed / crashed /
-  timed-out attempts are re-queued with exponential backoff up to the
-  unit's ``max_retries``; after that the run is *quarantined*: its last
-  attempt record is marked ``final`` and the sweep moves on.  The sweep
-  always completes.
+  killed (SIGKILL; no cooperation required) and is recorded ``timeout``.
+  The in-engine guard (armed slightly tighter) usually turns the run
+  into a reasoned ``failed`` record before the kill is needed.
 * **Graceful cancellation** — on KeyboardInterrupt the supervisor stops
-  dispatching, kills in-flight workers, records ``cancelled`` attempts
-  for them, and still writes a complete (if partial) store.
+  dispatching, kills in-flight workers, records their runs
+  ``cancelled``, and still writes a complete (if partial) store.
 
 Dispatch order is the planner's canonical order regardless of ``jobs``;
 completion interleaving differs, but the store keys records by run_id and
@@ -38,10 +37,11 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, Optional, Sequence
 
-from repro.fleet.runner import execute_unit
+from repro.fleet.runner import execute_unit, run_record
 from repro.fleet.spec import RunUnit
 from repro.fleet.store import ResultStore
 
@@ -54,7 +54,7 @@ _JOIN_S = 2.0
 
 
 def _wall() -> float:
-    """Host wall clock for deadlines/backoff; never observed by any
+    """Host wall clock for deadlines; never observed by any
     simulation and excluded from jobs-invariant artifacts."""
     return time.monotonic()  # xr-lint: disable=wall-clock
 
@@ -76,18 +76,11 @@ def _worker_main(worker_id: int, task_q: "mp.queues.Queue[Any]",
 
 
 @dataclass
-class _Task:
-    unit: RunUnit
-    attempt: int = 0
-    eligible_at: float = 0.0        #: host time before which not dispatched
-
-
-@dataclass
 class _Worker:
     worker_id: int
     process: mp.process.BaseProcess
     task_q: "mp.queues.Queue[Any]"
-    current: Optional[_Task] = None
+    current: Optional[RunUnit] = None
     deadline: float = 0.0
 
 
@@ -95,25 +88,21 @@ class _Worker:
 class SweepSummary:
     """What a pool run did, for manifests and CLI output."""
 
-    records: int = 0                #: attempt records written
+    records: int = 0                #: run records written
     ok: int = 0
     failed: int = 0
     crashed: int = 0
     timeout: int = 0
     cancelled: int = 0
-    retries: int = 0                #: re-queued attempts
-    quarantined: int = 0            #: runs that exhausted max_retries
     workers_respawned: int = 0
     wall_s: float = 0.0
     interrupted: bool = False
-    attempts_by_run: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
             "records": self.records, "ok": self.ok, "failed": self.failed,
             "crashed": self.crashed, "timeout": self.timeout,
-            "cancelled": self.cancelled, "retries": self.retries,
-            "quarantined": self.quarantined,
+            "cancelled": self.cancelled,
             "workers_respawned": self.workers_respawned,
             "wall_s": round(self.wall_s, 3),
             "interrupted": self.interrupted,
@@ -123,11 +112,10 @@ class SweepSummary:
 class FleetPool:
     """Runs planned units across ``jobs`` supervised worker processes."""
 
-    def __init__(self, jobs: int = 2, backoff_s: float = 0.25) -> None:
+    def __init__(self, jobs: int = 2) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.backoff_s = backoff_s
         # fork keeps worker startup ~ms; fall back where unavailable.
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
@@ -144,42 +132,16 @@ class FleetPool:
         process.start()
         return _Worker(worker_id=worker_id, process=process, task_q=task_q)
 
-    def _synthesize(self, task: _Task, status: str,
-                    reason: str) -> Dict[str, Any]:
-        """A record for an attempt that produced none (crash/timeout/
-        cancel) — same shape as :func:`execute_unit` output."""
-        unit = task.unit
-        return {
-            "run_id": unit.run_id, "experiment": unit.experiment,
-            "scenario": unit.scenario, "params": unit.params_dict,
-            "seed": unit.seed, "attempt": task.attempt,
-            "status": status, "reason": reason, "metrics": {},
-            "digest": "", "events": 0, "tie_anomalies": 0,
-            "invariant_violations": 0, "monitor": {}, "wall_s": 0.0,
-        }
-
-    def _finish_attempt(self, task: _Task, record: Dict[str, Any],
-                        store: ResultStore, summary: SweepSummary,
-                        pending: List[_Task]) -> None:
-        """Write the attempt record; decide retry vs terminal."""
+    @staticmethod
+    def _finish(record: Dict[str, Any], store: ResultStore,
+                summary: SweepSummary) -> None:
+        """Count and store a run's one record."""
         status = str(record.get("status", "failed"))
-        retryable = status in ("failed", "crashed", "timeout")
-        will_retry = retryable and task.attempt < task.unit.max_retries
-        record["final"] = not will_retry
         summary.records += 1
-        summary.attempts_by_run[task.unit.run_id] = task.attempt + 1
         count_key = status if status in ("ok", "failed", "crashed",
                                          "timeout", "cancelled") else "failed"
         setattr(summary, count_key, getattr(summary, count_key) + 1)
         store.append(record)
-        if will_retry:
-            summary.retries += 1
-            backoff = self.backoff_s * (2 ** task.attempt)
-            pending.append(_Task(unit=task.unit, attempt=task.attempt + 1,
-                                 eligible_at=_wall() + backoff))
-        elif retryable and task.attempt >= task.unit.max_retries \
-                and task.unit.max_retries > 0:
-            summary.quarantined += 1
 
     def _reap(self, worker: _Worker) -> None:
         """Make certain a worker process is gone (kill, join, close)."""
@@ -191,11 +153,11 @@ class FleetPool:
     # ------------------------------------------------------------------ run
     def run(self, units: Sequence[RunUnit],
             store: ResultStore) -> SweepSummary:
-        """Execute every unit (dispatching in the given canonical order);
-        returns after all runs reached a terminal record."""
+        """Execute every unit once (dispatching in the given canonical
+        order); returns after every run has its record."""
         summary = SweepSummary()
         t0 = _wall()
-        pending: List[_Task] = [_Task(unit=unit) for unit in units]
+        pending: Deque[RunUnit] = deque(units)
         result_q: "mp.queues.Queue[Any]" = self._ctx.Queue()
         n_workers = min(self.jobs, max(1, len(pending)))
         workers: Dict[int, _Worker] = {}
@@ -208,14 +170,9 @@ class FleetPool:
             summary.interrupted = True
             for worker in workers.values():
                 if worker.current is not None:
-                    record = self._synthesize(
-                        worker.current, "cancelled", "sweep interrupted")
-                    record["final"] = True
-                    summary.records += 1
-                    summary.cancelled += 1
-                    summary.attempts_by_run[worker.current.unit.run_id] = \
-                        worker.current.attempt + 1
-                    store.append(record)
+                    self._finish(run_record(worker.current.as_task(),
+                                            "cancelled", "sweep interrupted"),
+                                 store, summary)
                     worker.current = None
         finally:
             for worker in workers.values():
@@ -229,24 +186,21 @@ class FleetPool:
             summary.wall_s = _wall() - t0
         return summary
 
-    def _supervise(self, pending: List[_Task], workers: Dict[int, _Worker],
+    def _supervise(self, pending: Deque[RunUnit],
+                   workers: Dict[int, _Worker],
                    result_q: "mp.queues.Queue[Any]", store: ResultStore,
                    summary: SweepSummary) -> None:
         while pending or any(w.current is not None
                              for w in workers.values()):
+            # Dispatch: canonical order, to idle workers.
             now = _wall()
-            # Dispatch: canonical order, to idle workers, honoring backoff.
             for worker in workers.values():
                 if worker.current is not None or not pending:
                     continue
-                index = next((i for i, task in enumerate(pending)
-                              if task.eligible_at <= now), None)
-                if index is None:
-                    break
-                task = pending.pop(index)
-                worker.current = task
-                worker.deadline = now + task.unit.timeout_s
-                worker.task_q.put(task.unit.as_task(task.attempt))
+                unit = pending.popleft()
+                worker.current = unit
+                worker.deadline = now + unit.timeout_s
+                worker.task_q.put(unit.as_task())
 
             # Collect one result (bounded wait keeps the loop ticking).
             try:
@@ -256,29 +210,26 @@ class FleetPool:
             else:
                 worker = workers.get(worker_id)
                 if worker is not None and worker.current is not None:
-                    task = worker.current
                     worker.current = None
-                    self._finish_attempt(task, record, store, summary,
-                                         pending)
+                    self._finish(record, store, summary)
                 # else: a record from a worker killed at the same instant
-                # its result landed — the kill path already synthesized
-                # and recorded that attempt; drop the duplicate.
+                # its result landed — the kill path already recorded that
+                # run; drop the duplicate.
 
-            # Deadlines: kill overdue workers, record timeout attempts.
+            # Deadlines: kill overdue workers, record their runs timeout.
             now = _wall()
             for worker_id in list(workers):
                 worker = workers[worker_id]
-                task = worker.current
-                if task is None or now <= worker.deadline:
+                unit = worker.current
+                if unit is None or now <= worker.deadline:
                     continue
                 self._reap(worker)
                 del workers[worker_id]
                 worker.current = None
-                record = self._synthesize(
-                    task, "timeout",
-                    f"run exceeded timeout_s={task.unit.timeout_s}; "
-                    f"worker killed")
-                self._finish_attempt(task, record, store, summary, pending)
+                self._finish(run_record(
+                    unit.as_task(), "timeout",
+                    f"run exceeded timeout_s={unit.timeout_s}; "
+                    f"worker killed"), store, summary)
                 replacement = self._spawn_worker(result_q)
                 workers[replacement.worker_id] = replacement
                 summary.workers_respawned += 1
@@ -288,19 +239,18 @@ class FleetPool:
                 worker = workers[worker_id]
                 if worker.process.is_alive():
                     continue
-                task = worker.current
+                unit = worker.current
                 self._reap(worker)
                 del workers[worker_id]
-                if task is not None:
+                if unit is not None:
                     worker.current = None
-                    record = self._synthesize(
-                        task, "crashed",
+                    self._finish(run_record(
+                        unit.as_task(), "crashed",
                         f"worker died mid-run "
-                        f"(exitcode {worker.process.exitcode})")
-                    self._finish_attempt(task, record, store, summary,
-                                         pending)
+                        f"(exitcode {worker.process.exitcode})"),
+                        store, summary)
                 if pending or any(w.current is not None
-                                  for w in workers.values()) or task:
+                                  for w in workers.values()) or unit:
                     replacement = self._spawn_worker(result_q)
                     workers[replacement.worker_id] = replacement
                     summary.workers_respawned += 1

@@ -37,7 +37,7 @@ from repro.sim.engine import Simulator
 from repro.sim.params import SimParams
 
 __all__ = ["RunContext", "ScenarioFn", "execute_unit", "resolve_scenario",
-           "run_scenario_inline"]
+           "run_record", "run_scenario_inline"]
 
 ScenarioFn = Callable[["RunContext"], Optional[Dict[str, Any]]]
 
@@ -62,12 +62,11 @@ class RunContext:
     schedule digest, and runaway guards are applied uniformly.
     """
 
-    def __init__(self, params: Dict[str, Any], seed: int, attempt: int = 0,
+    def __init__(self, params: Dict[str, Any], seed: int,
                  max_events: Optional[int] = None,
                  wall_timeout_s: Optional[float] = None) -> None:
         self.params = params
         self.seed = seed
-        self.attempt = attempt
         self._max_events = max_events
         self._wall_timeout_s = wall_timeout_s
         self._sims: List[Simulator] = []
@@ -215,6 +214,32 @@ def resolve_scenario(name: str) -> ScenarioFn:
 
 
 # ---------------------------------------------------------------- execution
+def run_record(task: Dict[str, Any], status: str,
+               reason: str) -> Dict[str, Any]:
+    """The one shape of a run record, with nothing measured yet.
+
+    :func:`execute_unit` fills in what its run measured; the pool stores
+    it as is for a run that left no record of its own (``crashed``,
+    ``timeout``, ``cancelled``).
+    """
+    return {
+        "run_id": task["run_id"],
+        "experiment": task["experiment"],
+        "scenario": task["scenario"],
+        "params": dict(task["params"]),
+        "seed": task["seed"],
+        "status": status,
+        "reason": reason,
+        "metrics": {},
+        "digest": "",
+        "events": 0,
+        "tie_anomalies": 0,
+        "invariant_violations": 0,
+        "monitor": {},
+        "wall_s": 0.0,
+    }
+
+
 def execute_unit(task: Dict[str, Any]) -> Dict[str, Any]:
     """Run one task dict (see :meth:`RunUnit.as_task`) to a record dict.
 
@@ -226,7 +251,6 @@ def execute_unit(task: Dict[str, Any]) -> Dict[str, Any]:
     wall_guard = (None if timeout_s is None
                   else max(0.1, float(timeout_s) * GUARD_HEADROOM))
     ctx = RunContext(params=dict(task["params"]), seed=int(task["seed"]),
-                     attempt=int(task.get("attempt", 0)),
                      max_events=task.get("max_events"),
                      wall_timeout_s=wall_guard)
     registry = invariants.current()
@@ -257,23 +281,12 @@ def execute_unit(task: Dict[str, Any]) -> Dict[str, Any]:
         violations = registry.total - violations_before
         if owns_registry:
             invariants.uninstall()
-    record = {
-        "run_id": task["run_id"],
-        "experiment": task["experiment"],
-        "scenario": task["scenario"],
-        "params": dict(task["params"]),
-        "seed": task["seed"],
-        "attempt": task.get("attempt", 0),
-        "status": status,
-        "reason": reason,
-        "metrics": metrics,
-        "digest": ctx.schedule_digest(),
-        "events": ctx.events_fired(),
-        "tie_anomalies": ctx.tie_anomalies(),
-        "invariant_violations": violations,
-        "monitor": ctx.monitor_rollup(),
-        "wall_s": round(_wall() - t0, 4),
-    }
+    record = run_record(task, status, reason)
+    record.update(metrics=metrics, digest=ctx.schedule_digest(),
+                  events=ctx.events_fired(), tie_anomalies=ctx.tie_anomalies(),
+                  invariant_violations=violations,
+                  monitor=ctx.monitor_rollup(),
+                  wall_s=round(_wall() - t0, 4))
     trace = ctx.trace_rollup()
     if trace:
         # Only traced scenarios grow these keys, so untraced sweeps keep
@@ -300,7 +313,6 @@ def run_scenario_inline(scenario: str, params: Dict[str, Any],
         "scenario": scenario,
         "params": params,
         "seed": seed,
-        "attempt": 0,
         "timeout_s": None,
         "max_events": max_events,
     })

@@ -54,14 +54,13 @@ class RunUnit:
     params: Tuple[Tuple[str, Any], ...]     #: sorted, hashable param items
     seed: int
     timeout_s: float
-    max_retries: int
     max_events: Optional[int]
 
     @property
     def params_dict(self) -> Dict[str, Any]:
         return dict(self.params)
 
-    def as_task(self, attempt: int = 0) -> Dict[str, Any]:
+    def as_task(self) -> Dict[str, Any]:
         """The picklable message handed to a worker."""
         return {
             "run_id": self.run_id,
@@ -69,7 +68,6 @@ class RunUnit:
             "scenario": self.scenario,
             "params": self.params_dict,
             "seed": self.seed,
-            "attempt": attempt,
             "timeout_s": self.timeout_s,
             "max_events": self.max_events,
         }
@@ -84,8 +82,8 @@ class ExperimentSpec:
     the pool supervisor enforces (a worker past its deadline is killed);
     ``max_events`` additionally arms the in-worker engine guard so most
     runaways die as recorded :class:`~repro.sim.engine.GuardExceeded`
-    failures instead of kills.  ``max_retries`` bounds how often a failed
-    or crashed run is re-attempted before quarantine.
+    failures instead of kills.  Each run executes once: a seeded run that
+    failed would fail the same way again.
     """
 
     name: str
@@ -93,7 +91,6 @@ class ExperimentSpec:
     grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     seeds: Sequence[int] = (0,)
     timeout_s: float = 120.0
-    max_retries: int = 2
     max_events: Optional[int] = None
     description: str = ""
 
@@ -124,7 +121,6 @@ class ExperimentSpec:
                     params=tuple(sorted(params.items())),
                     seed=seed,
                     timeout_s=self.timeout_s,
-                    max_retries=self.max_retries,
                     max_events=self.max_events,
                 ))
         return units
@@ -138,7 +134,6 @@ class ExperimentSpec:
                      for axis, values in sorted(self.grid.items())},
             "seeds": list(self.seeds),
             "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries,
             "max_events": self.max_events,
             "description": self.description,
         }

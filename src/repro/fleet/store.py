@@ -4,16 +4,14 @@ Layout of a sweep directory::
 
     <out>/
       plan.json        expanded specs + run units (pure function of specs)
-      runs.jsonl       one record per *attempt*, appended as they finish
+      runs.jsonl       one record per run, appended as runs finish
       aggregate.json   deterministic rollup — byte-identical for any --jobs
       manifest.json    environment: jobs, wall seconds, failure summary
 
 ``runs.jsonl`` is append-only and flushed per record so a killed sweep
-leaves a readable prefix; re-running ``aggregate`` over a partial store
-works (missing runs are reported as such).  Attempt records carry
-``final: false`` when the supervisor re-queued the run; exactly one
-record per run_id has ``final: true`` in a completed sweep — that is the
-retry-accounting contract the failure drills assert.
+leaves a readable prefix.  Every run executes once, so each record is its
+run's record: a crashed, timed-out or cancelled run has one too, and a
+planned run without one is reported ``missing``.
 
 ``aggregate.json`` is written via :func:`canonical_json` (sorted keys,
 fixed separators, trailing newline) — byte identity across ``--jobs``
@@ -112,7 +110,7 @@ class ResultStore:
         self.windows_path.unlink(missing_ok=True)
 
     def append(self, record: Dict[str, Any]) -> None:
-        """Append one attempt record, durably (flush + fsync).
+        """Append one run record, durably (flush + fsync).
 
         Per-trace lines (the bulky ``traces`` list of traced scenarios)
         are split off into ``traces.jsonl`` — the run record keeps the
@@ -132,7 +130,7 @@ class ResultStore:
 
     def _split(self, record: Dict[str, Any], key: str, path: Path) -> None:
         """Peel ``record[key]`` (a list of dicts) off into a side artifact,
-        each line stamped with its run_id/attempt."""
+        each line stamped with its run_id."""
         entries = record.pop(key, None)
         if not entries:
             return
@@ -140,7 +138,6 @@ class ResultStore:
             for entry in entries:
                 stamped = dict(entry)
                 stamped["run_id"] = record.get("run_id", "")
-                stamped["attempt"] = record.get("attempt", 0)
                 handle.write(json.dumps(stamped, sort_keys=True,
                                         ensure_ascii=False) + "\n")
 
@@ -161,20 +158,14 @@ class ResultStore:
     def load_plan(self) -> Dict[str, Any]:
         with open(self.plan_path, encoding="utf-8") as handle:
             plan = json.load(handle)
-        if not isinstance(plan, dict) or "units" not in plan:
+        units = plan.get("units") if isinstance(plan, dict) else None
+        if not isinstance(units, list) \
+                or not all(isinstance(run_id, str) for run_id in units):
             raise ValueError(f"{self.plan_path}: not a sweep plan")
         return plan
 
     def load_records(self) -> List[Dict[str, Any]]:
-        """Every attempt record, in append order (torn-tail tolerant)."""
+        """Every run record, in append order (torn-tail tolerant)."""
         if not self.runs_path.exists():
             return []
         return list(read_jsonl(self.runs_path))
-
-    def terminal_records(self) -> Dict[str, Dict[str, Any]]:
-        """run_id -> its final record (the one with ``final: true``)."""
-        final: Dict[str, Dict[str, Any]] = {}
-        for record in self.load_records():
-            if record.get("final"):
-                final[record["run_id"]] = record
-        return final

@@ -1,4 +1,4 @@
-"""XR-Fleet CLI: run, inspect, and aggregate experiment sweeps.
+"""XR-Fleet CLI: run and inspect experiment sweeps.
 
 ::
 
@@ -6,18 +6,17 @@
     python -m repro.tools.xr_fleet run --spec all --quick --jobs 2 \\
         --out fleet-out --json
     python -m repro.tools.xr_fleet status --out fleet-out
-    python -m repro.tools.xr_fleet aggregate --out fleet-out --json
 
 Verbs:
 
-* ``run`` — expand the chosen spec sets, execute them on the supervised
-  pool, write ``runs.jsonl`` + ``aggregate.json`` + ``manifest.json``
-  under ``--out`` (default ``fleet-out/``).  Exit 0 if every run ended
-  ``ok``, 1 if any run failed/crashed/timed out, 130 on interrupt.
-* ``status`` — progress + retry/failure accounting of a (possibly
-  running or interrupted) sweep directory.
-* ``aggregate`` — (re)fold ``runs.jsonl`` into ``aggregate.json`` and
-  print the tables; with ``--json``, print the aggregate itself.
+* ``run`` — expand the chosen spec sets, execute each run once on the
+  supervised pool, write ``runs.jsonl`` + ``aggregate.json`` +
+  ``manifest.json`` under ``--out`` (default ``fleet-out/``).  The
+  aggregate is written even when the sweep crashes or is interrupted.
+  Exit 0 if every run ended ``ok``, 1 if any run failed/crashed/timed
+  out, 130 on interrupt.  A sweep with a bad run is re-run, not retried.
+* ``status`` — progress and per-status counts of a (possibly running or
+  interrupted) sweep directory.
 
 The aggregate is byte-identical for any ``--jobs`` value — see
 DESIGN.md ("Fleet") for the methodology.
@@ -29,44 +28,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.fleet.aggregate import aggregate_records, aggregate_tables
 from repro.fleet.experiments import spec_names, specs_for
 from repro.fleet.planner import plan
 from repro.fleet.pool import FleetPool
-from repro.fleet.spec import ExperimentSpec, RunUnit
 from repro.fleet.store import ResultStore
 
 DEFAULT_OUT = "fleet-out"
-
-
-def _rebuild_units(store: ResultStore) -> List[RunUnit]:
-    """Re-expand the persisted plan so status/aggregate see planned-but-
-    missing runs (cancelled sweeps) as well as recorded ones."""
-    payload = store.load_plan()
-    # plan.json holds ExperimentSpec.as_dict() verbatim: field for field.
-    units = plan([ExperimentSpec(**entry)
-                  for entry in payload.get("specs", [])])
-    wanted = set(payload.get("units", []))
-    return [unit for unit in units if unit.run_id in wanted]
-
-
-def _attempt_counts(records: List[Dict[str, Any]]) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for record in records:
-        run_id = record.get("run_id", "")
-        counts[run_id] = counts.get(run_id, 0) + 1
-    return counts
-
-
-def _write_aggregate(store: ResultStore,
-                     units: List[RunUnit]) -> Dict[str, Any]:
-    records = store.load_records()
-    aggregate = aggregate_records(units, store.terminal_records(),
-                                  _attempt_counts(records))
-    store.write_aggregate(aggregate)
-    return aggregate
 
 
 # ------------------------------------------------------------------- verbs
@@ -88,7 +58,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         # Even a crashed sweep leaves an aggregate over what finished.
         store.close()
-        aggregate = _write_aggregate(store, units)
+        aggregate = aggregate_records(
+            units, {record["run_id"]: record
+                    for record in store.load_records()})
+        store.write_aggregate(aggregate)
     manifest = {
         "jobs": args.jobs,
         "quick": args.quick,
@@ -103,7 +76,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         print(aggregate_tables(aggregate))
         print(f"xr-fleet: wrote {store.aggregate_path} "
-              f"(wall {summary.wall_s:.1f}s, retries {summary.retries}, "
+              f"(wall {summary.wall_s:.1f}s, "
               f"respawns {summary.workers_respawned})")
     if summary.interrupted:
         return 130
@@ -115,59 +88,35 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_status(args: argparse.Namespace) -> int:
     store = ResultStore(Path(args.out))
     try:
-        units = _rebuild_units(store)
+        planned = store.load_plan()["units"]
     except (OSError, ValueError) as exc:
         print(f"xr-fleet: {args.out}: not a sweep directory ({exc})",
               file=sys.stderr)
         return 2
     records = store.load_records()
-    terminal = store.terminal_records()
-    attempts = _attempt_counts(records)
+    recorded = {record.get("run_id") for record in records}
     by_status: Dict[str, int] = {}
-    for record in terminal.values():
+    for record in records:
         status = record.get("status", "?")
         by_status[status] = by_status.get(status, 0) + 1
-    pending = [unit.run_id for unit in units
-               if unit.run_id not in terminal]
+    pending = [run_id for run_id in planned if run_id not in recorded]
     payload = {
-        "planned": len(units),
-        "terminal": len(terminal),
+        "planned": len(planned),
+        "recorded": len(planned) - len(pending),
         "pending": len(pending),
-        "attempts": sum(attempts.values()),
-        "retried_runs": sum(1 for n in attempts.values() if n > 1),
         "by_status": dict(sorted(by_status.items())),
     }
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"xr-fleet status: {args.out}")
-    print(f"  planned {payload['planned']}, terminal {payload['terminal']}, "
+    print(f"  planned {payload['planned']}, recorded {payload['recorded']}, "
           f"pending {payload['pending']}")
-    print(f"  attempts {payload['attempts']} "
-          f"(runs retried: {payload['retried_runs']})")
     for status, count in payload["by_status"].items():
         print(f"    {status:<10} {count}")
     if pending and len(pending) <= 10:
         for run_id in pending:
             print(f"    pending: {run_id}")
-    return 0
-
-
-def cmd_aggregate(args: argparse.Namespace) -> int:
-    store = ResultStore(Path(args.out))
-    try:
-        units = _rebuild_units(store)
-    except (OSError, ValueError) as exc:
-        print(f"xr-fleet: {args.out}: not a sweep directory ({exc})",
-              file=sys.stderr)
-        return 2
-    aggregate = _write_aggregate(store, units)
-    if args.json:
-        sys.stdout.write(json.dumps(aggregate, indent=2, sort_keys=True)
-                         + "\n")
-    else:
-        print(aggregate_tables(aggregate))
-        print(f"xr-fleet: wrote {store.aggregate_path}")
     return 0
 
 
@@ -196,13 +145,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     status_p.add_argument("--out", default=DEFAULT_OUT, metavar="DIR")
     status_p.add_argument("--json", action="store_true")
     status_p.set_defaults(fn=cmd_status)
-
-    agg_p = sub.add_parser("aggregate",
-                           help="refold runs.jsonl into aggregate.json")
-    agg_p.add_argument("--out", default=DEFAULT_OUT, metavar="DIR")
-    agg_p.add_argument("--json", action="store_true",
-                       help="print the aggregate as JSON")
-    agg_p.set_defaults(fn=cmd_aggregate)
 
     args = parser.parse_args(argv)
     return int(args.fn(args))

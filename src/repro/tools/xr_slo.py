@@ -14,9 +14,8 @@ p99 and the SLO attainment fraction.  ``--windows`` details one run's
 full per-window table; ``--markdown`` emits the summary as a GitHub
 table (what EXPERIMENTS.md embeds).
 
-Only the latest attempt of each run contributes (retried runs re-emit
-their window rows).  All output is deterministically ordered by
-``(run_id, tenant, window)``.
+All output is deterministically ordered by ``(run_id, tenant,
+window)``.
 """
 
 from __future__ import annotations
@@ -45,18 +44,10 @@ def load_window_rows(path: str) -> List[Dict[str, Any]]:
 
 def tenant_tables(rows: List[Dict[str, Any]]
                   ) -> Dict[Tuple[str, str], List[Dict[str, Any]]]:
-    """Group rows by ``(run_id, tenant)``, latest attempt only."""
-    latest: Dict[Tuple[str, str], int] = {}
-    for row in rows:
-        key = (str(row.get("run_id", "")), str(row.get("tenant", "")))
-        attempt = int(row.get("attempt", 0))
-        if attempt > latest.get(key, -1):
-            latest[key] = attempt
+    """Group rows by ``(run_id, tenant)``."""
     tables: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
     for row in rows:
         key = (str(row.get("run_id", "")), str(row.get("tenant", "")))
-        if int(row.get("attempt", 0)) != latest[key]:
-            continue
         tables.setdefault(key, []).append(row)
     for table in tables.values():
         table.sort(key=lambda row: int(row["window"]))

@@ -19,10 +19,10 @@ def term(unit, status="ok", metrics=None, wall_s=0.0, **extra):
     record = {
         "run_id": unit.run_id, "experiment": unit.experiment,
         "scenario": unit.scenario, "params": unit.params_dict,
-        "seed": unit.seed, "attempt": 0, "status": status, "reason": "",
+        "seed": unit.seed, "status": status, "reason": "",
         "metrics": metrics or {}, "digest": f"d-{unit.run_id}",
         "events": 10, "tie_anomalies": 0, "invariant_violations": 0,
-        "monitor": {}, "wall_s": wall_s, "final": True,
+        "monitor": {}, "wall_s": wall_s,
     }
     record.update(extra)
     return record
@@ -94,13 +94,6 @@ class TestAggregate:
         metrics = aggregate_records(units, terminal)["experiments"]["exp"][
             "x=1"]["metrics"]
         assert "flag" not in metrics and "m" in metrics
-
-    def test_retry_accounting_in_totals(self):
-        units = units_for(grid={"x": [1]}, seeds=(0,))
-        terminal = {units[0].run_id: term(units[0])}
-        totals = aggregate_records(units, terminal,
-                                   {units[0].run_id: 3})["totals"]
-        assert totals["retried_attempts"] == 2
 
     def test_tables_render_every_experiment(self):
         units = units_for()

@@ -78,7 +78,7 @@ def test_failed_tenant_spec_is_a_failed_run_not_a_crash():
         "run_id": "t/serving-mix/bad", "experiment": "t",
         "scenario": "serving-mix",
         "params": {"policy": "no-such-policy", **QUICK},
-        "seed": 0, "attempt": 0, "timeout_s": None, "max_events": None,
+        "seed": 0, "timeout_s": None, "max_events": None,
     })
     assert record["status"] == "failed"
     assert "policy" in record["reason"]

@@ -35,16 +35,13 @@ class TestExpansion:
         assert units[0].params_dict == {}
 
     def test_unit_carries_spec_budgets(self):
-        unit = make_spec(timeout_s=9.0, max_retries=5,
-                         max_events=123).expand()[0]
-        assert (unit.timeout_s, unit.max_retries, unit.max_events) \
-            == (9.0, 5, 123)
+        unit = make_spec(timeout_s=9.0, max_events=123).expand()[0]
+        assert (unit.timeout_s, unit.max_events) == (9.0, 123)
 
     def test_as_task_round_trips_params(self):
         unit = make_spec().expand()[0]
-        task = unit.as_task(attempt=3)
+        task = unit.as_task()
         assert task["params"] == unit.params_dict
-        assert task["attempt"] == 3
         assert task["run_id"] == unit.run_id
 
 

@@ -1,4 +1,5 @@
-"""Result store: JSONL durability, terminal selection, canonical bytes."""
+"""Result store: JSONL durability, side artifacts, plan reads, canonical
+bytes."""
 
 import json
 
@@ -11,9 +12,8 @@ def spec():
                           grid={"x": [1, 2]}, seeds=[0])
 
 
-def record(run_id, attempt=0, status="ok", final=True):
-    return {"run_id": run_id, "attempt": attempt, "status": status,
-            "final": final}
+def record(run_id, status="ok"):
+    return {"run_id": run_id, "status": status}
 
 
 class TestStore:
@@ -34,17 +34,6 @@ class TestStore:
         store.close()
         statuses = [r["status"] for r in store.load_records()]
         assert statuses == ["ok", "failed"]
-
-    def test_terminal_picks_only_final_records(self, tmp_path):
-        store = ResultStore(tmp_path / "sweep")
-        store.begin([spec()], spec().expand())
-        store.append(record("exp/x=1/s0", attempt=0, status="failed",
-                            final=False))
-        store.append(record("exp/x=1/s0", attempt=1, status="ok"))
-        store.close()
-        terminal = store.terminal_records()
-        assert list(terminal) == ["exp/x=1/s0"]
-        assert terminal["exp/x=1/s0"]["attempt"] == 1
 
     def test_torn_tail_is_tolerated(self, tmp_path):
         store = ResultStore(tmp_path / "sweep")
@@ -73,7 +62,8 @@ class TestStore:
         traces = list(read_jsonl(store.traces_path))
         assert [t["trace_id"] for t in traces] == [1, 2]
         assert all(t["run_id"] == "exp/x=1/s0" for t in traces)
-        assert all(t["attempt"] == 0 for t in traces)
+        assert all(set(t) == {"trace_id", "total_ns", "run_id"}
+                   for t in traces)
 
     def test_begin_clears_stale_traces(self, tmp_path):
         store = ResultStore(tmp_path / "sweep")
@@ -87,8 +77,7 @@ class TestStore:
         assert not store.traces_path.exists()
 
     def test_append_reopens_after_close(self, tmp_path):
-        # An `aggregate` verb run after an interrupted sweep must be able
-        # to keep appending without clobbering the log.
+        # Appending after close must extend the log, never clobber it.
         store = ResultStore(tmp_path / "sweep")
         store.begin([spec()], spec().expand())
         store.append(record("exp/x=1/s0"))

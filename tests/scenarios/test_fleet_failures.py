@@ -3,101 +3,100 @@
 The drills in :mod:`repro.fleet.drills` misbehave deterministically —
 raise, ``os._exit``, run away inside the engine, or hang outside it —
 and these tests pin down the supervisor contract: the sweep always
-completes, every attempt is recorded with a reason, retry counts are
-exact, and surviving runs stay violation-free.
+completes, every run is recorded exactly once with a reason, and
+surviving runs stay violation-free.
 """
+
+import json
 
 from repro.fleet.experiments import KB
 from repro.fleet.pool import FleetPool
 from repro.fleet.spec import ExperimentSpec
 from repro.fleet.planner import plan
 from repro.fleet.store import ResultStore
+from repro.tools import xr_fleet
 
 
-def sweep(tmp_path, specs, jobs=2, backoff_s=0.02):
+def sweep(tmp_path, specs, jobs=2):
     units = plan(specs)
     store = ResultStore(tmp_path / "sweep")
     store.begin(specs, units)
-    pool = FleetPool(jobs=jobs, backoff_s=backoff_s)
+    pool = FleetPool(jobs=jobs)
     summary = pool.run(units, store)
     store.close()
     return units, store, summary
 
 
+def records_by_run(store):
+    """run_id -> its record; a run recorded twice fails the test."""
+    records = store.load_records()
+    by_run = {record["run_id"]: record for record in records}
+    assert len(by_run) == len(records), "a run was recorded more than once"
+    return by_run
+
+
 def healthy_spec(**kwargs):
     base = dict(name="control", scenario="drill-healthy",
                 grid={"ticks": [5]}, seeds=[0], timeout_s=30.0,
-                max_retries=2, max_events=100_000)
+                max_events=100_000)
     base.update(kwargs)
     return ExperimentSpec(**base)
 
 
 class TestCrashIsolation:
-    def test_crash_is_quarantined_with_exact_attempts(self, tmp_path):
+    def test_crash_is_quarantined_with_exact_attempts(self, tmp_path,
+                                                      monkeypatch):
+        """A worker dying mid-run is one ``crashed`` record and one
+        respawn, never a retry; the sweep completes and exits 1."""
         specs = [
             healthy_spec(),
             ExperimentSpec(name="crasher", scenario="drill-crashing",
-                           grid={}, seeds=[0], timeout_s=30.0,
-                           max_retries=2),
+                           grid={}, seeds=[0], timeout_s=30.0),
         ]
-        units, store, summary = sweep(tmp_path, specs)
+        monkeypatch.setattr(xr_fleet, "specs_for",
+                            lambda names, quick=False: specs)
+        out = tmp_path / "sweep"
+        assert xr_fleet.main(["run", "--jobs", "2", "--out", str(out),
+                              "--json"]) == 1
 
-        # The sweep completed: every planned run has exactly one final
-        # record, despite a worker dying on every crasher attempt.
-        terminal = store.terminal_records()
-        assert sorted(terminal) == sorted(u.run_id for u in units)
+        store = ResultStore(out)
+        records = records_by_run(store)
+        assert sorted(records) == sorted(u.run_id for u in plan(specs))
 
-        crash_id = "crasher/-/s0"
-        assert terminal[crash_id]["status"] == "crashed"
-        assert "worker died" in terminal[crash_id]["reason"]
+        crash = records["crasher/-/s0"]
+        assert crash["status"] == "crashed"
+        assert "worker died" in crash["reason"]
+        statuses = [r["status"] for r in store.load_records()]
+        assert statuses.count("crashed") == 1
 
-        # Exact accounting: initial attempt + max_retries retries, then
-        # quarantine; each dead worker was replaced.
-        assert summary.attempts_by_run[crash_id] == 3
-        assert summary.crashed == 3
-        assert summary.retries == 2
-        assert summary.quarantined == 1
-        assert summary.workers_respawned >= 3
+        # The dead worker was replaced once, and nothing ran twice.
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["summary"]["workers_respawned"] == 1
+        assert manifest["summary"]["records"] == 2
 
         # The healthy control run rode along untouched.
-        control = terminal["control/ticks=5/s0"]
+        control = records["control/ticks=5/s0"]
         assert control["status"] == "ok"
         assert control["invariant_violations"] == 0
         assert control["metrics"] == {"ticks": 5}
-
-    def test_flaky_crash_recovers_on_retry(self, tmp_path):
-        specs = [ExperimentSpec(
-            name="flaky", scenario="drill-flaky-crash",
-            grid={"succeed_at": [1]}, seeds=[0], timeout_s=30.0,
-            max_retries=2)]
-        units, store, summary = sweep(tmp_path, specs)
-
-        records = store.load_records()
-        assert [r["status"] for r in records] == ["crashed", "ok"]
-        assert [r["final"] for r in records] == [False, True]
-        assert records[1]["metrics"] == {"recovered_at_attempt": 1}
-        assert summary.attempts_by_run["flaky/succeed_at=1/s0"] == 2
-        assert summary.retries == 1
-        assert summary.quarantined == 0
 
     def test_raising_scenario_fails_without_killing_worker(self, tmp_path):
         specs = [
             healthy_spec(),
             ExperimentSpec(name="raiser", scenario="drill-raising",
-                           grid={}, seeds=[0], timeout_s=30.0,
-                           max_retries=0),
+                           grid={}, seeds=[0], timeout_s=30.0),
         ]
         units, store, summary = sweep(tmp_path, specs, jobs=1)
 
-        terminal = store.terminal_records()
-        raiser = terminal["raiser/-/s0"]
+        records = records_by_run(store)
+        raiser = records["raiser/-/s0"]
         assert raiser["status"] == "failed"
         assert "injected failure (seed 0)" in raiser["reason"]
         # An in-worker exception is caught in-process: the same worker
         # served both runs, so nothing crashed or respawned.
         assert summary.crashed == 0
         assert summary.workers_respawned == 0
-        assert terminal["control/ticks=5/s0"]["status"] == "ok"
+        assert records["control/ticks=5/s0"]["status"] == "ok"
 
 
 class TestRunawayContainment:
@@ -106,10 +105,10 @@ class TestRunawayContainment:
         reasoned ``failed`` record — no kill needed."""
         specs = [ExperimentSpec(
             name="runaway", scenario="drill-runaway", grid={}, seeds=[0],
-            timeout_s=30.0, max_retries=0, max_events=5_000)]
+            timeout_s=30.0, max_events=5_000)]
         units, store, summary = sweep(tmp_path, specs, jobs=1)
 
-        record = store.terminal_records()["runaway/-/s0"]
+        record = records_by_run(store)["runaway/-/s0"]
         assert record["status"] == "failed"
         assert "GuardExceeded" in record["reason"]
         assert summary.timeout == 0 and summary.workers_respawned == 0
@@ -120,21 +119,19 @@ class TestRunawayContainment:
         specs = [
             healthy_spec(),
             ExperimentSpec(name="hanger", scenario="drill-hang",
-                           grid={}, seeds=[0], timeout_s=1.0,
-                           max_retries=0),
+                           grid={}, seeds=[0], timeout_s=1.0),
         ]
         units, store, summary = sweep(tmp_path, specs)
 
-        terminal = store.terminal_records()
-        hang = terminal["hanger/-/s0"]
+        records = records_by_run(store)
+        hang = records["hanger/-/s0"]
         assert hang["status"] == "timeout"
         assert "timeout_s=1.0" in hang["reason"]
         assert summary.timeout == 1
         assert summary.workers_respawned >= 1
-        assert summary.retries == 0
 
         # The sweep still completed, and the survivor is clean.
-        control = terminal["control/ticks=5/s0"]
+        control = records["control/ticks=5/s0"]
         assert control["status"] == "ok"
         assert control["invariant_violations"] == 0
 
@@ -146,10 +143,10 @@ class TestSmallMsgSanity:
         specs = [ExperimentSpec(
             name="mini", scenario="smoke-incast",
             grid={"fragment_bytes": [16 * KB]}, seeds=[0],
-            timeout_s=60.0, max_retries=1, max_events=2_000_000)]
+            timeout_s=60.0, max_events=2_000_000)]
         units, store, summary = sweep(tmp_path, specs, jobs=1)
 
-        record = store.terminal_records()["mini/fragment_bytes=16384/s0"]
+        record = records_by_run(store)["mini/fragment_bytes=16384/s0"]
         assert record["status"] == "ok"
         assert record["digest"]
         assert record["events"] > 0

@@ -9,13 +9,13 @@ from repro.tools.xr_slo import (load_window_rows, main, summarize,
 
 
 def _row(run_id="exp/p=1/s0", tenant="A", window=0, stable=True,
-         offered=100, completed=100, p99_us=50.0, slo_ok=True, attempt=0):
+         offered=100, completed=100, p99_us=50.0, slo_ok=True):
     return {"run_id": run_id, "tenant": tenant, "window": window,
             "start_ms": window * 10.0, "stable": stable,
             "offered": offered, "completed": completed,
             "offered_rps": offered * 100.0, "achieved_rps": completed * 100.0,
             "p50_us": p99_us / 2, "p99_us": p99_us, "max_us": p99_us,
-            "slo_ok": slo_ok, "attempt": attempt}
+            "slo_ok": slo_ok}
 
 
 @pytest.fixture
@@ -53,18 +53,6 @@ def test_summarize_counts_judged_windows_only(windows_file):
     b = summarize(tables[("exp/p=1/s0", "B")])
     assert b["slo_attainment"] == 1.0        # idle window not judged
     assert b["slo_ok"] == 1
-
-
-def test_latest_attempt_wins(tmp_path):
-    rows = [_row(window=0, attempt=0, p99_us=999.0, slo_ok=False),
-            _row(window=0, attempt=1, p99_us=10.0, slo_ok=True)]
-    path = tmp_path / "windows.jsonl"
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows),
-                    encoding="utf-8")
-    tables = tenant_tables(load_window_rows(str(path)))
-    table = tables[("exp/p=1/s0", "A")]
-    assert len(table) == 1
-    assert table[0]["p99_us"] == 10.0
 
 
 def test_cli_text_and_markdown(windows_file, capsys):
