@@ -8,31 +8,22 @@ with sweeps on our substrate:
 * seq-ack window depth (Sec. V-B),
 * memory-cache MR size: LITE-style 4 KB MRs vs X-RDMA's 4 MB (Sec. IV-E).
 
-The sweep bodies live in :mod:`repro.fleet.scenarios` — one
-implementation serves both these inline benchmarks (seed 0, assertions on
-the paper's qualitative claims) and the parallel fleet sweeps
-(``python -m repro.tools.xr_fleet run --spec ablation-grid``) that
-regenerate the EXPERIMENTS.md tables across seeds.
+The sweep bodies live in :mod:`repro.fleet.scenarios`: these tests read
+the seed-0 runs of the ``ablation-grid`` specs (assertions on the paper's
+qualitative claims), and ``python -m repro.tools.xr_fleet run --spec
+ablation-grid`` runs every seed to regenerate the EXPERIMENTS.md tables.
 """
 
-from repro.fleet.runner import run_scenario_inline
+import pytest
 
 from .conftest import emit
 
 
-def metrics(scenario: str, params: dict) -> dict:
-    return run_scenario_inline(scenario, params, seed=0)["metrics"]
-
-
-def test_ablation_fragment_size(once):
+@pytest.mark.figure("ablation-fragment-size", seed=0)
+def test_ablation_fragment_size(figure_runs):
     sizes = [4 * 1024, 16 * 1024, 64 * 1024, 256 * 1024]
-
-    def run():
-        return {size: metrics("fragment-incast",
-                              {"fragment_bytes": size})["goodput_gbps"]
-                for size in sizes}
-
-    rows = once(run)
+    rows = {run["params"]["fragment_bytes"]: run["metrics"]["goodput_gbps"]
+            for run in figure_runs}
     lines = [f"{'fragment':>9} {'goodput(Gbps)':>14}"]
     for size, goodput in rows.items():
         lines.append(f"{size // 1024:>7}KB {goodput:>14.2f}")
@@ -53,14 +44,11 @@ def test_ablation_fragment_size(once):
     assert rows[256 * 1024] < rows[best] * 0.8
 
 
-def test_ablation_small_message_threshold(once):
+@pytest.mark.figure("ablation-small-msg-threshold", seed=0)
+def test_ablation_small_message_threshold(figure_runs):
     """2 KB payloads: eager vs rendezvous — the 4 KB default keeps them
     on the fast path; memory cost is the tradeoff."""
-    def run():
-        return (metrics("rpc-latency", {"small_msg_size": 4096}),
-                metrics("rpc-latency", {"small_msg_size": 1024}))
-
-    eager, rendezvous = once(run)
+    rendezvous, eager = (run["metrics"] for run in figure_runs)
     assert eager["eager"] and not rendezvous["eager"]
     eager_us = eager["rtt_us"]
     rendezvous_us = rendezvous["rtt_us"]
@@ -80,16 +68,11 @@ def test_ablation_small_message_threshold(once):
     assert depth_bytes_1k < depth_bytes_4k   # ... rendezvous is leaner
 
 
-def test_ablation_window_depth(once):
+@pytest.mark.figure("ablation-window-depth", seed=0)
+def test_ablation_window_depth(figure_runs):
     """Deeper windows raise one-way throughput until the pipe saturates."""
-    depths = [4, 16, 64]
-
-    def run():
-        return {depth: metrics("window-throughput",
-                               {"inflight_depth": depth})["throughput_gbps"]
-                for depth in depths}
-
-    rows = once(run)
+    rows = {run["params"]["inflight_depth"]: run["metrics"]["throughput_gbps"]
+            for run in figure_runs}
     lines = [f"{'depth':>6} {'throughput(Gbps)':>17}"]
     for depth, gbps in rows.items():
         lines.append(f"{depth:>6} {gbps:>17.2f}")
@@ -98,15 +81,11 @@ def test_ablation_window_depth(once):
     assert rows[64] >= rows[16] * 0.9       # then the pipe is
 
 
-def test_ablation_mr_size(once):
+@pytest.mark.figure("ablation-mr-size", seed=0)
+def test_ablation_mr_size(figure_runs):
     """LITE-style 4 KB MRs multiply registrations; 4 MB arenas amortize."""
-    def run():
-        return {"4KB MRs (LITE)": metrics("mr-registration",
-                                          {"mr_bytes": 4096}),
-                "4MB MRs (X-RDMA)": metrics("mr-registration",
-                                            {"mr_bytes": 4 * 1024 * 1024})}
-
-    rows = once(run)
+    rows = {name: run["metrics"] for name, run in zip(
+        ("4KB MRs (LITE)", "4MB MRs (X-RDMA)"), figure_runs)}
     lines = [f"{'arena':<18} {'MRs':>5} {'alloc 256x4KB (us)':>19}"]
     for name, result in rows.items():
         lines.append(f"{name:<18} {result['mr_count']:>5} "

@@ -10,14 +10,15 @@ switch buffers.  Assertions are on the paper's qualitative claims:
 goodput up, CNPs slashed, pauses eliminated, retransmissions gone.
 
 The workload itself is the fleet's ``fig10-incast`` scenario
-(:data:`repro.fleet.scenarios.FIG10_WORKLOADS` defines the presets); the
-multi-seed sweep behind the committed table runs via
-``python -m repro.tools.xr_fleet run --spec fig10``.
+(:data:`repro.fleet.scenarios.FIG10_WORKLOADS` defines the presets); this
+test reads every run of the ``fig10`` spec, which
+``python -m repro.tools.xr_fleet run --spec fig10`` also runs alone.
 """
 
 from statistics import median
 
-from repro.fleet.runner import run_scenario_inline
+import pytest
+
 from repro.fleet.scenarios import FIG10_WORKLOADS
 
 from .conftest import emit
@@ -30,14 +31,11 @@ SEEDS = (0, 1, 2)
 COLUMNS = ("goodput_gbps", "cnps_sent", "pause_frames", "retransmissions")
 
 
-def test_fig10_flow_control(once):
-    def run():
-        return {label: [run_scenario_inline(
-                            "fig10-incast", {"workload": label},
-                            seed=seed)["metrics"] for seed in SEEDS]
-                for label in FIG10_WORKLOADS}
-
-    runs = once(run)
+@pytest.mark.figure("fig10-flow-control")
+def test_fig10_flow_control(figure_runs):
+    runs = {label: [run["metrics"] for run in figure_runs
+                    if run["params"]["workload"] == label]
+            for label in FIG10_WORKLOADS}
     results = {label: {column: median(row[column] for row in rows)
                        for column in COLUMNS}
                for label, rows in runs.items()}

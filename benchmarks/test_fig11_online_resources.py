@@ -10,84 +10,37 @@ We run a Pangu deployment, roll in a second wave of block servers
 mid-experiment (the upgrade), and sample everything with the Monitor.
 """
 
-from statistics import mean
-
 import pytest
 
-from repro.analysis import Monitor
-from repro.apps import EssdFrontend, PanguDeployment
-from repro.cluster import build_cluster
-from repro.sim import MILLIS, SECONDS
+from repro.fleet.figures import COMPLETION_BUCKET
+from repro.sim import MILLIS
 
 from .conftest import emit
 
 
-def run_upgrade():
-    cluster = build_cluster(12)
-    monitor = Monitor(cluster.sim, cluster.stats,
-                      sample_interval_ns=50 * MILLIS)
-    deployment = PanguDeployment.build(
-        cluster, block_hosts=[0, 1], chunk_hosts=[4, 5, 6, 7], replicas=3)
-    deployment.establish_mesh()
-    for block_server in deployment.block_servers:
-        monitor.attach(block_server.ctx)
-    monitor.start_fabric_sampler(50 * MILLIS)
-
-    sim = cluster.sim
-    frontends = []
-    for index, block_host in enumerate([0, 1]):
-        frontend = EssdFrontend(cluster, host_id=8 + index,
-                                block_server_host=block_host,
-                                io_bytes=128 * 1024, queue_depth=4)
-        frontends.append(frontend)
-        sim.spawn(frontend.run_closed_loop(100_000))
-
-    sim.run(until=600 * MILLIS)
-    qp_before = deployment.qp_count()
-
-    # The "online upgrade": two more block servers join and re-mesh.
-    from repro.apps.pangu import BlockServer
-    chunk_hosts = [cs.host_id for cs in deployment.chunk_servers]
-    for host in (2, 3):
-        block_server = BlockServer(cluster, host, replicas=3)
-        deployment.block_servers.append(block_server)
-        monitor.attach(block_server.ctx)
-        sim.spawn(block_server.connect_mesh(chunk_hosts))
-    for index, block_host in enumerate([2, 3]):
-        frontend = EssdFrontend(cluster, host_id=10 + index,
-                                block_server_host=block_host,
-                                io_bytes=128 * 1024, queue_depth=4)
-        frontends.append(frontend)
-        sim.spawn(frontend.run_closed_loop(100_000))
-
-    sim.run(until=1400 * MILLIS)
-    qp_after = deployment.qp_count()
-    return cluster, monitor, deployment, frontends, qp_before, qp_after
-
-
-def test_fig11_online_resources(once):
-    cluster, monitor, deployment, frontends, qp_before, qp_after = \
-        once(run_upgrade)
+@pytest.mark.figure("fig11-online-resources")
+def test_fig11_online_resources(figure_runs):
+    (run,) = figure_runs
+    metrics = run["metrics"]
+    qp_before, qp_after = metrics["qp_before"], metrics["qp_after"]
 
     # -- 11a: QP number rises with the upgrade.
     assert qp_after > qp_before
 
     # -- 11b: IOPS did not collapse across the upgrade window.
-    def iops_in(frontend_list, start, end):
-        count = sum(
-            1 for fe in frontend_list
-            for when, _ in fe.completions if start <= when < end)
+    def iops_in(completions, start, end):
+        count = sum(n for index, n in completions
+                    if start <= index * COMPLETION_BUCKET < end)
         return count / ((end - start) / 1e9)
 
-    original = frontends[:2]
+    original = metrics["completions"]    # the first two front-ends
     before_iops = iops_in(original, 300 * MILLIS, 600 * MILLIS)
     after_iops = iops_in(original, 1000 * MILLIS, 1400 * MILLIS)
     assert after_iops > before_iops * 0.6   # no jitter collapse
 
     # -- 11c: memory cache tracks usage smoothly; occupied >= in-use.
-    ctx = deployment.block_servers[0].ctx
-    occupied = monitor.values(f"ctx{ctx.ctx_id}.mem_occupied")
-    in_use = monitor.values(f"ctx{ctx.ctx_id}.mem_in_use")
+    occupied = metrics["mem_occupied"]     # block server 0
+    in_use = metrics["mem_in_use"]
     assert occupied and in_use
     assert all(o >= u for o, u in zip(occupied, in_use))
     assert max(in_use) > 0

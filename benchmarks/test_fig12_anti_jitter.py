@@ -10,72 +10,19 @@ burst.  The contrast run disables flow control to show the jitter the
 mechanisms remove.
 """
 
-from statistics import mean
-
 import pytest
 
-from repro.analysis.stats import percentile
-from repro.apps import EssdFrontend, PanguDeployment, XdbFrontend
-from repro.cluster import build_cluster
-from repro.sim import MILLIS, SECONDS
-from repro.sim.params import congested_params
-from repro.workloads.traces import burst_profile
-from repro.xrdma import XrdmaConfig
+from repro.fleet.figures import FIG12_BURST_LEN as BURST_LEN
+from repro.fleet.figures import FIG12_BURST_START as BURST_START
+from repro.sim import MILLIS
 
 from .conftest import emit
 
-DURATION = 1200 * MILLIS
-BURST_START = 400 * MILLIS
-BURST_LEN = 400 * MILLIS
 
-
-def run_pressure(flow_control: bool):
-    cluster = build_cluster(10, params=congested_params())
-    config = XrdmaConfig(flow_control=flow_control)
-    deployment = PanguDeployment.build(
-        cluster, block_hosts=[0, 1], chunk_hosts=[2, 3, 4, 5],
-        replicas=3, config=config)
-    deployment.establish_mesh()
-    sim = cluster.sim
-
-    essd = EssdFrontend(cluster, host_id=6, block_server_host=0,
-                        io_bytes=128 * 1024, config=config)
-    essd_profile = burst_profile(DURATION, base=500, burst=1500,
-                                 burst_start_ns=BURST_START,
-                                 burst_len_ns=BURST_LEN)
-    sim.spawn(essd.run_profile(essd_profile, DURATION))
-
-    xdb = XdbFrontend(cluster, host_id=7, block_server_host=1,
-                      config=config)
-    xdb_profile = burst_profile(DURATION, base=300, burst=900,
-                                burst_start_ns=BURST_START,
-                                burst_len_ns=BURST_LEN)
-    sim.spawn(xdb.run_profile(xdb_profile, DURATION))
-
-    sim.run(until=DURATION + 200 * MILLIS)
-    return essd, xdb
-
-
-def window_stats(app, label):
-    calm = app.latencies_in(100 * MILLIS, BURST_START)
-    burst = app.latencies_in(BURST_START, BURST_START + BURST_LEN)
-    return {
-        "label": label,
-        "calm_p50_us": percentile(calm, 0.50) / 1000,
-        "burst_p50_us": percentile(burst, 0.50) / 1000,
-        "calm_p95_us": percentile(calm, 0.95) / 1000,
-        "burst_p95_us": percentile(burst, 0.95) / 1000,
-        "calm_n": len(calm),
-        "burst_n": len(burst),
-    }
-
-
-def test_fig12_anti_jitter(once):
-    def run():
-        essd, xdb = run_pressure(flow_control=True)
-        return window_stats(essd, "ESSD"), window_stats(xdb, "X-DB")
-
-    essd_stats, xdb_stats = once(run)
+@pytest.mark.figure("fig12-anti-jitter")
+def test_fig12_anti_jitter(figure_runs):
+    (run,) = figure_runs
+    essd_stats, xdb_stats = run["metrics"]["essd"], run["metrics"]["xdb"]
     lines = [f"{'app':<6} {'calm p50':>9} {'burst p50':>10} "
              f"{'calm p95':>9} {'burst p95':>10} {'calm n':>7} {'burst n':>8}"]
     for stats in (essd_stats, xdb_stats):

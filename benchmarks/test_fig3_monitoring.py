@@ -8,54 +8,14 @@ a diurnal traffic profile.
 
 import pytest
 
-from repro.analysis import Monitor
-from repro.cluster import build_cluster
-from repro.sim import MILLIS, SECONDS
-from repro.workloads.traces import diurnal_profile, rate_at
-from repro.xrdma.message import MessageKind
-
 from .conftest import emit
 
-DURATION = 2 * SECONDS
-PERIOD = 500 * MILLIS
 
-
-def run_monitoring():
-    cluster = build_cluster(3)
-    monitor = Monitor(cluster.sim, cluster.stats,
-                      sample_interval_ns=50 * MILLIS)
-    server = cluster.xrdma_context(1)
-    server.listen(9400)
-    client = cluster.xrdma_context(0)
-    monitor.attach(client)
-    sim = cluster.sim
-
-    def sink():
-        while True:
-            yield server.incoming.get()
-
-    sim.spawn(sink())
-    profile = diurnal_profile(DURATION, PERIOD, low=200, high=4000)
-
-    def driver():
-        channel = yield from client.connect(1, 9400)
-        started = sim.now
-        while sim.now - started < DURATION:
-            rate = rate_at(profile, sim.now - started)
-            gap = max(int(SECONDS / rate), 1)
-            client.send_msg(channel, 32 * 1024, kind=MessageKind.ONEWAY)
-            yield sim.timeout(gap)
-
-    sim.spawn(driver())
-    sim.run(until=DURATION + 100 * MILLIS)
-    return cluster, monitor, client
-
-
-def test_fig3_monitoring_series(once):
-    cluster, monitor, client = once(run_monitoring)
-
-    tx_rates = monitor.rate_per_second(f"ctx{client.ctx_id}.tx_bytes")
-    qp_counts = monitor.values(f"ctx{client.ctx_id}.qp_count")
+@pytest.mark.figure("fig3-monitoring")
+def test_fig3_monitoring_series(figure_runs):
+    (run,) = figure_runs
+    tx_rates = run["metrics"]["tx_rates"]
+    qp_counts = run["metrics"]["qp_counts"]
 
     lines = [f"{'sample':>7} {'tx GB/s':>9} {'qp':>4}"]
     for index, rate in enumerate(tx_rates):

@@ -11,72 +11,24 @@ Three panels, as in the paper:
 3. Large sizes (4–32 KB): same ordering holds.
 """
 
-from statistics import mean
-
 import pytest
-
-from repro.baselines import (IbvPingPong, LibfabricEndpoint, UcxEndpoint,
-                             XioEndpoint)
-from repro.baselines.common import run_pingpong
-from repro.cluster import build_cluster
-from repro.sim import SECONDS
-from repro.xrdma import XrdmaConfig
 
 from .conftest import emit
 
-ITERS = 24
+
+def latencies(runs):
+    """One-way latency (µs) by (size, system), in plan order."""
+    return {(run["params"]["size"], run["params"]["system"]):
+            run["metrics"]["latency_us"] for run in runs}
 
 
-def xrdma_pingpong(size: int, config: XrdmaConfig) -> float:
-    """One-way X-RDMA RPC latency in µs at ``size`` bytes."""
-    cluster = build_cluster(2)
-    client = cluster.xrdma_context(0, config=config)
-    server = cluster.xrdma_context(1, config=config)
-    accepted = server.listen(8700)
-    latencies = []
-
-    def scenario():
-        channel = yield from client.connect(1, 8700)
-        server_channel = yield accepted.get()
-        # Echo the same size back, like ibv_rc_pingpong and the baselines.
-        server_channel.on_request = \
-            lambda msg: server.send_response(msg, msg.payload_size)
-        for index in range(ITERS):
-            t0 = cluster.sim.now
-            request = client.send_request(channel, size)
-            yield request.response
-            if index >= 3:
-                latencies.append((cluster.sim.now - t0) / 2)
-
-    proc = cluster.sim.spawn(scenario())
-    cluster.sim.run_until_event(proc, limit=60 * SECONDS)
-    return mean(latencies) / 1000
-
-
-def baseline_pingpong(endpoint_cls, size: int) -> float:
-    cluster = build_cluster(2)
-    latencies = run_pingpong(cluster, endpoint_cls, size, iterations=ITERS)
-    return mean(latencies) / 1000
-
-
-SMALL_MODE = XrdmaConfig(small_msg_size=128 * 1024)  # eager for everything
-LARGE_MODE = XrdmaConfig(small_msg_size=1)           # rendezvous everything
-DEFAULT = XrdmaConfig()                              # 4 KB threshold
-REQRSP = XrdmaConfig(req_rsp_mode=True, trace_sample_mask=1)
-
-
-def test_fig7_panel1_mixed_message_model(once):
+@pytest.mark.figure("fig7-mixed-messages")
+def test_fig7_panel1_mixed_message_model(figure_runs):
     sizes = [2, 16, 64, 128, 512, 2048, 4096, 16384, 65536]
-
-    def run():
-        rows = {}
-        for size in sizes:
-            rows[size] = (xrdma_pingpong(size, SMALL_MODE),
-                          xrdma_pingpong(size, LARGE_MODE),
-                          xrdma_pingpong(size, DEFAULT))
-        return rows
-
-    rows = once(run)
+    latency = latencies(figure_runs)
+    rows = {size: (latency[size, "small-mode"], latency[size, "large-mode"],
+                   latency[size, "xrdma-BD"])
+            for size in sizes}
     lines = [f"{'size(B)':>8} {'small-mode':>11} {'large-mode':>11} "
              f"{'mixed':>8} {'large/small':>12}"]
     for size in sizes:
@@ -107,25 +59,15 @@ def test_fig7_panel1_mixed_message_model(once):
     assert abs(rows[16384][2] - rows[16384][1]) / rows[16384][1] < 0.10
 
 
-def test_fig7_panel2_middleware_comparison(once):
-    size = 64
-
-    def run():
-        return {
-            "ibv-pingpong": baseline_pingpong(IbvPingPong, size),
-            "xrdma-BD": xrdma_pingpong(size, DEFAULT),
-            "xrdma-reqrsp": xrdma_pingpong(size, REQRSP),
-            "ucx-am-rc": baseline_pingpong(UcxEndpoint, size),
-            "libfabric": baseline_pingpong(LibfabricEndpoint, size),
-            "xio": baseline_pingpong(XioEndpoint, size),
-        }
-
-    rows = once(run)
+@pytest.mark.figure("fig7-middlewares")
+def test_fig7_panel2_middleware_comparison(figure_runs):
+    rows = {system: latency
+            for (_size, system), latency in latencies(figure_runs).items()}
     lines = [f"{'system':<14} {'one-way latency (us)':>22}"]
     for name, latency in rows.items():
         lines.append(f"{name:<14} {latency:>22.2f}")
     lines.append("")
-    lines.append(f"paper: xrdma 5.60  ucx 5.87  libfabric 6.20 (64B-class)")
+    lines.append("paper: xrdma 5.60  ucx 5.87  libfabric 6.20 (64B-class)")
     emit("fig7_panel2_middlewares", lines)
 
     # Ordering: ibv <= xrdma < ucx < libfabric < xio.
@@ -140,22 +82,15 @@ def test_fig7_panel2_middleware_comparison(once):
     assert 0.0 <= overhead < 0.08
 
 
-def test_fig7_panel3_large_sizes(once):
+@pytest.mark.figure("fig7-large-sizes")
+def test_fig7_panel3_large_sizes(figure_runs):
     sizes = [4096, 8192, 16384, 32768]
-
-    def run():
-        rows = {}
-        for size in sizes:
-            rows[size] = {
-                "ibv": baseline_pingpong(IbvPingPong, size),
-                "xrdma": xrdma_pingpong(size, DEFAULT),
-                "ucx": baseline_pingpong(UcxEndpoint, size),
-                "libfabric": baseline_pingpong(LibfabricEndpoint, size),
-                "xio": baseline_pingpong(XioEndpoint, size),
-            }
-        return rows
-
-    rows = once(run)
+    latency = latencies(figure_runs)
+    columns = {"ibv": "ibv-pingpong", "xrdma": "xrdma-BD", "ucx": "ucx-am-rc",
+               "libfabric": "libfabric", "xio": "xio"}
+    rows = {size: {column: latency[size, system]
+                   for column, system in columns.items()}
+            for size in sizes}
     lines = [f"{'size(B)':>8} {'ibv':>8} {'xrdma':>8} {'ucx':>8} "
              f"{'libfabric':>10} {'xio':>8}"]
     for size in sizes:

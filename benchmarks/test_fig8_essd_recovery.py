@@ -14,48 +14,18 @@ from statistics import mean
 
 import pytest
 
-from repro.apps import EssdFrontend, PanguDeployment
-from repro.cluster import build_cluster
-from repro.sim import MILLIS, SECONDS
+from repro.fleet.figures import COMPLETION_BUCKET, FIG8_END as SIM_END
+from repro.sim import SECONDS
 
 from .conftest import emit
 
-SIM_END = 1200 * MILLIS
 
-
-def run_recovery():
-    cluster = build_cluster(8)
-    deployment = PanguDeployment.build(
-        cluster, block_hosts=[0, 1], chunk_hosts=[2, 3, 4, 5], replicas=3)
-    # The connect storm happens *while* front-ends are already issuing:
-    # spawn the mesh establishment and the front-ends together (restart).
-    sim = cluster.sim
-    chunk_hosts = [cs.host_id for cs in deployment.chunk_servers]
-    for block_server in deployment.block_servers:
-        sim.spawn(block_server.connect_mesh(chunk_hosts))
-
-    frontends = []
-    for index in range(2):
-        frontend = EssdFrontend(cluster, host_id=6 + index,
-                                block_server_host=index,
-                                io_bytes=128 * 1024, queue_depth=4)
-        frontends.append(frontend)
-        sim.spawn(frontend.run_closed_loop(10 ** 9))   # duration-bounded
-
-    sim.run(until=SIM_END)
-    return deployment, frontends
-
-
-def test_fig8_essd_reaches_steady_state_quickly(once):
-    deployment, frontends = once(run_recovery)
-
-    bucket = 100 * MILLIS
-    aggregate = {}
-    for frontend in frontends:
-        for when, _lat in frontend.completions:
-            aggregate[when // bucket] = aggregate.get(when // bucket, 0) + 1
+@pytest.mark.figure("fig8-essd-recovery")
+def test_fig8_essd_reaches_steady_state_quickly(figure_runs):
+    (run,) = figure_runs
+    bucket = COMPLETION_BUCKET
     timeline = [(index * bucket, count * (SECONDS // bucket))
-                for index, count in sorted(aggregate.items())]
+                for index, count in run["metrics"]["completions"]]
 
     lines = [f"{'t(ms)':>7} {'IOPS':>8}"]
     for when, iops in timeline:

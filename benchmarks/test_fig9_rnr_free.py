@@ -8,82 +8,14 @@ verbs raise RNR NAKs; the same burst through X-RDMA channels raises none.
 
 import pytest
 
-from repro.cluster import build_cluster
-from repro.rnic import Opcode, QpStateError, WorkRequest
-from repro.sim import MICROS, MILLIS, SECONDS
+from repro.fleet.figures import FIG9_BURSTS as BURSTS
 
 from .conftest import emit
 
-BURSTS = 8
-BURST_LEN = 24
-PAYLOAD = 1024
 
-
-def run_raw_rdma():
-    """Sender bursts past the receiver's slowly-replenished RQ."""
-    from tests.conftest import establish
-    cluster = build_cluster(2)
-    conn_c, conn_s = establish(cluster, 0, 1)
-    client, server = cluster.host(0), cluster.host(1)
-    sim = cluster.sim
-
-    def slow_receiver():
-        # The application posts receives late — exactly the raw-RDMA
-        # failure mode: the sender has no idea how fast we are.
-        while True:
-            if conn_s.qp.recv_buffers_posted < 8:
-                yield server.verbs.post_recv(conn_s.qp, WorkRequest(
-                    opcode=Opcode.RECV, length=PAYLOAD + 64))
-            conn_s.qp.recv_cq.poll()
-            yield sim.timeout(60 * MICROS)
-
-    def bursty_sender():
-        for _ in range(BURSTS):
-            for _ in range(BURST_LEN):
-                try:
-                    yield client.verbs.post_send(conn_c.qp, WorkRequest(
-                        opcode=Opcode.SEND, length=PAYLOAD, signaled=False))
-                except QpStateError:    # SQ full under pressure
-                    yield sim.timeout(100 * MICROS)
-            yield sim.timeout(2 * MILLIS)
-
-    sim.spawn(slow_receiver())
-    sender = sim.spawn(bursty_sender())
-    sim.run(until=200 * MILLIS)
-    return cluster.stats.rnr_naks
-
-
-def run_xrdma():
-    """The same burst through X-RDMA: the window absorbs it, RNR-free."""
-    cluster = build_cluster(2)
-    client = cluster.xrdma_context(0)
-    server = cluster.xrdma_context(1)
-    accepted = server.listen(8800)
-    sim = cluster.sim
-
-    def consumer():
-        while True:
-            yield server.incoming.get()
-            yield sim.timeout(60 * MICROS)   # same slow application
-
-    def producer():
-        channel = yield from client.connect(1, 8800)
-        for _ in range(BURSTS):
-            for _ in range(BURST_LEN):
-                client.send_msg(channel, PAYLOAD)
-            yield sim.timeout(2 * MILLIS)
-
-    sim.spawn(consumer())
-    sim.spawn(producer())
-    sim.run(until=400 * MILLIS)
-    return cluster.stats.rnr_naks
-
-
-def test_fig9_rnr_counter(once):
-    def run():
-        return run_raw_rdma(), run_xrdma()
-
-    raw_rnr, xrdma_rnr = once(run)
+@pytest.mark.figure("fig9-rnr-counter")
+def test_fig9_rnr_counter(figure_runs):
+    raw_rnr, xrdma_rnr = (run["metrics"]["rnr_naks"] for run in figure_runs)
     per_interval = raw_rnr / BURSTS
     lines = [
         f"{'system':<10} {'RNR NAKs':>9} {'per burst interval':>20}",

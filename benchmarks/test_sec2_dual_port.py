@@ -8,52 +8,12 @@ out-of-order delivery — which our flow-hashed port selection preserves.
 
 import pytest
 
-from repro.cluster import build_cluster
-from repro.rnic import Opcode, WorkRequest
-from repro.sim import SECONDS
-from tests.conftest import establish
-
 from .conftest import emit
 
-FLOWS = 4
-WRITES = 4
-SIZE = 2 << 20
 
-
-def aggregate_gbps(nic_ports: int) -> float:
-    cluster = build_cluster(1 + FLOWS, nic_ports=nic_ports)
-    sender = cluster.host(0)
-    sim = cluster.sim
-    conns = [establish(cluster, 0, dst + 1, service_port=7000)
-             for dst in range(FLOWS)]
-
-    def stream(conn_c, conn_s, dst):
-        host = cluster.host(dst + 1)
-        buf = host.memory.alloc(SIZE)
-        mr = yield host.verbs.reg_mr(conn_s.qp.pd, buf.addr, buf.length)
-        for _ in range(WRITES):
-            yield sender.verbs.post_send(conn_c.qp, WorkRequest(
-                opcode=Opcode.WRITE, length=SIZE, remote_addr=mr.addr,
-                rkey=mr.rkey))
-        done = 0
-        while done < WRITES:
-            done += len(conn_c.qp.send_cq.poll())
-            yield sim.timeout(10_000)
-        yield host.verbs.dereg_mr(conn_s.qp.pd, mr)
-        host.memory.free(buf.addr)
-
-    t0 = sim.now
-    procs = [sim.spawn(stream(conn_c, conn_s, dst))
-             for dst, (conn_c, conn_s) in enumerate(conns)]
-    sim.run_until_event(sim.all_of(procs), limit=60 * SECONDS)
-    return FLOWS * WRITES * SIZE * 8 / (sim.now - t0)
-
-
-def test_sec2_dual_port_bandwidth(once):
-    def run():
-        return aggregate_gbps(1), aggregate_gbps(2)
-
-    single, dual = once(run)
+@pytest.mark.figure("sec2-dual-port")
+def test_sec2_dual_port_bandwidth(figure_runs):
+    single, dual = (run["metrics"]["aggregate_gbps"] for run in figure_runs)
     lines = [
         f"{'NIC ports':>10} {'aggregate (Gbps)':>17}",
         f"{1:>10} {single:>17.2f}",

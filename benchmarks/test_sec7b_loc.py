@@ -8,8 +8,6 @@ which implement the same ping-pong on raw verbs and on X-RDMA.
 
 import pathlib
 
-import pytest
-
 from .conftest import emit
 
 EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
@@ -38,13 +36,9 @@ def count_effective_loc(path: pathlib.Path) -> int:
     return loc
 
 
-def test_sec7b_loc_comparison(once):
-    def run():
-        raw = count_effective_loc(EXAMPLES / "pingpong_raw_verbs.py")
-        xrdma = count_effective_loc(EXAMPLES / "quickstart.py")
-        return raw, xrdma
-
-    raw_loc, xrdma_loc = once(run)
+def test_sec7b_loc_comparison():
+    raw_loc = count_effective_loc(EXAMPLES / "pingpong_raw_verbs.py")
+    xrdma_loc = count_effective_loc(EXAMPLES / "quickstart.py")
     lines = [
         f"{'program':<28} {'effective LOC':>14}",
         f"{'ping-pong on raw verbs':<28} {raw_loc:>14}",

@@ -12,77 +12,18 @@ from statistics import mean
 
 import pytest
 
-from repro.cluster import build_cluster
-from repro.sim import MICROS, SECONDS
-from repro.xrdma import XrdmaConfig
-
 from .conftest import emit
 
 
-def single_connection_cost(warm_cache: bool) -> float:
-    """Per-connection establishment µs, cold vs warm QP cache.
-
-    One connection per fresh cluster: recycling from closed channels would
-    otherwise warm the "cold" path silently.
-    """
-    costs = []
-    for trial in range(3):
-        cluster = build_cluster(2, seed=trial)
-        client = cluster.xrdma_context(0)
-        server = cluster.xrdma_context(1)
-        server.listen(9700)
-        sim = cluster.sim
-
-        if warm_cache:
-            def warm():
-                yield from client.qpcache.prewarm(1)
-                yield from server.qpcache.prewarm(1)
-            proc = sim.spawn(warm())
-            sim.run_until_event(proc, limit=SECONDS)
-
-        def connector():
-            t0 = sim.now
-            yield from client.connect(1, 9700)
-            return sim.now - t0
-
-        proc = sim.spawn(connector())
-        costs.append(sim.run_until_event(proc, limit=60 * SECONDS))
-    return mean(costs) / 1000
-
-
-def storm_duration(n_clients: int, conns_per_client: int,
-                   warm: bool) -> float:
-    """Wall time (s) for a connect storm of n×m connections to one host."""
-    cluster = build_cluster(n_clients + 1)
-    server = cluster.xrdma_context(n_clients)
-    server.listen(9700)
-    sim = cluster.sim
-    contexts = [cluster.xrdma_context(h) for h in range(n_clients)]
-    if warm:
-        def warm_all():
-            yield from server.qpcache.prewarm(
-                min(n_clients * conns_per_client, 64))
-            for ctx in contexts:
-                yield from ctx.qpcache.prewarm(min(conns_per_client, 64))
-        proc = sim.spawn(warm_all())
-        sim.run_until_event(proc, limit=120 * SECONDS)
-
-    t0 = sim.now
-
-    def storm(ctx):
-        for _ in range(conns_per_client):
-            yield from ctx.connect(n_clients, 9700)
-
-    procs = [sim.spawn(storm(ctx)) for ctx in contexts]
-    sim.run_until_event(sim.all_of(procs), limit=sim.now + 300 * SECONDS)
-    return (sim.now - t0) / 1e9
-
-
-def test_sec7c_qp_cache_single_connection(once):
-    def run():
-        return single_connection_cost(False), single_connection_cost(True)
-
-    cold_us, warm_us = once(run)
+@pytest.mark.figure("sec7c-single-connection")
+def test_sec7c_qp_cache_single_connection(figure_runs):
+    # Three trials (seeds) each, one connection per fresh cluster:
+    # recycling from closed channels would otherwise warm the "cold"
+    # path silently.
+    cold_us, warm_us = (
+        mean(run["metrics"]["connect_ns"] for run in figure_runs
+             if run["params"]["warm"] == warm) / 1000
+        for warm in (0, 1))
     saving = 1 - warm_us / cold_us
     lines = [
         f"{'path':<18} {'per-connection (us)':>20}",
@@ -99,12 +40,9 @@ def test_sec7c_qp_cache_single_connection(once):
     assert 0.25 < saving < 0.60
 
 
-def test_sec7c_connect_storm(once):
-    def run():
-        return (storm_duration(8, 32, warm=False),
-                storm_duration(8, 32, warm=True))
-
-    cold_s, warm_s = once(run)
+@pytest.mark.figure("sec7c-connect-storm")
+def test_sec7c_connect_storm(figure_runs):
+    cold_s, warm_s = (run["metrics"]["storm_s"] for run in figure_runs)
     lines = [
         f"{'path':<18} {'256-connection storm (s)':>26}",
         f"{'plain rdma_cm':<18} {cold_s:>26.2f}",

@@ -8,55 +8,12 @@ the three host-memory modes under fragmentation pressure.
 
 import pytest
 
-from repro.memory import AllocMode, HostMemory, OutOfMemory
-
 from .conftest import emit
 
-MB = 1 << 20
 
-
-def churn(memory: HostMemory, rounds: int = 2000) -> None:
-    """Alloc/free churn drives fragmentation up."""
-    live = []
-    for index in range(rounds):
-        live.append(memory.alloc(4 * MB))
-        if len(live) > 8:
-            memory.free(live.pop(0).addr)
-    for allocation in live:
-        memory.free(allocation.addr)
-
-
-def profile_mode(mode: AllocMode):
-    memory = HostMemory(capacity_bytes=8 << 30, hugepage_pool_bytes=1 << 30)
-    cost_fresh = memory.alloc_cost_ns(4 * MB, mode)
-    churn(memory)
-    cost_fragmented = memory.alloc_cost_ns(4 * MB, mode)
-    failures = 0
-    for _ in range(16):
-        try:
-            allocation = memory.alloc(64 * MB, mode)
-            memory.free(allocation.addr)
-        except OutOfMemory:
-            failures += 1
-    return {
-        "fresh_us": cost_fresh / 1000,
-        "fragmented_us": cost_fragmented / 1000,
-        "slowdown": cost_fragmented / cost_fresh,
-        "large_alloc_failures": failures,
-        "reclaims": memory.reclaim_events,
-        "fragmentation": memory.fragmentation,
-    }
-
-
-def test_sec7f_memory_modes(once):
-    def run():
-        return {
-            "non-continuous": profile_mode(AllocMode.ANONYMOUS),
-            "continuous": profile_mode(AllocMode.CONTIGUOUS),
-            "hugepage": profile_mode(AllocMode.HUGEPAGE),
-        }
-
-    rows = once(run)
+@pytest.mark.figure("sec7f-memory-modes")
+def test_sec7f_memory_modes(figure_runs):
+    rows = {run["params"]["mode"]: run["metrics"] for run in figure_runs}
     lines = [f"{'mode':<15} {'fresh(us)':>10} {'frag(us)':>9} "
              f"{'slowdown':>9} {'64MB fails':>11} {'reclaims':>9}"]
     for name, row in rows.items():

@@ -7,75 +7,18 @@ performance is almost below 10% even when the number of QPs grows up to
 one victim connection while all QPs carry background traffic.
 """
 
-from statistics import mean
-
 import pytest
 
-from repro.cluster import build_cluster
-from repro.rnic import Opcode, QpState, WorkRequest
-from repro.sim import MICROS, SECONDS, SimParams
+from repro.fleet.figures import SEC7F_CACHE_ENTRIES as CACHE_ENTRIES
 
 from .conftest import emit
 
-CACHE_ENTRIES = 64
 
-
-def run_with_qps(total_qps: int) -> float:
-    """Victim ping-pong latency (µs) with ``total_qps`` active QPs."""
-    params = SimParams(nic_qp_cache_entries=CACHE_ENTRIES)
-    cluster = build_cluster(2, params=params)
-    from tests.conftest import establish
-    sim = cluster.sim
-    client, server = cluster.host(0), cluster.host(1)
-
-    conns = [establish(cluster, 0, 1, service_port=7000 + i)
-             for i in range(total_qps)]
-    victim_c, victim_s = conns[0]
-
-    def background(conn_c, conn_s, offset):
-        """Sparse zero-byte writes cycle every QP through the NIC's
-        context cache without saturating the transmit engine (~15%
-        utilization regardless of QP count)."""
-        yield sim.timeout(offset)
-        while True:
-            yield client.verbs.post_send(conn_c.qp, WorkRequest(
-                opcode=Opcode.WRITE, length=0, remote_addr=0, rkey=1,
-                signaled=False))
-            yield sim.timeout(total_qps * 15 * MICROS)
-
-    for index, (conn_c, conn_s) in enumerate(conns[1:]):
-        sim.spawn(background(conn_c, conn_s, index * 15 * MICROS))
-
-    latencies = []
-
-    def victim():
-        for _ in range(64):
-            yield server.verbs.post_recv(victim_s.qp, WorkRequest(
-                opcode=Opcode.RECV, length=256))
-        for index in range(24):
-            # Infrequent pings: every other QP gets touched in between,
-            # so at high QP counts the victim's context is evicted.
-            yield sim.timeout(2000 * MICROS)
-            t0 = sim.now
-            yield client.verbs.post_send(victim_c.qp, WorkRequest(
-                opcode=Opcode.SEND, length=64, signaled=False))
-            while not victim_s.qp.recv_cq.poll(1):
-                yield sim.timeout(200)
-            if index >= 4:
-                latencies.append(sim.now - t0)
-
-    proc = sim.spawn(victim())
-    sim.run_until_event(proc, limit=120 * SECONDS)
-    return mean(latencies) / 1000
-
-
-def test_sec7f_qp_context_cache_influence(once):
+@pytest.mark.figure("sec7f-qp-scaling")
+def test_sec7f_qp_context_cache_influence(figure_runs):
     counts = [8, 128, 512]
-
-    def run():
-        return {count: run_with_qps(count) for count in counts}
-
-    rows = once(run)
+    rows = {run["params"]["qps"]: run["metrics"]["latency_us"]
+            for run in figure_runs}
     base = rows[counts[0]]
     lines = [f"{'QPs':>6} {'latency(us)':>12} {'vs 8 QPs':>9}"]
     for count in counts:

@@ -10,57 +10,18 @@ below the aggregate window, showing the memory saving and the RNR risk.
 
 import pytest
 
-from repro.cluster import build_cluster
-from repro.sim import MILLIS, SECONDS
-from repro.xrdma import XrdmaConfig
+from repro.fleet.figures import SEC7F_MESSAGES as MESSAGES
+from repro.fleet.figures import SEC7F_SENDERS as SENDERS
 
 from .conftest import emit
 
-SENDERS = 4
-MESSAGES = 93      # 3 full-window bursts per sender
-BURST = 31
 
-
-def run_fan_in(use_srq: bool, srq_size: int = 8):
-    config = XrdmaConfig(use_srq=use_srq, srq_size=srq_size)
-    cluster = build_cluster(SENDERS + 1)
-    server = cluster.xrdma_context(SENDERS, config=config)
-    server.listen(8900)
-    sim = cluster.sim
-
-    def sink():
-        while True:
-            yield server.incoming.get()
-
-    sim.spawn(sink())
-
-    def sender(host):
-        ctx = cluster.xrdma_context(host)
-        channel = yield from ctx.connect(SENDERS, 8900)
-        sent = 0
-        while sent < MESSAGES:
-            for _ in range(BURST):        # full-window bursts: the shared
-                if sent < MESSAGES:       # pool replenish cannot keep pace
-                    ctx.send_msg(channel, 512)
-                    sent += 1
-            yield sim.timeout(3_000_000)
-
-    procs = [sim.spawn(sender(host)) for host in range(SENDERS)]
-    sim.run_until_event(sim.all_of(procs), limit=120 * SECONDS)
-    sim.run(until=sim.now + 200 * MILLIS)
-    delivered = sum(ch.stats["rx_msgs"] for ch in server.channels.values())
-    recv_buffer_bytes = server.memcache.in_use_bytes
-    return delivered, recv_buffer_bytes, cluster.stats.rnr_naks
-
-
-def test_sec7f_srq_tradeoff(once):
-    def run():
-        return {
-            "per-QP RQ": run_fan_in(use_srq=False),
-            "SRQ": run_fan_in(use_srq=True, srq_size=8),
-        }
-
-    rows = once(run)
+@pytest.mark.figure("sec7f-srq")
+def test_sec7f_srq_tradeoff(figure_runs):
+    rows = {name: (run["metrics"]["delivered"],
+                   run["metrics"]["recv_buffer_bytes"],
+                   run["metrics"]["rnr_naks"])
+            for name, run in zip(("per-QP RQ", "SRQ"), figure_runs)}
     lines = [f"{'mode':<10} {'delivered':>10} {'recv-buf bytes':>15} "
              f"{'RNR NAKs':>9}"]
     for name, (delivered, buf_bytes, rnr) in rows.items():

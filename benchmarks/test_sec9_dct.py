@@ -10,99 +10,22 @@ halves on the simulated substrate:
   so per-message latency degrades versus dedicated RC connections.
 """
 
-from statistics import mean
-
 import pytest
 
-from repro.cluster import build_cluster
-from repro.rnic import Opcode, WorkRequest
-from repro.sim import MICROS, SECONDS
-from tests.conftest import establish, run_process
+from repro.fleet.figures import SEC9_PEERS as N_PEERS
+from repro.fleet.figures import SEC9_ROUNDS as ROUNDS
 
 from .conftest import emit
 
-N_PEERS = 12
-ROUNDS = 6
 
-
-def run_rc():
-    """Dedicated RC QP per peer: expensive setup, cheap fan-out."""
-    cluster = build_cluster(N_PEERS + 1)
-    sim = cluster.sim
-    t0 = sim.now
-    conns = [establish(cluster, 0, peer + 1, service_port=7000)
-             for peer in range(N_PEERS)]
-    setup_ns = sim.now - t0
-    sender = cluster.host(0)
-
-    def prepost():
-        for conn_c, conn_s in conns:
-            host = cluster.hosts[conn_s.local_host]
-            for _ in range(ROUNDS + 2):
-                yield host.verbs.post_recv(conn_s.qp, WorkRequest(
-                    opcode=Opcode.RECV, length=4096))
-
-    run_process(cluster, prepost(), limit=10 * SECONDS)
-    latencies = []
-
-    def fan_out():
-        for _ in range(ROUNDS):
-            for conn_c, conn_s in conns:
-                t_send = sim.now
-                yield sender.verbs.post_send(conn_c.qp, WorkRequest(
-                    opcode=Opcode.SEND, length=512, signaled=False))
-                while not conn_s.qp.recv_cq.poll(1):
-                    yield sim.timeout(500)
-                latencies.append(sim.now - t_send)
-
-    run_process(cluster, fan_out(), limit=60 * SECONDS)
-    qp_objects = N_PEERS * 2     # one at each end per peer
-    return setup_ns, mean(latencies), qp_objects
-
-
-def run_dct():
-    """One DCI, per-peer in-band sessions: cheap setup, switchy fan-out."""
-    cluster = build_cluster(N_PEERS + 1)
-    sim = cluster.sim
-    sender = cluster.host(0)
-    pd = sender.verbs.alloc_pd()
-    cq = sender.verbs.create_cq()
-    dci = sender.verbs.create_dc_initiator(pd, cq)
-
-    targets = []
-    t0 = sim.now
-    for peer in range(N_PEERS):
-        host = cluster.host(peer + 1)
-        t_pd = host.verbs.alloc_pd()
-        t_cq = host.verbs.create_cq()
-        srq = host.verbs.create_srq(depth=128)
-        for _ in range(ROUNDS + 2):
-            srq.post(WorkRequest(opcode=Opcode.RECV, length=4096))
-        targets.append(host.verbs.create_dc_target(t_pd, t_cq, srq))
-    setup_ns = sim.now - t0      # SRQ/DCT creation is host-side & instant
-    latencies = []
-
-    def fan_out():
-        for _ in range(ROUNDS):
-            for peer, target in enumerate(targets):
-                t_send = sim.now
-                dci.post_send(peer + 1, target.dct_num, WorkRequest(
-                    opcode=Opcode.SEND, length=512, signaled=False))
-                while not target.recv_cq.poll(1):
-                    yield sim.timeout(500)
-                latencies.append(sim.now - t_send)
-
-    run_process(cluster, fan_out(), limit=60 * SECONDS)
-    # NIC-side objects: one DCI + per-peer lightweight sessions.
-    return setup_ns, mean(latencies), 1 + dci.session_count, dci.switches
-
-
-def test_sec9_dct_vs_rc(once):
-    def run():
-        return run_rc(), run_dct()
-
-    (rc_setup, rc_latency, rc_qps), \
-        (dc_setup, dc_latency, dc_objects, switches) = once(run)
+@pytest.mark.figure("sec9-dct-vs-rc")
+def test_sec9_dct_vs_rc(figure_runs):
+    rc, dct = (run["metrics"] for run in figure_runs)
+    rc_setup, rc_latency, rc_qps = (
+        rc[key] for key in ("setup_ns", "latency_ns", "nic_objects"))
+    dc_setup, dc_latency, dc_objects, switches = (
+        dct[key] for key in ("setup_ns", "latency_ns", "nic_objects",
+                             "switches"))
 
     lines = [
         f"{'transport':<6} {'setup(ms)':>10} {'fanout lat(us)':>15} "

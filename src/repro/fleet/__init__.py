@@ -30,7 +30,9 @@ Pipeline::
   machine-readable aggregate; byte-identical for any ``--jobs``.
 * :mod:`repro.fleet.scenarios` / :mod:`repro.fleet.experiments` — the
   library of paper scenarios and the built-in specs (ablation grids,
-  Fig. 10 sweep).
+  Fig. 10 sweep, and the ``figures`` set behind ``benchmarks/``).
+* :mod:`repro.fleet.figures` — the paper's other figures and tables as
+  scenarios (the simulations behind ``benchmarks/``).
 * :mod:`repro.fleet.drills` — fault-injection scenarios exercising the
   supervisor itself (crash, raise, runaway, hang).
 
@@ -40,7 +42,7 @@ CLI: ``python -m repro.tools.xr_fleet`` (run / status).
 from repro.fleet.aggregate import aggregate_records
 from repro.fleet.planner import plan
 from repro.fleet.pool import FleetPool, SweepSummary
-from repro.fleet.runner import RunContext, execute_unit, run_scenario_inline
+from repro.fleet.runner import RunContext, execute_unit
 from repro.fleet.spec import ExperimentSpec, RunUnit
 from repro.fleet.store import ResultStore, canonical_json
 
@@ -55,5 +57,4 @@ __all__ = [
     "canonical_json",
     "execute_unit",
     "plan",
-    "run_scenario_inline",
 ]

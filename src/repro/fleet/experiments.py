@@ -16,7 +16,7 @@ on any machine.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, Dict, List
 
 from repro.fleet.spec import ExperimentSpec
 
@@ -237,11 +237,98 @@ def _protocol_specs(quick: bool) -> List[ExperimentSpec]:
     ]
 
 
+def _figure_specs(quick: bool) -> List[ExperimentSpec]:
+    """Every figure and table ``benchmarks/`` asserts on.
+
+    A figure has one scale, the one its assertions hold at, so
+    ``--quick`` plans nothing.  The ablation grids and Fig. 10 are their
+    own full specs (their tests read the seed-0 runs and every run,
+    respectively).  Budgets are measured, not defaulted: ``timeout_s``
+    is 4x the worst wall seen under tier-1's contention, rounded up to a
+    minute, and ``max_events`` 2x the run's events, rounded up to a
+    million; 60 s and 2 M are the floor (EXPERIMENTS.md, "Figures are
+    fleet units").
+    """
+    if quick:
+        return []
+
+    def figure(name: str, description: str, timeout_s: float = 60.0,
+               max_events: int = 2_000_000, **kwargs: Any) -> ExperimentSpec:
+        kwargs.setdefault("scenario", name)
+        return ExperimentSpec(name=name, timeout_s=timeout_s,
+                              max_events=max_events,
+                              description=description, **kwargs)
+
+    pingpong = "fig7-pingpong"
+    return [
+        *_ablation_specs(False),
+        *_fig10_specs(False),
+        figure("fig3-monitoring",
+               "tx rate and QP count under a diurnal load (Fig. 3)"),
+        figure("fig7-mixed-messages",
+               "ping-pong: eager vs rendezvous vs mixed (Fig. 7 panel 1)",
+               scenario=pingpong,
+               grid={"size": [2, 16, 64, 128, 512, 2048, 4096, 16384,
+                              65536],
+                     "system": ["small-mode", "large-mode", "xrdma-BD"]}),
+        figure("fig7-middlewares",
+               "64 B ping-pong across middlewares (Fig. 7 panel 2)",
+               scenario=pingpong,
+               grid={"size": [64],
+                     "system": ["ibv-pingpong", "xrdma-BD", "xrdma-reqrsp",
+                                "ucx-am-rc", "libfabric", "xio"]}),
+        figure("fig7-large-sizes",
+               "4-32 KB ping-pong across middlewares (Fig. 7 panel 3)",
+               scenario=pingpong,
+               grid={"size": [4096, 8192, 16384, 32768],
+                     "system": ["ibv-pingpong", "xrdma-BD", "ucx-am-rc",
+                                "libfabric", "xio"]}),
+        figure("fig8-essd-recovery",
+               "ESSD IOPS through a restart's connect storm (Fig. 8)",
+               timeout_s=600.0, max_events=27_000_000),
+        figure("fig9-rnr-counter",
+               "RNR NAKs: raw RDMA vs X-RDMA (Fig. 9)",
+               grid={"system": ["raw-rdma", "xrdma"]}),
+        figure("fig11-online-resources",
+               "QPs, IOPS and memory cache across an upgrade (Fig. 11)",
+               timeout_s=900.0, max_events=47_000_000),
+        figure("fig12-anti-jitter",
+               "ESSD / X-DB latency under a 3x burst (Fig. 12)",
+               max_events=3_000_000),
+        figure("sec2-dual-port",
+               "aggregate write bandwidth vs NIC ports (Sec. II-B)",
+               grid={"nic_ports": [1, 2]}),
+        figure("sec7c-single-connection",
+               "one connection, cold vs warm QP cache (Sec. VII-C)",
+               grid={"warm": [0, 1]}, seeds=[0, 1, 2]),
+        figure("sec7c-connect-storm",
+               "256-connection storm, cold vs warm QP cache (Sec. VII-C)",
+               grid={"warm": [0, 1]}),
+        figure("sec7f-memory-modes",
+               "allocation cost under fragmentation by mode (Sec. VII-F)",
+               grid={"mode": ["non-continuous", "continuous", "hugepage"]}),
+        figure("sec7f-qp-scaling",
+               "victim latency vs live QPs past the NIC cache (Sec. VII-F)",
+               grid={"qps": [8, 128, 512]}),
+        figure("sec7f-srq",
+               "fan-in over per-QP RQs vs an undersized SRQ (Sec. VII-F)",
+               grid={"use_srq": [0, 1]}),
+        figure("sec9-dct-vs-rc",
+               "setup and fan-out latency: DCT vs RC (Sec. IX)",
+               grid={"transport": ["rc", "dct"]}),
+        figure("tab2-bug-tracking",
+               "each bug class caught by its mechanism (Table II)",
+               grid={"bug": ["heavy-incast", "broken-network", "jitter",
+                             "hard-to-reproduce", "memory-bug"]}),
+    ]
+
+
 SPEC_SETS = {
     "ablation-grid": _ablation_specs,
     "cluster-scale": _cluster_specs,
     "ctrl-plane": _ctrlplane_specs,
     "fig10": _fig10_specs,
+    "figures": _figure_specs,
     "protocol-ablation": _protocol_specs,
     "serving": _serving_specs,
     "smoke": _smoke_specs,

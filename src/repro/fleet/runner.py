@@ -7,7 +7,7 @@ callable:
 * a :class:`RunContext` whose ``build_cluster`` seeds every cluster from
   the unit's seed and enables the TieAudit schedule digest,
 * a count-mode invariant registry (unless the hosting process already
-  installed one — benchmarks run inline under their own),
+  installed one — a test running a scenario inline keeps its own),
 * engine runaway guards (``max_events`` plus a wall budget slightly under
   the supervisor's kill deadline, so most runaways die as recorded
   failures instead of SIGKILLs),
@@ -37,7 +37,7 @@ from repro.sim.engine import Simulator
 from repro.sim.params import SimParams
 
 __all__ = ["RunContext", "ScenarioFn", "execute_unit", "resolve_scenario",
-           "run_record", "run_scenario_inline"]
+           "run_record"]
 
 ScenarioFn = Callable[["RunContext"], Optional[Dict[str, Any]]]
 
@@ -203,8 +203,8 @@ def resolve_scenario(name: str) -> ScenarioFn:
     populates the registry, so workers (including spawn-context ones that
     share no interpreter state) resolve purely from the task's string.
     """
-    from repro.fleet import (drills, protocol,   # noqa: F401  (registration)
-                             scenarios, serving)  # noqa: F401
+    from repro.fleet import (drills, figures,  # noqa: F401  (registration)
+                             protocol, scenarios, serving)  # noqa: F401
     fn = scenarios.SCENARIOS.get(name)
     if fn is None:
         raise KeyError(
@@ -300,23 +300,3 @@ def execute_unit(task: Dict[str, Any]) -> Dict[str, Any]:
         record["windows"] = windows
     return record
 
-
-def run_scenario_inline(scenario: str, params: Dict[str, Any],
-                        seed: int = 0,
-                        max_events: Optional[int] = None) -> Dict[str, Any]:
-    """Execute a scenario in-process (benchmarks, debugging) and return
-    the full record; raises if the run failed rather than returning a
-    failure record — inline callers want the traceback."""
-    record = execute_unit({
-        "run_id": f"inline/{scenario}/s{seed}",
-        "experiment": "inline",
-        "scenario": scenario,
-        "params": params,
-        "seed": seed,
-        "timeout_s": None,
-        "max_events": max_events,
-    })
-    if record["status"] != "ok":
-        raise RuntimeError(
-            f"inline scenario {scenario!r} failed: {record['reason']}")
-    return record

@@ -2,11 +2,12 @@
 
 Each scenario is a function ``(ctx: RunContext) -> dict`` taking its knobs
 from ``ctx.params`` and returning flat JSON-able metrics.  These are the
-*single* implementations of the ablation grids and the Fig. 10 incast —
-``benchmarks/test_ablations.py`` / ``test_fig10_flow_control.py`` call the
-same bodies inline (via :func:`repro.fleet.runner.run_scenario_inline`),
-and the fleet specs in :mod:`repro.fleet.experiments` sweep them across
-seeds and grid points in parallel.
+*single* implementations of the ablation grids and the Fig. 10 incast:
+the fleet specs in :mod:`repro.fleet.experiments` sweep them across seeds
+and grid points in parallel, and ``benchmarks/test_ablations.py`` /
+``test_fig10_flow_control.py`` assert on the records of those same runs
+(the ``figures`` spec set; :mod:`repro.fleet.figures` holds the other
+figures' bodies).
 
 Registration is by name so worker processes resolve scenarios from the
 task string alone::

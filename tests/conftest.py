@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import invariants
 from repro.cluster import Cluster, Host, build_cluster  # noqa: F401 (re-export)
+from repro.fleet.runner import execute_unit
 
 
 @pytest.fixture(autouse=True)
@@ -58,3 +59,22 @@ def establish(cluster: Cluster, client_id: int, server_id: int,
 @pytest.fixture
 def cluster() -> Cluster:
     return build_cluster(4)
+
+
+def run_scenario_inline(scenario, params, seed=0):
+    """Execute a fleet scenario in-process and return its full record;
+    raises if the run failed rather than returning a failure record —
+    a test wants the traceback."""
+    record = execute_unit({
+        "run_id": f"inline/{scenario}/s{seed}",
+        "experiment": "inline",
+        "scenario": scenario,
+        "params": params,
+        "seed": seed,
+        "timeout_s": None,
+        "max_events": None,
+    })
+    if record["status"] != "ok":
+        raise RuntimeError(
+            f"inline scenario {scenario!r} failed: {record['reason']}")
+    return record

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import RACK_HOSTS, cluster_dims
 from repro.fleet.experiments import spec_names, specs_for
-from repro.fleet.runner import run_scenario_inline
+from tests.conftest import run_scenario_inline
 
 
 def test_cluster_dims_geometry():

@@ -1,8 +1,9 @@
 """Protocol-ablation fleet scenarios: wiring, axes, reproducibility."""
 
 from repro.fleet.experiments import spec_names, specs_for
-from repro.fleet.runner import resolve_scenario, run_scenario_inline
+from repro.fleet.runner import resolve_scenario
 from repro.fleet.protocol import protocol_config
+from tests.conftest import run_scenario_inline
 
 
 def test_scenarios_resolve_by_name():

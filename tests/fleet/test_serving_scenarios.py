@@ -3,8 +3,8 @@
 import pytest
 
 from repro.fleet.experiments import specs_for
-from repro.fleet.runner import execute_unit, resolve_scenario, \
-    run_scenario_inline
+from repro.fleet.runner import execute_unit, resolve_scenario
+from tests.conftest import run_scenario_inline
 
 QUICK = {"duration_ms": 20, "window_ms": 5}
 

@@ -13,7 +13,7 @@ import pytest
 from repro.analysis.stats import nearest_rank
 from repro.analysis.tracing import analyze
 from repro.fleet.experiments import specs_for
-from repro.fleet.runner import run_scenario_inline
+from tests.conftest import run_scenario_inline
 
 
 def quick_units(*experiments):

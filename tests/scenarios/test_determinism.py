@@ -10,9 +10,9 @@ different seed genuinely changes the schedule.
 """
 
 from repro.cluster import build_cluster
-from repro.fleet.runner import run_scenario_inline
 from repro.sim import MILLIS
 from repro.tools.xr_perf import XrPerf
+from tests.conftest import run_scenario_inline
 
 #: enough load to pile events onto shared instants (ties) and to draw
 #: from per-sender RNG streams (seed sensitivity via inter-message gaps)

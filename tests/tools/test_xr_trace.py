@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleet.runner import run_scenario_inline
 from repro.analysis.tracing import analyze
 from repro.tools.xr_trace import load_trace_file, main
+from tests.conftest import run_scenario_inline
 
 GOLDEN_PATH = Path(__file__).with_name("golden_xr_trace.json")
 
