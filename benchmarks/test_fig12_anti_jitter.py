@@ -6,8 +6,10 @@ protocol extensions and resource management.
 
 We drive ESSD (12a) and X-DB (12b) front-ends with a burst profile
 (base → 3× base → base) and compare p50/p95 latency inside vs outside the
-burst.  The contrast run disables flow control to show the jitter the
-mechanisms remove.
+burst.  There is no contrast run without flow control: the claim checked
+is the paper's, that latency holds while throughput triples.  The ESSD
+row's latencies are one value in and out of the burst (EXPERIMENTS.md,
+Known deviation 7), so its latency assertions cannot fail.
 """
 
 import pytest

@@ -5,49 +5,179 @@ inter-arrival times, fault injection) draws from a named stream derived from
 a single root seed.  Two runs with the same root seed and the same stream
 names therefore produce identical event sequences, independent of the order
 in which subsystems are constructed.
+
+A stream draws exactly the values ``numpy.random.default_rng(seed)`` draws,
+bit for bit, without importing numpy: seeding is numpy's ``SeedSequence``
+feeding a ``PCG64`` bit generator (128-bit LCG, XSL-RR output), and each
+draw is the algorithm numpy's ``Generator`` uses for it (DESIGN.md, "RNG
+stream contract").  ``tests/sim/test_rng.py`` checks that against numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Sequence
+from math import exp, expm1, log1p
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+from repro.sim.ziggurat import FE, KE, WE
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: ``u64 >> 11`` times this is a double in [0, 1)
+_TWO_M53 = 2.0 ** -53
+#: right edge of the ziggurat's base layer
+_ZIGGURAT_R = 7.6971174701310497140446280481
+
+# SeedSequence's hash constants
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _pcg64_seed(seed: int) -> Tuple[int, int]:
+    """``(state, inc)`` of ``numpy.random.PCG64(seed)``.
+
+    Ports ``SeedSequence(seed).generate_state(4, uint64)`` and then
+    ``pcg_setseq_128_srandom_r``.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    entropy = [seed & _MASK32]
+    seed >>= 32
+    while seed:
+        entropy.append(seed & _MASK32)
+        seed >>= 32
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    words: List[int] = []
+    for i in range(8):                     # 4 uint64 = 8 uint32, low first
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ (value >> 16))
+    u64 = [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
+    initstate = u64[0] << 64 | u64[1]
+    inc = (u64[2] << 64 | u64[3]) << 1 & _MASK128 | 1
+    state = (inc + initstate) & _MASK128   # one step from 0 gives ``inc``
+    return (state * _PCG_MULT + inc) & _MASK128, inc
 
 
 class RngStream:
-    """A thin, intention-revealing wrapper over ``numpy.random.Generator``."""
+    """A seeded stream drawing numpy ``default_rng(seed)``'s exact values."""
 
     def __init__(self, name: str, seed: int) -> None:
         self.name = name
         self.seed = seed
-        self._gen = np.random.default_rng(seed)
+        self._state, self._inc = _pcg64_seed(seed)
+        #: high half of the last u64 split by ``_next32`` (PCG64's buffer)
+        self._half: Optional[int] = None
+
+    def _next64(self) -> int:
+        """Step the LCG, then output XSL-RR of the new state."""
+        state = self._state = (self._state * _PCG_MULT + self._inc) \
+            & _MASK128
+        word = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        return ((word >> rot) | (word << (64 - rot))) & _MASK64
+
+    def _next32(self) -> int:
+        """Low half of a fresh u64, or the high half a previous call kept."""
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & _MASK32
+
+    def _next_double(self) -> float:
+        return (self._next64() >> 11) * _TWO_M53
+
+    def _standard_exponential(self) -> float:
+        """numpy's 256-layer ziggurat (``random_standard_exponential``)."""
+        while True:
+            ri = self._next64() >> 3
+            idx = ri & 0xFF
+            ri >>= 8
+            x = ri * WE[idx]
+            if ri < KE[idx]:
+                return x
+            if idx == 0:
+                return _ZIGGURAT_R - log1p(-self._next_double())
+            if ((FE[idx - 1] - FE[idx]) * self._next_double() + FE[idx]
+                    < exp(-x)):
+                return x
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return float(self._gen.uniform(low, high))
+        return low + (high - low) * self._next_double()
 
     def randint(self, low: int, high: int) -> int:
-        """Integer in ``[low, high)``."""
-        return int(self._gen.integers(low, high))
+        """Integer in ``[low, high)``: numpy's Lemire-bounded ``integers``."""
+        span = high - 1 - low              # numpy's closed-range ``rng``
+        if span < _MASK32:
+            if span <= 0:
+                if span == 0:
+                    return low             # numpy draws nothing here
+                raise ValueError(f"randint: high ({high}) <= low ({low})")
+            bound = span + 1
+            m = self._next32() * bound
+            if m & _MASK32 < bound:
+                threshold = (_MASK32 - span) % bound
+                while m & _MASK32 < threshold:
+                    m = self._next32() * bound
+            return low + (m >> 32)
+        if span == _MASK32:
+            return low + self._next32()
+        if span < _MASK64:
+            bound = span + 1
+            m = self._next64() * bound
+            if m & _MASK64 < bound:
+                threshold = (_MASK64 - span) % bound
+                while m & _MASK64 < threshold:
+                    m = self._next64() * bound
+            return low + (m >> 64)
+        if span == _MASK64:
+            return low + self._next64()
+        raise ValueError(f"randint: range [{low}, {high}) exceeds 64 bits")
 
     def exponential(self, mean: float) -> float:
-        return float(self._gen.exponential(mean))
+        return mean * self._standard_exponential()
 
     def pareto(self, shape: float, scale: float) -> float:
         """Pareto-distributed value with minimum ``scale`` (heavy tail)."""
-        return float(scale * (1.0 + self._gen.pareto(shape)))
-
-    def normal(self, mean: float, std: float) -> float:
-        return float(self._gen.normal(mean, std))
+        return scale * (1.0 + expm1(self._standard_exponential() / shape))
 
     def choice(self, seq: Sequence[Any]) -> Any:
         return seq[self.randint(0, len(seq))]
 
-    def shuffle(self, seq: list) -> None:
-        self._gen.shuffle(seq)
-
     def bernoulli(self, p: float) -> bool:
-        return bool(self._gen.uniform() < p)
+        return self._next_double() < p
 
 
 class RngRegistry:
