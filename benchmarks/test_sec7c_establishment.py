@@ -8,8 +8,6 @@ Paper numbers:
   plain rdma_cm (scaled down here to 256 connections).
 """
 
-from statistics import mean
-
 import pytest
 
 from .conftest import emit
@@ -17,13 +15,12 @@ from .conftest import emit
 
 @pytest.mark.figure("sec7c-single-connection")
 def test_sec7c_qp_cache_single_connection(figure_runs):
-    # Three trials (seeds) each, one connection per fresh cluster:
-    # recycling from closed channels would otherwise warm the "cold"
-    # path silently.
-    cold_us, warm_us = (
-        mean(run["metrics"]["connect_ns"] for run in figure_runs
-             if run["params"]["warm"] == warm) / 1000
-        for warm in (0, 1))
+    # One connection per fresh cluster: recycling from closed channels
+    # would otherwise warm the "cold" path silently.  One run each: the
+    # seed does not reach the connect path, so more seeds would repeat
+    # one measurement.
+    cold_us, warm_us = (run["metrics"]["connect_ns"] / 1000
+                        for run in figure_runs)
     saving = 1 - warm_us / cold_us
     lines = [
         f"{'path':<18} {'per-connection (us)':>20}",

@@ -300,7 +300,7 @@ def _figure_specs(quick: bool) -> List[ExperimentSpec]:
                grid={"nic_ports": [1, 2]}),
         figure("sec7c-single-connection",
                "one connection, cold vs warm QP cache (Sec. VII-C)",
-               grid={"warm": [0, 1]}, seeds=[0, 1, 2]),
+               grid={"warm": [0, 1]}),
         figure("sec7c-connect-storm",
                "256-connection storm, cold vs warm QP cache (Sec. VII-C)",
                grid={"warm": [0, 1]}),

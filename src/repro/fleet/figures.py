@@ -394,8 +394,9 @@ def sec2_dual_port(ctx: RunContext) -> Dict[str, Any]:
 @scenario("sec7c-single-connection")
 def sec7c_single_connection(ctx: RunContext) -> Dict[str, Any]:
     """Sec. VII-C: one connection's establishment time (ns) on a fresh
-    cluster, cold or with both QP caches prewarmed.  params: warm (0/1);
-    the trial is the seed."""
+    cluster, cold or with both QP caches prewarmed.  params: warm (0/1).
+    The seed does not reach the connect path, so one seed is the whole
+    measurement."""
     cluster = ctx.build_cluster(2)
     client = cluster.xrdma_context(0)
     server = cluster.xrdma_context(1)

@@ -27,7 +27,6 @@ function of the run's seed.  Fleet records ship the table as the
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
@@ -216,6 +215,10 @@ class WindowedRecorder:
         canonical order — two runs agree on this hex iff their window
         histograms are identical.
         """
+        # Imported here so that only a run that asks for the digest maps
+        # OpenSSL.
+        import hashlib
+
         hasher = hashlib.sha256()
         observed = sorted(set(self.offered) | set(self.completed))
         for index in observed:

@@ -19,7 +19,6 @@ programs) while a wake costs an append+popleft, not two O(log n) sifts.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import time
 from collections import Counter, deque
@@ -37,6 +36,9 @@ _heappush = heapq.heappush
 
 #: the target of a run that stops at no particular entry
 _NEVER = object()
+
+#: schedule lines a :class:`TieAudit` buffers per SHA-256 update
+_AUDIT_CHUNK = 4096
 
 
 class GuardExceeded(SimulationError):
@@ -142,11 +144,14 @@ class TieAudit:
     The digest covers ``(time, event type)``, a bare entry hashing as the
     ``Timeout`` it replaced — deliberately not names: they embed entity
     ids (connection, channel, QP numbers), which say whose event it is,
-    not when it fires.
+    not when it fires.  Each pop's line is buffered and the buffer fed to
+    SHA-256 in chunks; the hash is a stream, so the digest is the same.
     """
 
     def __init__(self) -> None:
-        self.pops = 0            #: entries fired while auditing
+        # Imported here so that only an audited run maps OpenSSL.
+        import hashlib
+
         self.ties = 0            #: pops at the same instant as the prior
         self.tie_groups = 0      #: runs of >=2 tied pops
         self.max_group = 1       #: largest tied run
@@ -156,16 +161,36 @@ class TieAudit:
         self._last_seq = -1
         self._group = 1
         self._hash = hashlib.sha256()
+        self._lines: List[str] = []
+
+    @property
+    def pops(self) -> int:
+        """Entries fired while auditing."""
+        return self.owners.total()
 
     def observe(self, when: int, seq: int, fn: Optional[Callable[..., Any]],
                 arg: Any) -> None:
-        self.pops += 1
-        kind = "Timeout" if fn is not None else type(arg).__name__
+        if fn is None:
+            kind = type(arg).__name__
+            owner = _owner(fn, arg)
+        else:
+            kind = "Timeout"
+            if fn is _call:
+                owner = _owner(fn, arg)
+            else:
+                # What _owner returns for a bare entry, without the call.
+                try:
+                    owner = fn.__qualname__
+                except AttributeError:
+                    owner = type(fn).__qualname__
         # The literal 1 is the priority every event carried while the key
         # still had a priority axis; hashing it keeps every committed
         # digest valid.
-        self._hash.update(f"{when}:1:{kind}\n".encode())
-        self.owners[_owner(fn, arg)] += 1
+        lines = self._lines
+        lines.append(f"{when}:1:{kind}\n")
+        if len(lines) >= _AUDIT_CHUNK:
+            self._flush()
+        self.owners[owner] += 1
         if when == self._last_when:
             self.ties += 1
             self._group += 1
@@ -175,12 +200,17 @@ class TieAudit:
             if seq <= self._last_seq:
                 self.anomalies += 1
         else:
+            self._last_when = when
             self._group = 1
-        self._last_when = when
         self._last_seq = seq
+
+    def _flush(self) -> None:
+        self._hash.update("".join(self._lines).encode())
+        self._lines.clear()
 
     def digest(self) -> str:
         """Hex digest of the schedule so far (order- and time-sensitive)."""
+        self._flush()
         return self._hash.hexdigest()
 
     def summary(self) -> str:

@@ -1,6 +1,7 @@
 """Tests for reproducible RNG streams."""
 
 import ast
+import hashlib
 import os
 import random
 import struct
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.sim import RngRegistry
-from repro.sim.rng import RngStream
+from repro.sim.rng import RngStream, _sha256
 from repro.sim.ziggurat import FE, KE, WE
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -87,6 +88,44 @@ def test_bernoulli_extremes():
     s = RngRegistry(0).stream("b")
     assert not any(s.bernoulli(0.0) for _ in range(20))
     assert all(s.bernoulli(1.0) for _ in range(20))
+
+
+# ------------------------------------------------------------ stream seeds
+#: stream names a run creates: fabric switches, the bench workloads'
+#: request sizes, serving tenants, and the name tests use most
+STREAM_NAMES = (
+    "switch:spine0", "switch:leaf0.0", "switch:leaf0.1", "switch:tor0.0",
+    "switch:tor3.12", "bench.request-bytes",
+    *(f"bench.bulk-bytes.{src}" for src in range(7)),
+    *(f"bench.io-bytes.{host}" for host in range(8, 12)),
+    "serving.mix.h0", "serving.mix.h1", "flows",
+)
+
+
+def test_sha256_matches_hashlib_at_every_padding_length():
+    # 0-300 bytes covers every padding case: the 55/56 and 119/120 edges
+    # where the length field spills into another block, and 63/64 where
+    # the message fills one.
+    data = bytes(range(256)) * 2
+    for length in range(301):
+        assert _sha256(data[:length]) == \
+            hashlib.sha256(data[:length]).digest(), length
+
+
+def test_sha256_matches_hashlib_on_random_multiblock_input():
+    driver = random.Random(0)
+    for _ in range(50):
+        data = driver.randbytes(driver.randint(64, 2000))
+        assert _sha256(data) == hashlib.sha256(data).digest()
+
+
+@pytest.mark.parametrize("root_seed", (0, 1, 7, 2**63 + 5))
+def test_stream_seeds_match_the_hashlib_formula(root_seed):
+    registry = RngRegistry(root_seed)
+    for name in STREAM_NAMES:
+        digest = hashlib.sha256(f"{root_seed}:{name}".encode()).digest()
+        assert registry.stream(name).seed == \
+            int.from_bytes(digest[:8], "little"), name
 
 
 # ------------------------------------------------------ differential oracle
@@ -227,3 +266,20 @@ def test_run_path_never_imports_numpy():
         [sys.executable, "-c", code], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_run_path_never_loads_openssl():
+    code = ("import sys\n"
+            "import repro, repro.cluster, bench.workloads\n"
+            "for workload in ('rpc-pingpong', 'incast-bulk', "
+            "'storage-pangu'):\n"
+            "    bench.workloads.run_pass(workload, 1, 'setup')\n"
+            "print('_hashlib' in sys.modules)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT))))
+    # Seeding streams hashes in pure Python; only a TieAudit or a serving
+    # window digest imports hashlib (and with it OpenSSL's _hashlib).
+    done = subprocess.run(  # xr-lint: disable=blocking-call
+        [sys.executable, "-c", code], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
