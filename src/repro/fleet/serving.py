@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional
 from repro.fleet.runner import RunContext
 from repro.fleet.scenarios import scenario
 from repro.serving import (BULK_CLASS, RPC_CLASS, ServingHarness, SloTarget,
-                           TenantSpec, TrafficClass)
+                           Tenant, TenantSpec, TrafficClass)
 from repro.sim import MILLIS
 from repro.sim.params import congested_params
 from repro.xrdma import XrdmaConfig
@@ -46,7 +46,10 @@ def _harness(ctx: RunContext, cluster) -> ServingHarness:
                           window_ns=window_ns)
 
 
-def _flat(prefix: str, summary: Dict[str, Any]) -> Dict[str, Any]:
+def _tenant_metrics(prefix: str, tenant: Tenant) -> Dict[str, Any]:
+    """``tenant``'s summary plus its window digest, keys ``prefix_``-ed."""
+    summary = tenant.summary()
+    summary["window_digest"] = tenant.recorder.digest()
     return {f"{prefix}_{key}": value for key, value in summary.items()}
 
 
@@ -77,7 +80,7 @@ def mix_tenant(ctx: RunContext, config: Optional[XrdmaConfig] = None,
     tenant = harness.add_tenant(spec, config=config, server_config=config)
     harness.run(monitor=monitor)
     ctx.record_windows(harness.window_rows())
-    return _flat("mix", tenant.summary())
+    return _tenant_metrics("mix", tenant)
 
 
 @scenario("serving-mix")
@@ -130,11 +133,11 @@ def serving_interference(ctx: RunContext) -> Dict[str, Any]:
         tenant_a = harness.add_tenant(
             spec_a, config=XrdmaConfig(req_rsp_mode=True))
         harness.run(monitor=monitor)
-        metrics.update(_flat("a", tenant_a.summary()))
+        metrics.update(_tenant_metrics("a", tenant_a))
     else:
         harness.run(monitor=monitor)
     ctx.record_windows(harness.window_rows())
-    metrics.update(_flat("b", tenant_b.summary()))
+    metrics.update(_tenant_metrics("b", tenant_b))
     # Per-segment attribution: where tenant B's latency went, straight
     # from the run's trace fold (only the victim samples).
     rollup = ctx.trace_rollup()

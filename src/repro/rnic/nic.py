@@ -106,6 +106,14 @@ class Rnic(Device):
         self._qp_cache: "OrderedDict[int, bool]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
+        #: fragments the transmit engine emitted (data, READ requests and
+        #: READ-response fragments), one engine occupancy each
+        self.tx_fragments = 0
+        #: WQE starts DCQCN pacing deferred to the limiter's next slot
+        self.dcqcn_deferrals = 0
+        #: transmit-engine runs scheduled after each port's start: wakes
+        #: of an idle engine and back-pressure retries
+        self.tx_wakes = 0
         self._watchdogs: set = set()                        # qpns with watchdog
         self.sim.schedule(0, self._tx_run)      # start, as a bootstrap does
 
@@ -205,6 +213,7 @@ class Rnic(Device):
             self._ready.append(job)
         while self._tx_idle:
             self._tx_idle -= 1
+            self.tx_wakes += 1
             self.sim.schedule(0, self._tx_run)
 
     def _tx_head(self, job: _TxJob) -> Optional[Tuple[int, int, int]]:
@@ -279,6 +288,7 @@ class Rnic(Device):
                 # bound for the other port (WQE fragment order is kept by
                 # the per-QP cursor, not by queue position).
                 self._enqueue_job(job, front=False)
+                self.tx_wakes += 1
                 sim.schedule(params.serialization_ns(params.mtu_bytes) // 2,
                              self._tx_run)
                 return
@@ -292,6 +302,7 @@ class Rnic(Device):
             if wqe_bytes:
                 limiter = self._limiter(qpn)
                 if params.dcqcn_enabled and limiter.next_tx_ns > sim._now:
+                    self.dcqcn_deferrals += 1
                     sim.schedule(limiter.next_tx_ns - sim._now,
                                  self._enqueue_job, job)
                     continue
@@ -332,6 +343,7 @@ class Rnic(Device):
                 msg = OutboundMessage(wr, next(qp.msg_ids), sent_at=self.sim.now)
                 if wr.opcode is Opcode.READ:
                     self._emit_read_request(qp, msg, port)
+                    self.tx_fragments += 1
                     self._kick_qp(qp)
                     return
                 nfrags = max(1, params.segments_of(wr.length))
@@ -367,6 +379,7 @@ class Rnic(Device):
                 trace.mark("nic_tx")
         self._send_segment(qp.remote_host, frag_len, SegmentKind.DATA,
                            qp.qpn, packet, port)
+        self.tx_fragments += 1
         msg.sent_bytes = offset + max(frag_len, 1)
         if msg.fully_sent:
             msg.sent_at = self.sim.now
@@ -404,6 +417,7 @@ class Rnic(Device):
             job.sent + frag_len >= job.length)
         self._send_segment(job.requester_host, frag_len, SegmentKind.DATA,
                            job.responder_qpn, packet, port)
+        self.tx_fragments += 1
         job.sent += frag_len
         if job.sent < job.length:
             self._enqueue_job(job, front=True)    # WQE-atomic continuation

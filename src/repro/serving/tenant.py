@@ -388,10 +388,6 @@ class ServingHarness:
                               row["achieved_rps"])
 
     # ------------------------------------------------------------- reporting
-    def summaries(self) -> Dict[str, Dict[str, Any]]:
-        return {tenant.spec.name: tenant.summary()
-                for tenant in self.tenants}
-
     def window_rows(self) -> List[Dict[str, Any]]:
         """Every tenant's window table, tenant-stamped, in spec order."""
         rows: List[Dict[str, Any]] = []

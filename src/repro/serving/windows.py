@@ -21,8 +21,12 @@ follows the queueing-middleware methodology the roadmap names:
 
 Everything recorded is simulation-time integers, so the whole window
 table — and its SHA-256 :meth:`WindowedRecorder.digest` — is a pure
-function of the run's seed.  Fleet records ship the table as the
-``windows.jsonl`` artifact; :mod:`repro.tools.xr_slo` renders it.
+function of the run's seed.  The digest is a fingerprint for code that
+compares runs, so it is computed only when asked for:
+:meth:`WindowedRecorder.summary` does not carry it, and the fleet's
+serving scenarios add it to their records as ``<tenant>_window_digest``.
+Fleet records ship the table as the ``windows.jsonl`` artifact;
+:mod:`repro.tools.xr_slo` renders it.
 """
 
 from __future__ import annotations
@@ -205,7 +209,6 @@ class WindowedRecorder:
             "slo_target_us": slo.latency_us,
             "slo_percentile": slo.percentile,
             **slo_verdict(self.rows(slo)),
-            "window_digest": self.digest(),
         }
 
     def digest(self) -> str:

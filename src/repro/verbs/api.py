@@ -75,10 +75,15 @@ class VerbsContext:
         self.memory = memory or HostMemory()
         self.mrs_registered = 0
         self.qps_created = 0
+        #: charged verbs calls made (each is one event, see _Charged)
+        self.calls = 0
+        #: every CQ created through this context (ibv_context owns its CQs)
+        self.cqs: List[CompletionQueue] = []
 
     # ----------------------------------------------------------------- infra
     def _charged(self, cost_ns: int, effect: Callable[[], object]) -> Event:
         """Run ``effect`` after ``cost_ns``; the event carries its result."""
+        self.calls += 1
         return _Charged(self.sim, cost_ns, effect)
 
     # ------------------------------------------------------------------- PDs
@@ -129,7 +134,9 @@ class VerbsContext:
 
     # ------------------------------------------------------------------- CQs
     def create_cq(self, depth: int = 1024) -> CompletionQueue:
-        return CompletionQueue(self.sim, depth)
+        cq = CompletionQueue(self.sim, depth)
+        self.cqs.append(cq)
+        return cq
 
     def create_srq(self, depth: int = 1024) -> SharedReceiveQueue:
         return SharedReceiveQueue(depth)

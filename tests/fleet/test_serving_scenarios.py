@@ -4,6 +4,7 @@ import pytest
 
 from repro.fleet.experiments import specs_for
 from repro.fleet.runner import execute_unit, resolve_scenario
+from repro.serving import ServingHarness
 from tests.conftest import run_scenario_inline
 
 QUICK = {"duration_ms": 20, "window_ms": 5}
@@ -44,6 +45,25 @@ def test_same_seed_identical_window_digest_and_schedule():
         b["metrics"]["mix_window_digest"]
     assert a["digest"] == b["digest"]
     assert a["windows"] == b["windows"]
+
+
+def test_mix_window_digest_is_the_recorders_digest(monkeypatch):
+    # The record's digest is the tenant's explicit fingerprint, not a
+    # summary field: capture the run's tenant and ask it directly.
+    tenants = []
+    add_tenant = ServingHarness.add_tenant
+
+    def capture(self, *args, **kwargs):
+        tenant = add_tenant(self, *args, **kwargs)
+        tenants.append(tenant)
+        return tenant
+
+    monkeypatch.setattr(ServingHarness, "add_tenant", capture)
+    record = run_scenario_inline("serving-mix", {"policy": "sharded", **QUICK},
+                                 seed=3)
+    (tenant,) = tenants
+    assert "window_digest" not in tenant.summary()
+    assert record["metrics"]["mix_window_digest"] == tenant.recorder.digest()
 
 
 def test_interference_degrades_victim_p99():

@@ -23,16 +23,23 @@ SIZE = 16 * 1024
 GAP_NS = 40_000
 
 
-def run_incast(seed):
-    """Fresh cluster + fresh driver, audited from the first event."""
+def incast(seed):
+    """Fresh cluster + fresh driver, audited from the first event;
+    returns the drained cluster and the driver's result."""
     cluster = build_cluster(4, seed=seed)
-    audit = cluster.sim.enable_tie_audit()
+    cluster.sim.enable_tie_audit()
     perf = XrPerf(cluster)
     result = perf.run_incast(SOURCES, SINK, size=SIZE,
                              messages_per_source=MESSAGES,
                              mean_gap_ns=GAP_NS)
     cluster.sim.run(until=cluster.sim.now + 50 * MILLIS)   # drain tails
-    return audit, result
+    return cluster, result
+
+
+def run_incast(seed):
+    """:func:`incast`'s schedule audit and result."""
+    cluster, result = incast(seed)
+    return cluster.sim.tie_audit, result
 
 
 def test_same_seed_same_schedule():

@@ -42,12 +42,14 @@ from repro.sim import SECONDS, Simulator
 from repro.xrdma import XrdmaConfig
 from repro.xrdma.memcache import MemCache, _Arena
 
-from tests.scenarios.test_determinism import run_incast
+from tests.scenarios.test_determinism import incast
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 
 
 # ------------------------------------------------------------- scenarios
+# Each scenario returns its TieAudit and the cluster it ran on (None for
+# the pure-engine one), so other tests can price the same runs.
 def run_timer_churn():
     """Pure-engine schedule: timeout allocation, heap order, resume."""
     sim = Simulator()
@@ -60,7 +62,7 @@ def run_timer_churn():
     for index in range(25):
         sim.spawn(churner(index))
     sim.run()
-    return audit
+    return audit, None
 
 
 def run_memcache_churn():
@@ -93,12 +95,12 @@ def run_memcache_churn():
 
     proc = cluster.sim.spawn(churn())
     cluster.sim.run_until_event(proc)
-    return audit
+    return audit, cluster
 
 
 def run_incast_audit(seed):
-    audit, _result = run_incast(seed)
-    return audit
+    cluster, _result = incast(seed)
+    return cluster.sim.tie_audit, cluster
 
 
 SCENARIOS = {
@@ -125,7 +127,7 @@ def _update_golden(name, audit):
 # ----------------------------------------------------------------- tests
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_matches_golden_digest(name):
-    audit = SCENARIOS[name]()
+    audit, _cluster = SCENARIOS[name]()
     assert audit.pops >= 30, "scenario too small to pin anything"
     assert audit.anomalies == 0, audit.summary()
     if os.environ.get("REGEN_GOLDEN"):
@@ -146,11 +148,11 @@ def test_disabled_invariants_do_not_change_the_schedule():
     autouse fixture installs a fatal registry, so the "on" run is the
     fixture default and the "off" run uninstalls it temporarily.
     """
-    audit_on = SCENARIOS["incast-seed11"]()
+    audit_on, _cluster = SCENARIOS["incast-seed11"]()
     assert invariants.enabled(), "expected the autouse fatal registry"
     saved = invariants.uninstall()
     try:
-        audit_off = SCENARIOS["incast-seed11"]()
+        audit_off, _cluster = SCENARIOS["incast-seed11"]()
     finally:
         invariants.install(saved)
     assert audit_on.digest() == audit_off.digest()

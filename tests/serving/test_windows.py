@@ -39,6 +39,16 @@ def test_warmup_cooldown_excluded_from_summary():
     assert summary["slo_attainment"] == 1.0
 
 
+def test_summary_carries_no_window_digest():
+    # The digest is a fingerprint for comparing runs (fleet records ask
+    # for it explicitly); a summary computes none, so it never imports
+    # hashlib.
+    rec = _loaded_recorder()
+    summary = rec.summary(SloTarget(latency_us=100.0))
+    assert "window_digest" not in summary
+    assert len(rec.digest()) == 64
+
+
 def test_slo_failure_in_one_stable_window():
     rec = WindowedRecorder(window_ns=10 * MS)
     for w in range(4):

@@ -272,13 +272,14 @@ def test_run_path_never_loads_openssl():
     code = ("import sys\n"
             "import repro, repro.cluster, bench.workloads\n"
             "for workload in ('rpc-pingpong', 'incast-bulk', "
-            "'storage-pangu'):\n"
+            "'serving-mix', 'storage-pangu'):\n"
             "    bench.workloads.run_pass(workload, 1, 'setup')\n"
             "print('_hashlib' in sys.modules)\n")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT))))
-    # Seeding streams hashes in pure Python; only a TieAudit or a serving
-    # window digest imports hashlib (and with it OpenSSL's _hashlib).
+    # Seeding streams hashes in pure Python; only a TieAudit or an
+    # explicit window digest imports hashlib (and with it OpenSSL's
+    # _hashlib), and a serving summary asks for neither.
     done = subprocess.run(  # xr-lint: disable=blocking-call
         [sys.executable, "-c", code], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120, check=True)
