@@ -23,10 +23,10 @@ from repro.analysis.invariants import (InvariantError, InvariantRegistry,
                                        verify_context)
 from repro.analysis.mock import Mock
 from repro.analysis.monitor import Monitor
-from repro.analysis.report import series_panel, sparkline, table
+from repro.analysis.report import series_panel, sparkline
 from repro.analysis.tracing import TraceContext, TraceRecord, Tracer
 
 __all__ = ["ClockSync", "FaultRule", "Filter", "HostClock",
            "InvariantError", "InvariantRegistry", "Mock", "Monitor",
            "TraceContext", "TraceRecord", "Tracer",
-           "series_panel", "sparkline", "table", "verify_context"]
+           "series_panel", "sparkline", "verify_context"]

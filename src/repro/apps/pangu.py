@@ -175,14 +175,15 @@ class PanguDeployment:
                 BlockServer(cluster, host, replicas=replicas, config=config))
         return deployment
 
-    def establish_mesh(self, limit_ns: int = 300 * SECONDS) -> int:
-        """Run the full-mesh connect storm; returns elapsed ns."""
+    def establish_mesh(self) -> int:
+        """Run the full-mesh connect storm (bounded at 300 s of simulated
+        time); returns elapsed ns."""
         sim = self.cluster.sim
         chunk_hosts = [cs.host_id for cs in self.chunk_servers]
         t0 = sim.now
         procs = [sim.spawn(bs.connect_mesh(chunk_hosts))
                  for bs in self.block_servers]
-        sim.run_until_event(sim.all_of(procs), limit=sim.now + limit_ns)
+        sim.run_until_event(sim.all_of(procs), limit=sim.now + 300 * SECONDS)
         return sim.now - t0
 
     @property

@@ -74,8 +74,9 @@ class MiddlewareEndpoint:
         yield self.host.verbs.post_send(self.qp, WorkRequest(
             opcode=Opcode.SEND, length=size, signaled=False))
 
-    def wait_message(self, poll_interval_ns: int = 100):
-        """Generator: block until one receive completes; returns byte_len."""
+    def wait_message(self):
+        """Generator: block until one receive completes, polling the CQ
+        every 100 ns; returns byte_len."""
         while True:
             completions = self.qp.recv_cq.poll(1)
             if completions:
@@ -87,7 +88,7 @@ class MiddlewareEndpoint:
                 if overhead:
                     yield self.sim.timeout(overhead)
                 return completion.byte_len
-            yield self.sim.timeout(poll_interval_ns)
+            yield self.sim.timeout(100)
 
     # ------------------------------------------------------------ workloads
     def start_echo_server(self, iterations: int, size: int):
@@ -101,9 +102,9 @@ class MiddlewareEndpoint:
                 yield from self.send(got)
         return self.sim.spawn(loop(), name=f"{self.NAME}:echo")
 
-    def ping_many(self, iterations: int, size: int,
-                  warmup: int = 3) -> "List[int]":
-        """Generator: run the ping-pong; returns one-way latencies in ns."""
+    def ping_many(self, iterations: int, size: int) -> "List[int]":
+        """Generator: run the ping-pong; returns one-way latencies in ns,
+        the first three round trips dropped as warmup."""
         latencies: List[int] = []
         yield from self.prepost(min(iterations, 64) + 4, size)
         for index in range(iterations):
@@ -112,7 +113,7 @@ class MiddlewareEndpoint:
             yield from self.wait_message()
             yield self.host.verbs.post_recv(self.qp, WorkRequest(
                 opcode=Opcode.RECV, length=size + 256))
-            if index >= warmup:
+            if index >= 3:
                 latencies.append((self.sim.now - t0) // 2)
         return latencies
 
@@ -169,11 +170,12 @@ class XioEndpoint(MiddlewareEndpoint):
 
 
 def run_pingpong(cluster: "Cluster", endpoint_cls, size: int,
-                 iterations: int = 20, service_port: int = 8600):
-    """Build a pair, run the ping-pong, return one-way latencies (ns)."""
+                 iterations: int = 20):
+    """Build a pair on service port 8600, run the ping-pong, return
+    one-way latencies (ns)."""
     def scenario():
         client, server = yield from endpoint_cls.connect_pair(
-            cluster, 0, 1, service_port)
+            cluster, 0, 1, 8600)
         server.start_echo_server(iterations, size)
         latencies = yield from client.ping_many(iterations, size)
         return latencies

@@ -169,7 +169,7 @@ class TcpAgent:
         self.nic.transmit(Segment(
             src=self.nic.host_id, dst=remote_host,
             size=max(packet.nbytes, 64), kind=SegmentKind.CONTROL,
-            ecn_capable=False, payload=packet))
+            payload=packet))
 
     def _on_segment(self, segment: Segment) -> None:
         packet: _TcpPacket = segment.payload

@@ -8,8 +8,8 @@ isolation, kill deadline and runaway guards can be proven by tests
 prose.
 
 All drills are deterministic: whether and how they misbehave depends
-only on ``ctx.params`` / ``ctx.seed``, never on timing, so each yields
-the same one record in every sweep.
+only on ``ctx.seed``, never on timing, so each yields the same one
+record in every sweep.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ __all__ = ["healthy", "raising", "crashing", "runaway"]
 
 @scenario("drill-healthy")
 def healthy(ctx: RunContext) -> Dict[str, Any]:
-    """A trivially healthy run — control group for drill sweeps."""
+    """A trivially healthy run — control group for drill sweeps: ten
+    1 µs ticks."""
     cluster = ctx.build_cluster(2)
-    ticks = int(ctx.params.get("ticks", 10))
 
     def ticker():
-        for _ in range(ticks):
+        for _ in range(10):
             yield cluster.sim.timeout(1000)
-        return ticks
+        return 10
 
     proc = cluster.sim.spawn(ticker())
     return {"ticks": cluster.sim.run_until_event(proc)}
@@ -55,7 +55,8 @@ def crashing(ctx: RunContext) -> Dict[str, Any]:
     fleet can produce.  The supervisor must notice the dead worker,
     synthesize a ``crashed`` record, and respawn.
     """
-    os._exit(int(ctx.params.get("exit_code", 13)))
+    del ctx
+    os._exit(13)
 
 
 @scenario("drill-runaway")

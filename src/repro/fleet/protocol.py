@@ -51,10 +51,10 @@ def protocol_pingpong(ctx: RunContext) -> Dict[str, Any]:
     """Closed-loop RPC round trips under one protocol design point.
 
     params: rendezvous_variant, size; optional small_msg_size,
-    fragment_bytes, inflight_depth, iterations.
+    fragment_bytes, inflight_depth.
     """
     rtt_us, eager, channel, server_channel = _closed_loop_rpc(
-        ctx, protocol_config(ctx.params), 8720)
+        ctx, protocol_config(ctx.params), 8720, int(ctx.params["size"]))
     return {
         "rtt_us": round(rtt_us, 3),
         "eager": eager,
@@ -67,13 +67,12 @@ def protocol_pingpong(ctx: RunContext) -> Dict[str, Any]:
 def protocol_incast(ctx: RunContext) -> Dict[str, Any]:
     """Congested incast goodput under one protocol design point.
 
+    Four sources, four streams each, eight 256 KB messages per stream.
     params: rendezvous_variant; optional fragment_bytes, inflight_depth,
-    small_msg_size, n_sources, streams_per_source, size, messages.
+    small_msg_size.
     """
-    params = ctx.params
-    return _congested_incast(ctx, protocol_config(params),
-                             size=int(params.get("size", 256 * 1024)),
-                             messages=int(params.get("messages", 8)))
+    return _congested_incast(ctx, protocol_config(ctx.params),
+                             size=256 * 1024, messages=8)
 
 
 @scenario("protocol-serving")
@@ -83,6 +82,7 @@ def protocol_serving(ctx: RunContext) -> Dict[str, Any]:
     the p99 the SLO judges.
 
     params: rendezvous_variant; optional small_msg_size, fragment_bytes,
-    inflight_depth, rate_per_s, duration_ms, window_ms, slo_us.
+    inflight_depth, duration_ms, window_ms.
     """
-    return mix_tenant(ctx, protocol_config(ctx.params), "sharded")
+    return mix_tenant(ctx, protocol_config(ctx.params), "sharded",
+                      "poisson", 10_000.0)

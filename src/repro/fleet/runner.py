@@ -98,22 +98,20 @@ class RunContext:
         self._sims.append(cluster.sim)
         return cluster
 
-    def monitor(self, cluster: Cluster,
-                sample_interval_ns: int = 10_000_000) -> Monitor:
-        """Attach a fabric monitor whose series are rolled into the record.
+    def monitor(self, cluster: Cluster) -> Monitor:
+        """Attach a fabric monitor (the default 10 ms sample interval)
+        whose series are rolled into the record.
 
         Spawns the background fabric sampler — safe under
         ``run_until_event``/bounded ``run(until=...)``, which is how all
         fleet scenarios drive their simulations.
         """
-        mon = Monitor(cluster.sim, cluster.stats,
-                      sample_interval_ns=sample_interval_ns)
+        mon = Monitor(cluster.sim, cluster.stats)
         mon.start_fabric_sampler()
         self._monitors.append(mon)
         return mon
 
     def attach_tracer(self, cluster: Cluster, xrdma_ctx: Any,
-                      resync_after_ns: Optional[int] = None,
                       tenant: str = "") -> Tracer:
         """Attach an XR-Trace tracer to one context; tracers on the same
         cluster share one ClockSync (network decomposition needs both ends
@@ -127,7 +125,7 @@ class RunContext:
                 sync = existing
                 break
         if sync is None:
-            sync = ClockSync(cluster.rng, resync_after_ns=resync_after_ns)
+            sync = ClockSync(cluster.rng)
             self._clocksyncs.append((cluster, sync))
         tracer = Tracer(xrdma_ctx, sync, tenant=tenant)
         self._tracers.append(tracer)

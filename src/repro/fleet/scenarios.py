@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from statistics import mean
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis.stats import nearest_rank
 from repro.cluster import (RACK_HOSTS, cluster_dims, fabric_footprint,
@@ -52,19 +52,15 @@ def scenario(name: str) -> Callable[[ScenarioFn], ScenarioFn]:
 
 
 # -------------------------------------------------------- shared bodies
-def _closed_loop_rpc(ctx: RunContext, config: XrdmaConfig,
-                     port: int) -> Tuple[float, bool, Any, Any]:
-    """One client, one server, ``config`` on both ends: sequential RPC
-    round trips, the first three dropped as warmup.
+def _closed_loop_rpc(ctx: RunContext, config: XrdmaConfig, port: int,
+                     size: int) -> Tuple[float, bool, Any, Any]:
+    """One client, one server, ``config`` on both ends: 16 sequential
+    ``size``-byte RPC round trips, the first three dropped as warmup.
 
-    params: optional size, iterations.  Returns ``(rtt_us, eager,
-    channel, server_channel)``: the unrounded mean, whether the size
-    went eager, and the two ends' channels for callers that report
-    protocol counters.
+    Returns ``(rtt_us, eager, channel, server_channel)``: the unrounded
+    mean, whether the size went eager, and the two ends' channels for
+    callers that report protocol counters.
     """
-    params = ctx.params
-    size = int(params.get("size", 2048))
-    iterations = int(params.get("iterations", 16))
     cluster = ctx.build_cluster(2)
     client = cluster.xrdma_context(0, config=config)
     server = cluster.xrdma_context(1, config=config)
@@ -76,7 +72,7 @@ def _closed_loop_rpc(ctx: RunContext, config: XrdmaConfig,
         server_channel = yield accepted.get()
         server_channel.on_request = \
             lambda msg: server.send_response(msg, 64)
-        for index in range(iterations):
+        for index in range(16):
             t0 = cluster.sim.now
             request = client.send_request(channel, size)
             yield request.response
@@ -97,15 +93,11 @@ def _congested_incast(ctx: RunContext, config: XrdmaConfig, size: int,
                           "cnps_sent", "pause_frames", "retransmissions"),
                       ) -> Dict[str, Any]:
     """Many-to-one incast on shallow buffers (``congested_params``) with
-    the Monitor attached; returns goodput and the crucial-index
-    ``counters`` the caller's table reports.
-
-    params: optional n_sources, streams_per_source.
+    the Monitor attached: ``n_sources`` hosts, four streams each.
+    Returns goodput and the crucial-index ``counters`` the caller's
+    table reports.
     """
-    params = ctx.params
-    n_sources = int(params.get("n_sources", n_sources))
-    streams = int(params.get("streams_per_source", 4))
-    sources = [src for src in range(n_sources) for _ in range(streams)]
+    sources = [src for src in range(n_sources) for _ in range(4)]
     cluster = ctx.build_cluster(n_sources + 1, params=congested_params())
     ctx.monitor(cluster)
     result = XrPerf(cluster).run_incast(sources, n_sources, size=size,
@@ -121,27 +113,24 @@ def _congested_incast(ctx: RunContext, config: XrdmaConfig, size: int,
 # ------------------------------------------------------------- ablations
 @scenario("fragment-incast")
 def fragment_incast(ctx: RunContext) -> Dict[str, Any]:
-    """Incast goodput at one fragment size (ablation, Sec. V-C).
+    """Incast goodput at one fragment size (ablation, Sec. V-C): eight
+    256 KB messages per stream.
 
-    params: fragment_bytes; optional n_sources, streams_per_source,
-    size, messages.
+    params: fragment_bytes.
     """
-    params = ctx.params
     return _congested_incast(
-        ctx, XrdmaConfig(fragment_bytes=int(params["fragment_bytes"])),
-        size=int(params.get("size", 256 * 1024)),
-        messages=int(params.get("messages", 8)),
+        ctx, XrdmaConfig(fragment_bytes=int(ctx.params["fragment_bytes"])),
+        size=256 * 1024, messages=8,
         counters=("cnps_sent", "retransmissions"))
 
 
 @scenario("rpc-latency")
 def rpc_latency(ctx: RunContext) -> Dict[str, Any]:
-    """Closed-loop RPC latency at one small-message threshold
-    (ablation, Sec. IV-C).  params: small_msg_size; optional size,
-    iterations."""
+    """Closed-loop 2 KB RPC latency at one small-message threshold
+    (ablation, Sec. IV-C).  params: small_msg_size."""
     threshold = int(ctx.params["small_msg_size"])
     rtt_us, eager, _, _ = _closed_loop_rpc(
-        ctx, XrdmaConfig(small_msg_size=threshold), 8650)
+        ctx, XrdmaConfig(small_msg_size=threshold), 8650, 2048)
     return {
         "rtt_us": rtt_us,
         "recv_ring_bytes_per_channel": (threshold + 64) * 36,
@@ -151,13 +140,11 @@ def rpc_latency(ctx: RunContext) -> Dict[str, Any]:
 
 @scenario("window-throughput")
 def window_throughput(ctx: RunContext) -> Dict[str, Any]:
-    """One-way throughput at one seq-ack window depth (ablation,
-    Sec. V-B).  params: inflight_depth; optional messages, size."""
-    params = ctx.params
-    n_messages = int(params.get("messages", 400))
-    size = int(params.get("size", 2048))
+    """One-way throughput of 400 2 KB messages at one seq-ack window
+    depth (ablation, Sec. V-B).  params: inflight_depth."""
+    n_messages, size = 400, 2048
     cluster = ctx.build_cluster(2)
-    config = XrdmaConfig(inflight_depth=int(params["inflight_depth"]))
+    config = XrdmaConfig(inflight_depth=int(ctx.params["inflight_depth"]))
     client = cluster.xrdma_context(0, config=config)
     server = cluster.xrdma_context(1, config=config)
     server.listen(8660)
@@ -194,20 +181,17 @@ def window_throughput(ctx: RunContext) -> Dict[str, Any]:
 
 @scenario("mr-registration")
 def mr_registration(ctx: RunContext) -> Dict[str, Any]:
-    """MR count and alloc latency at one arena size (ablation,
-    Sec. IV-E).  params: mr_bytes; optional allocs, alloc_bytes."""
-    params = ctx.params
-    n_allocs = int(params.get("allocs", 256))
-    alloc_bytes = int(params.get("alloc_bytes", 4096))
+    """MR count and alloc latency of 256 4 KB allocations at one arena
+    size (ablation, Sec. IV-E).  params: mr_bytes."""
     cluster = ctx.build_cluster(1)
     host = cluster.host(0)
     pd = host.verbs.alloc_pd()
-    cache = MemCache(host.verbs, pd, mr_bytes=int(params["mr_bytes"]))
+    cache = MemCache(host.verbs, pd, mr_bytes=int(ctx.params["mr_bytes"]))
 
     def run():
         buffers = []
-        for _ in range(n_allocs):
-            buffer = yield from cache.alloc(alloc_bytes)
+        for _ in range(256):
+            buffer = yield from cache.alloc(4096)
             buffers.append(buffer)
         return buffers
 
@@ -228,22 +212,19 @@ def traced_rpc(ctx: RunContext) -> Dict[str, Any]:
     RPC decomposes into the full span chain, and the run record carries
     the trace rollup plus per-trace lines (``traces.jsonl``).
 
-    params: optional size, iterations, sample_mask, resync_after_ns.
+    params: optional size, iterations, sample_mask.
     """
     params = ctx.params
     size = int(params.get("size", 2048))
     iterations = int(params.get("iterations", 24))
     mask = int(params.get("sample_mask", 1))
-    resync = params.get("resync_after_ns")
-    resync = int(resync) if resync is not None else None
     config = XrdmaConfig(req_rsp_mode=True, trace_sample_mask=mask)
     cluster = ctx.build_cluster(2)
     ctx.monitor(cluster)
     client = cluster.xrdma_context(0, config=config)
     server = cluster.xrdma_context(1, config=config)
-    client_tracer = ctx.attach_tracer(cluster, client,
-                                      resync_after_ns=resync)
-    ctx.attach_tracer(cluster, server, resync_after_ns=resync)
+    client_tracer = ctx.attach_tracer(cluster, client)
+    ctx.attach_tracer(cluster, server)
     accepted = server.listen(8670)
     sim = cluster.sim
 
@@ -290,22 +271,22 @@ def ctrl_plane(ctx: RunContext) -> Dict[str, Any]:
     (Sec. VII-C grown into the Swift elastic-control-plane story).
 
     A client opens ``channels`` connections against one server, keeping
-    at most ``concurrency`` open (older ones close as new ones open —
+    at most 32 open (older ones close as new ones open —
     the churn that feeds the QP cache).  Every establishment is traced
     end to end with the ``cm_resolve``/``qp_setup``/``handshake``/
     ``qp_to_rts``/``mr_reg``/``recv_prime`` span chain; the metrics are
     the setup-latency CDF plus exact cache-counter accounting.
 
     params: channels; optional warm (1 = prewarmed QP/MR caches,
-    0 = caches disabled, every connect pays full cost), concurrency,
-    no_pin (NP-RDMA-style on-demand paging in the memory cache).
+    0 = caches disabled, every connect pays full cost), no_pin
+    (NP-RDMA-style on-demand paging in the memory cache).
     """
     params = ctx.params
     n_channels = int(params.get("channels", 128))
     warm = bool(int(params.get("warm", 1)))
-    concurrency = int(params.get("concurrency", 32))
+    concurrency = 32
     no_pin = bool(int(params.get("no_pin", 0)))
-    pool = max(64, concurrency) if warm else 0
+    pool = 64 if warm else 0
     client_config = XrdmaConfig(
         trace_sample_mask=1, qp_cache_capacity=pool,
         mr_reg_cache=warm, memcache_no_pin=no_pin)
@@ -395,8 +376,8 @@ FIG10_WORKLOADS: Dict[str, Any] = {
 def fig10_incast(ctx: RunContext) -> Dict[str, Any]:
     """Fig. 10: incast with/without X-RDMA flow control.
 
-    params: workload (one of FIG10_WORKLOADS); optional n_sources,
-    streams_per_source.
+    params: workload (one of FIG10_WORKLOADS); optional n_sources
+    (default 8).
     """
     params = ctx.params
     label = str(params["workload"])
@@ -405,28 +386,21 @@ def fig10_incast(ctx: RunContext) -> Dict[str, Any]:
                          f"choose from {', '.join(FIG10_WORKLOADS)}")
     flow_control, size, messages = FIG10_WORKLOADS[label]
     return _congested_incast(ctx, XrdmaConfig(flow_control=flow_control),
-                             size=size, messages=messages, n_sources=8)
+                             size=size, messages=messages,
+                             n_sources=int(params.get("n_sources", 8)))
 
 
 # ------------------------------------------------------------------ smoke
 @scenario("smoke-incast")
 def smoke_incast(ctx: RunContext) -> Dict[str, Any]:
     """A deliberately tiny incast for pool/CLI tests and ``--quick``
-    invariance checks: seconds of wall time, not minutes.
-    params: optional fragment_bytes, n_sources, size, messages."""
-    params = ctx.params
-    n_sources = int(params.get("n_sources", 3))
-    sources = list(range(n_sources))
-    cluster = ctx.build_cluster(n_sources + 1)
-    perf = XrPerf(cluster)
-    config: Optional[XrdmaConfig] = None
-    if "fragment_bytes" in params:
-        config = XrdmaConfig(fragment_bytes=int(params["fragment_bytes"]))
-    result = perf.run_incast(sources, n_sources,
-                             size=int(params.get("size", 16 * 1024)),
-                             messages_per_source=int(
-                                 params.get("messages", 6)),
-                             mean_gap_ns=40_000, config=config)
+    invariance checks: three sources, six 16 KB messages each — seconds
+    of wall time, not minutes.  params: fragment_bytes."""
+    cluster = ctx.build_cluster(4)
+    config = XrdmaConfig(fragment_bytes=int(ctx.params["fragment_bytes"]))
+    result = XrPerf(cluster).run_incast([0, 1, 2], 3, size=16 * 1024,
+                                        messages_per_source=6,
+                                        mean_gap_ns=40_000, config=config)
     return {
         "goodput_gbps": result.goodput_gbps,
         "messages": result.messages,

@@ -53,12 +53,12 @@ def _tenant_metrics(prefix: str, tenant: Tenant) -> Dict[str, Any]:
     return {f"{prefix}_{key}": value for key, value in summary.items()}
 
 
-def mix_tenant(ctx: RunContext, config: Optional[XrdmaConfig] = None,
-               default_policy: str = "round-robin") -> Dict[str, Any]:
+def mix_tenant(ctx: RunContext, config: Optional[XrdmaConfig], policy: str,
+               arrival: str, rate_per_s: float) -> Dict[str, Any]:
     """The one mice+elephant tenant behind ``serving-mix`` and
     ``protocol-serving``: two source hosts, 80 % RPC / 20 % bulk, open
-    loop; ``config`` applies to the tenant's and the server's contexts."""
-    params = ctx.params
+    loop at ``rate_per_s`` per source on four channels, p99 SLO 800 µs;
+    ``config`` applies to the tenant's and the server's contexts."""
     cluster = ctx.build_cluster(4)
     monitor = ctx.monitor(cluster)
     harness = _harness(ctx, cluster)
@@ -70,13 +70,8 @@ def mix_tenant(ctx: RunContext, config: Optional[XrdmaConfig] = None,
         TrafficClass(name="bulk", weight=0.2, size_fn=BULK_CLASS.size_fn))
     spec = TenantSpec(
         name="mix", hosts=(0, 1), server_host=3,
-        rate_per_s=float(params.get("rate_per_s", 10_000.0)),
-        arrival=str(params.get("arrival", "poisson")),
-        burst_factor=float(params.get("burst_factor", 6.0)),
-        classes=classes,
-        n_channels=int(params.get("n_channels", 4)),
-        policy=str(params.get("policy", default_policy)),
-        slo=SloTarget(latency_us=float(params.get("slo_us", 800.0))))
+        rate_per_s=rate_per_s, arrival=arrival, classes=classes,
+        n_channels=4, policy=policy, slo=SloTarget(latency_us=800.0))
     tenant = harness.add_tenant(spec, config=config, server_config=config)
     harness.run(monitor=monitor)
     ctx.record_windows(harness.window_rows())
@@ -87,24 +82,25 @@ def mix_tenant(ctx: RunContext, config: Optional[XrdmaConfig] = None,
 def serving_mix(ctx: RunContext) -> Dict[str, Any]:
     """One tenant, mice+elephant mix, open loop.
 
-    params: policy (round-robin|sharded), arrival (poisson|mmpp|diurnal);
-    optional rate_per_s (per source host), duration_ms, window_ms,
-    n_channels, slo_us.
+    params: policy (round-robin|sharded), arrival (poisson|mmpp);
+    optional rate_per_s (per source host), duration_ms, window_ms.
     """
-    return mix_tenant(ctx)
+    params = ctx.params
+    return mix_tenant(ctx, None, str(params.get("policy", "round-robin")),
+                      str(params.get("arrival", "poisson")),
+                      float(params.get("rate_per_s", 10_000.0)))
 
 
 @scenario("serving-interference")
 def serving_interference(ctx: RunContext) -> Dict[str, Any]:
     """Shared-host interference: bulk incast vs a latency-sensitive tenant.
 
-    Tenant B (one source, all-RPC, XR-Traced) talks to a serving host;
-    with ``aggressor=1`` tenant A fans three bulk sources into the same
-    host.  params: aggressor (0|1); optional b_rate_per_s, a_rate_per_s,
-    duration_ms, window_ms, slo_us.
+    Tenant B (one source, 8 000 RPC/s, p99 SLO 300 µs, XR-Traced) talks
+    to a serving host; with ``aggressor=1`` tenant A fans three bulk
+    sources at 1 500 req/s each into the same host.  params: aggressor
+    (0|1); optional duration_ms, window_ms.
     """
-    params = ctx.params
-    aggressor = int(params.get("aggressor", 1))
+    aggressor = int(ctx.params.get("aggressor", 1))
     cluster = ctx.build_cluster(6, params=congested_params())
     monitor = ctx.monitor(cluster)
     harness = _harness(ctx, cluster)
@@ -114,9 +110,8 @@ def serving_interference(ctx: RunContext) -> Dict[str, Any]:
         5, config=XrdmaConfig(req_rsp_mode=True))
     spec_b = TenantSpec(
         name="B", hosts=(4,), server_host=5,
-        rate_per_s=float(params.get("b_rate_per_s", 8000.0)),
-        classes=(RPC_CLASS,), n_channels=2,
-        slo=SloTarget(latency_us=float(params.get("slo_us", 300.0))))
+        rate_per_s=8000.0, classes=(RPC_CLASS,), n_channels=2,
+        slo=SloTarget(latency_us=300.0))
     tenant_b = harness.add_tenant(
         spec_b, config=XrdmaConfig(req_rsp_mode=True, trace_sample_mask=1))
     for b_ctx in tenant_b.contexts:
@@ -127,7 +122,7 @@ def serving_interference(ctx: RunContext) -> Dict[str, Any]:
     if aggressor:
         spec_a = TenantSpec(
             name="A", hosts=(0, 1, 2), server_host=5,
-            rate_per_s=float(params.get("a_rate_per_s", 1500.0)),
+            rate_per_s=1500.0,
             classes=(BULK_CLASS,), n_channels=2,
             slo=SloTarget(latency_us=50_000.0))
         tenant_a = harness.add_tenant(

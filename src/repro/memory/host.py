@@ -15,7 +15,6 @@ Three allocation modes model the Sec. VII-F experience report:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Dict
@@ -59,7 +58,7 @@ class HostMemory:
         self.used = 0
         self.fragmentation = 0.0        #: 0 (pristine) .. 1 (fully fragmented)
         self.reclaim_events = 0
-        self._next_addr = itertools.count(0x1000_0000, _PAGE)
+        self._next_addr = 0x1000_0000
         self._allocations: Dict[int, Allocation] = {}
         self._churn_bytes = 0
 
@@ -128,8 +127,8 @@ class HostMemory:
         return (length + _PAGE - 1) // _PAGE * _PAGE
 
     def _place(self, length: int) -> int:
-        addr = next(self._next_addr)
-        # Reserve the range by advancing the bump pointer past it.
-        while next(self._next_addr) < addr + length:
-            pass
+        # Bump past the range plus a one-page gap: the layout every
+        # address in a run is pinned to.
+        addr = self._next_addr
+        self._next_addr = addr + length + _PAGE
         return addr

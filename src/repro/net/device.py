@@ -21,8 +21,8 @@ class Device:
         """Handle a segment delivered on ``in_port``."""
         raise NotImplementedError
 
-    def pause_port(self, port: int, priority: int, pause: bool) -> None:
-        """PFC notification from the downstream device on ``port``.
+    def pause_port(self, port: int, pause: bool) -> None:
+        """PFC pause (or resume) from the downstream device on ``port``.
 
         Default: ignore (hosts that don't honour PFC).  Switches and NICs
         override this to gate their egress ports.

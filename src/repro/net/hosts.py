@@ -42,10 +42,10 @@ class SimpleHost(Device):
         if self.on_receive is not None:
             self.on_receive(segment)
 
-    def pause_port(self, port: int, priority: int, pause: bool) -> None:
-        """Honour PFC by gating the named class on the single uplink."""
+    def pause_port(self, port: int, pause: bool) -> None:
+        """Honour PFC by gating the single uplink."""
         if self.uplink is not None:
-            self.uplink.set_paused(pause, priority)
+            self.uplink.set_paused(pause)
 
     def send(self, segment: Segment) -> None:
         """Inject a raw segment into the fabric."""

@@ -30,7 +30,8 @@ class Segment:
     ``flow_id`` identifies the 5-tuple-equivalent used by ECMP hashing and
     by DCQCN (one rate limiter per flow/QP).  ``payload`` carries the
     higher-layer object (an RC packet, a CM message, ...), opaque to the
-    fabric.
+    fabric.  Every segment rides the one lossless PFC class, and ``kind``
+    alone decides ECN eligibility: switches mark DATA segments only.
     """
 
     src: int                          #: source host id
@@ -38,8 +39,6 @@ class Segment:
     size: int                         #: payload bytes on the wire
     kind: SegmentKind = SegmentKind.DATA
     flow_id: int = 0
-    priority: int = 0                 #: PFC priority class (0 = lossless RoCE)
-    ecn_capable: bool = True
     ecn_marked: bool = False
     payload: Any = None
     hops: int = 0                     #: switch traversals so far

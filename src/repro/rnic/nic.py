@@ -132,9 +132,9 @@ class Rnic(Device):
             # Each port brings its own processing pipeline.
             self.sim.schedule(0, self._tx_run)
 
-    def pause_port(self, port: int, priority: int, pause: bool) -> None:
+    def pause_port(self, port: int, pause: bool) -> None:
         if 0 <= port < len(self.uplinks):
-            self.uplinks[port].set_paused(pause, priority)
+            self.uplinks[port].set_paused(pause)
 
     def _uplink_for(self, flow_id: int) -> "EgressPort":
         """Port for a flow: pinned on first use to the least-loaded port
@@ -211,7 +211,7 @@ class Rnic(Device):
             self._ready.appendleft(job)
         else:
             self._ready.append(job)
-        while self._tx_idle:
+        if self._tx_idle:
             self._tx_idle -= 1
             self.tx_wakes += 1
             self.sim.schedule(0, self._tx_run)
@@ -431,12 +431,11 @@ class Rnic(Device):
         pacing."""
         if dst_host is None:
             raise RuntimeError(f"{self.name}: QP has no peer configured")
-        # Positional: Segment(src, dst, size, kind, flow_id, priority,
-        # ecn_capable, ecn_marked, payload) — once per RC packet.
+        # Positional: Segment(src, dst, size, kind, flow_id, ecn_marked,
+        # payload) — once per RC packet.
         self.transmit(Segment(
             self.host_id, dst_host, size, kind,
-            (self.host_id << 20) | local_qpn, 0, kind is SegmentKind.DATA,
-            False, payload), port)
+            (self.host_id << 20) | local_qpn, False, payload), port)
 
     def transmit(self, segment: Segment,
                  port: Optional["EgressPort"] = None) -> None:

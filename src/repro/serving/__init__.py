@@ -12,9 +12,8 @@ actually offered.
 This package supplies that layer:
 
 * :mod:`repro.serving.arrivals` — deterministic open-loop arrival
-  processes (Poisson, bursty MMPP on-off, diurnal rate envelopes), every
-  draw from a named :class:`~repro.sim.rng.RngStream` so schedules are
-  digest-reproducible;
+  processes (Poisson and bursty MMPP on-off), every draw from a named
+  :class:`~repro.sim.rng.RngStream` so schedules are digest-reproducible;
 * :mod:`repro.serving.windows` — the stable-window measurement engine:
   per-window latency/throughput stats with warmup/cooldown exclusion,
   offered-vs-achieved load tracking, and SLO percentile verdicts;
@@ -27,14 +26,12 @@ artifact) lives in :mod:`repro.fleet.serving`; the reporting CLI is
 :mod:`repro.tools.xr_slo`.
 """
 
-from repro.serving.arrivals import (ArrivalProcess, DiurnalArrivals,
-                                    MmppArrivals, PoissonArrivals,
-                                    make_arrivals)
+from repro.serving.arrivals import (ArrivalProcess, MmppArrivals,
+                                    PoissonArrivals, make_arrivals)
 from repro.serving.tenant import (BULK_CLASS, RPC_CLASS, ServingHarness,
                                   Tenant, TenantSpec, TrafficClass)
 from repro.serving.windows import SloTarget, WindowedRecorder
 
-__all__ = ["ArrivalProcess", "BULK_CLASS", "DiurnalArrivals",
-           "MmppArrivals", "PoissonArrivals", "RPC_CLASS", "ServingHarness",
-           "SloTarget", "Tenant", "TenantSpec", "TrafficClass",
-           "WindowedRecorder", "make_arrivals"]
+__all__ = ["ArrivalProcess", "BULK_CLASS", "MmppArrivals", "PoissonArrivals",
+           "RPC_CLASS", "ServingHarness", "SloTarget", "Tenant", "TenantSpec",
+           "TrafficClass", "WindowedRecorder", "make_arrivals"]

@@ -18,13 +18,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.sim.timeunits import SECONDS
-from repro.workloads.traces import Knot, rate_at
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.rng import RngStream
 
 __all__ = ["ArrivalProcess", "PoissonArrivals", "MmppArrivals",
-           "DiurnalArrivals", "make_arrivals"]
+           "make_arrivals"]
 
 
 def _gap_from_rate(rng: "RngStream", rate_per_s: float) -> int:
@@ -43,19 +42,18 @@ class ArrivalProcess:
         """Gap from ``now_ns`` to the next arrival (subclass hook)."""
         raise NotImplementedError
 
-    def schedule(self, duration_ns: int,
-                 start_ns: int = 0) -> List[int]:
-        """Materialize every arrival time in ``[start, start+duration)``.
+    def schedule(self, duration_ns: int) -> List[int]:
+        """Materialize every arrival time in ``[0, duration)``.
 
         Consumes the stream exactly the way the live driver does, so a
         fresh process over a same-named stream reproduces the driver's
         schedule — what the determinism tests compare against.
         """
         times: List[int] = []
-        now = start_ns
+        now = 0
         while True:
             now += self.next_gap_ns(now)
-            if now >= start_ns + duration_ns:
+            if now >= duration_ns:
                 return times
             times.append(now)
 
@@ -117,50 +115,19 @@ class MmppArrivals(ArrivalProcess):
         return _gap_from_rate(self.rng, rate)
 
 
-class DiurnalArrivals(ArrivalProcess):
-    """Arrivals whose mean rate follows a (time, rate) knot envelope.
-
-    The envelope is the :func:`repro.workloads.traces.diurnal_profile`
-    shape (Fig. 3's saturated/unsaturated alternation); the instantaneous
-    rate is step-interpolated at the *current arrival time*, which keeps
-    the schedule a pure function of the stream.
-    """
-
-    def __init__(self, rng: "RngStream", knots: List[Knot]) -> None:
-        super().__init__(rng)
-        if not knots:
-            raise ValueError("empty rate envelope")
-        if any(rate <= 0 for _, rate in knots):
-            raise ValueError("envelope rates must be positive")
-        self.knots = list(knots)
-
-    def next_gap_ns(self, now_ns: int) -> int:
-        self.arrivals += 1
-        return _gap_from_rate(self.rng, rate_at(self.knots, now_ns))
-
-
 def make_arrivals(kind: str, rng: "RngStream", rate_per_s: float,
-                  duration_ns: int = SECONDS,
-                  burst_factor: float = 4.0) -> ArrivalProcess:
+                  duration_ns: int = SECONDS) -> ArrivalProcess:
     """Build an arrival process from flat scenario parameters.
 
-    ``kind`` is one of ``poisson`` / ``mmpp`` / ``diurnal`` — scalar
-    strings, so fleet grids can sweep it.  ``mmpp`` bursts at
-    ``burst_factor`` x the base rate with dwell times sized so several
-    on-off cycles fit into ``duration_ns``; ``diurnal`` swings the rate
-    between half and ``burst_factor``/2 x the base over two periods.
+    ``kind`` is ``poisson`` or ``mmpp`` — scalar strings, so fleet grids
+    can sweep it.  ``mmpp`` bursts at 6x the base rate with dwell times
+    sized so several on-off cycles fit into ``duration_ns``.
     """
     if kind == "poisson":
         return PoissonArrivals(rng, rate_per_s)
     if kind == "mmpp":
-        return MmppArrivals(rng, rate_per_s, rate_per_s * burst_factor,
+        return MmppArrivals(rng, rate_per_s, rate_per_s * 6.0,
                             mean_base_ns=max(1, duration_ns // 8),
                             mean_burst_ns=max(1, duration_ns // 16))
-    if kind == "diurnal":
-        from repro.workloads.traces import diurnal_profile
-        knots = diurnal_profile(duration_ns, max(2, duration_ns // 2),
-                                low=rate_per_s / 2,
-                                high=rate_per_s * burst_factor / 2)
-        return DiurnalArrivals(rng, knots)
     raise ValueError(f"unknown arrival kind {kind!r}; "
-                     f"choose poisson, mmpp or diurnal")
+                     f"choose poisson or mmpp")

@@ -93,9 +93,8 @@ class TenantSpec:
 
     ``hosts`` lists the source hosts (several = the tenant fans in to
     the server — the incast shape); ``rate_per_s`` is the open-loop
-    arrival rate *per source host*.  ``arrival`` is one of ``poisson`` /
-    ``mmpp`` / ``diurnal`` (see :func:`repro.serving.arrivals
-    .make_arrivals`).
+    arrival rate *per source host*.  ``arrival`` is ``poisson`` or
+    ``mmpp`` (see :func:`repro.serving.arrivals.make_arrivals`).
     """
 
     name: str
@@ -103,7 +102,6 @@ class TenantSpec:
     server_host: int
     rate_per_s: float = 10_000.0
     arrival: str = "poisson"
-    burst_factor: float = 4.0
     classes: Tuple[TrafficClass, ...] = (RPC_CLASS,)
     n_channels: int = 2
     policy: str = "round-robin"
@@ -189,8 +187,7 @@ class Tenant:
         rng = self._rngs[host_index]
         spec = self.spec
         arrivals = make_arrivals(spec.arrival, rng, spec.rate_per_s,
-                                 duration_ns=self.harness.duration_ns,
-                                 burst_factor=spec.burst_factor)
+                                 duration_ns=self.harness.duration_ns)
         # Concurrent channel establishment — serial cold setups are
         # several ms each and would eat whole warmup windows.
         channels: List[Optional[XrdmaChannel]] = [None] * spec.n_channels

@@ -108,17 +108,16 @@ class Switch(Device):
         size = segment.size
         pfc = self.pfc_enabled
 
-        lossless = pfc and segment.priority == 0
         if (port.queued_bytes + size > params.switch_port_buffer_bytes
-                and not lossless):
-            # Lossy class (or PFC off): tail-drop at the nominal buffer.
-            # The lossless class instead absorbs the transient into PFC
-            # headroom — pause frames bound the overshoot.
+                and not pfc):
+            # PFC off: tail-drop at the nominal buffer.  With PFC on, the
+            # one lossless class absorbs the transient into PFC headroom —
+            # pause frames bound the overshoot.
             self.drops += 1
             self.stats.drops += 1
             return
 
-        if segment.kind is SegmentKind.DATA and segment.ecn_capable:
+        if segment.kind is SegmentKind.DATA:
             if self._should_mark(port.queued_bytes):
                 segment.ecn_marked = True
                 self.marks += 1
@@ -129,8 +128,7 @@ class Switch(Device):
         ingress = self._ingress_bytes[in_port] + size
         self._ingress_bytes[in_port] = ingress
         # Inlined _check_xoff fast path: the per-segment common case is
-        # "below the threshold", one compare away.  PFC protects the
-        # lossless class, so the pause frame names priority 0.
+        # "below the threshold", one compare away.
         if (pfc and in_port != LOCAL_PORT
                 and ingress > params.pfc_xoff_bytes
                 and not self._paused_upstream[in_port]):
@@ -144,16 +142,13 @@ class Switch(Device):
                 trace.mark(f"wire_hop{segment.hops}")
         port.enqueue(segment)
 
-    def pause_port(self, port: int, priority: int, pause: bool) -> None:
-        """A downstream device paused/resumed ``priority``-class traffic on
-        the link our ``port`` feeds.
+    def pause_port(self, port: int, pause: bool) -> None:
+        """A downstream device paused/resumed the link our ``port`` feeds.
 
-        The class is honoured: an 802.1Qbb pause frame gates only the named
-        priority, so lossy traffic keeps flowing through a port whose
-        lossless class is paused (head-of-line permitting — the port is a
-        single FIFO, see :meth:`EgressPort.set_paused`).
-        """
-        self.ports[port].set_paused(pause, priority)
+        The wire carries one PFC class and every segment rides it, so a
+        pause frame gates the whole port at its next packet boundary
+        (DESIGN.md, "One lossless class")."""
+        self.ports[port].set_paused(pause)
 
     # --------------------------------------------------------------- PFC/ECN
     def _should_mark(self, queue_bytes: int) -> bool:
@@ -183,7 +178,7 @@ class Switch(Device):
         # Pause frames are link-local: propagation delay only.
         self.sim.call_after(
             self.params.link_propagation_ns,
-            lambda: device.pause_port(their_port, 0, pause))
+            lambda: device.pause_port(their_port, pause))
 
     def _on_dequeue(self, segment: Segment) -> None:
         if segment.pfc_switch is not self:

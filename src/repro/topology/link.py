@@ -27,11 +27,8 @@ class EgressPort:
 
     __slots__ = ("sim", "params", "name", "bandwidth_bps",
                  "base_bandwidth_bps", "background_bps", "peer",
-                 "peer_port", "queue", "queued_bytes", "pause_mask", "busy",
+                 "peer_port", "queue", "queued_bytes", "paused", "busy",
                  "on_dequeue", "tx_segments", "tx_bytes", "_ser_cache")
-
-    #: pause mask gating every priority class (legacy whole-port gate)
-    PAUSE_ALL = -1
 
     def __init__(self, sim: "Simulator", params: "SimParams", name: str,
                  on_dequeue: Optional[Callable[[Segment], None]] = None):
@@ -47,8 +44,9 @@ class EgressPort:
         self.peer_port: int = 0
         self.queue: Deque[Segment] = deque()
         self.queued_bytes = 0
-        #: bit ``p`` set == PFC priority class ``p`` is paused
-        self.pause_mask = 0
+        #: PFC gate: the downstream device paused this link's one
+        #: (lossless) class
+        self.paused = False
         self.busy = False
         #: owner hook, fires when a segment leaves the queue (PFC xon checks)
         self.on_dequeue = on_dequeue
@@ -63,11 +61,6 @@ class EgressPort:
         self.peer = peer
         self.peer_port = peer_port
 
-    @property
-    def paused(self) -> bool:
-        """True when any priority class is gated (legacy inspection name)."""
-        return self.pause_mask != 0
-
     # -------------------------------------------------------------- data path
     def enqueue(self, segment: Segment) -> None:
         """Queue a segment for transmission (admission already decided)."""
@@ -76,33 +69,23 @@ class EgressPort:
         self.queued_bytes += segment.size
         # An idle port with a backlog has a paused head (it would be
         # draining otherwise), so the segment joins the FIFO behind it.
-        if (self.busy or self.queue or (
-                self.pause_mask and (self.pause_mask >> segment.priority) & 1)):
+        if self.busy or self.queue or self.paused:
             self.queue.append(segment)
         else:
             self.busy = True
             self._serialize(segment)
 
-    def set_paused(self, paused: bool,
-                   priority: int = PAUSE_ALL) -> None:
-        """PFC gate for one priority class (default: every class).
+    def set_paused(self, paused: bool) -> None:
+        """PFC gate for the link's one lossless class (DESIGN.md,
+        "One lossless class").
 
-        Pausing takes effect at the next packet boundary.  Only the named
-        class is gated — traffic of other classes keeps transmitting unless
-        a paused-class segment is at the head of the FIFO (802.1Qbb with
-        the single-queue head-of-line caveat, see DESIGN.md).
+        Pausing takes effect at the next packet boundary: the segment on
+        the wire finishes, the FIFO behind it waits.  Resuming restarts an
+        idle port at its head.
         """
-        if priority == EgressPort.PAUSE_ALL:
-            self.pause_mask = -1 if paused else 0
-        elif paused:
-            self.pause_mask |= (1 << priority)
-        else:
-            self.pause_mask &= ~(1 << priority)
-        # The gate is head-of-line: the port is a single FIFO, so an idle
-        # port restarts iff the *head* segment's class may transmit.
+        self.paused = paused
         queue = self.queue
-        if (not paused and not self.busy and queue
-                and not (self.pause_mask >> queue[0].priority) & 1):
+        if not paused and not self.busy and queue:
             self.busy = True
             self._serialize(queue.popleft())
 
@@ -154,8 +137,7 @@ class EgressPort:
         # Next head, or idle.  ``busy`` stayed set across ``on_dequeue``,
         # so anything the owner enqueued from the hook is picked up here.
         queue = self.queue
-        if queue and not (self.pause_mask
-                          and (self.pause_mask >> queue[0].priority) & 1):
+        if queue and not self.paused:
             self._serialize(queue.popleft())
         else:
             self.busy = False

@@ -217,7 +217,7 @@ class CmAgent:
     def _send(self, remote_host: int, message: _CmMessage) -> None:
         self.nic.transmit(Segment(
             src=self.nic.host_id, dst=remote_host, size=_CM_BYTES,
-            kind=SegmentKind.CONTROL, ecn_capable=False, payload=message))
+            kind=SegmentKind.CONTROL, payload=message))
 
     def _on_segment(self, segment: Segment) -> None:
         message: _CmMessage = segment.payload

@@ -15,13 +15,14 @@ Knot = Tuple[int, float]
 
 
 def diurnal_profile(duration_ns: int, period_ns: int, low: float,
-                    high: float, knots_per_period: int = 24) -> List[Knot]:
-    """Sinusoidal day/night alternation between ``low`` and ``high``."""
+                    high: float) -> List[Knot]:
+    """Sinusoidal day/night alternation between ``low`` and ``high``,
+    24 knots per period."""
     if duration_ns <= 0 or period_ns <= 0:
         raise ValueError("duration and period must be positive")
     if low > high:
         raise ValueError(f"low {low} > high {high}")
-    step = max(1, period_ns // knots_per_period)
+    step = max(1, period_ns // 24)
     knots = []
     t = 0
     while t <= duration_ns:

@@ -16,10 +16,24 @@ somewhere in ``src/``, ``bench/``, ``benchmarks/``, ``examples/`` or
 (``snapshot()["data_bytes_delivered"]``) — or sit in ``KEPT_STATE`` with
 the reason it is read only by reflection.  A store (``=``, ``+=``, a
 constructor keyword) is not a read.
+
+The audit matches names, not bindings, so a name collision counts as a
+caller: a local variable ``table`` elsewhere kept the unused
+``analysis.report.table`` passing until it was deleted by hand.
+
+The options audit as a test (EXPERIMENTS.md, "Every knob has a second
+value in use"): every key a registered fleet scenario reads from
+``ctx.params`` must take two distinct values across the full and
+``--quick`` spec sets, or sit in ``KEPT_PARAMS`` with its reason.  A
+knob with one value in use is a constant.
 """
 
 import ast
 from pathlib import Path
+
+from repro.fleet.experiments import spec_names, specs_for
+from repro.fleet.runner import resolve_scenario
+from repro.fleet.scenarios import SCENARIOS
 
 ROOT = Path(__file__).resolve().parents[2]
 LIVE_DIRS = ("src", "bench", "benchmarks", "examples")
@@ -160,3 +174,96 @@ def test_no_stored_member_is_write_only():
     assert missing == [], "stored, never read: " + ", ".join(missing)
     assert set(KEPT_STATE) <= set(unread), \
         f"stale KEPT_STATE: {sorted(set(KEPT_STATE) - set(unread))}"
+
+
+#: (function, key) -> why a key with one value in use stays a parameter
+KEPT_PARAMS = {
+    ("traced_rpc", "iterations"):
+        "tests/tools/test_xr_trace.py runs 6 against golden_xr_trace.json",
+    ("traced_rpc", "sample_mask"):
+        "test_determinism.py samples with mask 4: decisions follow the "
+        "run's own trace ids, which mask 1 cannot show",
+}
+
+_ABSENT = "<absent>"        # a ``"key" in params`` test seeing no key
+_REQUIRED = object()        # ``params[key]``: no value without the key
+
+
+def _is_params(node: ast.AST) -> bool:
+    return (getattr(node, "id", None) == "params"
+            or getattr(node, "attr", None) == "params")
+
+
+def _param_reads(function: ast.FunctionDef):
+    """``(key, default)`` of every read of a scenario parameter mapping
+    (``params`` or ``ctx.params``) in ``function``: ``.get(key,
+    default)``, ``[key]`` (``_REQUIRED``) and ``key in`` (default
+    ``_ABSENT``).  A default that is no literal stands as its
+    source text in angle brackets, distinct from every grid value."""
+    for node in ast.walk(function):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and _is_params(node.func.value)
+                and isinstance(node.args[0], ast.Constant)):
+            default = (node.args[1] if len(node.args) > 1
+                       else ast.Constant(None))
+            try:
+                yield node.args[0].value, ast.literal_eval(default)
+            except ValueError:
+                yield node.args[0].value, f"<{ast.unparse(default)}>"
+        elif (isinstance(node, ast.Subscript) and _is_params(node.value)
+                and isinstance(node.slice, ast.Constant)):
+            yield node.slice.value, _REQUIRED
+        elif (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.ops[0], ast.In)
+                and _is_params(node.comparators[0])
+                and isinstance(node.left, ast.Constant)):
+            yield node.left.value, _ABSENT
+
+
+def test_every_scenario_param_has_two_values():
+    resolve_scenario("smoke-incast")        # registers every scenario
+    functions = {}
+    for path in sorted((ROOT / "src" / "repro" / "fleet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.setdefault(node.name, node)
+    # scenario name -> every fleet function its body reaches by call
+    reach = {}
+    for name, fn in SCENARIOS.items():
+        seen, stack = set(), [fn.__name__]
+        while stack:
+            current = stack.pop()
+            if current in seen or current not in functions:
+                continue
+            seen.add(current)
+            stack.extend(node.func.id for node in ast.walk(functions[current])
+                         if isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name))
+        reach[name] = seen
+    specs = specs_for(spec_names()) + specs_for(spec_names(), quick=True)
+    single = {}
+    for function, node in sorted(functions.items()):
+        defaults = {}
+        for key, default in _param_reads(node):
+            defaults.setdefault(key, []).append(default)
+        users = {name for name, seen in reach.items() if function in seen}
+        for key, key_defaults in defaults.items():
+            values = set()
+            for spec in specs:
+                if spec.scenario not in users:
+                    continue
+                if key in spec.grid:
+                    values.update(spec.grid[key])
+                else:
+                    values.update(d for d in key_defaults
+                                  if d is not _REQUIRED)
+            if len(values) < 2:
+                single[function, key] = sorted(map(str, values))
+    unkept = [f"{function}: {key}={values}"
+              for (function, key), values in sorted(single.items())
+              if (function, key) not in KEPT_PARAMS]
+    assert unkept == [], "parameters with one value in use: " + \
+        ", ".join(unkept)
+    assert set(KEPT_PARAMS) <= set(single), \
+        f"stale KEPT_PARAMS: {sorted(set(KEPT_PARAMS) - set(single))}"

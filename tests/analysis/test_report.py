@@ -1,8 +1,8 @@
-"""Text reporting helpers (sparklines, panels, tables)."""
+"""Text reporting helpers (sparklines, panels)."""
 
 import pytest
 
-from repro.analysis import series_panel, sparkline, table
+from repro.analysis import series_panel, sparkline
 
 
 def test_sparkline_empty():
@@ -22,25 +22,18 @@ def test_sparkline_shows_shape():
 
 
 def test_sparkline_downsamples():
-    line = sparkline(list(range(1000)), width=50)
-    assert len(line) == 50
+    line = sparkline(list(range(1000)))
+    assert len(line) == 60
     assert line[0] == "▁" and line[-1] == "█"
 
 
 def test_series_panel_annotations():
-    panel = series_panel("iops", [(0, 1.0), (1_000_000, 3.0)], unit="K")
+    panel = series_panel("iops", [(0, 1.0), (1_000_000, 3.0)])
     assert "iops" in panel
-    assert "min=1K" in panel
-    assert "max=3K" in panel
+    assert "min=1 " in panel
+    assert "max=3 " in panel
 
 
 def test_series_panel_empty():
     assert "(no samples)" in series_panel("x", [])
 
-
-def test_table_alignment():
-    text = table(["name", "value"], [["a", 1], ["bb", 22]])
-    lines = text.splitlines()
-    assert len(lines) == 3
-    assert all(len(line) == len(lines[0]) for line in lines)
-    assert "22" in lines[2]

@@ -40,7 +40,7 @@ def test_protocol_config_maps_all_axes():
 
 
 def test_pingpong_rendezvous_counters_follow_the_variant():
-    large = {"size": 256 * 1024, "iterations": 8}
+    large = {"size": 256 * 1024}
     read = run_scenario_inline("protocol-pingpong",
                                {"rendezvous_variant": "read", **large},
                                seed=0)
@@ -58,8 +58,7 @@ def test_pingpong_rendezvous_counters_follow_the_variant():
 
 
 def test_same_seed_same_schedule_per_variant():
-    params = {"rendezvous_variant": "write", "size": 256 * 1024,
-              "iterations": 6}
+    params = {"rendezvous_variant": "write", "size": 256 * 1024}
     a = run_scenario_inline("protocol-pingpong", params, seed=5)
     b = run_scenario_inline("protocol-pingpong", params, seed=5)
     assert a["digest"] == b["digest"]
@@ -67,11 +66,8 @@ def test_same_seed_same_schedule_per_variant():
 
 
 def test_incast_runs_under_both_variants():
-    small = {"n_sources": 2, "streams_per_source": 2, "messages": 2,
-             "size": 128 * 1024}
     for variant in ("read", "write"):
         record = run_scenario_inline(
-            "protocol-incast", {"rendezvous_variant": variant, **small},
-            seed=0)
+            "protocol-incast", {"rendezvous_variant": variant}, seed=0)
         assert record["metrics"]["goodput_gbps"] > 0
-        assert record["metrics"]["messages"] == 8
+        assert record["metrics"]["messages"] == 4 * 4 * 8   # every one

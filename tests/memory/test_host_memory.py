@@ -95,3 +95,18 @@ def test_contiguous_alloc_cost_rises_with_fragmentation():
 def test_invalid_length_rejected():
     with pytest.raises(ValueError):
         HostMemory().alloc(0)
+
+
+def test_bump_addresses_are_pinned():
+    # Each allocation starts one page past the end of the previous one,
+    # and a free never returns its range: these are the addresses every
+    # run's MRs, rkeys and digests have always seen.
+    memory = HostMemory()
+    sizes = [(1, AllocMode.ANONYMOUS), (4096, AllocMode.ANONYMOUS),
+             (5000, AllocMode.HUGEPAGE), (4 * MB, AllocMode.ANONYMOUS),
+             (8192, AllocMode.CONTIGUOUS), (3, AllocMode.ANONYMOUS)]
+    addrs = [memory.alloc(length, mode).addr for length, mode in sizes]
+    memory.free(addrs[1])
+    addrs.append(memory.alloc(100).addr)
+    assert addrs == [0x1000_0000, 0x1000_2000, 0x1000_4000, 0x1000_7000,
+                     0x1040_8000, 0x1040_b000, 0x1040_d000]

@@ -100,61 +100,36 @@ def test_attach_extra_port_through_default_slot():
     assert topo._slots[1].extra_down_ports == []
 
 
-# -------------------------------------------------------- priority-class PFC
-def test_pause_port_honours_priority_class():
-    # Regression: Switch.pause_port discarded ``priority`` and gated the
-    # whole port, so a pause for a class with no traffic stalled class 0.
+# ---------------------------------------------------------------- PFC gate
+def test_pause_port_gates_the_fed_link():
+    # One lossless class: a pause frame gates the whole downlink, and the
+    # resume drains what queued behind it.
     sim, params, stats, topo, hosts = make_fabric()
     tor = topo.tors[0]
-    tor.pause_port(1, 3, True)         # gate class 3 on host 1's downlink
-    hosts[0].send(Segment(src=0, dst=1, size=1000))        # class 0
-    sim.run()
-    assert len(hosts[1].received) == 1
-
-
-def test_pause_port_gates_named_class():
-    sim, params, stats, topo, hosts = make_fabric()
-    tor = topo.tors[0]
-    tor.pause_port(1, 0, True)
+    tor.pause_port(1, True)
     hosts[0].send(Segment(src=0, dst=1, size=1000))
     sim.run()
     assert len(hosts[1].received) == 0
-    tor.pause_port(1, 0, False)
+    tor.pause_port(1, False)
     sim.run()
     assert len(hosts[1].received) == 1
 
 
 def test_single_fifo_head_of_line_gate():
+    # The port is one FIFO: a pause holds every queued segment, and the
+    # resume releases them in arrival order.
     sim, params, stats, topo, hosts = make_fabric()
     uplink = hosts[0].uplink
-    uplink.set_paused(True, 0)
-    hosts[0].send(Segment(src=0, dst=1, size=100, priority=1))
-    sim.run()
-    assert len(hosts[1].received) == 1     # unpaused class keeps flowing
-    hosts[0].send(Segment(src=0, dst=1, size=100, priority=0))
-    hosts[0].send(Segment(src=0, dst=1, size=100, priority=1))
-    sim.run()
-    # The port is one FIFO: the class-1 segment waits behind the gated
-    # class-0 head (802.1Qbb head-of-line caveat).
-    assert len(hosts[1].received) == 1
-    uplink.set_paused(False, 0)
-    sim.run()
-    assert len(hosts[1].received) == 3
-    assert not uplink.paused
-
-
-def test_pause_all_is_legacy_whole_port_gate():
-    sim, params, stats, topo, hosts = make_fabric()
-    uplink = hosts[0].uplink
-    uplink.set_paused(True)            # PAUSE_ALL default
-    for priority in (0, 1, 5):
-        hosts[0].send(Segment(src=0, dst=1, size=100, priority=priority))
+    uplink.set_paused(True)
+    for flow in (1, 2, 3):
+        hosts[0].send(Segment(src=0, dst=1, size=100, flow_id=flow))
     sim.run()
     assert len(hosts[1].received) == 0
     assert uplink.paused
     uplink.set_paused(False)
     sim.run()
-    assert len(hosts[1].received) == 3
+    assert [seg.flow_id for seg in hosts[1].received] == [1, 2, 3]
+    assert not uplink.paused
 
 
 # ------------------------------------------------- flat PFC ingress arrays

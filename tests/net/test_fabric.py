@@ -146,8 +146,7 @@ def test_buffer_overflow_drops_when_pfc_disabled():
     # Three senders blast one receiver: egress port 3 of the ToR overflows.
     for src in (0, 1, 2):
         for i in range(200):
-            hosts[src].send(Segment(src=src, dst=3, size=4096,
-                                    flow_id=src, ecn_capable=False))
+            hosts[src].send(Segment(src=src, dst=3, size=4096, flow_id=src))
     sim.run()
     assert stats.drops > 0
     total = sum(len(h.received) for h in hosts)
@@ -159,8 +158,7 @@ def test_pfc_prevents_drops_under_incast():
     sim, params, stats, topo, hosts = make_fabric(params=params)
     for src in (0, 1, 2):
         for i in range(200):
-            hosts[src].send(Segment(src=src, dst=3, size=4096,
-                                    flow_id=src, ecn_capable=False))
+            hosts[src].send(Segment(src=src, dst=3, size=4096, flow_id=src))
     sim.run()
     assert stats.drops == 0
     assert stats.pause_frames > 0
@@ -191,9 +189,9 @@ def test_pause_frames_gate_host_uplink():
     params = congested_params()
     sim, params, stats, topo, hosts = make_fabric(params=params)
     for i in range(300):
-        hosts[0].send(Segment(src=0, dst=3, size=4096, ecn_capable=False))
+        hosts[0].send(Segment(src=0, dst=3, size=4096))
     for i in range(300):
-        hosts[1].send(Segment(src=1, dst=3, size=4096, ecn_capable=False))
+        hosts[1].send(Segment(src=1, dst=3, size=4096))
     sim.run()
     # With PFC on, the host uplinks must have been paused at least once.
     assert stats.pause_frames > 0

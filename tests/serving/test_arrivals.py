@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.serving.arrivals import (DiurnalArrivals, MmppArrivals,
-                                    PoissonArrivals, make_arrivals)
+from repro.serving.arrivals import (MmppArrivals, PoissonArrivals,
+                                    make_arrivals)
 from repro.sim import MILLIS, RngRegistry, SECONDS
 
 
@@ -50,19 +50,8 @@ def test_mmpp_deterministic():
     assert build().schedule(100 * MILLIS) == build().schedule(100 * MILLIS)
 
 
-def test_diurnal_follows_envelope():
-    # Rate 2k in the first half, 20k in the second: arrival counts
-    # should differ by roughly the envelope ratio.
-    knots = [(0, 2_000.0), (500 * MILLIS, 20_000.0)]
-    proc = DiurnalArrivals(_stream(4), knots)
-    times = proc.schedule(SECONDS)
-    early = sum(1 for t in times if t < 500 * MILLIS)
-    late = len(times) - early
-    assert late > 5 * early
-
-
 def test_make_arrivals_kinds_and_validation():
-    for kind in ("poisson", "mmpp", "diurnal"):
+    for kind in ("poisson", "mmpp"):
         proc = make_arrivals(kind, _stream(1), 10_000,
                              duration_ns=100 * MILLIS)
         assert proc.schedule(20 * MILLIS)
