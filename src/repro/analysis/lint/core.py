@@ -16,8 +16,8 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple, Type)
+from typing import (Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+                    Type)
 
 from repro.analysis.lint.callgraph import CallGraph
 
@@ -308,16 +308,11 @@ class LintRunner:
     the whole linted set regardless of file order.
     """
 
-    def __init__(self, rules: Optional[Sequence[Type[Rule]]] = None,
-                 select: Optional[Iterable[str]] = None,
+    def __init__(self, select: Optional[Iterable[str]] = None,
                  ignore: Optional[Iterable[str]] = None,
-                 path_exemptions: Optional[Dict[str, frozenset]] = None,
                  check_suppressions: bool = True):
-        self.path_exemptions = (PATH_RULE_EXEMPTIONS
-                                if path_exemptions is None
-                                else path_exemptions)
         self.check_suppressions = check_suppressions
-        chosen = list(rules) if rules is not None else all_rules()
+        chosen = all_rules()
         if select:
             wanted = set(select)
             for name in wanted:
@@ -332,7 +327,7 @@ class LintRunner:
         self.errors: List[str] = []     #: files that failed to parse
 
     # ------------------------------------------------------------- running
-    def run_source(self, source: str, path: str = "<string>") -> List[Finding]:
+    def run_source(self, source: str, path: str) -> List[Finding]:
         """Lint one in-memory module; the workhorse for fixture linting.
 
         The call graph covers just this module — interprocedural facts
@@ -377,7 +372,7 @@ class LintRunner:
     def _exempt_rules(self, path: str) -> Set[str]:
         exempt: Set[str] = set()
         for part in Path(path).parts:
-            exempt |= self.path_exemptions.get(part, frozenset())
+            exempt |= PATH_RULE_EXEMPTIONS.get(part, frozenset())
         return exempt
 
     def _read(self, path: Path) -> Optional[str]:

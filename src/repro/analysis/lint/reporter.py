@@ -10,8 +10,7 @@ from typing import Iterable, List, Sequence
 from repro.analysis.lint.core import Finding
 
 
-def render_text(findings: Sequence[Finding],
-                errors: Iterable[str] = ()) -> str:
+def render_text(findings: Sequence[Finding], errors: Iterable[str]) -> str:
     """flake8-style one-line-per-finding report with a summary footer."""
     lines: List[str] = []
     for finding in findings:
@@ -29,8 +28,7 @@ def render_text(findings: Sequence[Finding],
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding],
-                errors: Iterable[str] = ()) -> str:
+def render_json(findings: Sequence[Finding], errors: Iterable[str]) -> str:
     """Stable JSON for CI annotation tooling."""
     payload = {
         "findings": [
@@ -58,8 +56,7 @@ def _gh_escape(text: str, in_property: bool = False) -> str:
     return text
 
 
-def render_gh(findings: Sequence[Finding],
-              errors: Iterable[str] = ()) -> str:
+def render_gh(findings: Sequence[Finding], errors: Iterable[str]) -> str:
     """GitHub Actions annotations: one ``::error`` workflow command per
     finding, so findings surface inline on the PR diff."""
     lines: List[str] = []

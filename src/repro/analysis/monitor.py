@@ -103,11 +103,6 @@ class Monitor:
     def values(self, name: str) -> List[float]:
         return [value for _, value in self.series[name]]
 
-    def deltas(self, name: str) -> List[float]:
-        """Per-interval increments of a cumulative series."""
-        samples = self.series[name]
-        return [b[1] - a[1] for a, b in zip(samples, samples[1:])]
-
     def rate_per_second(self, name: str) -> List[float]:
         """Per-interval increments scaled to a per-second rate."""
         samples = self.series[name]

@@ -1,4 +1,4 @@
-"""Percentile and jitter helpers shared by the tracer, fleet and tools."""
+"""The percentile helpers shared by the tracer, fleet and tools."""
 
 from __future__ import annotations
 
@@ -29,18 +29,3 @@ def nearest_rank(ordered: Sequence[float], q: float) -> float:
 def percentile(values: Sequence[float], q: float) -> float:
     """:func:`nearest_rank` of unsorted ``values`` (``q`` in [0, 1])."""
     return nearest_rank(sorted(values), q)
-
-
-def mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
-def jitter_index(values: Sequence[float]) -> float:
-    """Coefficient of variation — the benches' jitter measure (Fig. 12)."""
-    if len(values) < 2:
-        return 0.0
-    mu = mean(values)
-    if mu == 0:
-        return 0.0
-    variance = sum((v - mu) ** 2 for v in values) / (len(values) - 1)
-    return math.sqrt(variance) / mu

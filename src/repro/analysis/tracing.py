@@ -369,7 +369,7 @@ class Tracer:
         """Close a setup trace (establishment finished and channel primed).
 
         A failed connect simply never finalizes: the record stays
-        incomplete, which is exactly what ``incomplete_count`` reports.
+        incomplete, and :func:`analyze` counts it under ``incomplete``.
         """
         total = self.ctx.sim.now - trace.start_ns
         record = self._close_record(trace, total)
@@ -407,11 +407,6 @@ class Tracer:
         return self.records.get(msg.header.trace_id)
 
     # ------------------------------------------------------------- summaries
-    def incomplete_count(self) -> int:
-        """Sampled traces that never closed (dropped, unacked, in flight)."""
-        return sum(1 for record in self.records.values()
-                   if not record.complete)
-
     def export_records(self) -> List[Dict[str, Any]]:
         """Every record as a JSONL-ready dict, ordered by trace id."""
         return [self.records[trace_id].as_dict()
@@ -448,8 +443,7 @@ def tracer_totals(tracers: Iterable[Tracer]) -> Dict[str, int]:
     }
 
 
-def export_jsonl(path: Any, tracers: Iterable[Tracer],
-                 meta: Optional[Dict[str, Any]] = None) -> int:
+def export_jsonl(path: Any, tracers: Iterable[Tracer]) -> int:
     """Write one trace artifact: a meta line, then one line per trace.
 
     Returns the number of trace lines written.  The format is what
@@ -463,8 +457,6 @@ def export_jsonl(path: Any, tracers: Iterable[Tracer],
                           if not record["complete"]),
         **tracer_totals(tracers),
     }
-    if meta:
-        header.update(meta)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(json.dumps({"meta": header}, sort_keys=True) + "\n")
         for record in records:

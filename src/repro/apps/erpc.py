@@ -40,6 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: protobuf-ish serialization cost per byte, each direction
 _SERIALIZE_PER_BYTE_NS = 0.25
 _SERIALIZE_BASE_NS = 400
+#: how long a call waits for its reply before raising ErpcError
+_CALL_TIMEOUT_NS = 2 * SECONDS
 
 
 class ErpcError(RuntimeError):
@@ -145,8 +147,7 @@ class ErpcClient:
         self.channel = yield from self.ctx.connect(remote_host, port)
         return self.channel
 
-    def call(self, method: str, body: Any, request_bytes: int,
-             timeout_ns: int = 2 * SECONDS):
+    def call(self, method: str, body: Any, request_bytes: int):
         """Generator: one RPC; returns the reply body or raises ErpcError."""
         if self.channel is None:
             raise ErpcError("client is not connected")
@@ -160,7 +161,7 @@ class ErpcClient:
         except ChannelBroken as exc:
             raise ErpcError(f"transport failed: {exc}") from exc
         self.calls_made += 1
-        timer = self.ctx.sim.timeout(timeout_ns)
+        timer = self.ctx.sim.timeout(_CALL_TIMEOUT_NS)
         result = yield AnyOf(self.ctx.sim, [request.response, timer])
         if request.response not in result:
             raise ErpcError(f"call {method!r} timed out")

@@ -170,7 +170,7 @@ class XioEndpoint(MiddlewareEndpoint):
 
 
 def run_pingpong(cluster: "Cluster", endpoint_cls, size: int,
-                 iterations: int = 20):
+                 iterations: int):
     """Build a pair on service port 8600, run the ping-pong, return
     one-way latencies (ns)."""
     def scenario():

@@ -31,6 +31,7 @@ from repro.rnic import Opcode, QpStateError, WorkRequest
 from repro.sim import MICROS, MILLIS, SECONDS, SimParams
 from repro.sim.params import congested_params
 from repro.tools import XrPerf, XrPing, XrStat
+from repro.workloads.flows import request_loop
 from repro.workloads.traces import burst_profile, diurnal_profile, rate_at
 from repro.xrdma import XrdmaConfig
 from repro.xrdma.memcache import MemCache
@@ -144,7 +145,7 @@ def fig7_pingpong(ctx: RunContext) -> Dict[str, Any]:
     client = cluster.xrdma_context(0, config=config)
     server = cluster.xrdma_context(1, config=config)
     accepted = server.listen(8700)
-    one_way: List[float] = []
+    rtts: List[int] = []
 
     def pingpong():
         channel = yield from client.connect(1, 8700)
@@ -152,16 +153,12 @@ def fig7_pingpong(ctx: RunContext) -> Dict[str, Any]:
         # Echo the same size back, like ibv_rc_pingpong and the baselines.
         server_channel.on_request = \
             lambda msg: server.send_response(msg, msg.payload_size)
-        for index in range(_FIG7_ITERS):
-            t0 = cluster.sim.now
-            request = client.send_request(channel, size)
-            yield request.response
-            if index >= 3:
-                one_way.append((cluster.sim.now - t0) / 2)
+        yield from request_loop(client, channel, size, _FIG7_ITERS, rtts)
 
     proc = cluster.sim.spawn(pingpong())
     cluster.sim.run_until_event(proc, limit=60 * SECONDS)
-    return {"latency_us": mean(one_way) / 1000}
+    # One-way = RTT / 2, the first three round trips dropped as warmup.
+    return {"latency_us": mean(rtt / 2 for rtt in rtts[3:]) / 1000}
 
 
 # --------------------------------------------------------------- Fig. 8

@@ -30,6 +30,7 @@ from repro.net.aggregate import AggregateTraffic
 from repro.sim import MICROS, MILLIS, SECONDS
 from repro.sim.params import congested_params
 from repro.tools.xr_perf import XrPerf
+from repro.workloads.flows import request_loop
 from repro.xrdma import XrdmaConfig
 from repro.xrdma.memcache import MemCache
 
@@ -55,7 +56,8 @@ def scenario(name: str) -> Callable[[ScenarioFn], ScenarioFn]:
 def _closed_loop_rpc(ctx: RunContext, config: XrdmaConfig, port: int,
                      size: int) -> Tuple[float, bool, Any, Any]:
     """One client, one server, ``config`` on both ends: 16 sequential
-    ``size``-byte RPC round trips, the first three dropped as warmup.
+    ``size``-byte RPC round trips (:func:`request_loop`), the first three
+    dropped as warmup.
 
     Returns ``(rtt_us, eager, channel, server_channel)``: the unrounded
     mean, whether the size went eager, and the two ends' channels for
@@ -72,19 +74,14 @@ def _closed_loop_rpc(ctx: RunContext, config: XrdmaConfig, port: int,
         server_channel = yield accepted.get()
         server_channel.on_request = \
             lambda msg: server.send_response(msg, 64)
-        for index in range(16):
-            t0 = cluster.sim.now
-            request = client.send_request(channel, size)
-            yield request.response
-            if index >= 3:                      # drop warmup iterations
-                latencies.append(cluster.sim.now - t0)
+        yield from request_loop(client, channel, size, 16, latencies)
         return channel, server_channel
 
     proc = cluster.sim.spawn(run())
     channel, server_channel = cluster.sim.run_until_event(
         proc, limit=60 * SECONDS)
-    return (mean(latencies) / 1000, size <= config.small_msg_size,
-            channel, server_channel)
+    return (mean(latencies[3:]) / 1000,         # drop warmup iterations
+            size <= config.small_msg_size, channel, server_channel)
 
 
 def _congested_incast(ctx: RunContext, config: XrdmaConfig, size: int,

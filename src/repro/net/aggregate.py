@@ -124,10 +124,6 @@ class AggregateTraffic:
         include the in-flight interval)."""
         return sum(flow.bytes_settled for flow in self.flows)
 
-    def port_load_bps(self, role: int, index: int, port: int) -> float:
-        """Charged background rate on one switch egress port."""
-        return self._port_load.get((role, index, port), 0.0)
-
     # ------------------------------------------------------------ internal
     def _port_for(self, role: int, index: int,
                   port_index: int) -> "EgressPort":

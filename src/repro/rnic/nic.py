@@ -249,10 +249,10 @@ class Rnic(Device):
     # never synchronously) or *busy*: exactly one bare entry of its own is
     # pending — its start, a wake, a back-pressure retry, or the occupancy
     # of the fragment it works on, which emits it and runs the engine on.
-    def _tx_run(self, _arg: object = None) -> None:
+    def _tx_run(self, _arg: object) -> None:
         """Take jobs off the ready queue until one occupies the engine, the
         queue is empty (the engine idles), the port pushes back, or the
-        NIC is dead."""
+        NIC is dead.  ``_arg`` is the bare entry's argument, always None."""
         params = self.params
         sim = self.sim
         ready = self._ready
@@ -328,7 +328,7 @@ class Rnic(Device):
             self._emit_qp_fragment(job, port)
         else:
             self._emit_read_fragment(job, port)
-        self._tx_run()
+        self._tx_run(None)
 
     def _emit_qp_fragment(self, qp: QueuePair, port: "EgressPort") -> None:
         params = self.params

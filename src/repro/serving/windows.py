@@ -9,8 +9,8 @@ follows the queueing-middleware methodology the roadmap names:
 * every *offered* request is counted in the window of its arrival, every
   *completion* (and its latency) in the window it completed in — the
   offered-vs-achieved gap per window is the backlog signal;
-* the first ``warmup_windows`` and last ``cooldown_windows`` windows are
-  excluded from verdicts ("stable windows");
+* the first window (warmup) and the last (cooldown) are excluded from
+  verdicts; the rest are the "stable windows";
 * per-window percentiles are nearest-rank over the window's raw latency
   values via :func:`repro.analysis.stats.percentile` — the *same*
   routine the fleet aggregate uses, so a window p99 and an aggregate p99
@@ -83,15 +83,10 @@ class WindowedRecorder:
     what cooldown windows are for).
     """
 
-    def __init__(self, window_ns: int, warmup_windows: int = 1,
-                 cooldown_windows: int = 1) -> None:
+    def __init__(self, window_ns: int) -> None:
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
-        if warmup_windows < 0 or cooldown_windows < 0:
-            raise ValueError("warmup/cooldown window counts must be >= 0")
         self.window_ns = window_ns
-        self.warmup_windows = warmup_windows
-        self.cooldown_windows = cooldown_windows
         self.offered: Dict[int, int] = {}
         self.completed: Dict[int, int] = {}
         self.latencies: Dict[int, List[int]] = {}
@@ -136,11 +131,9 @@ class WindowedRecorder:
         return max(observed) + 1 if observed else 0
 
     def stable_indices(self) -> List[int]:
-        """Window indices that count toward the SLO verdict."""
-        total = self.n_windows
-        first = self.warmup_windows
-        last = total - self.cooldown_windows
-        return list(range(first, max(first, last)))
+        """Window indices that count toward the SLO verdict: all but the
+        first (warmup) and the last (cooldown)."""
+        return list(range(1, max(1, self.n_windows - 1)))
 
     def _window_row(self, index: int, stable: bool,
                     slo: Optional[SloTarget]) -> Dict[str, Any]:

@@ -67,22 +67,16 @@ class _GuardState:
     event is popped, so a raise leaves every pending event in place.  The
     wall clock is only sampled every 256 events — a guarded run pays one
     integer test per event and a clock read per quarter-kilobatch.
-
-    A one-shot budget wraps the persistent one as ``outer`` and charges it
-    after itself: every event fired is billed to both, and the persistent
-    budget is never billed for an event the one-shot budget refused.
     """
 
-    __slots__ = ("remaining", "deadline", "outer", "_tick")
+    __slots__ = ("remaining", "deadline", "_tick")
 
     def __init__(self, max_events: Optional[int],
-                 wall_timeout_s: Optional[float],
-                 outer: Optional["_GuardState"] = None) -> None:
+                 wall_timeout_s: Optional[float]) -> None:
         self.remaining: Optional[int] = max_events
         self.deadline: Optional[float] = (
             None if wall_timeout_s is None
             else _host_clock() + wall_timeout_s)
-        self.outer = outer
         self._tick = 0
 
     def charge(self) -> None:
@@ -99,8 +93,6 @@ class _GuardState:
                 raise GuardExceeded(
                     "guard: wall-clock deadline exceeded "
                     "(runaway simulation?)")
-        if self.outer is not None:
-            self.outer.charge()
 
 
 def _call(fn: Callable[[], None]) -> None:
@@ -263,7 +255,7 @@ class Simulator:
 
     def set_guards(self, max_events: Optional[int] = None,
                    wall_timeout_s: Optional[float] = None) -> None:
-        """Arm persistent runaway-run guards; ``set_guards()`` disarms.
+        """Arm runaway-run guards; ``set_guards()`` disarms.
 
         The budgets span *all* subsequent :meth:`run` /
         :meth:`run_until_event` / :meth:`step` calls on this simulator:
@@ -299,9 +291,9 @@ class Simulator:
         """Create a pending event to be triggered manually."""
         return Event(self, name=name)
 
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
+    def timeout(self, delay: int) -> Timeout:
         """An event firing ``delay`` ns from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Fires when the first of ``events`` fires."""
@@ -344,9 +336,7 @@ class Simulator:
         self.schedule(int(delay), _call, fn)
 
     # ------------------------------------------------------------- execution
-    def _drive(self, target: Optional[Event], bound: Optional[int],
-               max_events: Optional[int],
-               wall_timeout_s: Optional[float]) -> bool:
+    def _drive(self, target: Optional[Event], bound: Optional[int]) -> bool:
         """The one pop-and-fire loop behind :meth:`step`, :meth:`run` and
         :meth:`run_until_event`.
 
@@ -357,9 +347,7 @@ class Simulator:
         clock is left for the caller to settle.  The target stop is by
         identity, so :meth:`step` can name a bare entry by its ``arg``.
 
-        ``max_events`` / ``wall_timeout_s`` arm a one-shot budget for this
-        call, charged *together with* any persistent :meth:`set_guards`
-        budget.  The charge comes before the pop, so a
+        The :meth:`set_guards` budget is charged before each pop, so a
         :class:`GuardExceeded` leaves every pending event in place (and the
         one event a ``bound`` stop puts back has been charged).
 
@@ -369,8 +357,6 @@ class Simulator:
         loop is equivalent.
         """
         guards = self._guards
-        if max_events is not None or wall_timeout_s is not None:
-            guards = _GuardState(max_events, wall_timeout_s, outer=guards)
         heap = self._heap
         nowq = self._nowq
         heappop = heapq.heappop
@@ -426,42 +412,32 @@ class Simulator:
         if not heads:
             raise SimulationError("step() on an empty event heap")
         # The head is what the loop pops first, and it stops right after.
-        self._drive(min(heads)[3], None, None, None)
+        self._drive(min(heads)[3], None)
 
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None,
-            wall_timeout_s: Optional[float] = None) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         """Run until the heap drains or simulated time reaches ``until``.
 
         Returns the simulated time at which the run stopped.
-
-        ``max_events`` / ``wall_timeout_s`` arm one-shot runaway guards
-        for this call only (see :meth:`set_guards` for persistent ones);
-        tripping either raises :class:`GuardExceeded` with all pending
-        events intact.
         """
         if until is not None and until < self._now:
             raise ValueError(f"until={until} is in the past (now={self._now})")
-        self._drive(None, until, max_events, wall_timeout_s)
+        self._drive(None, until)
         if until is not None:
             self._now = until
         return self._now
 
-    def run_until_event(self, event: Event, limit: Optional[int] = None,
-                        max_events: Optional[int] = None,
-                        wall_timeout_s: Optional[float] = None) -> Any:
+    def run_until_event(self, event: Event,
+                        limit: Optional[int] = None) -> Any:
         """Run until ``event`` fires; returns its value or raises its error.
 
         ``limit`` bounds simulated time; exceeding it raises
-        :class:`SimulationError`.  ``max_events`` / ``wall_timeout_s``
-        arm one-shot runaway guards (:class:`GuardExceeded`), merging
-        with any persistent :meth:`set_guards` budget.
+        :class:`SimulationError`.
         """
         if event.callbacks is not None:         # i.e. not yet processed
             # Mark the event observed so a failure is delivered here rather
             # than raised as an unhandled error inside the fire loop.
             event.callbacks.append(lambda _ev: None)
-            if not self._drive(event, limit, max_events, wall_timeout_s):
+            if not self._drive(event, limit):
                 if self._heap or self._nowq:    # stopped at the bound
                     raise SimulationError(
                         f"time limit {limit} exceeded waiting for "

@@ -30,7 +30,6 @@ class SimParams:
     header_bytes: int = 58                  #: RoCEv2 header overhead / segment
 
     # -------------------------------------------------------------- switches
-    switch_port_buffer_bytes: int = 512 * 1024  #: per egress port
     ecn_kmin_bytes: int = 64 * 1024         #: ECN marking starts here
     ecn_kmax_bytes: int = 256 * 1024        #: marking probability reaches pmax
     ecn_pmax: float = 0.8                   #: max marking probability
@@ -124,9 +123,9 @@ class SimParams:
 #: A second, slower parameterization used by failure-injection tests to make
 #: congestion effects easier to provoke at tiny scale.
 def congested_params() -> SimParams:
-    """Params with shallow buffers so small benches hit ECN/PFC quickly."""
+    """Params with shallow ECN/PFC thresholds so small benches hit them
+    quickly."""
     return SimParams(
-        switch_port_buffer_bytes=128 * 1024,
         ecn_kmin_bytes=16 * 1024,
         ecn_kmax_bytes=64 * 1024,
         pfc_xoff_bytes=96 * 1024,

@@ -20,7 +20,7 @@ would map OpenSSL into every process for them.
 
 from __future__ import annotations
 
-from math import exp, expm1, log1p
+from math import exp, log1p
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.ziggurat import FE, KE, WE
@@ -224,10 +224,6 @@ class RngStream:
 
     def exponential(self, mean: float) -> float:
         return mean * self._standard_exponential()
-
-    def pareto(self, shape: float, scale: float) -> float:
-        """Pareto-distributed value with minimum ``scale`` (heavy tail)."""
-        return scale * (1.0 + expm1(self._standard_exponential() / shape))
 
     def choice(self, seq: Sequence[Any]) -> Any:
         return seq[self.randint(0, len(seq))]

@@ -2,8 +2,9 @@
 
 An output-queued switch with:
 
-* per-egress-port buffers with byte admission (overflow ⇒ drop, counted —
-  with PFC working correctly, lossless-class drops stay at zero),
+* per-egress-port output queues, lossless: PFC is always on, so a
+  congested port pauses its upstream instead of dropping (DESIGN.md,
+  "One lossless class"),
 * RED-style ECN marking between ``ecn_kmin``/``ecn_kmax`` (what DCQCN's CNP
   loop feeds on),
 * PFC: per-ingress-port byte accounting; crossing ``pfc_xoff`` sends a pause
@@ -70,9 +71,6 @@ class Switch(Device):
         # element is the LOCAL_PORT (-1) slot for harness-injected traffic.
         self._ingress_bytes: List[int] = [0]
         self._paused_upstream: List[bool] = [False]
-        self.pfc_enabled = True
-        self.drops = 0
-        self.marks = 0
 
     # -------------------------------------------------------------- topology
     def add_port(self) -> int:
@@ -101,26 +99,18 @@ class Switch(Device):
 
     # ------------------------------------------------------------- data path
     def receive(self, segment: Segment, in_port: int) -> None:
-        """Forward one segment: route, admit, ECN-mark, PFC-account."""
+        """Forward one segment: route, ECN-mark, PFC-account, enqueue.
+
+        Nothing is dropped: the one lossless class absorbs a transient
+        into PFC headroom, and pause frames bound the overshoot."""
         segment.hops += 1
         port = self.ports[self._route(self.routing_index, segment)]
         params = self.params
         size = segment.size
-        pfc = self.pfc_enabled
-
-        if (port.queued_bytes + size > params.switch_port_buffer_bytes
-                and not pfc):
-            # PFC off: tail-drop at the nominal buffer.  With PFC on, the
-            # one lossless class absorbs the transient into PFC headroom —
-            # pause frames bound the overshoot.
-            self.drops += 1
-            self.stats.drops += 1
-            return
 
         if segment.kind is SegmentKind.DATA:
             if self._should_mark(port.queued_bytes):
                 segment.ecn_marked = True
-                self.marks += 1
                 self.stats.ecn_marks += 1
 
         segment.pfc_ingress = in_port
@@ -129,7 +119,7 @@ class Switch(Device):
         self._ingress_bytes[in_port] = ingress
         # Inlined _check_xoff fast path: the per-segment common case is
         # "below the threshold", one compare away.
-        if (pfc and in_port != LOCAL_PORT
+        if (in_port != LOCAL_PORT
                 and ingress > params.pfc_xoff_bytes
                 and not self._paused_upstream[in_port]):
             self._paused_upstream[in_port] = True
@@ -162,7 +152,7 @@ class Switch(Device):
         return self.rng.bernoulli(probability)
 
     def _check_xon(self, in_port: int) -> None:
-        if not self.pfc_enabled or in_port == LOCAL_PORT:
+        if in_port == LOCAL_PORT:
             return
         if (self._paused_upstream[in_port]
                 and self._ingress_bytes[in_port] <= self.params.pfc_xon_bytes):

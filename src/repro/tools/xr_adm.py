@@ -21,7 +21,6 @@ class XrAdm:
 
     def __init__(self) -> None:
         self.contexts: List["XrdmaContext"] = []
-        self.history: List[Dict[str, Any]] = []
 
     def register(self, ctx: "XrdmaContext") -> None:
         self.contexts.append(ctx)
@@ -36,8 +35,6 @@ class XrAdm:
                 results[ctx.name] = "ok"
             except ConfigError as error:
                 results[ctx.name] = str(error)
-        self.history.append({"param": name, "value": value,
-                             "results": dict(results)})
         return results
 
     def get(self, name: str) -> Dict[str, Any]:
@@ -47,14 +44,3 @@ class XrAdm:
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Full configuration dump per context."""
         return {ctx.name: ctx.config.snapshot() for ctx in self.contexts}
-
-    def divergent_params(self) -> List[str]:
-        """Parameters whose values differ across contexts (drift check)."""
-        if len(self.contexts) < 2:
-            return []
-        snapshots = [ctx.config.snapshot() for ctx in self.contexts]
-        divergent = []
-        for key in snapshots[0]:
-            if len({repr(snapshot[key]) for snapshot in snapshots}) > 1:
-                divergent.append(key)
-        return divergent

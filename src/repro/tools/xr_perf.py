@@ -1,21 +1,19 @@
 """XR-Perf: the benchmark and stress driver (Sec. VI-B).
 
-Beyond plain benchmarks, XR-Perf runs *customizable flow models* —
-latency ping-pongs, bandwidth streams, N→1 incast, and elephant/mice mixes
-— and reports results together with the fabric's crucial indexes, which is
-how the flow-control experiments (Fig. 10) are driven.
+XR-Perf drives the N→1 incast flow model — open-loop senders, closed-pipe
+or Poisson-paced, into one sink — and reports goodput together with the
+fabric's crucial indexes, which is how the flow-control experiments
+(Fig. 10) are driven.  Closed-loop latency runs use
+:func:`repro.workloads.flows.request_loop` directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Set
 
-from repro.analysis.stats import jitter_index, mean
 from repro.sim.timeunits import MILLIS, SECONDS
-from repro.workloads.flows import (FlowSpec, elephant_size, mice_size,
-                                   open_loop_sender, request_loop)
-from repro.xrdma.message import MessageKind
+from repro.workloads.flows import FlowSpec, open_loop_sender
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster import Cluster
@@ -32,12 +30,7 @@ class PerfResult:
     duration_ns: int = 0
     messages: int = 0
     bytes_moved: int = 0
-    latencies_ns: List[int] = field(default_factory=list)
     crucial: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def mean_latency_us(self) -> float:
-        return mean(self.latencies_ns) / 1000 if self.latencies_ns else 0.0
 
     @property
     def goodput_gbps(self) -> float:
@@ -45,15 +38,9 @@ class PerfResult:
             return 0.0
         return self.bytes_moved * 8 / self.duration_ns
 
-    @property
-    def jitter(self) -> float:
-        return jitter_index(self.latencies_ns)
-
     def summary(self) -> str:
         return (f"{self.name}: msgs={self.messages} "
                 f"goodput={self.goodput_gbps:.2f}Gbps "
-                f"lat_mean={self.mean_latency_us:.2f}us "
-                f"jitter={self.jitter:.3f} "
                 f"cnp={self.crucial.get('cnps_sent', 0)} "
                 f"pause={self.crucial.get('pause_frames', 0)}")
 
@@ -65,7 +52,7 @@ class XrPerf:
         self.cluster = cluster
         self.sim = cluster.sim
         self._contexts: Dict[int, "XrdmaContext"] = {}
-        self._echoing: Set[int] = set()     # hosts whose context echoes
+        self._sinks: Set[int] = set()       # hosts whose context drains
         # Per-instance, not class-level: a class counter would survive
         # across drivers in one process, giving the Nth XrPerf different
         # RNG stream names than a fresh one under the same root seed.
@@ -89,38 +76,12 @@ class XrPerf:
         return {key: after[key] - before[key] for key in after}
 
     # ------------------------------------------------------------- scenarios
-    def run_latency(self, src: int, dst: int, size: int,
-                    iterations: int = 50) -> PerfResult:
-        """Closed-loop RPC latency (one-way = RTT/2 recorded)."""
-        client = self.context(src)
-        server = self.context(dst)
-        self._install_echo(server)
-        result = PerfResult(name=f"latency-{size}B")
-        before = self._crucial_snapshot()
-        t0 = self.sim.now
-
-        def scenario():
-            channel = yield from client.connect(dst, PERF_PORT)
-            rtts: List[int] = []
-            yield from request_loop(client, channel, size, iterations,
-                                    latencies=rtts)
-            result.latencies_ns = [rtt // 2 for rtt in rtts]
-            yield from client.close_channel(channel)
-
-        proc = self.sim.spawn(scenario())
-        self.sim.run_until_event(proc, limit=self.sim.now + 600 * SECONDS)
-        result.duration_ns = self.sim.now - t0
-        result.messages = iterations
-        result.bytes_moved = iterations * size
-        result.crucial = self._crucial_delta(before, self._crucial_snapshot())
-        return result
-
     def run_incast(self, sources: List[int], sink: int, size: int,
                    messages_per_source: int, mean_gap_ns: int = 0,
                    config=None) -> PerfResult:
         """N→1 incast of open-loop senders (the Fig. 10 scenario)."""
         sink_ctx = self.context(sink, config=config)
-        self._install_echo(sink_ctx)
+        self._install_sink(sink_ctx)
         result = PerfResult(name=f"incast-{len(sources)}to1-{size}B")
         before = self._crucial_snapshot()
         t0 = self.sim.now
@@ -159,43 +120,15 @@ class XrPerf:
             yield self.sim.timeout(100_000)
         return sent, sent_bytes
 
-    def run_mixed(self, pairs: List, duration_ns: int,
-                  elephant_ratio: float = 0.1) -> PerfResult:
-        """Elephant/mice mix across ``pairs`` of (src, dst)."""
-        result = PerfResult(name="mixed-elephant-mice")
-        before = self._crucial_snapshot()
-        t0 = self.sim.now
-        procs = []
-        for index, (src, dst) in enumerate(pairs):
-            ctx = self.context(src)
-            self._install_echo(self.context(dst))
-            rng = self.cluster.rng.stream(f"xrperf:mix{index}")
-            is_elephant = rng.uniform() < elephant_ratio
-            spec = FlowSpec(
-                src=src, dst=dst,
-                size_fn=elephant_size if is_elephant else mice_size,
-                mean_gap_ns=(2 * MILLIS if is_elephant else 50_000),
-                duration_ns=duration_ns)
-            procs.append(self.sim.spawn(self._incast_sender(ctx, dst, spec)))
-        done = self.sim.all_of(procs)
-        self.sim.run_until_event(done, limit=self.sim.now + 600 * SECONDS)
-        result.duration_ns = self.sim.now - t0
-        result.messages = sum((p.value or (0, 0))[0] for p in procs)
-        result.bytes_moved = sum((p.value or (0, 0))[1] for p in procs)
-        result.crucial = self._crucial_delta(before, self._crucial_snapshot())
-        return result
-
     # ------------------------------------------------------------- plumbing
-    def _install_echo(self, ctx: "XrdmaContext") -> None:
-        if ctx.nic.host_id in self._echoing:
+    def _install_sink(self, ctx: "XrdmaContext") -> None:
+        """Consume every message delivered to ``ctx`` (once per host)."""
+        if ctx.nic.host_id in self._sinks:
             return
-        self._echoing.add(ctx.nic.host_id)
+        self._sinks.add(ctx.nic.host_id)
 
         def loop():
             while True:
-                msg = yield ctx.incoming.get()
-                if msg.is_request:
-                    ctx.send_response(msg, 64)
-                # ONEWAY messages are consumed by the act of delivery.
+                yield ctx.incoming.get()
 
-        self.sim.spawn(loop(), name=f"xrperf:echo{ctx.nic.host_id}")
+        self.sim.spawn(loop(), name=f"xrperf:sink{ctx.nic.host_id}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.sim.timeunits import MILLIS, SECONDS
+from repro.sim.timeunits import MILLIS
 from repro.verbs.cm import ConnectError
 from repro.xrdma.channel import ChannelBroken
 
@@ -20,23 +20,20 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: service port XR-Ping claims on every participating context
 PING_PORT = 9990
+#: how long a probe waits for its connection, then for its pong
+PROBE_TIMEOUT_NS = 50 * MILLIS
 
 
 class XrPing:
     """Full-mesh connectivity prober."""
 
     def __init__(self, cluster: "Cluster",
-                 contexts: List["XrdmaContext"],
-                 probe_timeout_ns: int = 50 * MILLIS):
+                 contexts: List["XrdmaContext"]):
         self.cluster = cluster
         self.sim = cluster.sim
         self.contexts = {ctx.nic.host_id: ctx for ctx in contexts}
-        self.probe_timeout_ns = probe_timeout_ns
         #: (src, dst) -> rtt_ns, or None for unreachable
         self.matrix: Dict[Tuple[int, int], Optional[int]] = {}
-        #: (src, dst) -> [(sim time, rtt_ns or None)] from the pingmesh
-        self.history: Dict[Tuple[int, int],
-                           List[Tuple[int, Optional[int]]]] = {}
         for ctx in contexts:
             if PING_PORT not in ctx.cm.listeners:
                 ctx.listen(PING_PORT)
@@ -59,8 +56,7 @@ class XrPing:
         ctx = self.contexts[src]
         try:
             channel = yield from ctx.connect(
-                dst, PING_PORT,
-                timeout_ns=max(self.probe_timeout_ns, 20 * MILLIS))
+                dst, PING_PORT, timeout_ns=PROBE_TIMEOUT_NS)
         except (ConnectError, ChannelBroken):    # unreachable host
             self.matrix[(src, dst)] = None
             return None
@@ -68,7 +64,7 @@ class XrPing:
         try:
             request = ctx.send_request(channel, 64, payload="xr-ping")
             result = yield self.sim.any_of(
-                [request.response, self.sim.timeout(self.probe_timeout_ns)])
+                [request.response, self.sim.timeout(PROBE_TIMEOUT_NS)])
             if request.response in result:
                 rtt = self.sim.now - t0
             else:
@@ -88,41 +84,6 @@ class XrPing:
                     yield from self.probe(src, dst)
         return self.matrix
 
-    def start_pingmesh(self, interval_ns: int):
-        """Continuous pingmesh (the Guo et al. system the paper cites):
-        re-probes the full mesh on a cadence and accumulates per-pair RTT
-        history in :attr:`history`.  Returns the spawned process."""
-        self.history = {}
-
-        def loop():
-            while True:
-                yield from self.run_mesh()
-                now = self.sim.now
-                for pair, rtt in self.matrix.items():
-                    self.history.setdefault(pair, []).append((now, rtt))
-                yield self.sim.timeout(interval_ns)
-
-        return self.sim.spawn(loop(), name="xrping:mesh")
-
-    def pair_timeline(self, src: int, dst: int):
-        """RTT history for one pair from the continuous pingmesh."""
-        return self.history.get((src, dst), [])
-
     # ------------------------------------------------------------ reporting
     def unreachable_pairs(self) -> List[Tuple[int, int]]:
         return [pair for pair, rtt in self.matrix.items() if rtt is None]
-
-    def format_matrix(self) -> str:
-        hosts = sorted(self.contexts)
-        lines = ["     " + "".join(f"{h:>9}" for h in hosts)]
-        for src in hosts:
-            cells = []
-            for dst in hosts:
-                if src == dst:
-                    cells.append(f"{'-':>9}")
-                    continue
-                rtt = self.matrix.get((src, dst))
-                cells.append(f"{'FAIL':>9}" if rtt is None
-                             else f"{rtt / 1000:>7.1f}us")
-            lines.append(f"{src:>4} " + "".join(cells))
-        return "\n".join(lines)

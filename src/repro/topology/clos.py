@@ -330,13 +330,3 @@ class ClosTopology:
             return self.leaves[index]
         return self.spines[index]
 
-    def path_hops(self, src: int, dst: int) -> int:
-        """Switch count on the (ECMP-independent) src→dst path."""
-        if src == dst:
-            return 0
-        routing = self.routing
-        if routing.host_tor_index(src) == routing.host_tor_index(dst):
-            return 1
-        if routing.host_pod(src) == routing.host_pod(dst):
-            return 3  # tor-leaf-tor
-        return 5      # tor-leaf-spine-leaf-tor

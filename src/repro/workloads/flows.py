@@ -1,18 +1,17 @@
 """Flow models (Sec. VI-B: "customize flow models, e.g., elephant and mice
 flows").
 
-Mice are short, latency-sensitive messages (≤ a few KB); elephants are
-bulk transfers (hundreds of KB to MBs) — the mix that drives incast and
-head-of-line effects in the paper's production workloads.
+Mice are short, latency-sensitive messages (≤ a few KB), the serving
+subsystem's RPC class; a :class:`FlowSpec` draws any other size from its
+own ``size_fn``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.xrdma.channel import ChannelBroken
-from repro.xrdma.message import MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.rng import RngStream
@@ -24,12 +23,6 @@ def mice_size(rng: "RngStream") -> int:
     """Short message: 64 B – 4 KB, biased small (log-uniform)."""
     exponent = rng.uniform(6, 12)        # 2^6 .. 2^12
     return int(2 ** exponent)
-
-
-def elephant_size(rng: "RngStream") -> int:
-    """Bulk transfer: 256 KB – 4 MB, heavy-tailed."""
-    size = rng.pareto(shape=1.5, scale=256 * 1024)
-    return min(int(size), 4 * 1024 * 1024)
 
 
 @dataclass
@@ -53,14 +46,12 @@ class FlowSpec:
 
     src: int
     dst: int
+    count: int                           #: ONEWAY messages to send
     #: draws a message size (rng -> bytes); None = use ``fixed_size``
     size_fn: Optional[Callable[["RngStream"], int]] = None
     fixed_size: int = 4096
     #: mean inter-arrival gap; 0 = closed-pipe (see class docstring)
     mean_gap_ns: int = 0
-    count: Optional[int] = None          #: messages to send (None = endless)
-    duration_ns: Optional[int] = None    #: stop after this long
-    kind: MessageKind = MessageKind.ONEWAY
 
     def draw_size(self, rng: "RngStream") -> int:
         if self.size_fn is None:
@@ -80,18 +71,12 @@ def open_loop_sender(ctx: "XrdmaContext", channel: "XrdmaChannel",
     and congested fabrics to keep it that way.
     """
     sim = ctx.sim
-    started = sim.now
     sent = 0
     sent_bytes = 0
-    while True:
-        if spec.count is not None and sent >= spec.count:
-            return sent, sent_bytes
-        if spec.duration_ns is not None \
-                and sim.now - started >= spec.duration_ns:
-            return sent, sent_bytes
+    while sent < spec.count:
         size = spec.draw_size(rng)
         try:
-            msg = ctx.send_msg(channel, size, kind=spec.kind)
+            msg = ctx.send_msg(channel, size)
         except ChannelBroken:   # channel died mid-run
             return sent, sent_bytes
         sent += 1
@@ -101,17 +86,16 @@ def open_loop_sender(ctx: "XrdmaContext", channel: "XrdmaChannel",
         gap = int(rng.exponential(spec.mean_gap_ns)) if spec.mean_gap_ns \
             else 0
         yield sim.timeout(max(gap, 1))
+    return sent, sent_bytes
 
 
 def request_loop(ctx: "XrdmaContext", channel: "XrdmaChannel",
-                 size: int, count: int,
-                 latencies: Optional[List[int]] = None):
-    """Process generator: closed-loop RPC ping (latency measurement)."""
+                 size: int, count: int, latencies: List[int]):
+    """Process generator: ``count`` closed-loop ``size``-byte RPCs, one
+    at a time, appending each round trip (ns) to ``latencies``."""
     sim = ctx.sim
     for _ in range(count):
         t0 = sim.now
         request = ctx.send_request(channel, size)
         yield request.response
-        if latencies is not None:
-            latencies.append(sim.now - t0)
-    return count
+        latencies.append(sim.now - t0)

@@ -173,5 +173,4 @@ def test_monitor_fabric_sampler(cluster):
 def test_monitor_rate_helpers(cluster):
     monitor = Monitor(cluster.sim, cluster.stats)
     monitor.series["x"] = [(0, 0), (1_000_000_000, 100)]
-    assert monitor.deltas("x") == [100]
     assert monitor.rate_per_second("x") == [100.0]

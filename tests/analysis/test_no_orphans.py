@@ -26,10 +26,23 @@ value in use"): every key a registered fleet scenario reads from
 ``ctx.params`` must take two distinct values across the full and
 ``--quick`` spec sets, or sit in ``KEPT_PARAMS`` with its reason.  A
 knob with one value in use is a constant.
+
+Both audits one level down (EXPERIMENTS.md, "Every method and keyword has
+a live caller"): every public method of a class in ``src/repro`` must be
+named by live code other than its own definition, or sit in
+``KEPT_METHODS``; and every defaulted parameter of a function or method
+in ``src/repro`` outside ``repro.fleet`` (whose scenario parameters the
+options audit covers) must be passed — by keyword or by position — by
+some live call of a function with that name, or sit in
+``KEPT_KEYWORDS``.  A parameter no live call passes has one value in
+use, its default, so it is a constant.  Each kept map is checked for
+stale entries: an entry that is no longer a finding goes.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 from repro.fleet.experiments import spec_names, specs_for
 from repro.fleet.runner import resolve_scenario
@@ -71,7 +84,10 @@ def _code_names(tree: ast.AST, skip: ast.AST = None) -> set:
     return names
 
 
-def test_every_public_definition_has_a_caller_outside_tests():
+@pytest.fixture(scope="module")
+def live():
+    """Every live module's AST by path (a package ``__init__``'s imports,
+    its re-exports, stripped), and the identifiers each one mentions."""
     trees = {}
     for top in LIVE_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -79,7 +95,11 @@ def test_every_public_definition_has_a_caller_outside_tests():
             if path.name == "__init__.py":
                 tree.body = [node for node in tree.body if not isinstance(
                     node, (ast.Import, ast.ImportFrom))]
-    mentioned = {path: _code_names(tree) for path, tree in trees.items()}
+    return trees, {path: _code_names(tree) for path, tree in trees.items()}
+
+
+def test_every_public_definition_has_a_caller_outside_tests(live):
+    trees, mentioned = live
     orphans, defined = [], set()
     for path, tree in trees.items():
         for node in tree.body if ROOT / "src" in path.parents else ():
@@ -98,6 +118,128 @@ def test_every_public_definition_has_a_caller_outside_tests():
                 orphans.append(f"{path.relative_to(ROOT)}:{node.name}")
     assert orphans == [], "no caller outside tests/: " + ", ".join(orphans)
     assert set(KEPT) <= defined, f"stale KEPT: {sorted(set(KEPT) - defined)}"
+
+
+#: method name -> why it stays with no live mention
+KEPT_METHODS = {
+    "dereg_mem": "Table I API (xrdma_dereg_mem); user: "
+                 "tests/xrdma/test_api_surface.py",
+    "get_event_fd": "Table I API (xrdma_get_event_fd); user: "
+                    "tests/xrdma/test_api_surface.py",
+    "is_engaged": "Sec. VI-C Mock's state query: the socket outlives "
+                  "disengage(), so nothing else shows which transport a "
+                  "channel's new sends take; user: the detour suites",
+    "process_event": "Table I API (xrdma_process_event); user: "
+                     "tests/xrdma/test_api_surface.py",
+    "reg_mem": "Table I API (xrdma_reg_mem); user: "
+               "tests/xrdma/test_api_surface.py",
+    "run_source": "the lint fixture runner: every rule's positive and "
+                  "negative fixture is linted through it",
+    "trace_request": "Table I API (xrdma_trace_request); user: "
+                     "tests/xrdma/test_api_surface.py",
+}
+
+
+def test_every_public_method_has_a_caller_outside_tests(live):
+    trees, mentioned = live
+    orphans, unmentioned = [], set()
+    for path, tree in trees.items():
+        if ROOT / "src" not in path.parents:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (not isinstance(node, ast.FunctionDef)
+                        or node.name.startswith("_")):
+                    continue
+                if any(node.name in names for other, names in mentioned.items()
+                       if other != path) \
+                        or node.name in _code_names(tree, node):
+                    continue
+                unmentioned.add(node.name)
+                if node.name not in KEPT_METHODS:
+                    orphans.append(
+                        f"{path.relative_to(ROOT)}:{cls.name}.{node.name}")
+    assert orphans == [], "no caller outside tests/: " + ", ".join(orphans)
+    assert set(KEPT_METHODS) <= unmentioned, \
+        f"stale KEPT_METHODS: {sorted(set(KEPT_METHODS) - unmentioned)}"
+
+
+#: (function, parameter) -> why a parameter no live call passes stays
+KEPT_KEYWORDS = {
+    ("ClockSync", "resync_after_ns"):
+        "test user: test_estimates_age_out_under_resync_policy pins that "
+        "an estimate older than the policy is re-synced before use",
+    ("main", "argv"):
+        "the four CLIs' entry point: None reads sys.argv, the CLI tests "
+        "pass their argument lists",
+    ("process_event", "max_messages"):
+        "Table I API (xrdma_process_event): the batch bound of one call",
+}
+
+
+def _callee(call: ast.Call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _passes(call: ast.Call, name: str, index) -> bool:
+    """Whether ``call`` may pass parameter ``name``, whose position among
+    the caller's arguments is ``index`` (None: keyword-only)."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True                     # by keyword, or a ``**`` mapping
+    if index is None:
+        return False
+    return index < len(call.args) or any(
+        isinstance(arg, ast.Starred) for arg in call.args[:index + 1])
+
+
+def _defaulted(owner: ast.AST, fn: ast.FunctionDef):
+    """``(parameter, position)`` of every defaulted parameter of ``fn``,
+    position counted as a caller writes it (no ``self``/``cls``)."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    bound = isinstance(owner, ast.ClassDef) and not any(
+        getattr(decorator, "id", "") == "staticmethod"
+        for decorator in fn.decorator_list)
+    first = len(positional) - len(args.defaults)
+    for position, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, position - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def test_every_keyword_has_a_live_value(live):
+    trees, _ = live
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    fleet = ROOT / "src" / "repro" / "fleet"
+    unpassed, findings = [], set()
+    for path, tree in trees.items():
+        if ROOT / "src" not in path.parents or fleet in path.parents:
+            continue
+        for owner in ast.walk(tree):
+            for fn in ast.iter_child_nodes(owner):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                # A constructor is called by its class's name.
+                name = (owner.name if fn.name == "__init__"
+                        and isinstance(owner, ast.ClassDef) else fn.name)
+                for param, index in _defaulted(owner, fn):
+                    if any(_passes(call, param, index)
+                           for call in calls.get(name, ())):
+                        continue
+                    findings.add((name, param))
+                    if (name, param) not in KEPT_KEYWORDS:
+                        unpassed.append(f"{path.relative_to(ROOT)}:"
+                                        f"{fn.lineno}:{name}({param}=)")
+    assert unpassed == [], "no live call passes: " + ", ".join(unpassed)
+    assert set(KEPT_KEYWORDS) <= findings, \
+        f"stale KEPT_KEYWORDS: {sorted(set(KEPT_KEYWORDS) - findings)}"
 
 
 #: stored member -> why it stays with no read by name

@@ -15,7 +15,8 @@ from repro.analysis import (ClockSync, FaultRule, Filter, Tracer,
                             TraceContext)
 from repro.analysis.invariants import InvariantError
 from repro.analysis.tracing import (LARGE_STAGES, REQUIRED_STAGES,
-                                    export_jsonl, merged_trace_records)
+                                    analyze, export_jsonl,
+                                    merged_trace_records)
 from repro.sim import MILLIS, RngRegistry, SECONDS
 from repro.xrdma import XrdmaConfig
 from tests.conftest import run_process
@@ -126,7 +127,7 @@ def test_dropped_message_leaves_flagged_incomplete_record(cluster):
     server.filter.add_rule(FaultRule(drop_probability=1.0))
     client.send_msg(client_ch, 128)
     cluster.sim.run(until=cluster.sim.now + 50 * MILLIS)
-    assert ct.incomplete_count() == 1
+    assert analyze({}, ct.export_records())["summary"]["incomplete"] == 1
     record = next(iter(ct.records.values()))
     assert not record.complete and record.total_ns == 0
     assert st.records == {}                   # never delivered, never faked
@@ -206,13 +207,12 @@ def test_export_jsonl_round_trips(cluster, tmp_path):
     client, server, client_ch, _, ct, st = traced_pair(cluster)
     send_and_ack(cluster, client, server, client_ch, n=3)
     path = tmp_path / "traces.jsonl"
-    written = export_jsonl(path, [ct, st], meta={"seed": 7})
+    written = export_jsonl(path, [ct, st])
     lines = [json.loads(line)
              for line in path.read_text().strip().splitlines()]
     meta, records = lines[0]["meta"], lines[1:]
     assert written == len(records) == 3
     assert meta["records"] == 3 and meta["incomplete"] == 0
-    assert meta["seed"] == 7
     # One line per trace, sender view wins, sorted by trace id.
     assert all(record["view"] == "sender" for record in records)
     assert [r["trace_id"] for r in records] == \

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.analysis.faultfilter import FaultRule, Filter
 from repro.apps import ErpcClient, ErpcError, ErpcServer, ErpcService
-from repro.sim import MILLIS, SECONDS
+from repro.sim import SECONDS
 from tests.conftest import run_process
 from tests.xrdma.conftest import make_context
 
@@ -103,16 +104,24 @@ def test_call_before_connect_raises(rpc):
 
 
 def test_call_timeout_on_dead_server(rpc):
+    """A server that never answers: every request it receives is dropped
+    before delivery, so the call gives up after its 2 s timeout."""
     cluster, server, client, store = rpc
+    server.ctx.filter = Filter(cluster.rng.stream("erpc-drop"))
+    server.ctx.filter.add_rule(FaultRule(drop_probability=1.0))
 
     def scenario():
         yield from client.connect(1, 9800)
-        cluster.host(1).nic.crash()
-        yield from client.call("kv.get", {"key": "a"}, request_bytes=64,
-                               timeout_ns=50 * MILLIS)
+        start = cluster.sim.now
+        try:
+            yield from client.call("kv.get", {"key": "a"}, request_bytes=64)
+        finally:
+            waited.append(cluster.sim.now - start)
 
+    waited = []
     with pytest.raises(ErpcError, match="timed out"):
         run_process(cluster, scenario(), limit=30 * SECONDS)
+    assert waited[0] >= 2 * SECONDS
 
 
 def test_duplicate_service_rejected(rpc):

@@ -1,7 +1,7 @@
 """Setup spans: zero-residual channel-establishment decomposition."""
 
 from repro.analysis import ClockSync, Tracer
-from repro.analysis.tracing import SETUP_STAGES
+from repro.analysis.tracing import SETUP_STAGES, analyze
 from repro.sim import MILLIS, SECONDS
 from repro.verbs.cm import ConnectError
 from repro.xrdma import XrdmaConfig
@@ -58,7 +58,7 @@ def test_failed_connect_stays_incomplete_and_recycles(cluster):
     # A failed connect never finalizes — visible as an incomplete trace —
     # and its QP still went back to the cache.
     assert not record.complete
-    assert tracer.incomplete_count() == 1
+    assert analyze({}, tracer.export_records())["summary"]["incomplete"] == 1
     assert client.qpcache.recycled == 1
 
 

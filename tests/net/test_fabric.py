@@ -68,13 +68,18 @@ def test_cross_pod_goes_through_spine():
 
 
 def test_path_hops_helper():
+    """The switch count of a path is the length of ``flow_path``."""
     _, _, _, topo, _ = make_fabric(
         n_pods=2, tors_per_pod=2, hosts_per_tor=2,
         leaves_per_pod=2, n_spines=2)
-    assert topo.path_hops(0, 0) == 0
-    assert topo.path_hops(0, 1) == 1
-    assert topo.path_hops(0, 2) == 3
-    assert topo.path_hops(0, 4) == 5
+
+    def hops(src, dst):
+        return len(topo.routing.flow_path(0, src, dst))
+
+    assert hops(0, 0) == 0
+    assert hops(0, 1) == 1
+    assert hops(0, 2) == 3
+    assert hops(0, 4) == 5
 
 
 def test_many_flows_all_delivered():
@@ -136,21 +141,6 @@ def test_double_attach_rejected():
     sim, params, stats, topo, hosts = make_fabric()
     with pytest.raises(ValueError):
         SimpleHost(0).plug_into(topo)
-
-
-def test_buffer_overflow_drops_when_pfc_disabled():
-    params = congested_params()
-    sim, params, stats, topo, hosts = make_fabric(params=params)
-    for tor in topo.tors:
-        tor.pfc_enabled = False
-    # Three senders blast one receiver: egress port 3 of the ToR overflows.
-    for src in (0, 1, 2):
-        for i in range(200):
-            hosts[src].send(Segment(src=src, dst=3, size=4096, flow_id=src))
-    sim.run()
-    assert stats.drops > 0
-    total = sum(len(h.received) for h in hosts)
-    assert total + stats.drops == 600
 
 
 def test_pfc_prevents_drops_under_incast():

@@ -121,11 +121,24 @@ def test_destroyed_qp_releases_its_port_pin():
 
 
 def _tx_run_pops(nic_ports: int) -> int:
-    """``Rnic._tx_run`` pops of a 200-round-trip XR-Perf ping-pong."""
-    from repro.tools.xr_perf import XrPerf
+    """``Rnic._tx_run`` pops of 200 closed-loop 64 B round trips driven
+    by ``request_loop`` (the fleet's rpc-latency driver)."""
+    from repro.workloads.flows import request_loop
     cluster = build_cluster(2, nic_ports=nic_ports)
     audit = cluster.sim.enable_tie_audit()
-    XrPerf(cluster).run_latency(0, 1, 64, iterations=200)
+    client = cluster.xrdma_context(0)
+    server = cluster.xrdma_context(1)
+    accepted = server.listen(9980)
+
+    def scenario():
+        channel = yield from client.connect(1, 9980)
+        server_channel = yield accepted.get()
+        server_channel.on_request = \
+            lambda msg: server.send_response(msg, 64)
+        yield from request_loop(client, channel, 64, 200, [])
+        yield from client.close_channel(channel)
+
+    run_process(cluster, scenario(), limit=60 * SECONDS)
     return audit.owners["Rnic._tx_run"]
 
 

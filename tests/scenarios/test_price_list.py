@@ -92,7 +92,7 @@ RESUMES = frozenset({
     "ServingHarness.run.<locals>.conduct",
     "Monitor.start_fabric_sampler.<locals>.loop",
     "XrPerf._incast_sender",
-    "XrPerf._install_echo.<locals>.loop",
+    "XrPerf._install_sink.<locals>.loop",
     # the drivers of the runs themselves
     "_echo",
     "rpc_pingpong.<locals>.requests",

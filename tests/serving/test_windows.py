@@ -65,24 +65,23 @@ def test_slo_failure_in_one_stable_window():
 
 
 def test_offered_vs_achieved_gap_visible_per_window():
-    rec = WindowedRecorder(window_ns=10 * MS, warmup_windows=0,
-                           cooldown_windows=0)
+    rec = WindowedRecorder(window_ns=10 * MS)
     for i in range(10):
-        rec.on_offered(i * MS)              # all offered in window 0
-    rec.on_completed(5 * MS, 100_000)       # only one completes there
-    rec.close(20 * MS)
+        rec.on_offered((10 + i) * MS)       # all offered in window 1
+    rec.on_completed(15 * MS, 100_000)      # only one completes there
+    rec.close(30 * MS)
     rows = rec.rows()
-    assert rows[0]["offered"] == 10
-    assert rows[0]["completed"] == 1
-    assert rows[0]["offered_rps"] > rows[0]["achieved_rps"]
+    assert rows[1]["stable"] is True
+    assert rows[1]["offered"] == 10
+    assert rows[1]["completed"] == 1
+    assert rows[1]["offered_rps"] > rows[1]["achieved_rps"]
 
 
 def test_throughput_floor_fails_a_slow_window():
-    rec = WindowedRecorder(window_ns=10 * MS, warmup_windows=0,
-                           cooldown_windows=0)
-    rec.on_offered(1 * MS)
-    rec.on_completed(2 * MS, 10_000)
-    rec.close(10 * MS)
+    rec = WindowedRecorder(window_ns=10 * MS)
+    rec.on_offered(11 * MS)                 # window 1, the one stable one
+    rec.on_completed(12 * MS, 10_000)
+    rec.close(30 * MS)
     fast_enough = rec.summary(SloTarget(latency_us=100.0))
     assert fast_enough["slo_ok"] == 1
     floor = rec.summary(SloTarget(latency_us=100.0,
@@ -91,11 +90,10 @@ def test_throughput_floor_fails_a_slow_window():
 
 
 def test_idle_stable_windows_are_vacuously_ok():
-    rec = WindowedRecorder(window_ns=10 * MS, warmup_windows=0,
-                           cooldown_windows=0)
-    rec.on_offered(1 * MS)
-    rec.on_completed(2 * MS, 10_000)
-    rec.close(40 * MS)                      # windows 1..3 fully idle
+    rec = WindowedRecorder(window_ns=10 * MS)
+    rec.on_offered(11 * MS)
+    rec.on_completed(12 * MS, 10_000)
+    rec.close(50 * MS)                      # stable windows 2, 3 idle
     summary = rec.summary(SloTarget(latency_us=100.0))
     assert summary["slo_ok"] == 1
     assert summary["slo_attainment"] == 1.0
@@ -123,8 +121,6 @@ def test_digest_covers_latency_values():
 def test_validation():
     with pytest.raises(ValueError):
         WindowedRecorder(window_ns=0)
-    with pytest.raises(ValueError):
-        WindowedRecorder(window_ns=1, warmup_windows=-1)
     rec = WindowedRecorder(window_ns=10 * MS)
     with pytest.raises(ValueError):
         rec.on_completed(0, -5)

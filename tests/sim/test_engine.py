@@ -187,8 +187,8 @@ def test_anyof_fires_on_first():
     sim = Simulator()
 
     def proc():
-        t1 = sim.timeout(10, value="fast")
-        t2 = sim.timeout(100, value="slow")
+        t1 = Timeout(sim, 10, "fast")
+        t2 = Timeout(sim, 100, "slow")
         result = yield AnyOf(sim, [t1, t2])
         return list(result.values())
 

@@ -1,8 +1,9 @@
 """Runaway-run guards: event budgets and wall-clock deadlines.
 
-Fleet workers arm these before handing a simulator to an arbitrary
-scenario; a pathological run must become a :class:`GuardExceeded` with
-the pending-event state intact, never a hung worker or pytest session.
+Fleet workers arm these (:meth:`Simulator.set_guards`) before handing a
+simulator to an arbitrary scenario; a pathological run must become a
+:class:`GuardExceeded` with the pending-event state intact, never a hung
+worker or pytest session.
 """
 
 import pytest
@@ -19,8 +20,9 @@ def spinner(sim):
 def test_max_events_guard_trips():
     sim = Simulator()
     sim.spawn(spinner(sim))
+    sim.set_guards(max_events=1_000)
     with pytest.raises(GuardExceeded, match="max_events"):
-        sim.run(max_events=1_000)
+        sim.run()
 
 
 def test_guard_exceeded_is_a_simulation_error():
@@ -30,9 +32,13 @@ def test_guard_exceeded_is_a_simulation_error():
 def test_guard_leaves_pending_events_intact():
     sim = Simulator()
     sim.spawn(spinner(sim))
+    sim.set_guards(max_events=100)
     with pytest.raises(GuardExceeded):
-        sim.run(max_events=100)
-    # The budget was one-shot; the simulation is resumable afterwards.
+        sim.run()
+    # Disarmed, the simulation resumes where the guard stopped it: the
+    # spinner's next tick is still queued (step() on an empty heap raises).
+    sim.set_guards()
+    sim.step()
     before = sim.now
     sim.run(until=before + 50)
     assert sim.now == before + 50
@@ -45,6 +51,10 @@ def test_persistent_guard_spans_calls():
     with pytest.raises(GuardExceeded):
         while True:
             sim.run(until=sim.now + 10)
+    before = sim.now
+    with pytest.raises(GuardExceeded):
+        sim.run(until=before + 10)        # ... and stays exhausted
+    assert sim.now == before
     sim.set_guards()                      # disarm
     sim.run(until=sim.now + 10)           # runs freely again
 
@@ -58,62 +68,47 @@ def test_guard_budget_allows_completion():
         return "done"
 
     proc = sim.spawn(finite())
-    assert sim.run_until_event(proc, max_events=1_000) == "done"
+    sim.set_guards(max_events=1_000)
+    assert sim.run_until_event(proc) == "done"
 
 
 def test_run_until_event_guard_trips():
     sim = Simulator()
     sim.spawn(spinner(sim))
     never = sim.event("never")
+    sim.set_guards(max_events=500)
     with pytest.raises(GuardExceeded):
-        sim.run_until_event(never, max_events=500)
+        sim.run_until_event(never)
 
 
 def test_wall_deadline_guard_trips():
     sim = Simulator()
     sim.spawn(spinner(sim))
     # A deadline already in the past trips on the first wall-clock sample.
+    sim.set_guards(wall_timeout_s=0.0)
     with pytest.raises(GuardExceeded, match="deadline"):
-        sim.run(wall_timeout_s=0.0)
-
-
-def test_one_shot_budget_also_charges_persistent_budget():
-    """A one-shot ``max_events`` merges with ``set_guards``; it must not
-    hide the events it fires from the persistent budget."""
-    sim = Simulator()
-    sim.spawn(spinner(sim))
-    sim.set_guards(max_events=100)
-    never = sim.event("never")
-    with pytest.raises(GuardExceeded):
-        sim.run_until_event(never, max_events=60)   # one-shot trips at 60
-    with pytest.raises(GuardExceeded):
-        sim.run(max_events=60)      # persistent has 40 left: trips first
-    before = sim.now
-    with pytest.raises(GuardExceeded):
-        sim.run(until=before + 10)  # ... and stays exhausted
-    assert sim.now == before
+        sim.run()
 
 
 def _pending(workers):
     return not all(worker.processed for worker in workers)
 
 
-def _drain_by_run(sim, workers, guards):
-    sim.run(**guards)
+def _drain_by_run(sim, workers):
+    sim.run()
 
 
-def _drain_by_run_until(sim, workers, guards):
+def _drain_by_run_until(sim, workers):
     while _pending(workers):        # each stop restores the next event
-        sim.run(until=sim.now + 5, **guards)
+        sim.run(until=sim.now + 5)
 
 
-def _drain_by_run_until_event(sim, workers, guards):
+def _drain_by_run_until_event(sim, workers):
     for worker in workers:
-        sim.run_until_event(worker, **guards)
+        sim.run_until_event(worker)
 
 
-def _drain_by_step(sim, workers, guards):
-    sim.set_guards(**guards)        # step() takes no one-shot budget
+def _drain_by_step(sim, workers):
     while _pending(workers):
         pops = sim.tie_audit.pops
         sim.step()
@@ -152,7 +147,8 @@ def test_guarded_run_matches_unguarded_schedule(drain, guards):
         audit = sim.enable_tie_audit()
         workers = [sim.spawn(workload(sim)) for _ in range(4)]
         workers.append(recycler(sim))
-        drain(sim, workers, guards)
+        sim.set_guards(**guards)
+        drain(sim, workers)
         return audit.digest()
 
     assert digest(drain, guards) == digest(_drain_by_run, {})

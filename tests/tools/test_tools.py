@@ -2,11 +2,9 @@
 
 from dataclasses import fields
 
-import pytest
-
 from repro.cluster import build_cluster
 from repro.net.stats import NetStats
-from repro.sim import MILLIS, SECONDS
+from repro.sim import SECONDS
 from repro.tools import XrAdm, XrPerf, XrPing, XrStat
 from tests.conftest import run_process
 from tests.xrdma.conftest import connect_pair, make_context
@@ -71,7 +69,6 @@ def test_xr_ping_full_mesh_all_reachable(cluster):
     assert len(matrix) == 6
     assert all(rtt is not None and rtt > 0 for rtt in matrix.values())
     assert ping.unreachable_pairs() == []
-    assert "us" in ping.format_matrix()
 
 
 def test_xr_ping_detects_dead_host(cluster):
@@ -87,7 +84,6 @@ def test_xr_ping_detects_dead_host(cluster):
     dead_pairs = {pair for pair in ping.unreachable_pairs()}
     assert (0, 2) in dead_pairs and (1, 2) in dead_pairs
     assert matrix[(0, 1)] is not None
-    assert "FAIL" in ping.format_matrix()
 
 
 # -------------------------------------------------------------------- XR-Adm
@@ -116,22 +112,15 @@ def test_xr_adm_detects_divergence(cluster):
     adm = XrAdm()
     adm.register(client)
     adm.register(server)
-    assert adm.divergent_params() == []
+    before = adm.snapshot()
+    assert before[client.name] == before[server.name]
     client.set_flag("slow_threshold_ns", 999)
-    assert "slow_threshold_ns" in adm.divergent_params()
-    assert adm.snapshot()[client.name]["slow_threshold_ns"] == 999
+    after = adm.snapshot()
+    assert after[client.name]["slow_threshold_ns"] == 999
+    assert after[server.name] == before[server.name]
 
 
 # ------------------------------------------------------------------- XR-Perf
-
-def test_xr_perf_latency_mode():
-    cluster = build_cluster(2)
-    perf = XrPerf(cluster)
-    result = perf.run_latency(0, 1, 64, iterations=20)
-    assert result.messages == 20
-    assert 3.0 < result.mean_latency_us < 8.0
-    assert "lat_mean" in result.summary()
-
 
 def test_xr_perf_incast_mode():
     cluster = build_cluster(4)
@@ -141,12 +130,3 @@ def test_xr_perf_incast_mode():
     assert result.messages == 30
     assert result.bytes_moved == 30 * 64 * 1024
     assert result.goodput_gbps > 1.0
-
-
-def test_xr_perf_mixed_flow_model():
-    cluster = build_cluster(4)
-    perf = XrPerf(cluster)
-    result = perf.run_mixed([(0, 3), (1, 3), (2, 3)],
-                            duration_ns=20 * MILLIS, elephant_ratio=0.4)
-    assert result.messages > 0
-    assert result.bytes_moved > 0

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.sim import MILLIS, RngRegistry, SECONDS
-from repro.workloads import (burst_profile, diurnal_profile, elephant_size,
-                             mice_size, rate_at)
+from repro.workloads import burst_profile, diurnal_profile, mice_size, rate_at
 from repro.workloads.flows import FlowSpec
 
 
@@ -14,21 +13,14 @@ def test_mice_sizes_are_small():
     assert all(64 <= size <= 4096 for size in sizes)
 
 
-def test_elephant_sizes_are_large_and_capped():
-    rng = RngRegistry(0).stream("elephant")
-    sizes = [elephant_size(rng) for _ in range(300)]
-    assert all(256 * 1024 <= size <= 4 * 1024 * 1024 for size in sizes)
-    assert max(sizes) > 512 * 1024            # the tail is heavy
-
-
 def test_flowspec_fixed_size():
-    spec = FlowSpec(src=0, dst=1, fixed_size=1234)
+    spec = FlowSpec(src=0, dst=1, count=1, fixed_size=1234)
     rng = RngRegistry(0).stream("s")
     assert spec.draw_size(rng) == 1234
 
 
 def test_flowspec_size_fn():
-    spec = FlowSpec(src=0, dst=1, size_fn=mice_size)
+    spec = FlowSpec(src=0, dst=1, count=1, size_fn=mice_size)
     rng = RngRegistry(0).stream("s")
     assert 64 <= spec.draw_size(rng) <= 4096
 
@@ -78,27 +70,15 @@ def test_rate_at_steps():
 
 def test_size_fns_deterministic_under_fixed_seed():
     """Same stream name + seed -> the identical size sequence."""
-    for fn in (mice_size, elephant_size):
-        a = RngRegistry(7).stream("sizes")
-        b = RngRegistry(7).stream("sizes")
-        assert [fn(a) for _ in range(200)] == [fn(b) for _ in range(200)]
+    a = RngRegistry(7).stream("sizes")
+    b = RngRegistry(7).stream("sizes")
+    assert [mice_size(a) for _ in range(200)] == \
+        [mice_size(b) for _ in range(200)]
     # ...and a different seed genuinely changes the draws.
     c = RngRegistry(8).stream("sizes")
     d = RngRegistry(7).stream("sizes")
     assert ([mice_size(c) for _ in range(50)]
             != [mice_size(d) for _ in range(50)])
-
-
-def test_elephant_tail_is_heavy():
-    """Pareto-shaped: the mean sits far above the median, and the top
-    decile carries a disproportionate share of the bytes."""
-    rng = RngRegistry(3).stream("tail")
-    sizes = sorted(elephant_size(rng) for _ in range(2000))
-    median = sizes[len(sizes) // 2]
-    mean = sum(sizes) / len(sizes)
-    assert mean > 1.3 * median
-    top_decile = sum(sizes[-len(sizes) // 10:])
-    assert top_decile > 0.3 * sum(sizes)
 
 
 def test_mice_biased_small():

@@ -18,7 +18,7 @@ def test_cross_pod_rpc(fabric):
     client = fabric.xrdma_context(0)
     server = fabric.xrdma_context(7)           # other pod: 5 switch hops
     accepted = server.listen(9100)
-    assert fabric.topology.path_hops(0, 7) == 5
+    assert len(fabric.topology.routing.flow_path(0, 0, 7)) == 5
 
     def scenario():
         channel = yield from client.connect(7, 9100)
