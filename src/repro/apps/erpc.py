@@ -162,7 +162,10 @@ class ErpcClient:
             raise ErpcError(f"transport failed: {exc}") from exc
         self.calls_made += 1
         timer = self.ctx.sim.timeout(_CALL_TIMEOUT_NS)
-        result = yield AnyOf(self.ctx.sim, [request.response, timer])
+        try:
+            result = yield AnyOf(self.ctx.sim, [request.response, timer])
+        except ChannelBroken as exc:
+            raise ErpcError(f"transport failed: {exc}") from exc
         if request.response not in result:
             raise ErpcError(f"call {method!r} timed out")
         reply_msg: XrdmaMessage = request.response.value

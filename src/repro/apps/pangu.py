@@ -79,7 +79,6 @@ class BlockServer:
                                          name=f"block{host_id}")
         self.channels: Dict[int, XrdmaChannel] = {}     # chunk host -> channel
         self.writes_completed = 0
-        self.write_latencies_ns: List[int] = []
         self._placement = itertools.count()
         self.ctx.listen(BLOCK_PORT)
         cluster.sim.spawn(self._serve(), name=f"block{host_id}:serve")
@@ -120,7 +119,6 @@ class BlockServer:
             yield request.response
         latency = self.ctx.sim.now - t0
         self.writes_completed += 1
-        self.write_latencies_ns.append(latency)
         return latency
 
     def _serve(self):

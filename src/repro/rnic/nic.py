@@ -245,7 +245,7 @@ class Rnic(Device):
 
     # The transmit engine is a callback machine, one per NIC port, all
     # serving the one ready queue.  An engine is either *idle* (counted in
-    # ``_tx_idle``; ``_enqueue_job`` wakes it through a now-queue entry,
+    # ``_tx_idle``; ``_enqueue_job`` wakes it through a zero-delay entry,
     # never synchronously) or *busy*: exactly one bare entry of its own is
     # pending — its start, a wake, a back-pressure retry, or the occupancy
     # of the fragment it works on, which emits it and runs the engine on.

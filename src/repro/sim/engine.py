@@ -9,20 +9,17 @@ Every entry is ``(time, sequence, fn, arg)``, made by one primitive,
 nobody waits on (port serialize and deliver, NIC occupancy, CQE pushes,
 ``call_at``) cost one tuple and one call, not a Timeout, a callbacks list
 and a resume.  An *event* entry, ``(time, sequence, None, event)``, fires
-the event's callbacks.  *The now-queue holds every entry scheduled for the
-current instant, in scheduling order; the heap holds only positive-delay
-entries.*  The deque is therefore sorted by the heap's own key, the fire
-loop pops the smaller of the two heads, and the order is exactly a single
-heap's (``tests/sim/test_engine_model.py`` checks that on random
-programs) while a wake costs an append+popleft, not two O(log n) sifts.
+the event's callbacks.  Every pending entry, zero-delay ones included,
+sits on one ``heapq`` heap, so the engine is the ten-line ``heapq`` model
+``tests/sim/test_engine_model.py`` checks it against, plus that dispatch.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter, deque
-from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
 from repro.sim.process import Process, ProcessGenerator
@@ -44,10 +41,10 @@ _AUDIT_CHUNK = 4096
 class GuardExceeded(SimulationError):
     """A runaway-run guard tripped (event budget or wall-clock deadline).
 
-    Raised *between* events — the heap and the now-queue are left intact,
-    so a supervisor can inspect or even resume the simulation.  Fleet
-    workers (``repro.fleet``) rely on this to turn a pathological
-    scenario into a recorded failure instead of a hung worker process.
+    Raised *between* events — the heap is left intact, so a supervisor
+    can inspect or even resume the simulation.  Fleet workers
+    (``repro.fleet``) rely on this to turn a pathological scenario into a
+    recorded failure instead of a hung worker process.
     """
 
 
@@ -230,19 +227,16 @@ class Simulator:
         assert proc.value == "pong"
     """
 
-    # ``_sequence``/``_now``/``_heap``/``_nowq`` are the most-read
-    # attributes in the program (every schedule and every fire touches
-    # them); slots keep them out of a dict lookup.
-    __slots__ = ("_now", "_heap", "_nowq", "_sequence", "tie_audit",
-                 "_guards", "_ids")
+    # ``_sequence``/``_now``/``_heap`` are the most-read attributes in the
+    # program (every schedule and every fire touches them); slots keep
+    # them out of a dict lookup.
+    __slots__ = ("_now", "_heap", "_sequence", "tie_audit", "_guards",
+                 "_ids")
 
     def __init__(self) -> None:
         self._now: int = 0
-        #: positive-delay entries ``(time, sequence, fn, arg)``
+        #: every pending entry ``(time, sequence, fn, arg)``
         self._heap: List[_Entry] = []
-        #: entries scheduled for the current instant; FIFO == (time,
-        #: sequence) order by construction (see module docstring)
-        self._nowq: Deque[_Entry] = deque()
         self._sequence: int = 0
         self.tie_audit: Optional[TieAudit] = None
         self._guards: Optional[_GuardState] = None
@@ -318,10 +312,7 @@ class Simulator:
         on: the fire loop recognises that target by identity.
         """
         sequence = self._sequence = self._sequence + 1
-        if delay:
-            _heappush(self._heap, (self._now + delay, sequence, fn, arg))
-        else:
-            self._nowq.append((self._now, sequence, fn, arg))
+        _heappush(self._heap, (self._now + delay, sequence, fn, arg))
 
     def call_at(self, when: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute time ``when`` (≥ now)."""
@@ -358,7 +349,6 @@ class Simulator:
         """
         guards = self._guards
         heap = self._heap
-        nowq = self._nowq
         heappop = heapq.heappop
         audit = self.tie_audit
         # One comparison per heap pop instead of two: an unset bound
@@ -366,22 +356,16 @@ class Simulator:
         latest = float("inf") if bound is None else bound
         if target is None:
             target = _NEVER
-        while heap or nowq:
+        while heap:
             if guards is not None:
                 guards.charge()
-            if nowq and (not heap or nowq[0] < heap[0]):
-                # Now-queue entries can never trip the bound: they were
-                # appended at a past-or-present instant and ``_now`` never
-                # exceeds the bound inside this loop.
-                when, seq, fn, arg = nowq.popleft()
-            else:
-                when, seq, fn, arg = heappop(heap)
-                if when > latest:
-                    # Pops are time-monotone, so checking after the pop is
-                    # equivalent to peeking first — and skips a heap[0][0]
-                    # index chain on every iteration.  Restore the entry.
-                    heapq.heappush(heap, (when, seq, fn, arg))
-                    return False
+            when, seq, fn, arg = heappop(heap)
+            if when > latest:
+                # Pops are time-monotone, so checking after the pop is
+                # equivalent to peeking first — and skips a heap[0][0]
+                # index chain on every iteration.  Restore the entry.
+                _heappush(heap, (when, seq, fn, arg))
+                return False
             if audit is not None:
                 audit.observe(when, seq, fn, arg)
             self._now = when
@@ -391,13 +375,8 @@ class Simulator:
                 callbacks = arg.callbacks
                 arg.callbacks = None
                 if callbacks:
-                    # One waiter is the overwhelmingly common case (a
-                    # process resume); skip the iterator for it.
-                    if len(callbacks) == 1:
-                        callbacks[0](arg)
-                    else:
-                        for callback in callbacks:
-                            callback(arg)
+                    for callback in callbacks:
+                        callback(arg)
                 elif not arg._ok and not arg.defused:
                     raise SimulationError(
                         f"unhandled failure in {arg.name!r}: {arg.value!r}"
@@ -408,11 +387,10 @@ class Simulator:
 
     def step(self) -> None:
         """Fire the single next entry."""
-        heads = [queue[0] for queue in (self._nowq, self._heap) if queue]
-        if not heads:
+        if not self._heap:
             raise SimulationError("step() on an empty event heap")
         # The head is what the loop pops first, and it stops right after.
-        self._drive(min(heads)[3], None)
+        self._drive(self._heap[0][3], None)
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the heap drains or simulated time reaches ``until``.
@@ -438,7 +416,7 @@ class Simulator:
             # than raised as an unhandled error inside the fire loop.
             event.callbacks.append(lambda _ev: None)
             if not self._drive(event, limit):
-                if self._heap or self._nowq:    # stopped at the bound
+                if self._heap:                  # stopped at the bound
                     raise SimulationError(
                         f"time limit {limit} exceeded waiting for "
                         f"{event.name!r}")

@@ -15,7 +15,10 @@ somewhere in ``src/``, ``bench/``, ``benchmarks/``, ``examples/`` or
 ``tests/`` — loaded as an attribute or name, or named by a string key
 (``snapshot()["data_bytes_delivered"]``) — or sit in ``KEPT_STATE`` with
 the reason it is read only by reflection.  A store (``=``, ``+=``, a
-constructor keyword) is not a read.
+constructor keyword) is not a read, and neither is a load that only writes
+through the object: the receiver of a mutating call used as a statement
+(``self.log.append(x)``) or the base of a subscript store or ``del``
+(``self.table[k] = v``), so an append-only list is write-only.
 
 The audit matches names, not bindings, so a name collision counts as a
 caller: a local variable ``table`` elsewhere kept the unused
@@ -254,14 +257,40 @@ KEPT_STATE = {
 }
 
 
+#: methods whose call, as a statement, only writes to its receiver
+MUTATORS = {"append", "appendleft", "extend", "add", "update", "insert",
+            "discard", "remove", "clear", "setdefault", "move_to_end"}
+
+
+def _write_loads(tree: ast.AST) -> set:
+    """Ids of the loads under ``tree`` that only write through the object
+    they load: the receiver of a discarded mutating call
+    (``self.log.append(x)`` as a statement) and the base of a subscript
+    store or ``del`` (``self.table[k] = v``)."""
+    bases = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr in MUTATORS):
+            bases.add(id(node.value.func.value))
+        elif (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            bases.add(id(node.value))
+    return bases
+
+
 def _reads(tree: ast.AST) -> set:
     """Names the code under ``tree`` loads, plus its string constants
-    (docstrings excluded)."""
+    (docstrings excluded); a load that only writes through the object
+    (:func:`_write_loads`) is no read."""
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)
                   and isinstance(node.value, ast.Constant)}
+    writes = _write_loads(tree)
     names = set()
     for node in ast.walk(tree):
+        if id(node) in writes:
+            continue
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):

@@ -124,6 +124,27 @@ def test_call_timeout_on_dead_server(rpc):
     assert waited[0] >= 2 * SECONDS
 
 
+def test_broken_channel_fails_the_waiting_call(rpc):
+    """A server whose NIC crashes breaks the channel while the call waits
+    for its reply: the call raises ErpcError, as a failed send does, well
+    before the 2 s call timeout."""
+    cluster, server, client, store = rpc
+
+    def scenario():
+        yield from client.connect(1, 9800)
+        cluster.host(1).nic.crash()
+        start = cluster.sim.now
+        try:
+            yield from client.call("kv.get", {"key": "a"}, request_bytes=64)
+        finally:
+            waited.append(cluster.sim.now - start)
+
+    waited = []
+    with pytest.raises(ErpcError, match="transport failed"):
+        run_process(cluster, scenario(), limit=30 * SECONDS)
+    assert waited[0] < 1 * SECONDS
+
+
 def test_duplicate_service_rejected(rpc):
     cluster, server, client, store = rpc
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Unit tests for the DES core: engine, events, processes."""
 
+import heapq
+
 import pytest
 
 from repro.sim import (
@@ -264,12 +266,12 @@ def test_event_value_before_trigger_raises():
         _ = ev.ok
 
 
-def test_one_ordering_key_and_only_timers_on_the_heap():
+def test_every_pending_entry_sits_on_one_heap_in_key_order():
     """Pending entries are ``(time, sequence, fn, arg)`` — ``fn`` None for
-    an event; everything scheduled for the current instant waits in the
-    now-queue in scheduling order, bare entries and events alike, and the
-    heap holds the positive-delay entries alone: the Timeout and the bare
-    timer."""
+    an event — and every one of them, zero-delay ones included, sits on
+    the one heap: popping a copy of it yields them in ``(time, sequence)``
+    order, bare entries and events interleaved, and that is the order in
+    which they fire."""
     sim = Simulator()
     fired = []
     timeout = sim.timeout(5)
@@ -284,14 +286,18 @@ def test_one_ordering_key_and_only_timers_on_the_heap():
     p = sim.spawn(proc())
     sim.schedule(0, fired.append, "bare-now")
     sim.schedule(3, fired.append, "bare-later")
-    assert sorted(sim._heap) == [(3, 6, fired.append, "bare-later"),
-                                 (5, 1, None, timeout)]
-    assert [entry[:2] for entry in sim._nowq] == [(0, 2), (0, 3), (0, 4),
-                                                  (0, 5)]
-    assert [entry[2:] for entry in sim._nowq][:2] == [(None, done),
-                                                      (None, failed)]
-    assert sim._nowq[2][3].callbacks == [p._resume]     # the bootstrap
-    assert sim._nowq[3][2:] == (fired.append, "bare-now")
+    pending = list(sim._heap)
+    order = [heapq.heappop(pending) for _ in range(len(sim._heap))]
+    assert [entry[:2] for entry in order] == [(0, 2), (0, 3), (0, 4),
+                                              (0, 5), (3, 6), (5, 1)]
+    assert [entry[2:] for entry in order[:2]] == [(None, done),
+                                                  (None, failed)]
+    assert order[2][3].callbacks == [p._resume]         # the bootstrap
+    assert order[3][2:] == (fired.append, "bare-now")
+    assert order[4][2:] == (fired.append, "bare-later")
+    assert order[5][2:] == (None, timeout)
+    sim.step()                                  # fires the heap's head
+    assert done.processed and sim._heap[0][:2] == (0, 3)
     sim.run()
     assert fired == ["bare-now", "bare-later"]
     assert sim.now == 5 and not p.alive

@@ -1,10 +1,11 @@
-"""The two-queue engine *is* a single heap keyed ``(time, sequence)``.
+"""The engine *is* a single heap keyed ``(time, sequence)``.
 
-``repro.sim.engine``'s docstring argues that a FIFO now-queue plus a heap of
-positive-delay entries fires bare entries and events in exactly the order
-one heap would.  Here a ten-line reference model — one ``heapq``, nothing
-else — predicts the firing order of random programs, and the engine must
-match it entry for entry under every way of draining it.
+``repro.sim.engine`` keeps every pending entry, bare or event, zero-delay or
+not, on one ``heapq`` heap.  Here a ten-line reference model — one
+``heapq``, nothing else — predicts the firing order of random programs, and
+the engine must match it entry for entry under every way of draining it:
+the bare/event dispatch, process bootstraps and resumes, and the bound's
+put-back must not reorder anything.
 
 A program is a list of op-lists: the k-th entry to fire runs ``script[k]``,
 each op scheduling one new entry — a Timeout, a bare ``schedule`` entry, a
@@ -116,7 +117,7 @@ def observed(script, drain):
     program = Program(script, lambda: sim.now, trigger)
     program.start(script[0])
     drain(sim)
-    assert not sim._heap and not sim._nowq
+    assert not sim._heap
     return program.trace
 
 
@@ -125,16 +126,16 @@ def _by_run(sim):
 
 
 def _by_step(sim):
-    while sim._heap or sim._nowq:
+    while sim._heap:
         sim.step()
 
 
 def _by_slices(sim):
-    while sim._heap or sim._nowq:       # exercises the bound's put-back
+    while sim._heap:                    # exercises the bound's put-back
         sim.run(until=sim.now + 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(script=SCRIPTS, drain=st.sampled_from([_by_run, _by_step, _by_slices]))
-def test_two_queue_engine_fires_in_single_heap_order(script, drain):
+def test_engine_fires_in_single_heap_order(script, drain):
     assert observed(script, drain) == predicted(script)

@@ -151,7 +151,7 @@ def test_closed_detours_leave_nothing_behind(cluster):
     client.stop()
     server.stop()
     cluster.sim.run()
-    assert not cluster.sim._heap and not cluster.sim._nowq
+    assert not cluster.sim._heap
 
 
 def test_detoured_sends_are_window_limited(xr):

@@ -29,7 +29,7 @@ def started_context(cluster, **config):
 
 
 def pending(sim):
-    return len(sim._heap) + len(sim._nowq)
+    return len(sim._heap)
 
 
 def test_kick_idle_cycles_leave_no_stale_timers(cluster):
