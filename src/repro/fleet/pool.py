@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import queue
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Optional, Sequence
 
-from repro.fleet.runner import execute_unit, run_record
+from repro.fleet.runner import _wall, execute_unit, run_record
 from repro.fleet.spec import RunUnit
 from repro.fleet.store import ResultStore
 
@@ -51,12 +50,6 @@ __all__ = ["FleetPool", "SweepSummary"]
 _POLL_S = 0.05
 #: how long to wait for a worker to exit before escalating to kill
 _JOIN_S = 2.0
-
-
-def _wall() -> float:
-    """Host wall clock for deadlines; never observed by any
-    simulation and excluded from jobs-invariant artifacts."""
-    return time.monotonic()  # xr-lint: disable=wall-clock
 
 
 def _worker_main(worker_id: int, task_q: "mp.queues.Queue[Any]",

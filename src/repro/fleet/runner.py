@@ -49,8 +49,9 @@ GUARD_HEADROOM = 0.75
 
 
 def _wall() -> float:
-    """Host wall clock; only ever recorded in ``wall_s`` fields, which the
-    aggregator excludes from jobs-invariant output."""
+    """Host wall clock for ``wall_s`` fields and the pool's deadlines;
+    never observed by any simulation, and excluded from jobs-invariant
+    output."""
     return time.monotonic()  # xr-lint: disable=wall-clock
 
 

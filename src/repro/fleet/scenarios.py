@@ -264,7 +264,7 @@ def traced_rpc(ctx: RunContext) -> Dict[str, Any]:
 
 @scenario("ctrl-plane")
 def ctrl_plane(ctx: RunContext) -> Dict[str, Any]:
-    """Control-plane churn: setup-latency CDFs, cold vs warm caches
+    """Control-plane churn: setup-latency CDFs, cold vs warm QP cache
     (Sec. VII-C grown into the Swift elastic-control-plane story).
 
     A client opens ``channels`` connections against one server, keeping
@@ -274,8 +274,8 @@ def ctrl_plane(ctx: RunContext) -> Dict[str, Any]:
     ``qp_to_rts``/``mr_reg``/``recv_prime`` span chain; the metrics are
     the setup-latency CDF plus exact cache-counter accounting.
 
-    params: channels; optional warm (1 = prewarmed QP/MR caches,
-    0 = caches disabled, every connect pays full cost), no_pin
+    params: channels; optional warm (1 = prewarmed QP cache and memory
+    cache, 0 = no QP cache, every connect pays full cost), no_pin
     (NP-RDMA-style on-demand paging in the memory cache).
     """
     params = ctx.params
@@ -286,10 +286,9 @@ def ctrl_plane(ctx: RunContext) -> Dict[str, Any]:
     pool = 64 if warm else 0
     client_config = XrdmaConfig(
         trace_sample_mask=1, qp_cache_capacity=pool,
-        mr_reg_cache=warm, memcache_no_pin=no_pin)
-    server_config = XrdmaConfig(
-        qp_cache_capacity=pool, mr_reg_cache=warm,
         memcache_no_pin=no_pin)
+    server_config = XrdmaConfig(
+        qp_cache_capacity=pool, memcache_no_pin=no_pin)
     cluster = ctx.build_cluster(2)
     client = cluster.xrdma_context(0, config=client_config)
     server = cluster.xrdma_context(1, config=server_config)
@@ -347,8 +346,6 @@ def ctrl_plane(ctx: RunContext) -> Dict[str, Any]:
         "qp_cache_misses": client.qpcache.misses,
         "qp_cache_recycled": client.qpcache.recycled,
         "qp_cache_destroyed": client.qpcache.destroyed,
-        "mr_cache_hits": (client.mr_reg_cache.hits
-                          if client.mr_reg_cache is not None else 0),
         "qps_created": cluster.host(0).verbs.qps_created,
         "mrs_registered": cluster.host(0).verbs.mrs_registered,
         "pages_faulted": client.memcache.pages_faulted,

@@ -99,13 +99,10 @@ class SimParams:
         return self.nic_dma_ns + int(round(
             payload_bytes * self.nic_dma_per_byte_ns))
 
-    def mr_register_ns(self, lengths: "list[int]") -> int:
-        """Cost of one registration call over regions of ``lengths``: the
-        per-call base (the driver round trip) is paid once; per-page
-        pinning sums over every region."""
-        if not lengths:
-            return 0
-        pages = sum(max(1, (length + 4095) // 4096) for length in lengths)
+    def mr_register_ns(self, length: int) -> int:
+        """Cost of registering ``length`` bytes: the per-call base (the
+        driver round trip) plus pinning per page."""
+        pages = max(1, (length + 4095) // 4096)
         return self.mr_register_base_ns + pages * self.mr_register_per_page_ns
 
     def odp_page_fault_ns(self, pages: int) -> int:

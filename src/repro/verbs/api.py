@@ -13,7 +13,7 @@ cache exists), posting is ~200 ns (why per-message overheads stay small).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.memory.host import AllocMode, HostMemory
 from repro.rnic.cq import CompletionQueue
@@ -94,21 +94,8 @@ class VerbsContext:
     def reg_mr(self, pd: ProtectionDomain, addr: int, length: int,
                access: AccessFlags = AccessFlags.all_remote()) -> Event:
         """Register RDMA-enabled memory (pins pages; cost scales with size)."""
-        return self._charged(self.params.mr_register_ns([length]),
+        return self._charged(self.params.mr_register_ns(length),
                              lambda: self._install(pd, addr, length, access))
-
-    def reg_mr_batch(self, pd: ProtectionDomain,
-                     regions: List[Tuple[int, int]],
-                     access: AccessFlags = AccessFlags.all_remote()) -> Event:
-        """Register many ``(addr, length)`` regions in one driver call.
-
-        The per-call base cost (the driver round trip) is paid once for
-        the whole batch; per-page pinning still sums — the lazy/batched
-        registration path of the control plane."""
-        cost = self.params.mr_register_ns([length for _, length in regions])
-        return self._charged(cost, lambda: [
-            self._install(pd, addr, length, access)
-            for addr, length in regions])
 
     def reg_mr_odp(self, pd: ProtectionDomain, addr: int, length: int,
                    access: AccessFlags = AccessFlags.all_remote()) -> Event:

@@ -68,8 +68,6 @@ class XrdmaConfig:
     prepost_slack: int = 4               #: extra recvs beyond the window
     # --------------------------------------------- control plane (ctrlplane)
     qp_cache_capacity: int = 64          #: RESET-QP pool size (0 disables)
-    mr_reg_cache: bool = False           #: lazy-dereg MR registration cache
-    mr_reg_cache_bytes: int = 64 * 1024 * 1024  #: warm-MR pinned-byte cap
     memcache_no_pin: bool = False        #: NP-RDMA-style on-demand paging
     close_drain_timeout_ns: int = 50 * MILLIS  #: drain bound before ERROR
 
@@ -101,8 +99,6 @@ class XrdmaConfig:
                 f"unknown idle_poll_mode {self.idle_poll_mode!r}")
         if self.qp_cache_capacity < 0:
             raise ConfigError("qp_cache_capacity must be >= 0")
-        if self.mr_reg_cache_bytes < 0:
-            raise ConfigError("mr_reg_cache_bytes must be >= 0")
         if self.close_drain_timeout_ns <= 0:
             raise ConfigError("close_drain_timeout_ns must be positive")
 

@@ -23,7 +23,7 @@ import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.ctrlplane import MrRegCache, QpCache
+from repro.ctrlplane import QpCache
 from repro.memory.host import AllocMode
 from repro.rnic.qp import QpState
 from repro.rnic.wqe import Completion, Opcode, WorkRequest
@@ -79,15 +79,10 @@ class XrdmaContext:
         self.recv_cq = verbs.create_cq(self.config.cq_size)
         self.srq = (verbs.create_srq(self.config.srq_size)
                     if self.config.use_srq else None)
-        self.mr_reg_cache = (
-            MrRegCache(verbs, self.pd,
-                       capacity_bytes=self.config.mr_reg_cache_bytes)
-            if self.config.mr_reg_cache else None)
         self.memcache = MemCache(
             verbs, self.pd, mr_bytes=self.config.memcache_mr_bytes,
             alloc_mode=_ALLOC_MODES[self.config.ibqp_alloc_type],
             isolated=self.config.memcache_isolated,
-            mr_cache=self.mr_reg_cache,
             no_pin=self.config.memcache_no_pin)
         self.qpcache = QpCache(verbs, self.pd, self.send_cq, self.recv_cq,
                                capacity=self.config.qp_cache_capacity)
@@ -590,10 +585,6 @@ class XrdmaContext:
             "qp_cache_misses": self.qpcache.misses,
             "qp_cache_recycled": self.qpcache.recycled,
             "qp_cache_destroyed": self.qpcache.destroyed,
-            "mr_cache_hits": (self.mr_reg_cache.hits
-                              if self.mr_reg_cache is not None else 0),
-            "mr_cache_pinned": (self.mr_reg_cache.pinned_bytes
-                                if self.mr_reg_cache is not None else 0),
             "connect_failures": self.connect_failures,
             "drain_timeouts": self.drain_timeouts,
             "incoming_backlog": len(self.incoming.items),

@@ -26,7 +26,6 @@ from repro.rnic.mr import AccessFlags, MemoryRegion
 from repro.sim.process import ProcessGenerator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.ctrlplane.mrcache import MrRegCache
     from repro.rnic.mr import ProtectionDomain
     from repro.verbs.api import VerbsContext
 
@@ -118,16 +117,12 @@ class MemCache:
                  mr_bytes: int = 4 * 1024 * 1024,
                  alloc_mode: AllocMode = AllocMode.ANONYMOUS,
                  isolated: bool = False,
-                 mr_cache: Optional["MrRegCache"] = None,
                  no_pin: bool = False) -> None:
         self.verbs = verbs
         self.pd = pd
         self.mr_bytes = mr_bytes
         self.alloc_mode = alloc_mode
         self.isolated = isolated
-        #: control-plane registration cache: shrink releases arenas warm
-        #: (still registered) and growth reuses them at zero driver cost.
-        self.mr_cache = mr_cache
         #: NP-RDMA-style on-demand paging: registration skips pinning,
         #: first touch of each page pays fault latency at buffer hand-out.
         self.no_pin = no_pin
@@ -137,7 +132,6 @@ class MemCache:
         self._isolated_cursor = _ISOLATED_BASE
         self.grow_count = 0
         self.shrink_count = 0
-        self.cached_grows = 0        #: growths served by the warm MR cache
         self.page_faults = 0         #: fault events (no-pin mode)
         self.pages_faulted = 0       #: pages made resident (no-pin mode)
         self.out_of_bound_hits = 0
@@ -223,12 +217,7 @@ class MemCache:
         victims = reclaimable[keep_one:] if keep_one else reclaimable
         for arena in victims:
             self._arenas.remove(arena)
-            if self.mr_cache is not None:
-                # Lazy deregistration: the MR stays warm (registered and
-                # pinned) in the cache; a later growth reuses it free.
-                self.mr_cache.release(arena.mr)
-            else:
-                self.verbs.nic.mr_table.deregister(self.pd, arena.mr)
+            self.verbs.nic.mr_table.deregister(self.pd, arena.mr)
             self.shrink_count += 1
         return len(victims)
 
@@ -239,18 +228,6 @@ class MemCache:
 
     # -------------------------------------------------------------- internal
     def _grow(self) -> ProcessGenerator:
-        if self.mr_cache is not None:
-            mr = self.mr_cache.lookup(self.mr_bytes)
-            if mr is not None:
-                # Warm hit: the MR (and its backing memory) is still
-                # registered — no driver call, no sim time.  Its pages are
-                # resident from the previous life, so even no-pin mode
-                # treats a cached arena as fully faulted in.
-                arena = _Arena(mr)
-                self._arenas.append(arena)
-                self.grow_count += 1
-                self.cached_grows += 1
-                return arena
         if self.isolated:
             base = self._isolated_cursor
             self._isolated_cursor += self.mr_bytes * 2  # guard gap between MRs

@@ -43,6 +43,7 @@ stale entries: an entry that is no longer a finding goes.
 """
 
 import ast
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -391,7 +392,9 @@ def _param_reads(function: ast.FunctionDef):
             yield node.left.value, _ABSENT
 
 
-def test_every_scenario_param_has_two_values():
+def _scenario_reach():
+    """Every top-level fleet function by name, and for each registered
+    scenario the set of those functions its body reaches by call."""
     resolve_scenario("smoke-incast")        # registers every scenario
     functions = {}
     for path in sorted((ROOT / "src" / "repro" / "fleet").glob("*.py")):
@@ -399,7 +402,6 @@ def test_every_scenario_param_has_two_values():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 functions.setdefault(node.name, node)
-    # scenario name -> every fleet function its body reaches by call
     reach = {}
     for name, fn in SCENARIOS.items():
         seen, stack = set(), [fn.__name__]
@@ -412,6 +414,11 @@ def test_every_scenario_param_has_two_values():
                          if isinstance(node, ast.Call)
                          and isinstance(node.func, ast.Name))
         reach[name] = seen
+    return functions, reach
+
+
+def test_every_scenario_param_has_two_values():
+    functions, reach = _scenario_reach()
     specs = specs_for(spec_names()) + specs_for(spec_names(), quick=True)
     single = {}
     for function, node in sorted(functions.items()):
@@ -438,3 +445,54 @@ def test_every_scenario_param_has_two_values():
         ", ".join(unkept)
     assert set(KEPT_PARAMS) <= set(single), \
         f"stale KEPT_PARAMS: {sorted(set(KEPT_PARAMS) - set(single))}"
+
+
+_FIG7_REPEAT = ("each Fig. 7 panel test reads its own experiment's runs; "
+                "the repeat costs about 0.1 s")
+
+#: (run_id, run_id) -> why two planned units that are one simulation
+#: both stay in the plan
+KEPT_DUPLICATES = {
+    ("fig7-middlewares/size=64,system=xrdma-BD/s0",
+     "fig7-mixed-messages/size=64,system=xrdma-BD/s0"): _FIG7_REPEAT,
+    ("fig7-large-sizes/size=4096,system=xrdma-BD/s0",
+     "fig7-mixed-messages/size=4096,system=xrdma-BD/s0"): _FIG7_REPEAT,
+    ("fig7-large-sizes/size=16384,system=xrdma-BD/s0",
+     "fig7-mixed-messages/size=16384,system=xrdma-BD/s0"): _FIG7_REPEAT,
+}
+
+
+def test_no_two_planned_units_are_one_simulation():
+    """Within the full plan and within the ``--quick`` plan, no two units
+    run the same scenario with the same value of every parameter its
+    body reads (a spec that omits one runs its default) at the same
+    seed: such a pair is one simulation paid for twice."""
+    functions, reach = _scenario_reach()
+    defaults = {}           # scenario -> key -> the defaults its reads give
+    for name, seen in reach.items():
+        defaults[name] = {}
+        for function in sorted(seen):
+            for key, default in _param_reads(functions[function]):
+                key_defaults = defaults[name].setdefault(key, set())
+                if default is not _REQUIRED:
+                    key_defaults.add(repr(default))
+    pairs = set()
+    for quick in (False, True):
+        runs = {}
+        for spec in specs_for(spec_names(), quick=quick):
+            for unit in spec.expand():
+                params = unit.params_dict
+                values = tuple(
+                    (key, repr(params[key]) if key in params
+                     else "|".join(sorted(key_defaults)))
+                    for key, key_defaults in sorted(
+                        defaults[unit.scenario].items()))
+                runs.setdefault((unit.scenario, values, unit.seed),
+                                []).append(unit.run_id)
+        for run_ids in runs.values():
+            pairs.update(combinations(sorted(run_ids), 2))
+    unkept = sorted(pair for pair in pairs if pair not in KEPT_DUPLICATES)
+    assert unkept == [], "planned units that are one simulation: " + \
+        ", ".join(" = ".join(pair) for pair in unkept)
+    assert set(KEPT_DUPLICATES) <= pairs, \
+        f"stale KEPT_DUPLICATES: {sorted(set(KEPT_DUPLICATES) - pairs)}"

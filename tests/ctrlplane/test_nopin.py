@@ -41,7 +41,7 @@ def test_odp_registration_is_cheap(cluster):
     odp_ns = run_process(cluster, register(odp=True))
     # ODP skips pinning: flat cost, far below the 1 MB pinned register.
     assert odp_ns == params.odp_register_ns
-    assert pinned_ns == params.mr_register_ns([1 * MB])
+    assert pinned_ns == params.mr_register_ns(1 * MB)
     assert odp_ns < pinned_ns
 
 
@@ -83,15 +83,9 @@ def test_pinned_mode_never_faults(cluster):
     assert cache._arenas[0].resident_pages is None   # pinned: all resident
 
 
-def test_config_wires_no_pin_and_mr_cache(cluster):
-    ctx = make_context(cluster, 0, XrdmaConfig(
-        memcache_no_pin=True, mr_reg_cache=True,
-        mr_reg_cache_bytes=16 * MB))
+def test_config_wires_no_pin(cluster):
+    ctx = make_context(cluster, 0, XrdmaConfig(memcache_no_pin=True))
     assert ctx.memcache.no_pin is True
-    assert ctx.mr_reg_cache is not None
-    assert ctx.memcache.mr_cache is ctx.mr_reg_cache
-    assert ctx.mr_reg_cache.capacity_bytes == 16 * MB
 
     plain = make_context(cluster, 1)
     assert plain.memcache.no_pin is False
-    assert plain.mr_reg_cache is None and plain.memcache.mr_cache is None

@@ -104,6 +104,25 @@ def test_shrink_reclaims_idle_arenas(setup):
     assert cache.shrink_count == 1
 
 
+def test_shrink_deregisters_the_reclaimed_mr(setup):
+    cluster, cache = setup
+    host = cluster.host(0)
+
+    def churn():
+        big = yield from cache.alloc(1 << 20)
+        small = yield from cache.alloc(4096)
+        mr = cache._arenas[1].mr
+        cache.free(big)
+        cache.free(small)
+        assert cache.shrink() == 1
+        return mr
+
+    mr = run_process(cluster, churn())
+    # A reclaimed arena is a real deregistration: the NIC forgets its MR.
+    assert host.nic.mr_table.check(mr.rkey, mr.addr, 4096,
+                                   write=True) is None
+
+
 def test_shrink_spares_arenas_in_use(setup):
     cluster, cache = setup
     keep = _alloc(cluster, cache, 1 << 20)
