@@ -61,10 +61,6 @@ class InvariantRegistry:
     def ok(self) -> bool:
         return not self.counts
 
-    def reset(self) -> None:
-        self.counts.clear()
-        self.details.clear()
-
     def note(self, name: str, detail: str = "") -> None:
         """Record a violation without escalating (the call site raises its
         own, more specific error — e.g. :class:`~repro.rnic.qp.QpStateError`)."""
@@ -84,16 +80,6 @@ class InvariantRegistry:
             return True
         self.record(name, detail() if callable(detail) else str(detail))
         return False
-
-    def summary(self) -> str:
-        if self.ok:
-            return "invariants: clean"
-        lines = [f"invariants: {self.total} violation(s)"]
-        for name, count in sorted(self.counts.items()):
-            lines.append(f"  {name}: {count}")
-        for name, detail in self.details[:8]:
-            lines.append(f"    e.g. {name}: {detail}")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------- active hook

@@ -31,10 +31,10 @@ __all__ = ["protocol_config", "protocol_pingpong", "protocol_incast",
            "protocol_serving"]
 
 
-def protocol_config(params: Dict[str, Any], **extra: Any) -> XrdmaConfig:
+def protocol_config(params: Dict[str, Any]) -> XrdmaConfig:
     """An :class:`XrdmaConfig` from the protocol axes present in
     ``params`` (absent axes keep the paper's defaults)."""
-    kwargs: Dict[str, Any] = dict(extra)
+    kwargs: Dict[str, Any] = {}
     if "rendezvous_variant" in params:
         kwargs["rendezvous_variant"] = str(params["rendezvous_variant"])
     if "small_msg_size" in params:

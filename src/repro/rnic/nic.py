@@ -301,7 +301,7 @@ class Rnic(Device):
             # is a 1 MB line-rate burst no matter what DCQCN's rate says.
             if wqe_bytes:
                 limiter = self._limiter(qpn)
-                if params.dcqcn_enabled and limiter.next_tx_ns > sim._now:
+                if limiter.next_tx_ns > sim._now:
                     self.dcqcn_deferrals += 1
                     sim.schedule(limiter.next_tx_ns - sim._now,
                                  self._enqueue_job, job)

@@ -202,14 +202,6 @@ class TieAudit:
         self._flush()
         return self._hash.hexdigest()
 
-    def summary(self) -> str:
-        owners = " ".join(f"{name}={count}"
-                          for name, count in self.owners.most_common(5))
-        return (f"tie-audit: pops={self.pops} ties={self.ties} "
-                f"groups={self.tie_groups} max_group={self.max_group} "
-                f"anomalies={self.anomalies}\n"
-                f"tie-audit: top owners: {owners}")
-
 
 class Simulator:
     """Owns simulated time and the pending-event heap.
@@ -252,7 +244,7 @@ class Simulator:
         """Arm runaway-run guards; ``set_guards()`` disarms.
 
         The budgets span *all* subsequent :meth:`run` /
-        :meth:`run_until_event` / :meth:`step` calls on this simulator:
+        :meth:`run_until_event` calls on this simulator:
         ``max_events`` bounds the total number of events fired,
         ``wall_timeout_s`` starts a host wall-clock countdown now.
         Exceeding either raises :class:`GuardExceeded` with every pending
@@ -328,7 +320,7 @@ class Simulator:
 
     # ------------------------------------------------------------- execution
     def _drive(self, target: Optional[Event], bound: Optional[int]) -> bool:
-        """The one pop-and-fire loop behind :meth:`step`, :meth:`run` and
+        """The one pop-and-fire loop behind :meth:`run` and
         :meth:`run_until_event`.
 
         Fires entries in ``(time, sequence)`` order until the entry whose
@@ -336,7 +328,7 @@ class Simulator:
         the result True — nothing is pending, or the next entry lies
         beyond simulated time ``bound``; that entry stays queued and the
         clock is left for the caller to settle.  The target stop is by
-        identity, so :meth:`step` can name a bare entry by its ``arg``.
+        identity.
 
         The :meth:`set_guards` budget is charged before each pop, so a
         :class:`GuardExceeded` leaves every pending event in place (and the
@@ -384,13 +376,6 @@ class Simulator:
             if arg is target:
                 return True
         return False
-
-    def step(self) -> None:
-        """Fire the single next entry."""
-        if not self._heap:
-            raise SimulationError("step() on an empty event heap")
-        # The head is what the loop pops first, and it stops right after.
-        self._drive(self._heap[0][3], None)
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the heap drains or simulated time reaches ``until``.

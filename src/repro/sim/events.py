@@ -40,7 +40,7 @@ class Event:
     invokes callbacks when the event's scheduled time arrives.
 
     Setting :attr:`defused` on a *failed* event tells the engine the
-    failure is expected and observed out-of-band, so ``step()`` must not
+    failure is expected and observed out-of-band, so the engine must not
     escalate it to :class:`SimulationError`.
     """
 
@@ -165,7 +165,7 @@ class _Condition(Event):
                 # The condition fired without us, so no waiter will ever
                 # see this failure through the condition's value.  Our
                 # registered callback counts as an observer, which would
-                # defuse what step() should have raised — so either
+                # defuse what the engine should have raised — so either
                 # honour an explicit defusal (recording why) or escalate.
                 if event.defused:
                     self.late_failures.append(

@@ -14,7 +14,7 @@ paper reports (Sec. III, Sec. VII):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.timeunits import MICROS, MILLIS
 
@@ -76,7 +76,6 @@ class SimParams:
     tcp_connect_ns: int = 100 * MICROS      #: kernel TCP 3-way handshake
 
     # ---------------------------------------------------------------- DCQCN
-    dcqcn_enabled: bool = True
     dcqcn_alpha_g: float = 0.00390625       #: 1/256, alpha EWMA gain
     dcqcn_alpha_update_ns: int = 55 * MICROS
     dcqcn_rate_increase_ns: int = 300 * MICROS  #: timer for recovery stages

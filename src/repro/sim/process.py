@@ -71,7 +71,7 @@ class Process(Event):
         except BaseException as exc:  # xr-lint: disable=swallowed-error
             # Intentionally broad: this is the process-death trap.  The
             # failure is not swallowed — fail() re-surfaces it through the
-            # process-as-event (and step() raises if nobody observes it).
+            # process-as-event (and the engine raises if nobody observes it).
             self.fail(exc)
             return
         # Duck-typed fast path: reading ``callbacks`` replaces an

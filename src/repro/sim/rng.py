@@ -21,7 +21,7 @@ would map OpenSSL into every process for them.
 from __future__ import annotations
 
 from math import exp, log1p
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.ziggurat import FE, KE, WE
 
@@ -224,9 +224,6 @@ class RngStream:
 
     def exponential(self, mean: float) -> float:
         return mean * self._standard_exponential()
-
-    def choice(self, seq: Sequence[Any]) -> Any:
-        return seq[self.randint(0, len(seq))]
 
     def bernoulli(self, p: float) -> bool:
         return self._next_double() < p

@@ -38,12 +38,6 @@ class PerfResult:
             return 0.0
         return self.bytes_moved * 8 / self.duration_ns
 
-    def summary(self) -> str:
-        return (f"{self.name}: msgs={self.messages} "
-                f"goodput={self.goodput_gbps:.2f}Gbps "
-                f"cnp={self.crucial.get('cnps_sent', 0)} "
-                f"pause={self.crucial.get('pause_frames', 0)}")
-
 
 class XrPerf:
     """Drives workloads between contexts it creates (or is handed)."""

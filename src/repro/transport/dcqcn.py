@@ -75,8 +75,6 @@ class DcqcnRateLimiter:
         The caller (the NIC scheduler) must not start transmitting the
         segment before the returned instant.
         """
-        if not self.params.dcqcn_enabled:
-            return self.sim.now
         rate = self.rate_bps()
         start = max(self.sim.now, self.next_tx_ns)
         self.next_tx_ns = start + int(round(nbytes * 8 / rate * 1e9))

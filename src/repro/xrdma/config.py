@@ -22,7 +22,6 @@ ONLINE_PARAMS = frozenset({
     "req_rsp_mode",
     "flow_control",
     "deadlock_check_intv_ms",
-    "idle_poll_mode",
 })
 
 
@@ -42,17 +41,11 @@ class XrdmaConfig:
     req_rsp_mode: bool = False           #: tracing headers on (vs bare-data)
     flow_control: bool = True            #: fragmentation + queuing on
     deadlock_check_intv_ms: float = 10.0
-    #: idle-time polling scheme (Sec. IV-B: "the polling mode is
-    #: configurable"): hybrid = NAPI-style, busy = always spin (lowest
-    #: latency, a core burned), event = always epoll (cheapest, +wakeup).
-    idle_poll_mode: str = "hybrid"
 
     # ------------------------------------------------------------ offline
     use_srq: bool = False                #: disabled by default (Sec. VII-F)
     cq_size: int = 4096
     srq_size: int = 1024
-    fork_safe: bool = False
-    ibqp_alloc_type: str = "anonymous"   #: anonymous | contiguous | hugepage
     small_msg_size: int = 4096           #: ≤ this uses eager RDMA Send
     #: rendezvous data movement above the eager threshold: "read" is the
     #: paper's receiver-driven RDMA Read; "write" is sender
@@ -64,7 +57,6 @@ class XrdmaConfig:
     max_outstanding_wrs: int = 8         #: queuing cap per channel
     context_outstanding_wrs: int = 4     #: shared cap across all channels
     memcache_mr_bytes: int = 4 * 1024 * 1024  #: 4 MB MRs (LITE lesson)
-    memcache_isolated: bool = False      #: high-address isolation (Sec. VI-C)
     prepost_slack: int = 4               #: extra recvs beyond the window
     # --------------------------------------------- control plane (ctrlplane)
     qp_cache_capacity: int = 64          #: RESET-QP pool size (0 disables)
@@ -91,12 +83,6 @@ class XrdmaConfig:
             raise ConfigError("max_outstanding_wrs must be >= 1")
         if self.context_outstanding_wrs < 1:
             raise ConfigError("context_outstanding_wrs must be >= 1")
-        if self.ibqp_alloc_type not in ("anonymous", "contiguous", "hugepage"):
-            raise ConfigError(
-                f"unknown ibqp_alloc_type {self.ibqp_alloc_type!r}")
-        if self.idle_poll_mode not in ("hybrid", "busy", "event"):
-            raise ConfigError(
-                f"unknown idle_poll_mode {self.idle_poll_mode!r}")
         if self.qp_cache_capacity < 0:
             raise ConfigError("qp_cache_capacity must be >= 0")
         if self.close_drain_timeout_ns <= 0:

@@ -24,13 +24,12 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.ctrlplane import QpCache
-from repro.memory.host import AllocMode
 from repro.rnic.qp import QpState
 from repro.rnic.wqe import Completion, Opcode, WorkRequest
 from repro.sim.events import Timeout
 from repro.sim.process import ProcessGenerator
 from repro.sim.resources import Store
-from repro.sim.timeunits import MILLIS, SECONDS
+from repro.sim.timeunits import SECONDS
 from repro.verbs.cm import ConnectError
 from repro.xrdma.channel import (ChannelBroken, ChannelState, XrdmaChannel,
                                  _WrRoute)
@@ -51,12 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover
 _BUSY_POLL_WINDOW_NS = 100_000
 #: Memory-cache shrink cadence.
 _SHRINK_INTV_NS = 1 * SECONDS
-
-_ALLOC_MODES = {
-    "anonymous": AllocMode.ANONYMOUS,
-    "contiguous": AllocMode.CONTIGUOUS,
-    "hugepage": AllocMode.HUGEPAGE,
-}
 
 
 class XrdmaContext:
@@ -81,8 +74,6 @@ class XrdmaContext:
                     if self.config.use_srq else None)
         self.memcache = MemCache(
             verbs, self.pd, mr_bytes=self.config.memcache_mr_bytes,
-            alloc_mode=_ALLOC_MODES[self.config.ibqp_alloc_type],
-            isolated=self.config.memcache_isolated,
             no_pin=self.config.memcache_no_pin)
         self.qpcache = QpCache(verbs, self.pd, self.send_cq, self.recv_cq,
                                capacity=self.config.qp_cache_capacity)
@@ -498,10 +489,8 @@ class XrdmaContext:
             yield self._wake
             woke_after = sim._now - self._idle_since
             self._wake = None
-            mode = config.idle_poll_mode
-            if mode == "event" or (mode == "hybrid"
-                                   and woke_after > _BUSY_POLL_WINDOW_NS):
-                # Not busy-polling (anymore); pay the epoll wakeup.
+            if woke_after > _BUSY_POLL_WINDOW_NS:
+                # Not busy-polling anymore (NAPI-style); pay the epoll wakeup.
                 yield sim.timeout(self.params.host_wakeup_ns)
 
     def _handle_recv_completion(self,

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.invariants import check as _invariant
-from repro.memory.host import AllocMode, HostMemory
 from repro.rnic.mr import AccessFlags, MemoryRegion
 from repro.sim.process import ProcessGenerator
 
@@ -115,13 +114,11 @@ class MemCache:
 
     def __init__(self, verbs: "VerbsContext", pd: "ProtectionDomain",
                  mr_bytes: int = 4 * 1024 * 1024,
-                 alloc_mode: AllocMode = AllocMode.ANONYMOUS,
                  isolated: bool = False,
                  no_pin: bool = False) -> None:
         self.verbs = verbs
         self.pd = pd
         self.mr_bytes = mr_bytes
-        self.alloc_mode = alloc_mode
         self.isolated = isolated
         #: NP-RDMA-style on-demand paging: registration skips pinning,
         #: first touch of each page pays fault latency at buffer hand-out.
@@ -229,13 +226,10 @@ class MemCache:
     # -------------------------------------------------------------- internal
     def _grow(self) -> ProcessGenerator:
         if self.isolated:
-            base = self._isolated_cursor
+            addr = self._isolated_cursor
             self._isolated_cursor += self.mr_bytes * 2  # guard gap between MRs
-            addr = base
         else:
-            allocation = self.verbs.memory.alloc(self.mr_bytes,
-                                                 self.alloc_mode)
-            addr = allocation.addr
+            addr = self.verbs.memory.alloc(self.mr_bytes).addr
         if self.no_pin:
             mr = yield self.verbs.reg_mr_odp(self.pd, addr, self.mr_bytes,
                                              AccessFlags.all_remote())

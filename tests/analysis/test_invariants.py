@@ -27,9 +27,6 @@ def test_count_mode_records_and_continues():
     assert registry.counts["unit.bad"] == 2
     assert ("unit.bad", "lazy detail") in registry.details
     assert not registry.ok
-    assert "unit.bad: 2" in registry.summary()
-    registry.reset()
-    assert registry.ok
 
 
 def test_note_never_raises_even_in_fatal_mode():

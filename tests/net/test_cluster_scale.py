@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import build_cluster, fabric_footprint
 from repro.net import NetStats, Segment
 from repro.sim import RngRegistry, SimParams, Simulator
-from repro.switching.switch import LOCAL_PORT
+from repro.switching.switch import LOCAL_PORT, Switch
 from repro.tools.xr_perf import XrPerf
 from repro.topology import ClosTopology
 from repro.topology.clos import _HostSlot
@@ -177,3 +177,38 @@ def test_flow_path_handles_unattached_endpoints():
     assert hops[0][0] == 0 and hops[-1][0] == 0      # ToR at both ends
     assert hops[-1][2] == 9 % topo.routing.hosts_per_tor  # canonical port
     assert topo.routing.flow_path(1, 3, 3) == []
+
+
+def test_flow_path_mirrors_route_over_a_dual_port_hosts_links():
+    """ECMP over a dual-port destination's extra down ports: for many
+    flows, ``flow_path`` names exactly the hops a segment's route takes,
+    and the flows spread over both of the destination's links."""
+    cluster = build_cluster(n_hosts=16, n_pods=2, tors_per_pod=2,
+                            hosts_per_tor=4, leaves_per_pod=2, n_spines=2,
+                            nic_ports=2)
+    topo, routing = cluster.topology, cluster.topology.routing
+    roles = {id(switch): role for role, switches in (
+        (Switch.ROLE_TOR, topo.tors), (Switch.ROLE_LEAF, topo.leaves),
+        (Switch.ROLE_SPINE, topo.spines)) for switch in switches}
+    dst = 5
+    same_tor = dst ^ 1
+    same_pod = (dst + routing.hosts_per_tor) % (
+        routing.hosts_per_tor * routing.tors_per_pod)
+    other_pod = cluster.hosts[-1].host_id
+    assert routing.host_tor_index(same_tor) == routing.host_tor_index(dst)
+    assert routing.host_tor_index(same_pod) != routing.host_tor_index(dst)
+    assert routing.host_pod(same_pod) == routing.host_pod(dst)
+    assert routing.host_pod(other_pod) != routing.host_pod(dst)
+    down_ports = set()
+    for src in (same_tor, same_pod, other_pod):
+        for flow_id in range(64):
+            segment = Segment(src=src, dst=dst, size=300, flow_id=flow_id)
+            device, route = topo.tors[routing.host_tor_index(src)], []
+            while id(device) in roles:
+                port = device._route(device.routing_index, segment)
+                route.append((roles[id(device)], device.routing_index, port))
+                device = device.ports[port].peer
+            assert device is cluster.host(dst).nic
+            assert routing.flow_path(flow_id, src, dst) == route
+            down_ports.add(route[-1][2])
+    assert len(down_ports) == 2

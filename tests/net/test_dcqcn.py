@@ -1,5 +1,7 @@
 """Unit tests for the DCQCN rate controller and CNP governor."""
 
+import pytest
+
 from repro.sim import SimParams, Simulator
 from repro.transport import CnpGovernor, DcqcnRateLimiter
 
@@ -94,12 +96,9 @@ def test_reserve_at_line_rate_has_no_extra_gap():
     assert (t1 - t0) * 1e-9 * LINE / 8 - 4096 < 1
 
 
-def test_reserve_disabled_returns_now():
-    params = SimParams(dcqcn_enabled=False)
-    sim, limiter = make(params)
-    limiter.on_cnp()
-    assert limiter.reserve(1 << 20) == 0
-    assert limiter.reserve(1 << 20) == 0
+def test_dcqcn_has_no_off_switch():
+    with pytest.raises(TypeError, match="dcqcn_enabled"):
+        SimParams(dcqcn_enabled=False)
 
 
 def test_cnp_governor_rate_limits_per_flow():

@@ -385,3 +385,33 @@ def test_loopback_to_same_host(cluster):
     run_process(cluster, scenario())
     completions = _poll_until(cluster, conn_b.qp.recv_cq)
     assert completions[0].byte_len == 333
+
+
+def test_zero_byte_read_gets_one_empty_response(pair, monkeypatch):
+    """Verbs allows a 0-byte READ: the responder answers at once with one
+    empty last READ_RESP and moves no data."""
+    cluster, conn_c, conn_s = pair
+    client = cluster.host(0)
+    responses = []
+    rx_read_response = client.nic._rx_read_response
+
+    def counting(packet):
+        responses.append(packet.length)
+        rx_read_response(packet)
+
+    monkeypatch.setattr(client.nic, "_rx_read_response", counting)
+    delivered = cluster.stats.data_bytes_delivered
+
+    def scenario():
+        yield client.verbs.post_send(conn_c.qp, WorkRequest(
+            opcode=Opcode.READ, length=0, remote_addr=0, rkey=1))
+
+    run_process(cluster, scenario())
+    completions = _poll_until(cluster, conn_c.qp.send_cq)
+    cluster.sim.run(until=cluster.sim.now + 10 * MILLIS)
+    completions += conn_c.qp.send_cq.poll()
+    assert [(c.status, c.opcode, c.byte_len) for c in completions] == [
+        (WrStatus.SUCCESS, Opcode.READ, 0)]
+    assert responses == [0]
+    assert cluster.stats.data_bytes_delivered == delivered
+    assert not conn_c.qp.reads_in_flight

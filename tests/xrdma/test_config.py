@@ -36,7 +36,7 @@ def test_all_online_params_are_settable(name):
     ("cq_size", 8192),
     ("small_msg_size", 8192),
     ("inflight_depth", 16),
-    ("ibqp_alloc_type", "hugepage"),
+    ("rendezvous_variant", "write"),
 ])
 def test_offline_params_rejected_at_runtime(name, value):
     config = XrdmaConfig()
@@ -56,6 +56,19 @@ def test_unknown_param_rejected():
         config.set_flag("no_such_thing", 1)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("idle_poll_mode", "busy"), ("fork_safe", True),
+    ("ibqp_alloc_type", "hugepage"), ("memcache_isolated", True),
+])
+def test_fixed_behaviour_is_no_config_field(name, value):
+    """Hybrid polling, anonymous arenas, no fork model, no isolation."""
+    for running in (True, False):
+        with pytest.raises(ConfigError, match="unknown"):
+            XrdmaConfig().set_flag(name, value, running=running)
+    with pytest.raises(TypeError, match=name):
+        XrdmaConfig(**{name: value})
+
+
 def test_window_depth_validation():
     with pytest.raises(ConfigError):
         XrdmaConfig(inflight_depth=1)
@@ -63,9 +76,9 @@ def test_window_depth_validation():
         XrdmaConfig(inflight_depth=4096, cq_size=4096)
 
 
-def test_alloc_type_validation():
-    with pytest.raises(ConfigError):
-        XrdmaConfig(ibqp_alloc_type="weird")
+def test_rendezvous_variant_validation():
+    with pytest.raises(ConfigError, match="rendezvous_variant"):
+        XrdmaConfig(rendezvous_variant="weird")
 
 
 def test_snapshot_roundtrip():

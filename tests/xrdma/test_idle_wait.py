@@ -34,12 +34,15 @@ def pending(sim):
 
 def test_kick_idle_cycles_leave_no_stale_timers(cluster):
     sim = cluster.sim
-    # "busy": no epoll wakeup charge, so every 1-us kick is a full cycle.
-    ctx = started_context(cluster, idle_poll_mode="busy")
+    # Kicks find no work, so the loop stays idle: the first 100 us of
+    # wakes busy-poll, every later one pays the epoll wakeup.  A kick
+    # every 5 us outlasts that wakeup, so each one is a full cycle.
+    ctx = started_context(cluster)
+    assert cluster.params.host_wakeup_ns < 5 * MICROS
     deepest = 0
     for _ in range(1000):
         ctx.kick()
-        sim.run(until=sim.now + 1 * MICROS)
+        sim.run(until=sim.now + 5 * MICROS)
         deepest = max(deepest, pending(sim))
     assert len(ctx.monitor.rounds) == 1001      # each kick ran one round
     assert deepest <= 4                         # ~1000 with a timer per wait
@@ -80,30 +83,35 @@ def test_inject_stall_interrupts_an_idle_wait(cluster):
     assert ctx.poll_gaps == [woke + 2 * MILLIS]
 
 
-def test_idle_poll_modes_change_latency():
-    """busy < event for a cold (long-idle) request: a busy-polling pair
-    never pays the epoll wakeup on either side."""
-    def cold_latency(mode):
-        fresh = build_cluster(2)
-        config = XrdmaConfig(idle_poll_mode=mode)
-        server = fresh.xrdma_context(1, config=config)
-        client = fresh.xrdma_context(0, config=config)
-        server.listen(9970)
+def test_hybrid_polling_charges_the_wakeup_only_when_cold():
+    """A request after 50 us of idle finds both loops still busy-polling;
+    one after 5 ms pays the epoll wakeup on each side, and nothing else."""
+    cluster = build_cluster(2)
+    sim = cluster.sim
+    server = cluster.xrdma_context(1)
+    client = cluster.xrdma_context(0)
+    server.listen(9970)
 
-        def echo():
-            while True:
-                msg = yield server.incoming.get()
-                server.send_response(msg, msg.payload_size)
+    def echo():
+        while True:
+            msg = yield server.incoming.get()
+            server.send_response(msg, msg.payload_size)
 
-        def scenario():
-            channel = yield from client.connect(1, 9970)
-            yield fresh.sim.timeout(5 * MILLIS)     # go cold
-            t0 = fresh.sim.now
-            request = client.send_request(channel, 64)
-            yield request.response
-            return fresh.sim.now - t0
+    def round_trip(channel):
+        t0 = sim.now
+        request = client.send_request(channel, 64)
+        yield request.response
+        return sim.now - t0
 
-        fresh.sim.spawn(echo())
-        return run_process(fresh, scenario(), limit=5 * SECONDS)
+    def scenario():
+        channel = yield from client.connect(1, 9970)
+        yield from round_trip(channel)                  # warm up
+        latencies = []
+        for idle in (50 * MICROS, 5 * MILLIS):  # inside, outside 100 us
+            yield sim.timeout(idle)
+            latencies.append((yield from round_trip(channel)))
+        return latencies
 
-    assert cold_latency("busy") < cold_latency("event")
+    sim.spawn(echo())
+    warm, cold = run_process(cluster, scenario(), limit=5 * SECONDS)
+    assert cold - warm == 2 * cluster.params.host_wakeup_ns
