@@ -127,7 +127,7 @@ def pytest_collection_finish(session):
     with open(root / "sweep.log", "w") as log:
         # A new session makes the child and its workers one process
         # group, which teardown can kill whole if cancelling stalls.
-        child = subprocess.Popen(  # xr-lint: disable=blocking-call
+        child = subprocess.Popen(  # xr-lint: disable=host-call
             [sys.executable, "-c",
              "import sys; from benchmarks.conftest import run_sweep; "
              "run_sweep(sys.argv[1], sys.argv[2:])",
@@ -185,7 +185,7 @@ def await_records(store, run_ids, running):
                    for record in store.load_records()}
         if exited or all(run_id in records for run_id in run_ids):
             break
-        time.sleep(_POLL_S)  # xr-lint: disable=blocking-call
+        time.sleep(_POLL_S)  # xr-lint: disable=host-call
     for run_id in run_ids:
         record = records.get(run_id)
         if record is None:

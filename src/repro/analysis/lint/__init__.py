@@ -12,13 +12,13 @@ AST.
 
 Four rule families (plus the XR001 suppression audit):
 
-* **determinism** — no wall-clock reads, no module-global RNG state, no
-  iteration ordered by object identity or ``hash()``.
+* **determinism** — no host-state call (wall-clock read, module-global
+  or unseeded RNG, host-blocking syscall; one table), no order that
+  depends on object identity, no counter that outlives a run.
 * **resource pairing** — flow-sensitive intra-function escape analysis
   over ``alloc``/``free`` and ``connect``/``close_channel`` pairs.
-* **sim hygiene** — no blocking calls inside processes, every process
-  yields real simulator events, no handler broad enough to swallow
-  :class:`~repro.sim.engine.SimulationError`.
+* **sim hygiene** — no generator annotated ``-> None``, no handler broad
+  enough to swallow :class:`~repro.sim.engine.SimulationError`.
 * **flow/interprocedural (XR4xx)** — yield-point races over the
   generator CFG and project call graph (:mod:`.flow`,
   :mod:`.callgraph`): stale guards across yields, resource escapes on

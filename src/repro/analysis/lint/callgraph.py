@@ -42,7 +42,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 #: handlers broad enough to catch anything — they do not make an
 #: exception class "handled" (XR303 already polices them), and a raise
 #: beneath one does not propagate.
-_BROAD_HANDLERS = {"Exception", "BaseException"}
+BROAD_HANDLERS = {"Exception", "BaseException"}
 
 #: builtin exception classes never count as "handled": an in-tree
 #: ``raise ValueError``/``KeyError`` is an assert-style programming-error
@@ -73,7 +73,7 @@ def last_component(node: ast.AST) -> Optional[str]:
 def _handler_names(handler: ast.ExceptHandler) -> Set[str]:
     """Exception class names an ``except`` clause lists (last components)."""
     if handler.type is None:
-        return set(_BROAD_HANDLERS)     # bare except behaves like broad
+        return set(BROAD_HANDLERS)     # bare except behaves like broad
     nodes = (handler.type.elts if isinstance(handler.type, ast.Tuple)
              else [handler.type])
     names: Set[str] = set()
@@ -89,8 +89,6 @@ class FunctionInfo:
     """Per-function facts the fixpoints and rules consume."""
 
     name: str                     #: last component, e.g. ``put``
-    path: str                     #: file the definition lives in
-    node: ast.AST                 #: the FunctionDef itself
     yields: int = 0               #: own-scope ``yield`` count
     delegates: Set[str] = field(default_factory=set)
     #: callee names of own-scope ``yield from <call>`` expressions
@@ -112,30 +110,30 @@ class CallGraph:
     @classmethod
     def build(cls, modules: Iterable[Tuple[str, ast.Module]]) -> "CallGraph":
         graph = cls()
-        for path, tree in modules:
-            graph._index_module(path, tree)
+        for _, tree in modules:
+            graph._index_module(tree)
         graph._solve_preempt()
         graph._solve_raise()
         return graph
 
-    def _index_module(self, path: str, tree: ast.Module) -> None:
-        self._index_scope(path, tree)
+    def _index_module(self, tree: ast.Module) -> None:
+        self._index_scope(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.ExceptHandler):
                 self.caught_exceptions |= (_handler_names(node)
-                                           - _BROAD_HANDLERS
+                                           - BROAD_HANDLERS
                                            - _BUILTIN_EXCEPTIONS)
 
-    def _index_scope(self, path: str, scope: ast.AST) -> None:
+    def _index_scope(self, scope: ast.AST) -> None:
         for node in ast.iter_child_nodes(scope):
             if isinstance(node, FUNC_DEFS):
-                self._index_function(path, node)
-                self._index_scope(path, node)
+                self._index_function(node)
+                self._index_scope(node)
             elif not isinstance(node, ast.Lambda):
-                self._index_scope(path, node)
+                self._index_scope(node)
 
-    def _index_function(self, path: str, func: ast.AST) -> None:
-        info = FunctionInfo(name=func.name, path=path, node=func)
+    def _index_function(self, func: ast.AST) -> None:
+        info = FunctionInfo(name=func.name)
         self._scan_function(func, info, enclosing_tries=())
         self.functions.append(info)
         self.by_name.setdefault(info.name, []).append(info)
@@ -182,27 +180,17 @@ class CallGraph:
         for try_node in enclosing_tries:
             for handler in try_node.handlers:
                 caught = _handler_names(handler)
-                if name in caught or caught & _BROAD_HANDLERS:
+                if name in caught or caught & BROAD_HANDLERS:
                     return True
         return False
 
     # ------------------------------------------------------------ fixpoints
     def _solve_preempt(self) -> None:
-        """Names whose functions can suspend a ``yield from`` caller."""
-        preempting = {info.name for info in self.functions if info.yields}
-        changed = True
-        while changed:
-            changed = False
-            for info in self.functions:
-                if info.name in preempting:
-                    continue
-                for callee in info.delegates:
-                    # Unresolved delegate: conservatively preempting.
-                    if callee not in self.by_name or callee in preempting:
-                        preempting.add(info.name)
-                        changed = True
-                        break
-        self._preempting = preempting
+        """Names whose functions can suspend a ``yield from`` caller; an
+        unresolved delegate conservatively counts as preempting."""
+        self._preempting = self._delegators(
+            {info.name for info in self.functions if info.yields},
+            unresolved=True)
 
     def _solve_raise(self) -> None:
         """Names whose functions may raise a *handled* exception class.
@@ -214,23 +202,27 @@ class CallGraph:
         ``get`` call site in the project, and each raising callee already
         gets flagged where it is called directly.
         """
-        raising = {info.name for info in self.functions
-                   if info.raised & self.caught_exceptions}
+        self._raising = self._delegators(
+            {info.name for info in self.functions
+             if info.raised & self.caught_exceptions}, unresolved=False)
+
+    def _delegators(self, names: Set[str], unresolved: bool) -> Set[str]:
+        """``names`` plus, to a fixpoint, every function that ``yield
+        from``-delegates to one of them (or, with ``unresolved``, to a
+        name no linted function has)."""
         changed = True
         while changed:
             changed = False
             for info in self.functions:
-                if info.name in raising:
-                    continue
-                if any(callee in raising for callee in info.delegates):
-                    raising.add(info.name)
+                if info.name not in names and any(
+                        callee in names
+                        or (unresolved and callee not in self.by_name)
+                        for callee in info.delegates):
+                    names.add(info.name)
                     changed = True
-        self._raising = raising
+        return names
 
     # -------------------------------------------------------------- queries
-    def resolve(self, name: str) -> List[FunctionInfo]:
-        return self.by_name.get(name, [])
-
     def may_preempt(self, name: Optional[str]) -> bool:
         """Can ``yield from <name>(...)`` suspend the caller?
 

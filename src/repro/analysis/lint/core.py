@@ -56,7 +56,7 @@ PATH_RULE_EXEMPTIONS: Dict[str, frozenset] = {
 class Finding:
     """One rule violation at a source location."""
 
-    rule: str            #: rule name, e.g. ``wall-clock``
+    rule: str            #: rule name, e.g. ``host-call``
     code: str            #: stable code, e.g. ``XR101``
     path: str            #: file the finding is in
     line: int            #: 1-based line
@@ -211,19 +211,11 @@ class FileContext:
                     self.imports[local] = f"{node.module}.{alias.name}"
 
     # ----------------------------------------------------------- resolution
-    def qualified_name(self, node: ast.AST) -> Optional[str]:
-        """Dotted path of a Name/Attribute chain with imports resolved.
-
-        ``np.random.default_rng`` → ``numpy.random.default_rng`` when the
-        file holds ``import numpy as np``.  Returns None for non-name
-        expressions (calls, subscripts, ...).
-        """
-        name, _ = self.resolved_name(node)
-        return name
-
     def resolved_name(self, node: ast.AST) -> Tuple[Optional[str], bool]:
-        """Like :meth:`qualified_name`, plus whether the chain's root went
-        through an import in this file.
+        """Dotted path of a Name/Attribute chain with imports resolved
+        (``np.random.default_rng`` → ``numpy.random.default_rng`` under
+        ``import numpy as np``; None for calls, subscripts, ...), and
+        whether the chain's root went through an import in this file.
 
         Module-dotted patterns (``time.sleep``, ``requests.get``) must only
         match import-resolved names — a local list named ``requests`` makes
@@ -312,18 +304,12 @@ class LintRunner:
                  ignore: Optional[Iterable[str]] = None,
                  check_suppressions: bool = True):
         self.check_suppressions = check_suppressions
-        chosen = all_rules()
-        if select:
-            wanted = set(select)
-            for name in wanted:
-                get_rule(name)  # validate
-            chosen = [cls for cls in chosen if cls.name in wanted]
-        if ignore:
-            dropped = set(ignore)
-            for name in dropped:
-                get_rule(name)  # validate
-            chosen = [cls for cls in chosen if cls.name not in dropped]
-        self.rules: List[Rule] = [cls() for cls in chosen]
+        wanted, dropped = set(select or ()), set(ignore or ())
+        for name in sorted(wanted | dropped):
+            get_rule(name)  # validate
+        self.rules: List[Rule] = [
+            cls() for cls in all_rules()
+            if (not wanted or cls.name in wanted) and cls.name not in dropped]
         self.errors: List[str] = []     #: files that failed to parse
 
     # ------------------------------------------------------------- running
@@ -335,12 +321,7 @@ class LintRunner:
         handler sites directly in the fixture source).
         """
         tree = self._parse(source, path)
-        if tree is None:
-            return []
-        graph = CallGraph.build([(path, tree)])
-        findings = self._run_module(path, source, tree, graph)
-        findings.sort(key=Finding.sort_key)
-        return findings
+        return self._run_parsed([] if tree is None else [(path, source, tree)])
 
     def _parse(self, source: str, path: str) -> Optional[ast.Module]:
         try:
@@ -411,19 +392,13 @@ class LintRunner:
             tree = self._parse(source, str(file))
             if tree is not None:
                 parsed.append((str(file), source, tree))
+        return self._run_parsed(parsed)
+
+    def _run_parsed(self, parsed: List[Tuple[str, str, ast.Module]]
+                    ) -> List[Finding]:
+        """Every rule over each module, one call graph over them all."""
         graph = CallGraph.build((path, tree) for path, _, tree in parsed)
-        findings: List[Finding] = []
-        for path, source, tree in parsed:
-            findings.extend(self._run_module(path, source, tree, graph))
+        findings = [finding for path, source, tree in parsed
+                    for finding in self._run_module(path, source, tree, graph)]
         findings.sort(key=Finding.sort_key)
         return findings
-
-
-# --------------------------------------------------------------- AST helpers
-def contains_id_call(node: ast.AST) -> bool:
-    """True if any sub-expression is a call to the ``id`` builtin."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) \
-                and sub.func.id == "id":
-            return True
-    return False

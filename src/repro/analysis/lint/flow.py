@@ -84,22 +84,18 @@ def identifier_parts(expr: ast.AST) -> Set[str]:
     return words
 
 
-def normalize(expr: ast.AST) -> str:
-    """Structural fingerprint of an expression (position-free)."""
-    return ast.dump(expr)
-
-
 def condition_fingerprints(test: ast.AST) -> Set[str]:
-    """The whole test plus each comparison inside it, normalized.
+    """Structural (position-free ``ast.dump``) fingerprints of the whole
+    test and of each comparison inside it.
 
     A re-check may restate only the load-bearing comparison of a compound
     guard (``a >= b`` out of ``a >= b or flag``), so both granularities
     participate in re-check matching.
     """
-    prints = {normalize(test)}
+    prints = {ast.dump(test)}
     for node in ast.walk(test):
         if isinstance(node, ast.Compare):
-            prints.add(normalize(node))
+            prints.add(ast.dump(node))
     return prints
 
 

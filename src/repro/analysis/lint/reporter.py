@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import asdict
 from typing import Iterable, List, Sequence
 
 from repro.analysis.lint.core import Finding
@@ -30,21 +31,8 @@ def render_text(findings: Sequence[Finding], errors: Iterable[str]) -> str:
 
 def render_json(findings: Sequence[Finding], errors: Iterable[str]) -> str:
     """Stable JSON for CI annotation tooling."""
-    payload = {
-        "findings": [
-            {
-                "rule": finding.rule,
-                "code": finding.code,
-                "path": finding.path,
-                "line": finding.line,
-                "col": finding.col,
-                "message": finding.message,
-            }
-            for finding in findings
-        ],
-        "errors": list(errors),
-        "total": len(findings),
-    }
+    payload = {"findings": [asdict(finding) for finding in findings],
+               "errors": list(errors), "total": len(findings)}
     return json.dumps(payload, indent=2, sort_keys=True)
 
 

@@ -11,99 +11,99 @@ every run even when membership is identical).
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set
+from collections import deque
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
-from repro.analysis.lint.core import (FileContext, Finding, Rule,
-                                      contains_id_call, register)
-from repro.analysis.lint.flow import functions_in
+from repro.analysis.lint.callgraph import FUNC_DEFS
+from repro.analysis.lint.core import FileContext, Finding, Rule, register
 
-#: wall-clock reads that leak host time into simulated behaviour
-_WALL_CLOCK = {
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns", "time.clock_gettime",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
+_WALL_CLOCK = ("reads the host wall clock; simulated components must use "
+               "sim.now (ns)")
+_GLOBAL_RNG = ("draws from the process-global stdlib RNG; use a named "
+               "RngStream from the cluster's RngRegistry")
+_NUMPY_RNG = ("uses numpy's global RNG state; use a seeded Generator "
+              "(RngStream)")
+_UNSEEDED = ("without a seed is entropy-seeded; pass an explicit seed "
+             "derived from the root seed, or use RngRegistry")
+_BLOCKING = ("blocks the host thread, stalling every simulated host at "
+             "once; processes advance time only via sim.timeout()/events")
+
+#: resolved callee -> why calling it breaks a run.  A key ending in "."
+#: covers its whole module, a None entry exempts one name from its
+#: module's key, and an ``_UNSEEDED`` callee is fine once given a seed.
+_HOST_CALLS: Dict[str, Optional[str]] = {
+    **dict.fromkeys((
+        "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+        "time.perf_counter", "time.perf_counter_ns", "time.clock_gettime",
+        "datetime.datetime.now", "datetime.datetime.utcnow",
+        "datetime.datetime.today", "datetime.date.today"), _WALL_CLOCK),
+    **dict.fromkeys((
+        "random.random", "random.randint", "random.randrange",
+        "random.uniform", "random.choice", "random.choices",
+        "random.shuffle", "random.sample", "random.expovariate",
+        "random.gauss", "random.normalvariate", "random.seed",
+        "random.getrandbits", "random.betavariate",
+        "random.paretovariate"), _GLOBAL_RNG),
+    "numpy.random.": _NUMPY_RNG,
+    **dict.fromkeys(("numpy.random.Generator", "numpy.random.SeedSequence",
+                     "numpy.random.PCG64", "numpy.random.Philox"), None),
+    **dict.fromkeys(("random.Random", "numpy.random.default_rng"),
+                    _UNSEEDED),
+    **dict.fromkeys((
+        "time.sleep", "os.system", "os.wait", "os.waitpid", "input",
+        "socket.socket", "socket.create_connection", "select.select",
+        "urllib.request.urlopen", "subprocess.", "requests.",
+        "http.client."), _BLOCKING),
 }
 
-#: module-level stdlib RNG entry points (process-global hidden state)
-_STDLIB_RANDOM = {
-    "random.random", "random.randint", "random.randrange", "random.uniform",
-    "random.choice", "random.choices", "random.shuffle", "random.sample",
-    "random.expovariate", "random.gauss", "random.normalvariate",
-    "random.seed", "random.getrandbits", "random.betavariate",
-    "random.paretovariate",
-}
 
-#: numpy global-state RNG entry points (same hazard, numpy flavour)
-_NUMPY_RANDOM_PREFIX = "numpy.random."
-_NUMPY_RANDOM_OK = {
-    "numpy.random.default_rng", "numpy.random.Generator",
-    "numpy.random.SeedSequence", "numpy.random.PCG64",
-    "numpy.random.Philox",
-}
+def _host_call(callee: str, call: ast.Call) -> Optional[str]:
+    """Why calling ``callee`` this way reads host state, or None: the
+    callee's own entry, else that of its nearest listed module."""
+    parts = callee.split(".")
+    keys = [callee] + [".".join(parts[:n]) + "."
+                       for n in range(len(parts) - 1, 0, -1)]
+    message = next((_HOST_CALLS[key] for key in keys if key in _HOST_CALLS),
+                   None)
+    if message is _UNSEEDED and (call.args or call.keywords):
+        return None
+    return message
 
 
 @register
-class WallClockRule(Rule):
-    """No host wall-clock reads — simulated time comes from ``sim.now``."""
+class HostCallRule(Rule):
+    """No call that reads or waits on host state: the wall clock, a
+    process-global or unseeded RNG, or a host-blocking syscall.
 
-    name = "wall-clock"
+    ``_HOST_CALLS`` is the one table: time comes from ``sim.now``,
+    randomness from a seeded stream, waiting from ``sim.timeout``.  A
+    module-dotted callee must resolve through an import of this file (a
+    local list named ``requests`` is not the HTTP library); the builtin
+    ``input`` needs none.
+    """
+
+    name = "host-call"
     code = "XR101"
-    summary = ("wall-clock read (time.time / datetime.now / ...) in "
-               "sim-reachable code; use sim.now")
+    summary = ("wall-clock read, global or unseeded RNG draw, or "
+               "host-blocking call; use sim.now, RngRegistry.stream(name), "
+               "sim.timeout")
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             callee, resolved = ctx.resolved_name(node.func)
-            if resolved and callee in _WALL_CLOCK:
-                yield self.finding(
-                    ctx, node,
-                    f"{callee}() reads the host wall clock; simulated "
-                    f"components must use sim.now (ns)")
-
-
-@register
-class GlobalRandomRule(Rule):
-    """No module-global RNG state — randomness must come from a seeded
-    stream so two runs with one root seed are identical."""
-
-    name = "global-random"
-    code = "XR102"
-    summary = ("module-level random.* / numpy.random.* call or unseeded "
-               "default_rng(); use RngRegistry.stream(name)")
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+            if callee is None or not (resolved or callee == "input"):
                 continue
-            callee, resolved = ctx.resolved_name(node.func)
-            if callee is None or not resolved:
-                continue
-            if callee in _STDLIB_RANDOM:
-                yield self.finding(
-                    ctx, node,
-                    f"{callee}() draws from the process-global stdlib RNG; "
-                    f"use a named RngStream from the cluster's RngRegistry")
-            elif callee == "random.Random" and not node.args \
-                    and not node.keywords:
-                yield self.finding(
-                    ctx, node,
-                    "random.Random() without a seed is entropy-seeded; "
-                    "pass an explicit seed or use RngRegistry")
-            elif callee == "numpy.random.default_rng" and not node.args \
-                    and not node.keywords:
-                yield self.finding(
-                    ctx, node,
-                    "numpy.random.default_rng() without a seed is "
-                    "entropy-seeded; derive the seed from the root seed")
-            elif callee.startswith(_NUMPY_RANDOM_PREFIX) \
-                    and callee not in _NUMPY_RANDOM_OK:
-                yield self.finding(
-                    ctx, node,
-                    f"{callee}() uses numpy's global RNG state; "
-                    f"use a seeded Generator (RngStream)")
+            message = _host_call(callee, node)
+            if message is not None:
+                yield self.finding(ctx, node, f"{callee}() {message}")
+
+
+def contains_id_call(node: ast.AST) -> bool:
+    """True if any sub-expression is a call to the ``id`` builtin."""
+    return any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+               and sub.func.id == "id" for sub in ast.walk(node))
 
 
 def _is_id_keyed_collection(node: ast.AST) -> bool:
@@ -120,45 +120,68 @@ def _is_id_keyed_collection(node: ast.AST) -> bool:
     return False
 
 
+def _key_is_identity(call: ast.Call) -> bool:
+    """``key=id`` / ``key=hash`` / ``key=lambda x: id(x)`` and friends."""
+    for keyword in call.keywords:
+        value = keyword.value
+        if isinstance(value, ast.Lambda):
+            value = value.body.func if isinstance(value.body, ast.Call) \
+                else None
+        if keyword.arg == "key" and isinstance(value, ast.Name) \
+                and value.id in ("id", "hash"):
+            return True
+    return False
+
+
 #: consuming calls whose output order follows the argument's iteration order
 _ORDER_SENSITIVE_CALLS = {"sorted", "list", "tuple", "min", "max"}
 
 
 @register
-class IdOrderRule(Rule):
-    """No iteration over collections keyed by object identity.
+class IdentityOrderRule(Rule):
+    """Nothing ordered by object identity.
 
-    ``{id(x) for x in ...}`` is fine as a membership probe (the
-    ``MemCache.shrink`` pattern) but iterating it — in a ``for``, a
-    comprehension, or via ``sorted``/``list``/``min``/``max`` — makes
-    behaviour depend on CPython address assignment, which differs between
-    runs even under one root seed.
+    ``id()`` and ``hash()`` of objects are fresh every interpreter run,
+    so two runs under one root seed diverge when an order depends on
+    them.  Two shapes do: iterating an ``id()``-keyed collection (a
+    ``for``, a comprehension, ``sorted``/``list``/``min``/``max``), and
+    ordering by ``key=id`` / ``key=hash``.  ``{id(x) for x in ...}`` as a
+    membership probe (the ``MemCache.shrink`` pattern) is fine.  Each
+    function is its own scope: it sees the names its enclosing scopes
+    bound to an id()-keyed collection, never a sibling's.
     """
 
-    name = "id-order"
+    name = "identity-order"
     code = "XR103"
-    summary = ("iteration over an id()-keyed set/dict: order depends on "
+    summary = ("iteration over an id()-keyed set/dict, or sorted()/sort()/"
+               "min()/max() keyed by id() or hash(): order depends on "
                "object addresses, not the root seed")
 
     def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for func in functions_in(tree):
-            yield from self._check_scope(ctx, func.body)
-        yield from self._check_scope(
-            ctx, [n for n in tree.body
-                  if not isinstance(n, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef))])
+        return self._check_scope(ctx, tree.body, frozenset())
 
-    def _check_scope(self, ctx: FileContext,
-                     body: List[ast.stmt]) -> Iterator[Finding]:
-        tainted: Set[str] = set()
+    def _check_scope(self, ctx: FileContext, body: List[ast.stmt],
+                     outer: FrozenSet[str]) -> Iterator[Finding]:
+        """Every node of one scope, statement by statement in
+        ``ast.walk`` order; nested functions follow, with this scope's
+        taint."""
+        tainted = set(outer)
+        nested: List[ast.AST] = []
         for stmt in body:
-            for node in ast.walk(stmt):
+            todo = deque([stmt])
+            while todo:
+                node = todo.popleft()
+                if isinstance(node, FUNC_DEFS):
+                    nested.append(node)
+                    continue
+                todo.extend(ast.iter_child_nodes(node))
                 if isinstance(node, ast.Assign) \
                         and _is_id_keyed_collection(node.value):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            tainted.add(target.id)
-                yield from self._check_iteration(ctx, node, tainted)
+                    tainted.update(target.id for target in node.targets
+                                   if isinstance(target, ast.Name))
+                yield from self._check_node(ctx, node, tainted)
+        for func in nested:
+            yield from self._check_scope(ctx, func.body, frozenset(tainted))
 
     def _iter_message(self, how: str) -> str:
         return (f"{how} an id()-keyed collection: identity values are "
@@ -166,8 +189,8 @@ class IdOrderRule(Rule):
                 f"non-deterministic; key by a stable field "
                 f"(buffer_id, qpn, channel_id) instead")
 
-    def _check_iteration(self, ctx: FileContext, node: ast.AST,
-                         tainted: Set[str]) -> Iterator[Finding]:
+    def _check_node(self, ctx: FileContext, node: ast.AST,
+                    tainted: Set[str]) -> Iterator[Finding]:
         def is_tainted(expr: ast.AST) -> bool:
             return _is_id_keyed_collection(expr) or (
                 isinstance(expr, ast.Name) and expr.id in tainted)
@@ -181,59 +204,27 @@ class IdOrderRule(Rule):
                 if is_tainted(gen.iter):
                     yield self.finding(ctx, gen.iter,
                                        self._iter_message("comprehension over"))
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _ORDER_SENSITIVE_CALLS \
-                and node.args and is_tainted(node.args[0]):
-            yield self.finding(
-                ctx, node, self._iter_message(f"{node.func.id}() over"))
-
-
-def _key_is_identity(keyword: ast.keyword) -> bool:
-    """``key=id`` / ``key=hash`` / ``key=lambda x: id(x)`` and friends."""
-    value = keyword.value
-    if isinstance(value, ast.Name) and value.id in ("id", "hash"):
-        return True
-    if isinstance(value, ast.Lambda):
-        body = value.body
-        return (isinstance(body, ast.Call)
-                and isinstance(body.func, ast.Name)
-                and body.func.id in ("id", "hash"))
-    return False
-
-
-@register
-class HashOrderRule(Rule):
-    """No ordering by ``hash()`` or ``id()`` of objects."""
-
-    name = "hash-order"
-    code = "XR104"
-    summary = "sorted()/sort()/min()/max() keyed by hash() or id()"
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            is_sorted_like = (
-                isinstance(node.func, ast.Name)
-                and node.func.id in ("sorted", "min", "max"))
-            is_sort_method = (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "sort")
-            if not (is_sorted_like or is_sort_method):
-                continue
-            for keyword in node.keywords:
-                if keyword.arg == "key" and _key_is_identity(keyword):
-                    yield self.finding(
-                        ctx, node,
-                        "ordering by object identity/hash changes between "
-                        "interpreter runs; sort by a stable attribute")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else None
+            if called in _ORDER_SENSITIVE_CALLS and node.args \
+                    and is_tainted(node.args[0]):
+                yield self.finding(
+                    ctx, node, self._iter_message(f"{called}() over"))
+            elif (called in ("sorted", "min", "max") or (
+                    isinstance(func, ast.Attribute) and func.attr == "sort")) \
+                    and _key_is_identity(node):
+                yield self.finding(
+                    ctx, node,
+                    "ordering by object identity/hash changes between "
+                    "interpreter runs; sort by a stable attribute")
 
 
 def _counters(body: List[ast.stmt], ctx: FileContext) -> Set[str]:
     """Names a module or class body binds to ``itertools.count(...)``."""
     return {target.id for stmt in body if isinstance(stmt, ast.Assign)
             and isinstance(stmt.value, ast.Call)
-            and ctx.qualified_name(stmt.value.func) == "itertools.count"
+            and ctx.resolved_name(stmt.value.func)[0] == "itertools.count"
             for target in stmt.targets if isinstance(target, ast.Name)}
 
 

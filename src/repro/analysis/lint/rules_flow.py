@@ -40,9 +40,15 @@ from repro.analysis.lint.flow import (MUTATOR_METHODS, acquisition_call,
                                       condition_fingerprints, functions_in,
                                       identifier_parts, is_generator,
                                       is_terminal, iter_own_scope,
-                                      mutates_path, normalize, preemption_in)
+                                      mutates_path, preemption_in)
 
 _LOOPS = (ast.While, ast.For, ast.AsyncFor)
+
+
+def _mentions(node: ast.AST, names: Set[str]) -> bool:
+    """Does any bare name under ``node`` belong to ``names``?"""
+    return any(isinstance(sub, ast.Name) and sub.id in names
+               for sub in ast.walk(node))
 
 
 # =========================================================== XR401
@@ -196,7 +202,7 @@ class StaleGuardRule(Rule):
                 continue
             if isinstance(stmt, ast.Assign) \
                     and all(isinstance(t, ast.Name) for t in stmt.targets) \
-                    and self._mentions_any(stmt.value, names):
+                    and _mentions(stmt.value, names):
                 # `rendezvous = _Rendezvous(..., buffer=buffer)` makes the
                 # wrapper a live handle on the allocation.
                 names |= {t.id for t in stmt.targets
@@ -217,7 +223,7 @@ class StaleGuardRule(Rule):
         name into, or None.  Bare locals (``buffers.append(x)``) are not
         installs — nothing else can reach them."""
         if isinstance(stmt, ast.Assign) \
-                and self._mentions_any(stmt.value, names):
+                and _mentions(stmt.value, names):
             for target in stmt.targets:
                 base = (target.value if isinstance(target, ast.Subscript)
                         else target)
@@ -230,7 +236,7 @@ class StaleGuardRule(Rule):
                     and call.func.attr in MUTATOR_METHODS:
                 path = attr_path(call.func.value)
                 if path is not None and "." in path and any(
-                        self._mentions_any(arg, names)
+                        _mentions(arg, names)
                         for arg in call.args):
                     return path
         return None
@@ -241,14 +247,9 @@ class StaleGuardRule(Rule):
                     and last_component(sub.func) in _RELEASE_CALLS:
                 for arg in list(sub.args) \
                         + [kw.value for kw in sub.keywords]:
-                    if self._mentions_any(arg, names):
+                    if _mentions(arg, names):
                         return True
         return False
-
-    @staticmethod
-    def _mentions_any(node: ast.AST, names: Set[str]) -> bool:
-        return any(isinstance(sub, ast.Name) and sub.id in names
-                   for sub in ast.walk(node))
 
     @staticmethod
     def _as_guard(stmt: ast.stmt) -> Optional[Tuple[Set[str], Set[str]]]:
@@ -439,9 +440,7 @@ class ExceptionEdgeLeakRule(Rule):
             if isinstance(stmt, SCOPE_BARRIERS):
                 continue
             if isinstance(stmt, ast.If):
-                tests_resource = any(
-                    isinstance(sub, ast.Name) and sub.id in state.names
-                    for sub in ast.walk(stmt.test))
+                tests_resource = _mentions(stmt.test, state.names)
                 if tests_resource:
                     state.tested_depth += 1
                 self._scan(stmt.body, state)
@@ -491,7 +490,7 @@ class ExceptionEdgeLeakRule(Rule):
                 return
         # 3. raise edges: escape via the exception, or a dropping raise
         if isinstance(stmt, ast.Raise) and stmt.exc is not None:
-            if self._mentions(stmt, state):
+            if _mentions(stmt, state.names):
                 state.outcome = ("clean", stmt, "escapes via exception")
                 return
             raised = last_component(
@@ -538,16 +537,11 @@ class ExceptionEdgeLeakRule(Rule):
             nodes.extend(ast.walk(header))
         return nodes
 
-    @staticmethod
-    def _mentions(node: ast.AST, state: _EscapeState) -> bool:
-        return any(isinstance(sub, ast.Name) and sub.id in state.names
-                   for sub in ast.walk(node))
-
     def _releases(self, call: ast.Call, state: _EscapeState) -> bool:
         name = last_component(call.func)
         if name in _RELEASE_CALLS:
             for arg in list(call.args) + [kw.value for kw in call.keywords]:
-                if self._mentions(arg, state):
+                if _mentions(arg, state.names):
                     return True
         if isinstance(call.func, ast.Attribute) \
                 and call.func.attr in _RELEASE_RECEIVER_METHODS \
@@ -565,15 +559,15 @@ class ExceptionEdgeLeakRule(Rule):
                     return True
         # returned / yielded to the caller
         if isinstance(stmt, ast.Return) and stmt.value is not None \
-                and self._mentions(stmt.value, state):
+                and _mentions(stmt.value, state.names):
             return True
         if isinstance(stmt, ast.Expr) \
                 and isinstance(stmt.value, (ast.Yield, ast.YieldFrom)) \
                 and stmt.value.value is not None \
-                and self._mentions(stmt.value.value, state):
+                and _mentions(stmt.value.value, state.names):
             return True
         # stored into an attribute, subscript, or container
-        if isinstance(stmt, ast.Assign) and self._mentions(stmt.value, state):
+        if isinstance(stmt, ast.Assign) and _mentions(stmt.value, state.names):
             for target in stmt.targets:
                 if isinstance(target, (ast.Attribute, ast.Subscript,
                                        ast.Tuple, ast.List)):
@@ -832,7 +826,7 @@ class YieldInCriticalSectionRule(Rule):
                     if path is not None and "." in path:
                         sign = 1 if isinstance(stmt.op, ast.Add) else -1
                         emit("mut", stmt, key, path, sign,
-                             normalize(stmt.value))
+                             ast.dump(stmt.value))
                         continue
                 if isinstance(stmt, ast.If):
                     walk(stmt.body, key + ((id(stmt), 0),))

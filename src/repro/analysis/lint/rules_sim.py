@@ -1,118 +1,22 @@
 """Sim-hygiene rules (XR3xx).
 
-Processes inside the discrete-event simulator must cooperate with it:
-blocking the host thread stalls every simulated host at once, yielding a
-non-event crashes the process with a ``TypeError`` at resume time, and a
-handler broad enough to catch :class:`~repro.sim.engine.SimulationError`
-or :class:`~repro.analysis.invariants.InvariantError` turns a detected
-corruption back into silence.
+Processes inside the discrete-event simulator must cooperate with it: a
+generator annotated ``-> None`` invites a call site to drop its
+``yield from``, and a handler broad enough to catch
+:class:`~repro.sim.engine.SimulationError` or
+:class:`~repro.analysis.invariants.InvariantError` turns a detected
+corruption back into silence.  (Host-blocking calls are XR101; a
+process that yields a non-Event is killed by ``Process._resume``.)
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Set
+from typing import Iterator, Set
 
+from repro.analysis.lint.callgraph import BROAD_HANDLERS
 from repro.analysis.lint.core import FileContext, Finding, Rule, register
-from repro.analysis.lint.flow import (functions_in, is_generator,
-                                      iter_own_scope)
-
-#: host-blocking calls by resolved dotted name
-_BLOCKING_EXACT = {
-    "time.sleep", "os.system", "os.wait", "os.waitpid", "input",
-    "socket.socket", "socket.create_connection", "select.select",
-    "urllib.request.urlopen",
-}
-_BLOCKING_PREFIXES = ("subprocess.", "requests.", "http.client.")
-
-#: event-factory methods whose presence marks a generator as a sim process
-_EVENT_FACTORIES = {"timeout", "event", "any_of", "all_of", "get", "put"}
-
-_BROAD_TYPES = {"Exception", "BaseException"}
-
-
-@register
-class BlockingCallRule(Rule):
-    """No host-blocking calls — they freeze simulated time itself."""
-
-    name = "blocking-call"
-    code = "XR301"
-    summary = ("time.sleep()/subprocess/socket call blocks the host "
-               "thread; use sim.timeout / simulated I/O")
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            callee, resolved = ctx.resolved_name(node.func)
-            if callee is None:
-                continue
-            # Builtins (input) resolve without an import; module-dotted
-            # patterns must come through one, or a local named `requests`
-            # would match the HTTP library.
-            if not resolved and callee != "input":
-                continue
-            if callee in _BLOCKING_EXACT \
-                    or callee.startswith(_BLOCKING_PREFIXES):
-                yield self.finding(
-                    ctx, node,
-                    f"{callee}() blocks the host thread, stalling every "
-                    f"simulated host at once; processes advance time only "
-                    f"via sim.timeout()/events")
-
-
-def _yield_nodes(func: ast.AST) -> List[ast.Yield]:
-    return [node for node in iter_own_scope(func)
-            if isinstance(node, ast.Yield)]
-
-
-def _is_sim_process(func: ast.AST) -> bool:
-    """A generator yielding at least one event-factory call result."""
-    for node in iter_own_scope(func):
-        value = None
-        if isinstance(node, ast.Yield):
-            value = node.value
-        elif isinstance(node, ast.YieldFrom):
-            continue
-        if isinstance(value, ast.Call) \
-                and isinstance(value.func, ast.Attribute) \
-                and value.func.attr in _EVENT_FACTORIES:
-            return True
-    return False
-
-
-@register
-class NonEventYieldRule(Rule):
-    """Sim processes must yield Event instances, never bare constants.
-
-    ``yield`` / ``yield 5`` inside a process resumes through
-    :meth:`~repro.sim.process.Process._resume`, which kills the process
-    with ``TypeError: processes must yield Event instances`` — but only at
-    runtime, on the path that reaches it.  Flagged statically instead.
-    Pure data generators (every yield a constant) are left alone.
-    """
-
-    name = "non-event-yield"
-    code = "XR302"
-    summary = ("bare/constant yield inside a sim-process generator "
-               "(processes must yield Events)")
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if not _is_sim_process(node):
-                continue
-            for yield_node in _yield_nodes(node):
-                value = yield_node.value
-                if value is None or isinstance(value, ast.Constant):
-                    shown = ("bare yield" if value is None
-                             else f"yield {value.value!r}")
-                    yield self.finding(
-                        ctx, yield_node,
-                        f"{shown} in sim process {node.name!r}: the engine "
-                        f"rejects non-Event yields with a TypeError at "
-                        f"resume time; yield sim.timeout(...)/an Event")
+from repro.analysis.lint.flow import functions_in, is_generator
 
 
 @register
@@ -157,12 +61,8 @@ class GeneratorAnnotatedNoneRule(Rule):
 def _broad_names(ctx: FileContext, type_node: ast.AST) -> Set[str]:
     """Which of Exception/BaseException an except clause catches."""
     nodes = type_node.elts if isinstance(type_node, ast.Tuple) else [type_node]
-    caught: Set[str] = set()
-    for node in nodes:
-        name = ctx.qualified_name(node)
-        if name in _BROAD_TYPES:
-            caught.add(name)
-    return caught
+    return {name for name, _ in map(ctx.resolved_name, nodes)
+            if name in BROAD_HANDLERS}
 
 
 @register

@@ -52,7 +52,7 @@ def _wall() -> float:
     """Host wall clock for ``wall_s`` fields and the pool's deadlines;
     never observed by any simulation, and excluded from jobs-invariant
     output."""
-    return time.monotonic()  # xr-lint: disable=wall-clock
+    return time.monotonic()  # xr-lint: disable=host-call
 
 
 class RunContext:

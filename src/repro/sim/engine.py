@@ -54,7 +54,7 @@ def _host_clock() -> float:
     Nothing simulated ever observes this value: a tripped deadline aborts
     the run with :class:`GuardExceeded`, it never steers behaviour.
     """
-    return time.monotonic()  # xr-lint: disable=wall-clock
+    return time.monotonic()  # xr-lint: disable=host-call
 
 
 class _GuardState:

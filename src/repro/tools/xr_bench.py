@@ -26,7 +26,7 @@ def _wall() -> float:
     This is the one place wall time is legitimate: nothing simulated ever
     sees it, it only divides event counts.
     """
-    return time.perf_counter()  # xr-lint: disable=wall-clock
+    return time.perf_counter()  # xr-lint: disable=host-call
 
 
 @dataclass

@@ -153,14 +153,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         path = path / "windows.jsonl"
     try:
         rows = load_window_rows(str(path))
-    except OSError as exc:
+        tables = tenant_tables(rows)
+    except (OSError, TypeError, ValueError) as exc:
+        # ValueError covers a non-UTF-8 file and a non-integer window
         print(f"xr-slo: {path}: {exc}", file=sys.stderr)
         return 2
     if not rows:
         print(f"xr-slo: {path}: no window rows (not a serving sweep?)",
               file=sys.stderr)
         return 1
-    tables = tenant_tables(rows)
     if args.json:
         payload = {
             "summaries": [

@@ -135,7 +135,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         meta, records = load_trace_file(args.trace_file)
-    except OSError as exc:
+    except (OSError, TypeError, ValueError) as exc:
+        # ValueError covers a non-UTF-8 file and a non-integer trace_id
         print(f"xr-trace: {args.trace_file}: {exc}", file=sys.stderr)
         return 2
     report = analyze(meta, records, slowest=max(0, args.slowest))

@@ -61,8 +61,8 @@ def test_golden_text_report(tmp_path):
     runner = LintRunner()
     out = render_text(runner.run_paths([str(dirty)]), runner.errors)
     assert out == textwrap.dedent(f"""\
-        {dirty}:5:12: XR101[wall-clock] time.time() reads the host wall clock; simulated components must use sim.now (ns)
-        xr-lint: 1 finding(s) — XR101[wall-clock]×1""")
+        {dirty}:5:12: XR101[host-call] time.time() reads the host wall clock; simulated components must use sim.now (ns)
+        xr-lint: 1 finding(s) — XR101[host-call]×1""")
 
 
 def test_render_gh_emits_error_annotations():

@@ -25,54 +25,52 @@ def codes(findings):
     return [f.code for f in findings]
 
 
+def table_test(rule, source, expected, says=None):
+    """One table row as a test: ``source`` linted with ``rule`` alone
+    yields exactly the ``expected`` ``(code, line)`` findings, and the
+    first finding's message contains ``says``."""
+    def test():
+        findings = lint(source, rule=rule)
+        assert [(f.code, f.line) for f in findings] == expected
+        if says is not None:
+            assert says in findings[0].message
+    return test
+
+
 # ---------------------------------------------------------------- XR101
-def test_wall_clock_flags_time_time():
-    findings = lint("""
+#: host-call rows: test name -> (fixture, expected (code, line), message).
+#: Wall-clock, global-RNG and host-blocking callees are one table; a
+#: dotted callee only matches through an import, the builtin ``input``
+#: without one, and a seeded RNG constructor not at all.
+HOST_CALL_ROWS = {
+    "test_wall_clock_flags_time_time": ("""
         import time
 
         def stamp():
             return time.time()
-        """, rule="wall-clock")
-    assert codes(findings) == ["XR101"]
-    assert "sim.now" in findings[0].message
-
-
-def test_wall_clock_flags_datetime_now():
-    findings = lint("""
+        """, [("XR101", 5)], "sim.now"),
+    "test_wall_clock_flags_datetime_now": ("""
         from datetime import datetime
 
         def stamp():
             return datetime.now()
-        """, rule="wall-clock")
-    assert codes(findings) == ["XR101"]
-
-
-def test_wall_clock_ignores_sim_now_and_unimported_names():
+        """, [("XR101", 5)], None),
     # `time` here is a local object, not the stdlib module: no import, no
     # finding — the resolver demands the name route through an import.
-    findings = lint("""
+    "test_wall_clock_ignores_sim_now_and_unimported_names": ("""
         def stamp(sim, time):
             _ = time.time()
             return sim.now
-        """, rule="wall-clock")
-    assert findings == []
-
-
-# ---------------------------------------------------------------- XR102
-def test_global_random_flags_stdlib_and_unseeded_rng():
-    findings = lint("""
+        """, [], None),
+    "test_global_random_flags_stdlib_and_unseeded_rng": ("""
         import random
         import numpy as np
 
         def jitter():
             rng = np.random.default_rng()
             return random.uniform(0, 1) + np.random.random()
-        """, rule="global-random")
-    assert codes(findings) == ["XR102", "XR102", "XR102"]
-
-
-def test_global_random_allows_seeded_streams():
-    findings = lint("""
+        """, [("XR101", 6), ("XR101", 7), ("XR101", 7)], "entropy-seeded"),
+    "test_global_random_allows_seeded_streams": ("""
         import random
         import numpy as np
 
@@ -81,56 +79,96 @@ def test_global_random_allows_seeded_streams():
             local = random.Random(7)
             stream = registry.stream("jitter")
             return stream.uniform(0, 1)
-        """, rule="global-random")
-    assert findings == []
+        """, [], None),
+    "test_host_call_flags_unseeded_random_constructor": ("""
+        import random
+
+        def make():
+            return random.Random()
+        """, [("XR101", 5)], "entropy-seeded"),
+    "test_blocking_call_flags_time_sleep_and_subprocess": ("""
+        import time
+        import subprocess
+
+        def pause():
+            time.sleep(1)
+            subprocess.run(["true"])
+        """, [("XR101", 6), ("XR101", 7)], "blocks the host thread"),
+    "test_host_call_flags_module_prefixes_and_bare_input": ("""
+        import requests
+        import http.client
+
+        def fetch():
+            requests.get("http://peer")
+            http.client.HTTPConnection("peer")
+            return input()
+        """, [("XR101", 6), ("XR101", 7), ("XR101", 8)], None),
+    # A local list named `requests` must not match the HTTP library.
+    "test_blocking_call_ignores_local_name_shadowing_module": ("""
+        def gather(sim):
+            requests = []
+            requests.append(1)
+            yield sim.timeout(5)
+        """, [], None),
+}
 
 
 # ---------------------------------------------------------------- XR103
-def test_id_order_flags_iterating_an_id_keyed_set():
-    findings = lint("""
+#: identity-order rows: iterating an id()-keyed collection and ordering
+#: by ``key=id``/``key=hash`` are one rule; a membership probe is fine.
+IDENTITY_ORDER_ROWS = {
+    "test_id_order_flags_iterating_an_id_keyed_set": ("""
         def survivors(buffers):
             keep = {id(b) for b in buffers}
             return [k for k in sorted(keep)]
-        """, rule="id-order")
-    assert codes(findings) == ["XR103"]
-
-
-def test_id_order_flags_for_loop_over_id_set_call():
-    findings = lint("""
+        """, [("XR103", 4)], "id()-keyed"),
+    "test_id_order_flags_for_loop_over_id_set_call": ("""
         def walk(buffers):
             live = set(id(b) for b in buffers)
             for key in live:
                 print(key)
-        """, rule="id-order")
-    assert codes(findings) == ["XR103"]
-
-
-def test_id_order_allows_membership_probe():
+        """, [("XR103", 4)], None),
     # The MemCache.shrink pattern: an id()-keyed set used only with `in`.
-    findings = lint("""
+    "test_id_order_allows_membership_probe": ("""
         def shrink(buffers, pinned):
             pinned_ids = {id(b) for b in pinned}
             return [b for b in buffers if id(b) not in pinned_ids]
-        """, rule="id-order")
-    assert findings == []
-
-
-# ---------------------------------------------------------------- XR104
-def test_hash_order_flags_sorting_by_identity():
-    findings = lint("""
+        """, [], None),
+    "test_hash_order_flags_sorting_by_identity": ("""
         def order(channels):
             channels.sort(key=id)
             return sorted(channels, key=lambda c: hash(c))
-        """, rule="hash-order")
-    assert codes(findings) == ["XR104", "XR104"]
-
-
-def test_hash_order_allows_stable_keys():
-    findings = lint("""
+        """, [("XR103", 3), ("XR103", 4)], "identity/hash"),
+    "test_hash_order_allows_stable_keys": ("""
         def order(channels):
             return sorted(channels, key=lambda c: c.channel_id)
-        """, rule="hash-order")
-    assert findings == []
+        """, [], None),
+    # A method is checked once, a closure sees its enclosing function's
+    # id()-keyed names, and a sibling method's parameter of the same
+    # name is not one of them.
+    "test_identity_order_scopes_follow_functions": ("""
+        class Pool:
+            def survivors(self, buffers):
+                keep = {id(b) for b in buffers}
+                return sorted(keep)
+
+            def other(self, keep):
+                for k in keep:
+                    print(k)
+
+        def outer(buffers):
+            live = {id(b) for b in buffers}
+
+            def inner():
+                return list(live)
+            return inner
+        """, [("XR103", 5), ("XR103", 15)], None),
+}
+
+for _rule, _rows in (("host-call", HOST_CALL_ROWS),
+                     ("identity-order", IDENTITY_ORDER_ROWS)):
+    for _name, _row in _rows.items():
+        globals()[_name] = table_test(_rule, *_row)
 
 
 # ---------------------------------------------------------------- XR105
@@ -316,51 +354,6 @@ def test_qp_leak_allows_disconnect_and_discarded_connect():
     assert findings == []
 
 
-# ---------------------------------------------------------------- XR301
-def test_blocking_call_flags_time_sleep_and_subprocess():
-    findings = lint("""
-        import time
-        import subprocess
-
-        def pause():
-            time.sleep(1)
-            subprocess.run(["true"])
-        """, rule="blocking-call")
-    assert codes(findings) == ["XR301", "XR301"]
-
-
-def test_blocking_call_ignores_local_name_shadowing_module():
-    # A local list named `requests` must not match the HTTP library.
-    findings = lint("""
-        def gather(sim):
-            requests = []
-            requests.append(1)
-            yield sim.timeout(5)
-        """, rule="blocking-call")
-    assert findings == []
-
-
-# ---------------------------------------------------------------- XR302
-def test_non_event_yield_flags_bare_yield_in_process():
-    findings = lint("""
-        def pinger(sim):
-            yield sim.timeout(5)
-            yield
-            yield 42
-        """, rule="non-event-yield")
-    assert codes(findings) == ["XR302", "XR302"]
-
-
-def test_non_event_yield_leaves_data_generators_alone():
-    # Not a sim process: no event-factory yields anywhere.
-    findings = lint("""
-        def sizes():
-            yield 64
-            yield 4096
-        """, rule="non-event-yield")
-    assert findings == []
-
-
 # ---------------------------------------------------------------- XR303
 def test_swallowed_error_flags_bare_and_broad_except():
     findings = lint("""
@@ -437,22 +430,22 @@ def test_line_suppression_silences_one_line_only():
         import time
 
         def stamp():
-            a = time.time()  # xr-lint: disable=wall-clock
+            a = time.time()  # xr-lint: disable=host-call
             return time.time()
         """
-    findings = lint(src, rule="wall-clock")
+    findings = lint(src, rule="host-call")
     assert len(findings) == 1
     assert findings[0].line == 6
 
 
 def test_file_suppression_silences_whole_file():
     findings = lint("""
-        # xr-lint: disable-file=wall-clock
+        # xr-lint: disable-file=host-call
         import time
 
         def stamp():
             return time.time()
-        """, rule="wall-clock")
+        """, rule="host-call")
     assert findings == []
 
 
@@ -462,7 +455,7 @@ def test_suppress_all_wildcard():
 
         def stamp():
             return time.time()  # xr-lint: disable=all
-        """, rule="wall-clock")
+        """, rule="host-call")
     assert findings == []
 
 
@@ -472,18 +465,17 @@ def test_suppression_names_are_rule_specific():
         import time
 
         def stamp():
-            return time.time()  # xr-lint: disable=global-random
-        """, rule="wall-clock")
+            return time.time()  # xr-lint: disable=identity-order
+        """, rule="host-call")
     assert len(findings) == 1
 
 
 def test_comma_separated_suppression_list():
     findings = lint("""
         import time
-        import random
 
-        def stamp():
-            return time.time() + random.random()  # xr-lint: disable=wall-clock, global-random
+        def stamp(channels):
+            return time.time(), sorted(channels, key=id)  # xr-lint: disable=host-call, identity-order
         """)
     assert findings == []
 
@@ -524,8 +516,8 @@ def test_path_exemption_does_not_cover_unlisted_rules():
         def stamp():
             return time.time()
         """
-    assert "wall-clock" not in PATH_RULE_EXEMPTIONS["tests"]
-    findings = lint(src, rule="wall-clock", path="tests/util/test_time.py")
+    assert "host-call" not in PATH_RULE_EXEMPTIONS["tests"]
+    findings = lint(src, rule="host-call", path="tests/util/test_time.py")
     assert codes(findings) == ["XR101"]
 
 
@@ -572,7 +564,7 @@ def test_select_and_ignore_validate_rule_names():
 
 
 def test_ignore_drops_a_rule():
-    runner = LintRunner(ignore=["wall-clock"])
+    runner = LintRunner(ignore=["host-call"])
     findings = runner.run_source(
         "import time\n\n\ndef f():\n    return time.time()\n", "x.py")
     assert findings == []
@@ -586,27 +578,35 @@ def test_syntax_error_is_reported_not_raised():
     assert "syntax error" in runner.errors[0]
 
 
+#: the whole catalogue: a rule appears or vanishes only with an edit here
+CATALOGUE = [
+    ("XR001", "stale-suppression"),
+    ("XR101", "host-call"),
+    ("XR103", "identity-order"),
+    ("XR105", "class-counter"),
+    ("XR201", "memcache-leak"),
+    ("XR202", "qp-leak"),
+    ("XR303", "swallowed-error"),
+    ("XR304", "generator-annotated-none"),
+    ("XR401", "stale-guard"),
+    ("XR402", "exception-edge-leak"),
+    ("XR403", "unbounded-yield-loop"),
+    ("XR404", "yield-in-critical-section"),
+]
+
+
 def test_registry_covers_all_families():
-    by_family = {"XR0": 0, "XR1": 0, "XR2": 0, "XR3": 0, "XR4": 0}
-    for cls in all_rules():
-        by_family[cls.code[:3]] += 1
-    assert by_family["XR0"] >= 1     # suppression audit
-    assert by_family["XR1"] >= 4     # determinism
-    assert by_family["XR2"] >= 2     # resource pairing
-    assert by_family["XR3"] >= 3     # sim hygiene
-    assert by_family["XR4"] >= 4     # flow/interprocedural
-    assert sum(by_family.values()) >= 13
+    assert [(cls.code, cls.name) for cls in all_rules()] == CATALOGUE
 
 
 def test_list_rules_shows_xr4_family():
     from repro.tools.xr_lint import list_rules
-    catalogue = list_rules()
-    for code in ("XR401", "XR402", "XR403", "XR404"):
-        assert code in catalogue
+    listed = [line.split()[:2] for line in list_rules().splitlines()[1:]]
+    assert listed == [[code, name] for code, name in CATALOGUE]
 
 
 def test_get_rule_roundtrip_and_finding_sort():
-    assert get_rule("wall-clock").code == "XR101"
+    assert get_rule("host-call").code == "XR101"
     a = Finding("r", "XR101", "a.py", 3, 0, "m")
     b = Finding("r", "XR101", "a.py", 2, 0, "m")
     assert sorted([a, b], key=Finding.sort_key) == [b, a]

@@ -41,7 +41,7 @@ def test_cli_exit_codes(capsys, tmp_path):
     dirty.write_text("import time\n\n\ndef f():\n    return time.time()\n")
     assert main([str(dirty)]) == 1
     out = capsys.readouterr().out
-    assert "XR101[wall-clock]" in out
+    assert "XR101[host-call]" in out
     assert f"{dirty}:5:" in out
 
     # Unparseable file → 2 with an ERROR line.
@@ -68,7 +68,7 @@ def test_cli_json_format(capsys, tmp_path):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("XR101", "XR201", "XR301"):
+    for code in ("XR101", "XR201", "XR303"):
         assert code in out
 
 

@@ -9,6 +9,8 @@ subset or path-exempting a rule never false-flags a legitimate comment.
 
 import textwrap
 
+import pytest
+
 from repro.analysis.lint import LintRunner
 
 
@@ -26,10 +28,10 @@ def codes(findings):
 def test_stale_line_suppression_is_flagged():
     findings = lint("""
         def quiet():
-            return 1  # xr-lint: disable=wall-clock
+            return 1  # xr-lint: disable=host-call
         """)
     assert codes(findings) == ["XR001"]
-    assert "wall-clock" in findings[0].message
+    assert "host-call" in findings[0].message
     assert findings[0].line == 3
 
 
@@ -38,20 +40,27 @@ def test_used_suppression_is_not_flagged():
         import time
 
         def stamp():
-            return time.time()  # xr-lint: disable=wall-clock
+            return time.time()  # xr-lint: disable=host-call
         """)
     assert findings == []
 
 
-def test_unknown_rule_name_is_always_flagged():
-    findings = lint("""
+#: a typo, and every rule name the catalogue has retired or merged away
+UNKNOWN_NAMES = ["host-cal", "wall-clock", "global-random", "blocking-call",
+                 "id-order", "hash-order", "non-event-yield"]
+
+
+@pytest.mark.parametrize("name", UNKNOWN_NAMES)
+def test_unknown_rule_name_is_always_flagged(name):
+    findings = lint(f"""
         import time
 
         def stamp():
-            return time.time()  # xr-lint: disable=wall-clcok
+            return time.time()  # xr-lint: disable={name}
         """)
-    # The typo silences nothing, so both the audit and the rule fire.
+    # The name silences nothing, so both the audit and the rule fire.
     assert sorted(codes(findings)) == ["XR001", "XR101"]
+    assert f"unknown rule {name!r}" in findings[0].message
 
 
 def test_disable_all_is_stale_when_nothing_was_suppressed():
@@ -65,7 +74,7 @@ def test_disable_all_is_stale_when_nothing_was_suppressed():
 def test_string_literal_lookalike_is_not_a_suppression():
     # tokenize sees a STRING, not a COMMENT — no entry, no audit finding.
     findings = lint("""
-        MARKER = "# xr-lint: disable=wall-clock"
+        MARKER = "# xr-lint: disable=host-call"
         """)
     assert findings == []
 
@@ -73,20 +82,20 @@ def test_string_literal_lookalike_is_not_a_suppression():
 def test_no_check_suppressions_silences_the_audit():
     findings = lint("""
         def quiet():
-            return 1  # xr-lint: disable=wall-clock
+            return 1  # xr-lint: disable=host-call
         """, check_suppressions=False)
     assert findings == []
 
 
 def test_select_subset_does_not_flag_suppressions_of_unran_rules():
-    # wall-clock never ran, so the audit can't call its suppression
+    # host-call never ran, so the audit can't call its suppression
     # stale — but a suppression of the selected rule still can be.
     findings = lint("""
         def quiet():
-            a = 1  # xr-lint: disable=wall-clock
-            b = 2  # xr-lint: disable=global-random
+            a = 1  # xr-lint: disable=host-call
+            b = 2  # xr-lint: disable=identity-order
             return a + b
-        """, select=["global-random", "stale-suppression"])
+        """, select=["identity-order", "stale-suppression"])
     assert codes(findings) == ["XR001"]
     assert findings[0].line == 4
 
@@ -106,6 +115,6 @@ def test_stale_audit_findings_are_themselves_suppressible():
     findings = lint("""
         def quiet():
             # Kept for documentation; audit waived on purpose.
-            return 1  # xr-lint: disable=wall-clock, stale-suppression
+            return 1  # xr-lint: disable=host-call, stale-suppression
         """)
     assert findings == []

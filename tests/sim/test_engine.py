@@ -240,15 +240,22 @@ def test_spawn_requires_generator():
         sim.spawn(lambda: None)  # type: ignore[arg-type]
 
 
-def test_yielding_non_event_fails_process():
+@pytest.mark.parametrize("target", [None, 42], ids=["bare-yield", "yield-42"])
+def test_yielding_non_event_fails_process(target):
+    # The check of record for non-Event yields: a process that yields
+    # anything but an Event dies with a TypeError at resume time.
     sim = Simulator()
 
-    def bad():
-        yield 42  # type: ignore[misc]
+    def pinger():
+        yield sim.timeout(5)
+        yield target
 
-    sim.spawn(bad())
+    proc = sim.spawn(pinger())
     with pytest.raises(SimulationError):
         sim.run()
+    assert sim.now == 5
+    assert isinstance(proc.value, TypeError)
+    assert f"yielded {target!r}" in str(proc.value)
 
 
 def test_negative_timeout_rejected():

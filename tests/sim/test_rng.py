@@ -240,7 +240,7 @@ def test_run_path_never_imports_numpy():
                PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT))))
     # This process has numpy loaded (the oracle needs it), so only a fresh
     # interpreter shows what the run path imports; no simulation runs here.
-    done = subprocess.run(  # xr-lint: disable=blocking-call
+    done = subprocess.run(  # xr-lint: disable=host-call
         [sys.executable, "-c", code], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
@@ -258,7 +258,7 @@ def test_run_path_never_loads_openssl():
     # Seeding streams hashes in pure Python; only a TieAudit or an
     # explicit window digest imports hashlib (and with it OpenSSL's
     # _hashlib), and a serving summary asks for neither.
-    done = subprocess.run(  # xr-lint: disable=blocking-call
+    done = subprocess.run(  # xr-lint: disable=host-call
         [sys.executable, "-c", code], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "False"

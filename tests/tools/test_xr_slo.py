@@ -85,6 +85,30 @@ def test_cli_errors(tmp_path, capsys):
     assert main([str(tmp_path)]) == 1
 
 
+def assert_unreadable(path, capsys):
+    """Exit 2, nothing on stdout, one ``xr-slo: <path>: ...`` line."""
+    assert main([str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"xr-slo: {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "windows.jsonl"
+    path.write_bytes(json.dumps(_row()).encode() + b"\n\xff\xfe\n")
+    assert_unreadable(path, capsys)
+
+
+def test_non_integer_window_exits_2(tmp_path, capsys):
+    path = tmp_path / "windows.jsonl"
+    bad = {**_row(window=1), "window": "first"}
+    path.write_text("".join(json.dumps(row) + "\n"
+                            for row in (_row(window=0), bad)),
+                    encoding="utf-8")
+    assert_unreadable(path, capsys)
+
+
 def test_torn_tail_tolerated(windows_file):
     with open(windows_file, "a", encoding="utf-8") as handle:
         handle.write('{"run_id": "exp/p=1/s0", "tenant": "A", "window": 9')

@@ -64,6 +64,28 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "xr-trace" in capsys.readouterr().err
 
 
+def assert_unreadable(path, capsys):
+    """Exit 2, nothing on stdout, one ``xr-trace: <path>: ...`` line."""
+    assert main([str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"xr-trace: {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "traces.jsonl"
+    path.write_bytes(b'{"trace_id": 1}\n\xff\xfe\n')
+    assert_unreadable(path, capsys)
+
+
+def test_non_integer_trace_id_exits_2(tmp_path, capsys):
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps({"trace_id": "abc", "spans": []}) + "\n",
+                    encoding="utf-8")
+    assert_unreadable(path, capsys)
+
+
 def test_loader_tolerates_meta_torn_tail_and_duplicates(tmp_path):
     path = tmp_path / "mixed.jsonl"
     receiver = {"trace_id": 5, "view": "receiver", "complete": True,
