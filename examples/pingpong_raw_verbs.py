@@ -44,7 +44,7 @@ def main():
                 local_addr=pool.addr + slot * (SIZE + 64)))
         served = 0
         while served < ITERATIONS:
-            completions = server_host.verbs.poll_cq(qp.recv_cq)
+            completions = server_host.verbs.poll_cq(qp.recv_cq, 16)
             if not completions:
                 yield sim.timeout(200)
                 continue
@@ -90,7 +90,7 @@ def main():
                 local_addr=send_buf.addr, signaled=False))
             # Spin on the CQ for the pong.
             while True:
-                completions = client_host.verbs.poll_cq(qp.recv_cq)
+                completions = client_host.verbs.poll_cq(qp.recv_cq, 16)
                 if completions:
                     break
                 yield sim.timeout(200)

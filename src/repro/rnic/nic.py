@@ -336,11 +336,12 @@ class Rnic(Device):
         if msg is None:
             if qp.retx:
                 msg = qp.retx.popleft()
-                msg.sent_at = self.sim.now
+                msg.sent_at = self.sim._now
                 qp.current_tx = msg
             elif qp.sq:
                 wr = qp.sq.popleft()
-                msg = OutboundMessage(wr, next(qp.msg_ids), sent_at=self.sim.now)
+                msg = OutboundMessage(wr, next(qp.msg_ids),
+                                      sent_at=self.sim._now)
                 if wr.opcode is Opcode.READ:
                     self._emit_read_request(qp, msg, port)
                     self.tx_fragments += 1
@@ -382,7 +383,7 @@ class Rnic(Device):
         self.tx_fragments += 1
         msg.sent_bytes = offset + max(frag_len, 1)
         if msg.fully_sent:
-            msg.sent_at = self.sim.now
+            msg.sent_at = self.sim._now
             qp.current_tx = None
             self._kick_qp(qp)
         else:
@@ -393,7 +394,7 @@ class Rnic(Device):
         wr = msg.wr
         qp.reads_in_flight[msg.msg_id] = msg
         msg.sent_bytes = max(wr.length, 1)
-        msg.sent_at = self.sim.now
+        msg.sent_at = self.sim._now
         self._arm_watchdog(qp)
         packet = RcPacket(
             kind=RcKind.READ_REQ,

@@ -75,17 +75,20 @@ def summarize(table: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------- rendering
+_Summaries = List[Tuple[str, str, Dict[str, Any]]]
+
+
 def _summary_rows(tables: Dict[Tuple[str, str], List[Dict[str, Any]]]
-                  ) -> List[Tuple[str, str, Dict[str, Any]]]:
+                  ) -> _Summaries:
     return [(run_id, tenant, summarize(tables[(run_id, tenant)]))
             for run_id, tenant in sorted(tables)]
 
 
-def _render_text(tables: Dict[Tuple[str, str], List[Dict[str, Any]]]) -> str:
+def _render_text(summaries: _Summaries) -> str:
     lines = ["xr-slo summary (stable windows)"]
     lines.append(f"  {'run':<44} {'tenant':<8} {'win':>5} {'offered':>8} "
                  f"{'achieved':>9} {'worst p99':>10} {'attain':>7} {'ok':>3}")
-    for run_id, tenant, summary in _summary_rows(tables):
+    for run_id, tenant, summary in summaries:
         lines.append(
             f"  {run_id:<44} {tenant:<8} "
             f"{summary['windows_stable']:>5} "
@@ -97,12 +100,11 @@ def _render_text(tables: Dict[Tuple[str, str], List[Dict[str, Any]]]) -> str:
     return "\n".join(lines)
 
 
-def _render_markdown(tables: Dict[Tuple[str, str],
-                                  List[Dict[str, Any]]]) -> str:
+def _render_markdown(summaries: _Summaries) -> str:
     lines = ["| run | tenant | stable windows | offered rps | achieved rps "
              "| worst p99 (us) | SLO attainment | SLO |",
              "|---|---|---:|---:|---:|---:|---:|:---:|"]
-    for run_id, tenant, summary in _summary_rows(tables):
+    for run_id, tenant, summary in summaries:
         lines.append(
             f"| `{run_id}` | {tenant} | {summary['windows_stable']} "
             f"| {summary['offered_rps']:.0f} "
@@ -154,8 +156,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         rows = load_window_rows(str(path))
         tables = tenant_tables(rows)
+        # Summarised before anything is printed: a stable row's counts,
+        # rates and p99 go through int()/float() here.
+        summaries = _summary_rows(tables)
     except (OSError, TypeError, ValueError) as exc:
-        # ValueError covers a non-UTF-8 file and a non-integer window
+        # ValueError covers a non-UTF-8 file, a non-integer window and a
+        # non-numeric count, rate or p99; TypeError a null or a list
         print(f"xr-slo: {path}: {exc}", file=sys.stderr)
         return 2
     if not rows:
@@ -166,7 +172,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         payload = {
             "summaries": [
                 {"run_id": run_id, "tenant": tenant, **summary}
-                for run_id, tenant, summary in _summary_rows(tables)],
+                for run_id, tenant, summary in summaries],
         }
         if args.windows:
             payload["windows"] = [
@@ -176,9 +182,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.windows:
         print(_render_windows(tables, args.windows))
     elif args.markdown:
-        print(_render_markdown(tables))
+        print(_render_markdown(summaries))
     else:
-        print(_render_text(tables))
+        print(_render_text(summaries))
     return 0
 
 

@@ -51,14 +51,14 @@ class DcqcnRateLimiter:
     # ---------------------------------------------------------------- events
     def on_cnp(self) -> None:
         """Rate cut on congestion notification."""
-        self._advance(self.sim.now)
+        self._advance(self.sim._now)
         self.target_rate = self.current_rate
         self.alpha = (1 - self.params.dcqcn_alpha_g) * self.alpha \
             + self.params.dcqcn_alpha_g
         self.current_rate = max(
             self.params.dcqcn_min_rate_bps,
             self.current_rate * (1 - self.alpha / 2))
-        now = self.sim.now
+        now = self.sim._now
         self._last_alpha_update_ns = now
         self._last_increase_ns = now
         self._increase_stage = 0
@@ -66,7 +66,7 @@ class DcqcnRateLimiter:
     # ------------------------------------------------------------- send path
     def rate_bps(self) -> float:
         """Current sending rate after applying elapsed timer periods."""
-        self._advance(self.sim.now)
+        self._advance(self.sim._now)
         return self.current_rate
 
     def reserve(self, nbytes: int) -> int:
@@ -76,7 +76,7 @@ class DcqcnRateLimiter:
         segment before the returned instant.
         """
         rate = self.rate_bps()
-        start = max(self.sim.now, self.next_tx_ns)
+        start = max(self.sim._now, self.next_tx_ns)
         self.next_tx_ns = start + int(round(nbytes * 8 / rate * 1e9))
         return start
 
@@ -117,7 +117,7 @@ class CnpGovernor:
 
     def should_send_cnp(self, flow_id: int) -> bool:
         """True if an ECN-marked arrival on ``flow_id`` warrants a CNP now."""
-        now = self.sim.now
+        now = self.sim._now
         last = self._last_cnp.get(flow_id)
         if last is not None and now - last < self.params.dcqcn_cnp_interval_ns:
             return False

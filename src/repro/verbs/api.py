@@ -4,7 +4,7 @@ Calls that cost host time return events; application processes yield them::
 
     mr = yield ctx.reg_mr(pd, buf.addr, buf.length)
     yield ctx.post_send(qp, wr)
-    completions = ctx.poll_cq(cq)       # non-blocking, like ibv_poll_cq
+    completions = ctx.poll_cq(cq, 16)   # non-blocking, like ibv_poll_cq
 
 The cost model is the part that matters to the middleware: MR registration
 is tens of µs (why X-RDMA pools 4 MB MRs), QP creation is ~1 ms (why the QP
@@ -20,7 +20,7 @@ from repro.rnic.cq import CompletionQueue
 from repro.rnic.mr import AccessFlags, MemoryRegion, ProtectionDomain
 from repro.rnic.qp import QpState, QueuePair, SharedReceiveQueue
 from repro.rnic.wqe import Completion, WorkRequest
-from repro.sim.events import Event, SimulationError
+from repro.sim.events import _PENDING, Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rnic.nic import Rnic
@@ -30,21 +30,27 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class _Charged(Event):
     """A verbs call as one event: it fires ``cost_ns`` after the call, runs
-    the effect as its first callback and carries the effect's result — or
+    ``effect(*args)`` as its first callback and carries the result — or
     exception — as its value, so the caller resumes in the same pop.  A
     failure nobody waits on raises :class:`SimulationError`, as an
-    unobserved failed event does."""
+    unobserved failed event does.  The effect and its arguments are kept
+    apart so a call needs no closure."""
 
-    __slots__ = ("_effect", "_waiters")
+    __slots__ = ("_effect", "_args", "_waiters")
 
     def __init__(self, sim: "Simulator", cost_ns: int,
-                 effect: Callable[[], object]) -> None:
-        super().__init__(sim)
+                 effect: Callable[..., object], args: tuple) -> None:
+        # Inlined Event.__init__, as Timeout does: every post is one.
+        self.sim = sim
+        self._name = ""
+        self._value = _PENDING
+        self._ok = None
+        self.defused = False
         self._effect = effect
+        self._args = args
         # The fire loop detaches ``callbacks`` before running them, so
         # the effect keeps its own handle on the waiter list.
-        self._waiters = self.callbacks
-        self.callbacks.append(self._apply)
+        self.callbacks = self._waiters = [self._apply]
         sim.schedule(cost_ns, None, self)
 
     def _apply(self, _event: Event) -> None:
@@ -52,7 +58,7 @@ class _Charged(Event):
         # method, so a fired call is freed by refcount, not by the GC.
         waiters, self._waiters = self._waiters, None
         try:
-            self._value = self._effect()
+            self._value = self._effect(*self._args)
             self._ok = True
         except BaseException as exc:
             # Not swallowed: the waiters see it raised at their yield, and
@@ -81,10 +87,12 @@ class VerbsContext:
         self.cqs: List[CompletionQueue] = []
 
     # ----------------------------------------------------------------- infra
-    def _charged(self, cost_ns: int, effect: Callable[[], object]) -> Event:
-        """Run ``effect`` after ``cost_ns``; the event carries its result."""
+    def _charged(self, cost_ns: int, effect: Callable[..., object],
+                 *args: object) -> Event:
+        """Run ``effect(*args)`` after ``cost_ns``; the event carries its
+        result."""
         self.calls += 1
-        return _Charged(self.sim, cost_ns, effect)
+        return _Charged(self.sim, cost_ns, effect, args)
 
     # ------------------------------------------------------------------- PDs
     def alloc_pd(self) -> ProtectionDomain:
@@ -95,7 +103,7 @@ class VerbsContext:
                access: AccessFlags = AccessFlags.all_remote()) -> Event:
         """Register RDMA-enabled memory (pins pages; cost scales with size)."""
         return self._charged(self.params.mr_register_ns(length),
-                             lambda: self._install(pd, addr, length, access))
+                             self._install, pd, addr, length, access)
 
     def reg_mr_odp(self, pd: ProtectionDomain, addr: int, length: int,
                    access: AccessFlags = AccessFlags.all_remote()) -> Event:
@@ -105,7 +113,7 @@ class VerbsContext:
         non-resident pages later pay fault latency (charged by the
         no-pin MemCache at buffer hand-out)."""
         return self._charged(self.params.odp_register_ns,
-                             lambda: self._install(pd, addr, length, access))
+                             self._install, pd, addr, length, access)
 
     def _install(self, pd: ProtectionDomain, addr: int, length: int,
                  access: AccessFlags) -> MemoryRegion:
@@ -117,7 +125,7 @@ class VerbsContext:
 
     def dereg_mr(self, pd: ProtectionDomain, mr: MemoryRegion) -> Event:
         return self._charged(self.params.mr_register_base_ns // 2,
-                             lambda: self.nic.mr_table.deregister(pd, mr))
+                             self.nic.mr_table.deregister, pd, mr)
 
     # ------------------------------------------------------------------- CQs
     def create_cq(self, depth: int = 1024) -> CompletionQueue:
@@ -162,9 +170,7 @@ class VerbsContext:
         return self._charged(cost, effect)
 
     def destroy_qp(self, qp: QueuePair) -> Event:
-        def effect() -> None:
-            self.nic.destroy_qp(qp)
-        return self._charged(self.params.qp_reset_ns, effect)
+        return self._charged(self.params.qp_reset_ns, self.nic.destroy_qp, qp)
 
     # -------------------------------------------------------------------- DC
     def create_dc_initiator(self, pd: ProtectionDomain,
@@ -183,23 +189,28 @@ class VerbsContext:
         return target
 
     # ----------------------------------------------------------------- datap
+    # The three posts are the per-message verbs calls: each builds its
+    # _Charged from the effect and its arguments itself, with no helper
+    # frame and no closure.
     def post_send(self, qp: QueuePair, wr: WorkRequest) -> Event:
-        return self._charged(
-            self.params.host_post_overhead_ns,
-            lambda: self.nic.post_send(qp, wr))
+        self.calls += 1
+        return _Charged(self.sim, self.params.host_post_overhead_ns,
+                        self.nic.post_send, (qp, wr))
 
     def post_recv(self, qp: QueuePair, wr: WorkRequest) -> Event:
-        return self._charged(
-            self.params.host_post_overhead_ns,
-            lambda: qp.post_recv(wr))
+        self.calls += 1
+        return _Charged(self.sim, self.params.host_post_overhead_ns,
+                        qp.post_recv, (wr,))
 
     def post_srq_recv(self, srq: SharedReceiveQueue,
                       wr: WorkRequest) -> Event:
-        return self._charged(
-            self.params.host_post_overhead_ns,
-            lambda: srq.post(wr))
+        self.calls += 1
+        return _Charged(self.sim, self.params.host_post_overhead_ns,
+                        srq.post, (wr,))
 
     def poll_cq(self, cq: CompletionQueue,
-                max_entries: int = 16) -> List[Completion]:
-        """Non-blocking poll (the caller's loop provides pacing)."""
+                max_entries: int) -> List[Completion]:
+        """Non-blocking poll of up to ``max_entries`` CQEs (the caller's
+        loop provides pacing).  Like ibv_poll_cq, the caller names the
+        count."""
         return cq.poll(max_entries)

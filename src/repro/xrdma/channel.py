@@ -35,7 +35,10 @@ from typing import TYPE_CHECKING, Deque, Dict, Tuple
 from repro.analysis import invariants
 from repro.analysis.invariants import check as _invariant
 from repro.rnic.qp import QpState
-from repro.rnic.wqe import Completion, Opcode, WorkRequest
+from repro.rnic.wqe import Completion, Opcode, WorkRequest, WrStatus
+# _PENDING: an event's value before it triggers — the hot paths below
+# test it directly instead of through the ``triggered`` property.
+from repro.sim.events import _PENDING, Event
 from repro.sim.process import ProcessGenerator
 from repro.xrdma.flowctl import FlowController
 from repro.xrdma.memcache import RdmaBuffer
@@ -70,6 +73,8 @@ class XrdmaChannel:
         self.channel_id = ctx.sim.next_id("channel")
         self.state = ChannelState.READY
         self.window = SeqAckWindow(window_depth)
+        #: unacked arrivals that earn a standalone ACK (a quarter window)
+        self._ack_threshold = max(1, window_depth // 4)
         self.flow = FlowController(
             ctx.verbs, self.qp,
             max_outstanding=ctx.config.max_outstanding_wrs,
@@ -114,32 +119,46 @@ class XrdmaChannel:
         """Accept a message for transmission (called by context.send_msg)."""
         if self.state is not ChannelState.READY:
             raise ChannelBroken(f"channel {self.channel_id} is {self.state.name}")
+        sim = self.ctx.sim
         msg.channel = self
         msg.msg_id = next(self._msg_ids)
-        msg.created_at = self.ctx.sim.now
-        msg.acked = self.ctx.sim.event(f"ch{self.channel_id}:acked")
-        msg.acked.defused = True
+        msg.created_at = sim._now
+        # Static names, built directly: a name only shows in an error
+        # message, so an f-string per message would be waste.
+        msg.acked = acked = Event(sim, "acked")
+        acked.defused = True
         if msg.kind is MessageKind.REQUEST:
-            msg.response = self.ctx.sim.event(f"ch{self.channel_id}:resp")
-            msg.response.defused = True
+            msg.response = response = Event(sim, "response")
+            response.defused = True
             self.pending_requests[msg.msg_id] = msg
         self.pending_send.append(msg)
-        self.stats["queued_peak"] = max(self.stats["queued_peak"],
-                                        len(self.pending_send))
+        queued = len(self.pending_send)
+        if queued > self.stats["queued_peak"]:
+            self.stats["queued_peak"] = queued
         return msg
 
     # --------------------------------------------------------------- tx pump
     def pump(self) -> ProcessGenerator:
         """Generator: move queued messages onto the wire while the window
-        has room (driven by the context loop)."""
-        while (self.pending_send and self.window.can_send()
+        has room (driven by the context loop).  Callers skip it when
+        ``pending_send`` is empty: it would do nothing."""
+        window = self.window
+        pending_send = self.pending_send
+        while (pending_send and window.can_send()
                and self.state is ChannelState.READY):
-            msg = self.pending_send.popleft()
-            seq = self.window.next_seq()
+            msg = pending_send.popleft()
+            seq = window.next_seq()
             if invariants.ENABLED:
                 _invariant(seq not in self.sent, "channel.seq_reuse",
                            lambda: f"channel {self.channel_id} seq {seq}")
-            header = self._make_header(msg, seq)
+            header = XrdmaHeader(
+                kind=msg.kind, seq=seq, ack=window.rta,
+                msg_id=msg.msg_id, payload_size=msg.payload_size,
+                large=self.protocol.is_large(msg.payload_size),
+                request_msg_id=msg.request_msg_id,
+                user_payload=msg.payload)
+            if self.ctx.config.req_rsp_mode:
+                self._trace_header(msg, header)
             self.sent[seq] = msg
             msg.header = header
             yield from self.protocol.select(header).send(self, msg, header)
@@ -147,24 +166,16 @@ class XrdmaChannel:
                 return      # broke during the send; mark_broken swept us
             self.stats["tx_msgs"] += 1
             self.stats["tx_bytes"] += msg.payload_size
-            self.last_tx_ns = self.ctx.sim.now
-            self.window.note_ack_sent()
+            self.last_tx_ns = self.ctx.sim._now
+            window.note_ack_sent()
 
-    def _make_header(self, msg: XrdmaMessage, seq: int) -> XrdmaHeader:
-        config = self.ctx.config
-        header = XrdmaHeader(
-            kind=msg.kind, seq=seq, ack=self.window.ack_to_send(),
-            msg_id=msg.msg_id, payload_size=msg.payload_size,
-            large=self.protocol.is_large(msg.payload_size),
-            request_msg_id=msg.request_msg_id,
-            user_payload=msg.payload)
-        if config.req_rsp_mode:
-            header.trace_id = self.ctx.sim.next_id("trace")
-            header.sent_at_ns = self.ctx.local_time()
-            tracer = self.ctx.tracer
-            if tracer is not None:
-                header.trace = tracer.begin_trace(self, msg, header)
-        return header
+    def _trace_header(self, msg: XrdmaMessage, header: XrdmaHeader) -> None:
+        """Req-rsp mode: the extended header's tracing fields."""
+        header.trace_id = self.ctx.sim.next_id("trace")
+        header.sent_at_ns = self.ctx.local_time()
+        tracer = self.ctx.tracer
+        if tracer is not None:
+            header.trace = tracer.begin_trace(self, msg, header)
 
     def send_control(self, kind: MessageKind, *, rendezvous_seq: int = -1,
                      src_addr: int = 0, src_rkey: int = 0) -> ProcessGenerator:
@@ -178,10 +189,10 @@ class XrdmaChannel:
         window must not believe an ack went out.
         """
         header = XrdmaHeader(
-            kind=kind, seq=-1, ack=self.window.ack_to_send(),
+            kind=kind, seq=-1, ack=self.window.rta,
             msg_id=0, payload_size=0, src_addr=src_addr, src_rkey=src_rkey,
             rendezvous_seq=rendezvous_seq)
-        self.last_tx_ns = self.ctx.sim.now
+        self.last_tx_ns = self.ctx.sim._now
         yield from self.protocol.select(header).send_control(self, header)
         if self.state is not ChannelState.READY:
             return      # broke mid-post; the ack never left
@@ -207,17 +218,19 @@ class XrdmaChannel:
     def on_receive(self, completion: Completion) -> ProcessGenerator:
         """Generator: process one inbound message header (from a RECV CQE)."""
         header: XrdmaHeader = completion.payload
-        self.last_rx_ns = self.ctx.sim.now
+        self.last_rx_ns = self.ctx.sim._now
         if header.ack >= 0:
             self._apply_peer_ack(header.ack)
         if header.kind in (MessageKind.ACK, MessageKind.NOP):
-            yield from self.pump()      # freed window slots: move the queue
+            if self.pending_send:   # freed window slots: move the queue
+                yield from self.pump()
             return
         if header.kind in (MessageKind.RNDV_CTS, MessageKind.RNDV_FIN):
             # Write-rendezvous control: rides with seq == -1 (like
             # ACK/NOP, no window slot); correlated by rendezvous_seq.
             yield from self.protocol.rendezvous.on_control(self, header)
-            yield from self.pump()      # its piggybacked ack freed slots
+            if self.pending_send:   # its piggybacked ack freed slots
+                yield from self.pump()
             return
         if header.kind is MessageKind.CLOSE:
             yield from self.ctx.close_channel(self, notify=False)
@@ -241,7 +254,7 @@ class XrdmaChannel:
                 # must not overtake an earlier large one whose read is in
                 # flight.
                 self._pending_delivery[header.seq] = (header,
-                                                      self.ctx.sim.now)
+                                                      self.ctx.sim._now)
             self._flush_deliveries()
         yield from self._post_arrival_duties()
 
@@ -261,9 +274,11 @@ class XrdmaChannel:
 
     def _post_arrival_duties(self) -> ProcessGenerator:
         """Ack decisions + window movement after arrivals advance rta."""
-        yield from self.pump()
-        threshold = max(1, self.window.depth // 4)
-        if (self.window.unacked_arrivals() >= threshold
+        if self.pending_send:
+            yield from self.pump()
+        window = self.window
+        # unacked_arrivals(), written out: this runs on every arrival.
+        if (window.rta - window.sent_ack >= self._ack_threshold
                 and not self.pending_send
                 and self.state is ChannelState.READY):
             yield from self.send_control(MessageKind.ACK)
@@ -279,8 +294,9 @@ class XrdmaChannel:
             if msg.owns_buffer:
                 self.ctx.memcache.free(msg.src_buffer)
                 msg.owns_buffer = False
-            if msg.acked is not None and not msg.acked.triggered:
-                msg.acked.succeed(self.ctx.sim.now - msg.created_at)
+            acked = msg.acked
+            if acked is not None and acked._value is _PENDING:
+                acked.succeed(self.ctx.sim._now - msg.created_at)
             if self.ctx.tracer is not None:
                 self.ctx.tracer.on_message_acked(self, msg)
 
@@ -308,7 +324,7 @@ class XrdmaChannel:
             payload=header.user_payload, channel=self, header=header,
             request_msg_id=header.request_msg_id)
         msg.created_at = arrived_at
-        msg.delivered_at = self.ctx.sim.now
+        msg.delivered_at = self.ctx.sim._now
         if header.trace is not None:
             header.trace.mark("rx_deliver")
         if self.ctx.tracer is not None:
@@ -316,8 +332,9 @@ class XrdmaChannel:
         if header.kind is MessageKind.RESPONSE:
             request = self.pending_requests.pop(header.request_msg_id, None)
             if request is not None:
-                if request.response is not None and not request.response.triggered:
-                    request.response.succeed(msg)
+                response = request.response
+                if response is not None and response._value is _PENDING:
+                    response.succeed(msg)
                 return
         if header.kind is MessageKind.REQUEST and self.on_request is not None:
             self.on_request(msg)
@@ -328,7 +345,7 @@ class XrdmaChannel:
     def on_send_completion(self, completion: Completion,
                            route: _WrRoute) -> ProcessGenerator:
         """Generator: route one send-side CQE."""
-        if not completion.ok:
+        if completion.status is not WrStatus.SUCCESS:
             self.mark_broken(f"send CQE error: {completion.status.name}")
             return
         if route.tag == "keepalive":
@@ -338,7 +355,9 @@ class XrdmaChannel:
             return
         # Data WRs participate in flow control.
         yield from self.flow.on_completion()
-        yield from self.protocol.rendezvous.on_data_completion(self, route)
+        if route.last_fragment:
+            yield from self.protocol.rendezvous.on_data_completion(self,
+                                                                   route)
 
     # -------------------------------------------------------------- failure
     def mark_broken(self, reason: str) -> None:

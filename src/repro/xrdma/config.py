@@ -87,6 +87,12 @@ class XrdmaConfig:
             raise ConfigError("qp_cache_capacity must be >= 0")
         if self.close_drain_timeout_ns <= 0:
             raise ConfigError("close_drain_timeout_ns must be positive")
+        # The two intervals in integer nanoseconds.  Plain attributes, not
+        # properties: the poll loop reads both on every round.  validate()
+        # runs at construction and after every set_flag, so a changed
+        # interval still applies live.
+        self.keepalive_intv_ns = int(self.keepalive_intv_ms * MILLIS)
+        self.deadlock_check_intv_ns = int(self.deadlock_check_intv_ms * MILLIS)
 
     # ------------------------------------------------------------ set_flag
     def set_flag(self, name: str, value: Any, running: bool = True) -> None:
@@ -103,13 +109,3 @@ class XrdmaConfig:
     def snapshot(self) -> Dict[str, Any]:
         """All parameters as a plain dict (XR-Adm dumps and drift checks)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @property
-    def keepalive_intv_ns(self) -> int:
-        """keepalive_intv_ms in integer nanoseconds."""
-        return int(self.keepalive_intv_ms * MILLIS)
-
-    @property
-    def deadlock_check_intv_ns(self) -> int:
-        """deadlock_check_intv_ms in integer nanoseconds."""
-        return int(self.deadlock_check_intv_ms * MILLIS)

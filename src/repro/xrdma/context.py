@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.ctrlplane import QpCache
 from repro.rnic.qp import QpState
-from repro.rnic.wqe import Completion, Opcode, WorkRequest
-from repro.sim.events import Timeout
+from repro.rnic.wqe import Completion, Opcode, WorkRequest, WrStatus
+from repro.sim.events import Event, Timeout
 from repro.sim.process import ProcessGenerator
 from repro.sim.resources import Store
 from repro.sim.timeunits import SECONDS
@@ -228,24 +228,28 @@ class XrdmaContext:
                 setup_trace.mark("mr_reg")
             first = False
             channel._recv_buffers.append(buffer)
-            yield from self._post_recv(channel, buffer)
+            posted = self._post_recv(channel, buffer)
+            if posted is not None:
+                yield posted
         if setup_trace is not None:
             if first:           # zero-buffer prime (saturated SRQ)
                 setup_trace.mark("mr_reg")
             setup_trace.mark("recv_prime")
 
     def _post_recv(self, channel: XrdmaChannel,
-                   buffer: "RdmaBuffer") -> ProcessGenerator:
+                   buffer: "RdmaBuffer") -> Optional[Event]:
+        """Post ``buffer`` for receives; returns the verbs call to wait
+        on, or None when the shared pool is full (the buffer stays with
+        the channel).  A plain function: the caller yields the call."""
         wr = WorkRequest(opcode=Opcode.RECV, length=buffer.size,
                          local_addr=buffer.addr, wr_id=next(self._wr_ids))
         if self.srq is not None:
             if len(self.srq) >= self.srq.depth:
-                return  # shared pool full; the buffer stays with the channel
+                return None
             self._recv_buffers[wr.wr_id] = (channel, buffer)
-            yield self.verbs.post_srq_recv(self.srq, wr)
-        else:
-            self._recv_buffers[wr.wr_id] = (channel, buffer)
-            yield self.verbs.post_recv(channel.qp, wr)
+            return self.verbs.post_srq_recv(self.srq, wr)
+        self._recv_buffers[wr.wr_id] = (channel, buffer)
+        return self.verbs.post_recv(channel.qp, wr)
 
     def close_channel(self, channel: XrdmaChannel,
                       notify: bool = True) -> ProcessGenerator:
@@ -318,7 +322,10 @@ class XrdmaContext:
         msg = XrdmaMessage(kind=kind, payload_size=payload_size,
                            payload=payload, request_msg_id=request_msg_id)
         channel.queue_message(msg)
-        self._kick_channel(channel)
+        if channel.channel_id not in self._kicked_set:
+            self._kicked.append(channel)
+            self._kicked_set.add(channel.channel_id)
+        self.kick()
         return msg
 
     def send_request(self, channel: XrdmaChannel, payload_size: int,
@@ -330,7 +337,7 @@ class XrdmaContext:
     def send_response(self, request: XrdmaMessage, payload_size: int,
                       payload: Any = None) -> XrdmaMessage:
         """Reply to a delivered REQUEST (Read-replaces-Write when large)."""
-        if not request.is_request or request.channel is None:
+        if request.kind is not MessageKind.REQUEST or request.channel is None:
             raise ValueError("send_response needs a delivered REQUEST")
         return self.send_msg(request.channel, payload_size,
                              kind=MessageKind.RESPONSE, payload=payload,
@@ -382,14 +389,11 @@ class XrdmaContext:
 
     # ============================================================== engine
     def kick(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed(None)
-
-    def _kick_channel(self, channel: XrdmaChannel) -> None:
-        if channel.channel_id not in self._kicked_set:
-            self._kicked.append(channel)
-            self._kicked_set.add(channel.channel_id)
-        self.kick()
+        # Clearing ``_wake`` is what makes a second kick a no-op.
+        wake = self._wake
+        if wake is not None:
+            self._wake = None
+            wake.succeed(None)
 
     def _on_deadline(self, timer: Timeout) -> None:
         if timer is self._deadline_timer:   # else superseded: stale no-op
@@ -406,13 +410,17 @@ class XrdmaContext:
         config = self.config
         sim = self.sim
         # Hoisted for the poll hot loop: these bindings are fixed for the
-        # context's lifetime (the CQs are created in __init__ and the poll
-        # entry point is a passthrough to CompletionQueue.poll).
-        poll_cq = self.verbs.poll_cq
+        # context's lifetime (the CQs are created in __init__).  Each CQ's
+        # backlog is tested before it is polled, so an empty CQ costs no
+        # call; the loop polls the CQs directly, not through the verbs
+        # passthrough.
         recv_cq = self.recv_cq
         send_cq = self.send_cq
+        recv_backlog = recv_cq._entries
+        send_backlog = send_cq._entries
         kicked = self._kicked
         kicked_set = self._kicked_set
+        wr_routes = self._wr_routes
         last_keepalive = sim.now
         last_deadlock = sim.now
         last_shrink = sim.now
@@ -430,20 +438,27 @@ class XrdmaContext:
 
             worked = False
             # ---- receive completions
-            for completion in poll_cq(recv_cq, 64):
+            if recv_backlog:
                 worked = True
-                yield from self._handle_recv_completion(completion)
+                for completion in recv_cq.poll(64):
+                    yield from self._handle_recv_completion(completion)
             # ---- send completions
-            for completion in poll_cq(send_cq, 64):
+            if send_backlog:
                 worked = True
-                yield from self._handle_send_completion(completion)
+                for completion in send_cq.poll(64):
+                    routed = wr_routes.pop(completion.wr_id, None)
+                    if routed is not None:
+                        channel, route = routed
+                        yield from channel.on_send_completion(completion,
+                                                              route)
             # ---- queued application sends
             while kicked:
                 channel = kicked.popleft()
                 kicked_set.discard(channel.channel_id)
                 if channel.state is ChannelState.READY:
                     worked = True
-                    yield from channel.pump()
+                    if channel.pending_send:
+                        yield from channel.pump()
             # ---- timers (intervals re-read so set_flag applies live)
             now = sim._now
             if now - last_keepalive >= config.keepalive_intv_ns:
@@ -469,10 +484,16 @@ class XrdmaContext:
             if self._idle_since is None:
                 self._idle_since = sim._now
             # Static name: one wake per idle transition of the poll loop;
-            # an f-string here would be a per-idle allocation.
-            self._wake = sim.event("ctxwake")
-            recv_cq.request_notify(self.kick)
-            send_cq.request_notify(self.kick)
+            # an f-string here would be a per-idle allocation.  A CQ with
+            # a backlog kicks at request_notify, clearing ``_wake``, so the
+            # loop waits on its own reference.  A CQ still armed from an
+            # earlier idle wait has had no CQE since (a push disarms it),
+            # so it is empty and stays armed as it is.
+            wake = self._wake = Event(sim, "ctxwake")
+            if recv_cq._notify_cb is None:
+                recv_cq.request_notify(self.kick)
+            if send_cq._notify_cb is None:
+                send_cq.request_notify(self.kick)
             deadline = min(last_keepalive + config.keepalive_intv_ns,
                            last_deadlock + config.deadlock_check_intv_ns,
                            last_shrink + _SHRINK_INTV_NS)
@@ -486,9 +507,8 @@ class XrdmaContext:
                 timer = self._deadline_timer = Timeout(
                     sim, fire_at - sim._now, fire_at)
                 timer.callbacks.append(self._on_deadline)
-            yield self._wake
+            yield wake
             woke_after = sim._now - self._idle_since
-            self._wake = None
             if woke_after > _BUSY_POLL_WINDOW_NS:
                 # Not busy-polling anymore (NAPI-style); pay the epoll wakeup.
                 yield sim.timeout(self.params.host_wakeup_ns)
@@ -501,13 +521,14 @@ class XrdmaContext:
             channel = entry[0]
         if channel is None:
             return
-        if not completion.ok:
+        if completion.status is not WrStatus.SUCCESS:
             # Buffer bookkeeping stays with the (now broken) channel.
             channel.mark_broken(f"recv CQE error: {completion.status.name}")
             return
         if entry is not None and channel.state is ChannelState.READY:
-            _, buffer = entry
-            yield from self._post_recv(channel, buffer)
+            posted = self._post_recv(channel, entry[1])
+            if posted is not None:
+                yield posted
         if self.filter is not None:
             if self.filter.should_drop(channel, completion):
                 return
@@ -523,14 +544,6 @@ class XrdmaContext:
             # twice (the channel must treat it idempotently).
             yield from channel.on_receive(completion)
         yield from channel.on_receive(completion)
-
-    def _handle_send_completion(self,
-                                completion: Completion) -> ProcessGenerator:
-        routed = self._wr_routes.pop(completion.wr_id, None)
-        if routed is None:
-            return
-        channel, route = routed
-        yield from channel.on_send_completion(completion, route)
 
     def _keepalive_round(self, now: int) -> ProcessGenerator:
         for channel in list(self.channels.values()):

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional, Tuple
 
+from repro.analysis import invariants
 from repro.analysis.invariants import check as _invariant
 from repro.rnic.wqe import WorkRequest
 from repro.sim.process import ProcessGenerator
@@ -67,6 +68,22 @@ class WrBudget:
             _invariant(False, "flowctl.budget_underflow",
                        lambda: f"in_use={self.in_use}")
             self.in_use = 0  # contain in count mode
+
+    def audit(self) -> None:
+        """Mid-run conservation check: ``in_use == Σ budget_held``.
+
+        Called (under ``invariants.ENABLED``) right after a charge or a
+        release has moved both halves, so a transfer torn across a yield
+        — one half moved, the other after the yield — is seen by the
+        next controller to issue or complete while it is torn.  The deep
+        check at quiescence (``flowctl.budget_mismatch``) sees only
+        finished transfers.
+        """
+        held = sum(c.budget_held for c in self.controllers)
+        if held != self.in_use:
+            _invariant(False, "flowctl.budget_mismatch",
+                       lambda: f"in_use={self.in_use} "
+                               f"sum(budget_held)={held}")
 
     def enqueue_waiter(self, controller: "FlowController") -> None:
         if controller not in self._waiters:
@@ -156,7 +173,8 @@ class FlowController:
             return True
         if self.outstanding >= self.max_outstanding:
             return False
-        return self.budget is None or self.budget.available
+        budget = self.budget
+        return budget is None or budget.in_use < budget.capacity
 
     def post(self, wr: WorkRequest) -> ProcessGenerator:
         """Generator: post ``wr`` now, or queue it if a cap is reached."""
@@ -176,6 +194,8 @@ class FlowController:
         if self.enabled and self.budget is not None:
             self.budget.acquire()
             self.budget_held += 1
+            if invariants.ENABLED:
+                self.budget.audit()
         yield self.verbs.post_send(self.qp, wr)
 
     def admit_queued(self) -> ProcessGenerator:
@@ -198,15 +218,21 @@ class FlowController:
             _invariant(False, "flowctl.outstanding_underflow",
                        lambda: f"qpn={self.qp.qpn}")
             self.outstanding = 0
-        if self.budget is not None and self.budget_held > 0:
+        budget = self.budget
+        if budget is not None and self.budget_held > 0:
             self.budget_held -= 1
-            self.budget.release()
-        while (yield from self.admit_queued()):
-            pass
-        if self.enabled and self.budget is not None:
-            if self._queue:
-                self.budget.enqueue_waiter(self)
-            yield from self.budget.drain()
+            budget.release()
+            if invariants.ENABLED:
+                budget.audit()
+        # admit_queued's loop, inline: no generator per admitted WR.
+        queue = self._queue
+        while queue and self._may_issue():
+            yield from self._issue(queue.popleft())
+        if self.enabled and budget is not None:
+            if queue:
+                budget.enqueue_waiter(self)
+            if budget._waiters:
+                yield from budget.drain()
 
     @property
     def queued(self) -> int:

@@ -90,13 +90,16 @@ class EagerStrategy:
 
     def send(self, channel: "XrdmaChannel", msg: XrdmaMessage,
              header: XrdmaHeader) -> ProcessGenerator:
+        """Build and route the SEND_IMM; returns flow control's post
+        generator for the caller to drive.  A plain function: this
+        frame would only be resumed to hand the post's wake through."""
         wire = msg.payload_size + header.wire_bytes(
             channel.ctx.config.req_rsp_mode)
         wr = WorkRequest(opcode=Opcode.SEND_IMM, length=wire,
                          imm_data=header.ack & 0xFFFF_FFFF, payload=header)
         channel.ctx.route_wr(wr, channel, _WrRoute(tag="small", message=msg,
                                                    seq=header.seq))
-        yield from channel.flow.post(wr)
+        return channel.flow.post(wr)
 
     def send_control(self, channel: "XrdmaChannel",
                      header: XrdmaHeader) -> ProcessGenerator:
@@ -117,11 +120,12 @@ class RendezvousStrategy:
     buffer and installs the transfer (:meth:`on_announce`).  Subclasses
     say what the announce carries (:meth:`_prepare_announce`), how the
     bytes start moving (:meth:`_start`), and react to rendezvous control
-    messages (:meth:`on_control` — RNDV_CTS/RNDV_FIN) and send CQEs
-    (:meth:`on_data_completion`).  All but the first are generators; a
-    body with nothing to do simply returns (``yield from`` of an empty
-    generator adds no simulation events, which is what keeps the default
-    strategy schedule-identical to the pre-refactor channel).
+    messages (:meth:`on_control` — RNDV_CTS/RNDV_FIN) and the send CQE
+    of a transfer's last fragment (:meth:`on_data_completion`).  All but
+    the first are generators; a body with nothing to do simply returns
+    (``yield from`` of an empty generator adds no simulation events,
+    which is what keeps the default strategy schedule-identical to the
+    pre-refactor channel).
     """
 
     name = "?"
@@ -320,10 +324,10 @@ class ProtocolPolicy:
     """Per-message strategy selection from one :class:`XrdmaConfig`.
 
     Eager below the threshold, the configured rendezvous variant above
-    it.  The policy is evaluated once per message in ``_make_header``
-    (setting ``header.large``) and dispatched on in ``pump`` — both ends
-    of a channel must be configured with the same variant, exactly as
-    both ends must agree on ``small_msg_size`` today.
+    it.  The channel's ``pump`` evaluates the policy once per message
+    (setting ``header.large``) and dispatches on it — both ends of a
+    channel must be configured with the same variant, exactly as both
+    ends must agree on ``small_msg_size`` today.
     """
 
     def __init__(self, config: "XrdmaConfig") -> None:

@@ -60,16 +60,20 @@ class SeqAckWindow:
     def can_send(self) -> bool:
         """One slot is always held back: its receive buffer is the one a
         control header (ACK / NOP / RNDV_CTS / CLOSE) lands in."""
-        return self.in_flight < self.depth - 1
+        return self.seq - self.acked < self.depth - 1
 
     def next_seq(self) -> int:
-        """Claim the next sequence number (raises WindowFull when closed)."""
-        if not self.can_send():
+        """Claim the next sequence number (raises WindowFull when closed).
+
+        The test is :meth:`can_send`'s, written out: ``pump`` has just
+        asked can_send, so this is the second look at the same slot."""
+        seq = self.seq
+        if seq - self.acked >= self.depth - 1:
             raise WindowFull(
                 f"in_flight={self.in_flight} depth={self.depth}")
-        seq = self.seq
-        self.seq += 1
-        self._audit()
+        self.seq = seq + 1
+        if invariants.ENABLED:
+            self._audit()
         return seq
 
     def on_ack(self, ack: int) -> int:
@@ -80,7 +84,8 @@ class SeqAckWindow:
             raise ValueError(f"ack {ack} beyond seq {self.seq}")
         newly = ack - self.acked
         self.acked = ack
-        self._audit()
+        if invariants.ENABLED:
+            self._audit()
         return newly
 
     # ---------------------------------------------------------- receiver ops
@@ -137,7 +142,8 @@ class SeqAckWindow:
                 if trace is not None:
                     trace.mark("window_ready")
             self.rta += 1
-        self._audit()
+        if invariants.ENABLED:
+            self._audit()
 
     # -------------------------------------------------------------- ack duty
     def ack_to_send(self) -> int:
@@ -147,7 +153,8 @@ class SeqAckWindow:
     def note_ack_sent(self) -> None:
         """Record that the current rta has been transmitted to the peer."""
         self.sent_ack = self.rta
-        self._audit()
+        if invariants.ENABLED:
+            self._audit()
 
     def unacked_arrivals(self) -> int:
         """Messages consumed locally but not yet acked to the peer."""
@@ -157,12 +164,11 @@ class SeqAckWindow:
     def _audit(self) -> None:
         """Inline sanitizer hooks after every state mutation.
 
-        Pure assertions (no clamping), so the whole body is gated on the
-        sanitizer flag — _audit runs after *every* window mutation and
-        would otherwise allocate four detail closures each time.
+        Pure assertions (no clamping), so every call site is gated on the
+        sanitizer flag — _audit runs after *every* window mutation, and a
+        disarmed run should not pay a call, let alone four detail
+        closures, each time.
         """
-        if not invariants.ENABLED:
-            return
         _invariant(self.acked <= self.seq, "seqack.acked_gt_seq",
                    lambda: f"acked={self.acked} seq={self.seq}")
         _invariant(self.in_flight <= self.depth, "seqack.in_flight_bounds",

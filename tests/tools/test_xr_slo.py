@@ -109,6 +109,19 @@ def test_non_integer_window_exits_2(tmp_path, capsys):
     assert_unreadable(path, capsys)
 
 
+@pytest.mark.parametrize("key", ["offered", "completed", "offered_rps",
+                                 "achieved_rps", "p99_us"])
+@pytest.mark.parametrize("value", ["n/a", None])
+def test_non_numeric_stable_window_field_exits_2(tmp_path, capsys, key,
+                                                 value):
+    path = tmp_path / "windows.jsonl"
+    bad = {**_row(window=1), key: value}
+    path.write_text("".join(json.dumps(row) + "\n"
+                            for row in (_row(window=0), bad)),
+                    encoding="utf-8")
+    assert_unreadable(path, capsys)
+
+
 def test_torn_tail_tolerated(windows_file):
     with open(windows_file, "a", encoding="utf-8") as handle:
         handle.write('{"run_id": "exp/p=1/s0", "tenant": "A", "window": 9')
